@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -223,8 +224,15 @@ def _parse_values(text: str) -> list[Fraction]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
-        return [Fraction(k) for k in range(lo, hi + 1)]
-    return [_parse_number(part) for part in text.split(",") if part.strip()]
+        values = [Fraction(k) for k in range(lo, hi + 1)]
+    else:
+        values = [_parse_number(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"--values {text!r} names no value")
+    repeated = sorted(v for v, n in Counter(values).items() if n > 1)
+    if repeated:
+        raise ValueError(f"--values repeats {', '.join(map(str, repeated))}")
+    return values
 
 
 def cmd_theorems(args) -> int:
@@ -263,7 +271,10 @@ def cmd_theorems(args) -> int:
     _write_report(records, args.report)
     for rec in records:
         n_ces = len(rec["counterexamples"])
-        status = "pass" if n_ces == 0 else "FAIL"
+        if n_ces:
+            status = "FAIL"
+        else:
+            status = "pass" if rec["witness"] is not None else "vacuous"
         print(f"{rec['id']:10s} order={rec['order']:5s} {status}  "
               f"counterexamples={n_ces} witness={rec['witness'] is not None}",
               file=sys.stderr)

@@ -17,17 +17,21 @@ recursively) and testing R at those integers plus the leading
 coefficient for the tail.  The literal inequalities for k up to k_cap
 are checked as well and feed the reported margins.
 
-Searches run a vectorized floating prefilter: every row is linear in f,
-so one matrix per (theorem, order, length) evaluates all enumerated
-functions at once.  The prefilter only ever over-collects candidates
-(explicit rows are a subset of the true hypothesis), so exact
-re-verification makes the search sound.  Enumeration and candidate
-ordering are canonical, so results are deterministic for a fixed seed.
+Searches run an exact integer prefilter: every row is linear in f with
+rational coefficients, read off unit vectors under the rational backend
+once per (theorem, order, length).  Clearing each row's denominators and
+the value set's keeps every sign, so one integer matmul per chunk of
+enumerated value-index vectors decides the explicit rows exactly (in
+float64 BLAS while the partial sums stay below 2**53, in Python integers
+otherwise).  Explicit rows are a subset of the true hypothesis, so the
+candidates are re-verified with ``evaluate_theorem``, which also settles
+the ray conditions.  Witness order and reported margins come from float
+rows rounded from the exact ones.  Enumeration and candidate ordering
+are canonical, so results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -49,9 +53,6 @@ from .operators import (
     caputo_difference,
     riemann_difference,
 )
-
-SEARCH_EPS = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # polynomial nonnegativity on an integer ray
@@ -794,82 +795,162 @@ class SearchResult:
         }
 
 
-def _matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
-    """Float row matrices for the linear hypothesis and conclusion rows."""
+# Vectors per prefilter chunk: bounds the (chunk x rows) products at any budget.
+CHUNK = 1 << 16
+# Witness candidates, in float-margin order, that the nonvacuity search considers.
+WITNESS_WINDOW = 400
+# Integers up to this magnitude are exact in float64, so an integer matmul
+# whose ||row||_1 * max|value| stays below it is exact in BLAS.
+EXACT_FLOAT_LIMIT = 2 ** 53
+
+
+@dataclass(frozen=True)
+class _RowBlock:
+    """Linear rows in the live values: exact, denominator-cleared, float.
+
+    ``scaled[r]`` is exact row r times the LCM of its denominators, so its
+    dot product with integer values has the row's sign.  ``floats`` rounds
+    each exact coefficient once; it orders witnesses and reports margins.
+    """
+
+    scaled: list
+    floats: np.ndarray
+    l1: int  # largest ||scaled row||_1
+
+    @staticmethod
+    def of(exact_rows: list, length: int) -> "_RowBlock":
+        scaled = []
+        for row in exact_rows:
+            lcm = math.lcm(*(x.denominator for x in row))
+            scaled.append([x.numerator * (lcm // x.denominator) for x in row])
+        floats = np.array(exact_rows, dtype=float).reshape(len(exact_rows), length)
+        l1 = max((sum(abs(x) for x in row) for row in scaled), default=0)
+        return _RowBlock(scaled, floats, l1)
+
+
+def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
+    """Exact hypothesis and conclusion row blocks, read off unit vectors."""
     stmt = THEOREMS[theorem_id]
-    zero_case = make_case(theorem_id, [0.0] * live_length, order, anchor, k_cap, FLOATING)
-    h0, rays0, c0 = stmt.builder(zero_case)
-    base_h = [val for _, val in expanded_hypothesis_rows(zero_case, h0, rays0)]
-    base_c = [val for _, val in c0]
-    if any(abs(x) > 1e-9 for x in base_h + base_c):
+
+    def rows_at(live):
+        case = make_case(theorem_id, live, order, anchor, k_cap, RATIONAL)
+        hyp, rays, concl = stmt.builder(case)
+        return ([as_fraction(v) for _, v in expanded_hypothesis_rows(case, hyp, rays)],
+                [as_fraction(v) for _, v in concl])
+
+    base_h, base_c = rows_at([0] * live_length)
+    if any(x != 0 for x in base_h + base_c):
         raise AssertionError(f"{theorem_id}: rows are not linear in the data")
-    H = np.zeros((len(base_h), live_length))
-    C = np.zeros((len(base_c), live_length))
+    cols_h, cols_c = [], []
     for i in range(live_length):
-        unit = [0.0] * live_length
-        unit[i] = 1.0
-        case = make_case(theorem_id, unit, order, anchor, k_cap, FLOATING)
-        hr, rays, cr = stmt.builder(case)
-        H[:, i] = [val for _, val in expanded_hypothesis_rows(case, hr, rays)]
-        C[:, i] = [val for _, val in cr]
-    return H, C
+        h, c = rows_at([1 if j == i else 0 for j in range(live_length)])
+        cols_h.append(h)
+        cols_c.append(c)
+    return (_RowBlock.of([list(r) for r in zip(*cols_h)], live_length),
+            _RowBlock.of([list(r) for r in zip(*cols_c)], live_length))
+
+
+def _integer_operands(blocks, value_ints: list):
+    """Integer row matrices and value table for an exact sign test.
+
+    float64 when every partial sum is an integer below 2**53 in magnitude,
+    so BLAS computes it exactly; Python integers otherwise.
+    """
+    bound = max(b.l1 for b in blocks) * max((abs(v) for v in value_ints), default=0)
+    dtype = np.float64 if bound < EXACT_FLOAT_LIMIT else object
+    mats = [np.array(b.scaled, dtype=dtype).reshape(b.floats.shape) for b in blocks]
+    return mats, np.array(value_ints, dtype=dtype)
+
+
+def _index_chunks(k: int, length: int, mode: str, samples: int | None, rng_key: str):
+    """Value-index vectors in enumeration order, ``CHUNK`` at a time.
+
+    Exhaustive mode walks flat indices 0..k**length-1 in ``itertools.product``
+    order; random mode draws indices from the same stream as
+    ``rng.choice(values)`` would, sample by sample.
+    """
+    if mode == "exhaustive":
+        total = k ** length
+        for start in range(0, total, CHUNK):
+            flat = np.arange(start, min(start + CHUNK, total))
+            yield np.stack(np.unravel_index(flat, (k,) * length), axis=1)
+    else:
+        rng = random.Random(rng_key)
+        for start in range(0, samples, CHUNK):
+            n = min(CHUNK, samples - start)
+            draws = [rng.randrange(k) for _ in range(n * length)]
+            yield np.array(draws, dtype=np.intp).reshape(n, length)
 
 
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
                      mode: str, samples: int | None, seed: int, k_cap: int,
                      anchor) -> SearchResult:
-    stmt = THEOREMS[theorem_id]
     values_exact = [as_fraction(v) for v in value_set]
-    H, C = _matrices(theorem_id, live_length, order, k_cap, anchor)
-    if mode == "exhaustive":
-        combos = list(itertools.product(values_exact, repeat=live_length))
-    else:
-        rng = random.Random((seed, theorem_id, str(order)).__repr__())
-        combos = [
-            tuple(rng.choice(values_exact) for _ in range(live_length))
-            for _ in range(samples)
-        ]
-    F = np.array([[float(x) for x in combo] for combo in combos])
-    hyp_min = (F @ H.T).min(axis=1)
-    concl_min = (F @ C.T).min(axis=1)
-    hyp_pass = hyp_min >= -SEARCH_EPS
-    candidates = np.nonzero(hyp_pass & (concl_min < SEARCH_EPS))[0]
+    value_scale = math.lcm(*(v.denominator for v in values_exact))
+    value_ints = [int(v * value_scale) for v in values_exact]
+    value_floats = np.array([float(v) for v in values_exact])
+    hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
+    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
 
+    def exact_case(idx_row):
+        combo = tuple(values_exact[i] for i in idx_row)
+        return combo, make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
+
+    rng_key = (seed, theorem_id, str(order)).__repr__()
+    instances = hyp_count = 0
+    min_concl = None
     counterexamples = []
-    for idx in candidates:
-        exact_case = make_case(theorem_id, combos[idx], order, anchor, k_cap, RATIONAL)
-        verdict = evaluate_theorem(exact_case)
-        if not verdict.consistent:
-            counterexamples.append(exact_case)
+    # witness pool: enumeration position, float margin, exact positivity, indices
+    pool = (np.empty(0, np.int64), np.empty(0), np.empty(0, bool),
+            np.empty((0, live_length), np.intp))
+    for idx in _index_chunks(len(values_exact), live_length, mode, samples, rng_key):
+        F = ints[idx]
+        hyp_min = (F @ hyp_int.T).min(axis=1)
+        concl_min = (F @ concl_int.T).min(axis=1)
+        passing = np.nonzero(hyp_min >= 0)[0]
+        for j in passing[concl_min[passing] < 0]:
+            _, case = exact_case(idx[j])
+            if not evaluate_theorem(case).consistent:
+                counterexamples.append(case)
+        if len(passing):
+            Fp = value_floats[idx[passing]]
+            concl_f = float((Fp @ concl.floats.T).min())
+            min_concl = concl_f if min_concl is None else min(min_concl, concl_f)
+            pool = tuple(
+                np.concatenate(pair) for pair in zip(pool, (
+                    instances + passing, (Fp @ hyp.floats.T).min(axis=1),
+                    hyp_min[passing] > 0, idx[passing],
+                ))
+            )
+            top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
+            pool = tuple(a[top] for a in pool)
+        instances += len(idx)
+        hyp_count += len(passing)
 
     # nonvacuity witness: the hypothesis-true nonzero function with the best
-    # margin, strictly positive when the value set admits one at all
+    # margin, strictly positive when the value set admits one at all.  Once
+    # a witness (margin >= 0) is found, only a candidate whose explicit rows
+    # are exactly positive can beat it.
     witness = None
     witness_margin = None
-    passing = np.nonzero(hyp_pass)[0]
-    order_desc = passing[np.argsort(-hyp_min[passing], kind="stable")]
-    for idx in order_desc[:400]:
-        combo = combos[idx]
-        if not any(x != 0 for x in combo):
+    _, _, positive, pool_idx = pool
+    for j in np.nonzero((ints[pool_idx] != 0).any(axis=1))[0]:
+        if witness is not None and not positive[j]:
             continue
-        exact_case = make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
-        verdict = evaluate_theorem(exact_case)
+        combo, case = exact_case(pool_idx[j])
+        verdict = evaluate_theorem(case)
         if not verdict.hypothesis_holds:
             continue
-        margin = min(v for _, v in verdict.hypothesis_margins)
-        if witness is None or margin > witness_margin:
-            witness = combo
-            witness_margin = margin
-        if margin > 0:
+        witness = combo
+        witness_margin = min(v for _, v in verdict.hypothesis_margins)
+        if witness_margin > 0:
             break
 
-    hyp_count = int(hyp_pass.sum())
-    min_concl = float(concl_min[hyp_pass].min()) if hyp_count else None
     return SearchResult(
         theorem_id=theorem_id,
         order=as_fraction(order),
         live_length=live_length,
-        instances=len(combos),
+        instances=instances,
         hypothesis_count=hyp_count,
         min_conclusion_margin=min_concl,
         counterexamples=counterexamples,

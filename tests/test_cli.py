@@ -168,6 +168,26 @@ class TestTheorems:
                      "--report", report])
         assert code == 0
 
+    def test_empty_value_set_is_usage_error(self, capsys):
+        for values in (",", "1..0"):
+            code = main(["theorems", "--id", "T_U1", "--length", "3", "--values", values])
+            assert code == 2
+            assert "names no value" in capsys.readouterr().err
+
+    def test_repeated_values_are_usage_error(self, capsys):
+        code = main(["theorems", "--id", "T_U1", "--length", "3",
+                     "--values", "0,0,1,1/2,2/4"])
+        assert code == 2
+        assert "repeats 0, 1/2" in capsys.readouterr().err
+
+    def test_vacuous_result_is_labelled(self, tmp_path, capsys):
+        # the zero function is never a witness, so {0} leaves none
+        code = main(["theorems", "--id", "T_JEP1", "--length", "3", "--values", "0",
+                     "--nu", "3/2", "--report", str(tmp_path / "t.jsonl")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "vacuous" in err and " pass " not in err
+
     def test_unknown_theorem_is_domain_error(self):
         assert main(["theorems", "--id", "T_NOPE", "--exhaustive"]) == 3
 

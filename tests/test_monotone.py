@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -5,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discfrac import monotone
 from discfrac.backends import RATIONAL
+from discfrac.cli import main
 from discfrac.errors import BudgetExceeded, DomainError, GridTooShort
 from discfrac.grids import Direction, make_grid_function
 from discfrac.monotone import (
     THEOREMS,
+    TheoremStatement,
+    _index_chunks,
+    _integer_operands,
+    _row_matrices,
+    _sign,
     d1_via_q_reflection,
     evaluate_theorem,
     is_nu_monotone,
@@ -272,3 +281,119 @@ class TestSearch:
         for entry in report:
             assert entry["counterexamples"] == 0
             assert entry["nonvacuous"]
+
+
+def _statement(theorem_id, builder, min_length=2):
+    return TheoremStatement(theorem_id, "test statement", (0, 1), Direction.FORWARD,
+                            0, False, min_length, builder)
+
+
+def _false_builder(case):
+    # "a nonnegative start forces nondecreasing": false
+    v = case.f.values
+    return [("start", v[0])], [], [("pair", v[1] - v[0])]
+
+
+def _tenths_builder(case):
+    # the conclusion row is exactly 0 on constant functions, but
+    # 0.3 - 0.1 - 0.2 rounds to -2.8e-17 in floating point
+    v = case.f.values
+    concl = Fraction(3, 10) * v[0] - Fraction(1, 10) * v[1] - Fraction(2, 10) * v[2]
+    return [("start", v[0])], [], [("tenths", concl)]
+
+
+class TestEnumeration:
+    def _vectors(self, mode, k, length, samples=None, key="key"):
+        return [tuple(int(i) for i in row)
+                for chunk in _index_chunks(k, length, mode, samples, key) for row in chunk]
+
+    def test_exhaustive_order_is_product_order(self, monkeypatch):
+        monkeypatch.setattr(monotone, "CHUNK", 7)
+        assert self._vectors("exhaustive", 3, 4) == list(itertools.product(range(3), repeat=4))
+
+    def test_random_draws_match_choice_loop(self, monkeypatch):
+        monkeypatch.setattr(monotone, "CHUNK", 7)
+        values = [Fraction(k, 2) for k in range(-2, 3)]
+        key = (4, "T_UU1", "1/2").__repr__()
+        rng = random.Random(key)
+        expected = [tuple(rng.choice(values) for _ in range(5)) for _ in range(50)]
+        drawn = self._vectors("random", len(values), 5, samples=50, key=key)
+        assert [tuple(values[i] for i in row) for row in drawn] == expected
+
+    @pytest.mark.parametrize("tid,length,values,mode", [
+        ("T_U3", 5, [-1, 0, 1, 2], "exhaustive"),
+        ("T_SLOV1", 4, [Fraction(k, 2) for k in range(-2, 3)], "exhaustive"),
+        ("T_C5", 5, [-1, 0, 1, 2], "random"),
+        ("T_FALSE", 3, [-1, 0, 1], "exhaustive"),
+    ])
+    @pytest.mark.parametrize("window", [400, 3])
+    def test_chunked_search_matches_single_chunk(self, monkeypatch, tid, length, values,
+                                                 mode, window):
+        monkeypatch.setitem(THEOREMS, "T_FALSE", _statement("T_FALSE", _false_builder))
+        monkeypatch.setattr(monotone, "WITNESS_WINDOW", window)
+        kwargs = dict(mode=mode, budget=5000, seed=5)
+
+        def records():
+            results = search_campaign(tid, length, values, **kwargs)
+            return [r.as_record() for r in results]
+
+        single = records()
+        monkeypatch.setattr(monotone, "CHUNK", 13)
+        assert records() == single
+        assert all(r["instances"] > 13 for r in single)
+
+
+class TestExactPrefilter:
+    def test_false_theorem_yields_confirmed_counterexamples(self, monkeypatch):
+        monkeypatch.setitem(THEOREMS, "T_FALSE", _statement("T_FALSE", _false_builder))
+        values = [-1, Fraction(-1, 2), 0, 1]
+        results = search_campaign("T_FALSE", 3, values, [Fraction(1, 2)])
+        found = [tuple(c.f.values) for c in results[0].counterexamples]
+        expected = [v for v in itertools.product(values, repeat=3) if v[0] >= 0 > v[1] - v[0]]
+        assert found == expected
+        for case in results[0].counterexamples:
+            assert case.f.backend is RATIONAL
+            assert not evaluate_theorem(case).consistent
+        assert main(["theorems", "--id", "T_FALSE", "--length", "3", "--values", "0,1",
+                     "--nu", "1/2", "--report", os.devnull]) == 1
+
+    def test_exact_zero_conclusion_is_not_flagged(self, monkeypatch):
+        assert 0.3 - 0.1 - 0.2 < 0
+        monkeypatch.setitem(THEOREMS, "T_TENTHS", _statement("T_TENTHS", _tenths_builder, 3))
+        evaluated = []
+
+        def counting(case):
+            evaluated.append(case)
+            return evaluate_theorem(case)
+
+        monkeypatch.setattr(monotone, "evaluate_theorem", counting)
+        results = search_campaign("T_TENTHS", 3, [1, 2], [Fraction(1, 2)])
+        assert results[0].hypothesis_count == 8
+        assert results[0].counterexamples and all(
+            min(v for _, v in evaluate_theorem(c).conclusion_margins) < 0
+            for c in results[0].counterexamples
+        )
+        # the exactly-zero constants (1,1,1) and (2,2,2) are never re-verified
+        flagged = {tuple(c.f.values) for c in evaluated}
+        assert not flagged & {(1, 1, 1), (2, 2, 2)}
+        assert len(evaluated) == len(results[0].counterexamples) + 1  # plus the witness
+
+    @pytest.mark.parametrize("tid,order", [("T_U1", Fraction(1, 4)), ("T_C6", Fraction(3, 4))])
+    def test_huge_values_use_exact_integers(self, tid, order):
+        values = [-2 ** 40, 0, 2 ** 40]
+        hyp, concl = _row_matrices(tid, 6, order, 64, 0)
+        (h_int, c_int), ints = _integer_operands((hyp, concl), values)
+        assert h_int.dtype == c_int.dtype == ints.dtype == object
+        hyp_count = 0
+        for combo in itertools.product(range(3), repeat=6):
+            live = [values[i] for i in combo]
+            verdict = evaluate_theorem(make_case(tid, live, order, backend=RATIONAL))
+            row = ints[list(combo)]
+            assert [_sign(x) for x in row @ h_int.T] == [
+                _sign(m) for _, m in verdict.hypothesis_margins]
+            assert [_sign(x) for x in row @ c_int.T] == [
+                _sign(m) for _, m in verdict.conclusion_margins]
+            hyp_count += verdict.hypothesis_holds
+        (result,) = search_campaign(tid, 6, values, [order])
+        assert result.hypothesis_count == hyp_count
+        assert result.counterexamples == []
