@@ -19,7 +19,7 @@ from .errors import (
     PoleAmbiguous,
     UnitMismatch,
 )
-from .grids import Direction, GridFunction, Verdict, integer_difference, make_grid_function, q_reflect
+from .grids import Direction, GridFunction, integer_difference, make_grid_function, q_reflect
 from .kernels import KernelCoefficient, binomial_weight, falling, gamma_ratio, rising, sum_kernel
 from .operators import (
     Family,
@@ -41,6 +41,7 @@ from .monotone import (
     TheoremCase,
     TheoremVerdict,
     THEOREMS,
+    Verdict,
     evaluate_theorem,
     is_nu_monotone,
     make_case,

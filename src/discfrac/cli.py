@@ -19,11 +19,11 @@ overrides --backend when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import get_backend
@@ -52,21 +52,6 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    backend: str = "floating"
-    tolerance: float = DEFAULT_TOLERANCE
-    seed: int = 0
-    k_cap: int = 64
-    budget: int = 500_000
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
-        if self.budget <= 0:
-            raise DomainError("budget must be positive")
-
-
 def _scalar_str(x) -> str:
     if isinstance(x, Fraction):
         return str(x)
@@ -77,7 +62,7 @@ def _parse_number(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse number {text!r}") from exc
+        raise ValueError(f"cannot parse number {text!r}") from exc
 
 
 def _read_grid(path: str, backend) -> GridFunction:
@@ -85,6 +70,8 @@ def _read_grid(path: str, backend) -> GridFunction:
         text = fh.read()
     if path.endswith(".csv") or ("," in text and not text.lstrip().startswith("{")):
         rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
+        if not rows or any(len(r) != 2 for r in rows):
+            raise ValueError("CSV input needs one or more t,value rows")
         points = [_parse_number(r[0]) for r in rows]
         values = [_parse_number(r[1]) for r in rows]
         if any(p.denominator != 1 for p in points):
@@ -94,6 +81,8 @@ def _read_grid(path: str, backend) -> GridFunction:
                 raise DomainError("CSV input requires consecutive ascending points")
         return make_grid_function(points[0], Direction.FORWARD, values, backend)
     record = json.loads(text)
+    if not isinstance(record, dict) or not isinstance(record.get("values"), list):
+        raise ValueError('JSON input must be an object whose "values" is a list')
     return make_grid_function(
         _parse_number(str(record["origin"])),
         Direction(record["direction"]),
@@ -114,16 +103,14 @@ def _grid_record(grid: GridFunction, extra: dict | None = None) -> dict:
 
 
 def _write_json(record: dict, path: str | None) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", path)
 
 
 def _write_report(records: list[dict], path: str | None) -> None:
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    _write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), path)
+
+
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -184,30 +171,20 @@ def cmd_check(args) -> int:
             ids = [IdentityId(name) for name in args.id]
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
-    config = RunConfig(
-        backend=backend.name, tolerance=args.tolerance, seed=args.seed
-    )
-    def run():
-        return run_identity_suite(
-            ids,
-            instances=args.instances,
-            seed=config.seed,
-            backend=backend,
-            tolerance=config.tolerance,
-        )
-
-    if args.inject_error:
-        with fault_injection(1 + 1e-6):
-            results = run()
-    else:
-        results = run()
+    if args.instances < 1:
+        raise ValueError("--instances must be at least 1")
+    if args.tolerance <= 0:
+        raise DomainError("tolerance must be positive")
+    with fault_injection(1 + 1e-6) if args.inject_error else contextlib.nullcontext():
+        results = run_identity_suite(ids, instances=args.instances, seed=args.seed,
+                                     backend=backend, tolerance=args.tolerance)
     records = []
     for r in results:
         rec = r.as_record()
         rec["config"] = {
-            "backend": config.backend,
-            "tolerance": config.tolerance,
-            "seed": config.seed,
+            "backend": backend.name,
+            "tolerance": args.tolerance,
+            "seed": args.seed,
             "instances": args.instances,
         }
         records.append(rec)
@@ -245,22 +222,23 @@ def cmd_theorems(args) -> int:
         ids = list(args.id)
     values = _parse_values(args.values)
     orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
-    config = RunConfig(seed=args.seed, k_cap=args.k_cap, budget=args.budget)
+    if args.budget <= 0:
+        raise DomainError("budget must be positive")
     mode = "random" if args.random else "exhaustive"
     records = []
     any_counterexample = False
     for tid in ids:
         length = max(args.length, min_live_length(tid))
         results = search_campaign(
-            tid, length, values, orders, mode, config.budget, config.seed, config.k_cap
+            tid, length, values, orders, mode, args.budget, args.seed, args.k_cap
         )
         for r in results:
             rec = r.as_record()
             rec["config"] = {
                 "mode": mode,
-                "seed": config.seed,
-                "k_cap": config.k_cap,
-                "budget": config.budget,
+                "seed": args.seed,
+                "k_cap": args.k_cap,
+                "budget": args.budget,
                 "values": [str(v) for v in values],
             }
             if THEOREMS[tid].note:
@@ -318,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_theo.add_argument("--id", action="append", default=[],
                         help="theorem id (repeatable); default all")
     p_theo.add_argument("--all", action="store_true")
-    p_theo.add_argument("--exhaustive", action="store_true")
-    p_theo.add_argument("--random", action="store_true")
+    mode = p_theo.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true", help="the default mode")
+    mode.add_argument("--random", action="store_true")
     p_theo.add_argument("--length", type=int, default=5,
                         help="number of enumerated function values")
     p_theo.add_argument("--values", default="-1,0,1")
@@ -328,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_theo.add_argument("--budget", type=int, default=500_000)
     p_theo.add_argument("--seed", type=int, default=0)
     p_theo.add_argument("--k-cap", type=int, default=64)
-    p_theo.add_argument("--backend", choices=["floating", "rational"], default="floating")
     p_theo.add_argument("--report", default=None)
     p_theo.set_defaults(func=cmd_theorems)
     return parser

@@ -16,6 +16,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .backends import FLOATING, as_fraction
 from .errors import DomainError
@@ -56,28 +57,97 @@ class IdentityId(enum.Enum):
     CAPUTO_INVERSION = "CAPUTO_INVERSION"
 
 
-DUAL_IDS = (
-    IdentityId.LEFT_DUAL_SUM,
-    IdentityId.LEFT_DUAL_DIFF,
-    IdentityId.RIGHT_DUAL_SUM,
-    IdentityId.RIGHT_DUAL_DIFF,
-    IdentityId.CAPUTO_DUAL_LEFT,
-    IdentityId.CAPUTO_DUAL_RIGHT,
-)
-Q_IDS = (
-    IdentityId.Q_SUM_DELTA,
-    IdentityId.Q_DIFF_DELTA,
-    IdentityId.Q_CAPUTO_DELTA,
-    IdentityId.Q_SUM_NABLA,
-    IdentityId.Q_DIFF_NABLA,
-    IdentityId.Q_CAPUTO_NABLA,
-)
-RELATION_IDS = (
-    IdentityId.RELATE_DELTA_LEFT,
-    IdentityId.RELATE_DELTA_RIGHT,
-    IdentityId.RELATE_NABLA_LEFT,
-    IdentityId.RELATE_NABLA_RIGHT,
-    IdentityId.CAPUTO_INVERSION,
+# The identity table.  Each row applies a left- and a right-hand operator,
+# given as (kind, side, family), to a transform of the data f and pairs
+# the outputs on the identity's stated index set.  Origins are offsets
+# inward from f's origin a, written (constant, multiple of n, multiple of
+# alpha); a Q identity measures its right-hand output from b, the origin
+# of the reversed data, before reflecting it back.  A relation's
+# right-hand side is the Riemann-minus-correction form of its Caputo spec.
+
+
+@dataclass(frozen=True)
+class IdentitySpec:
+    family: str  # "dual", "q" or "relation"
+    lhs: tuple | None = None  # (Kind, Side, Family)
+    lhs_input: Callable | None = None  # f -> left-hand operand
+    rhs: tuple | None = None
+    rhs_input: Callable | None = None
+    origins: tuple | None = None  # stated (lhs, rhs) output origins
+    # the stated index set: the right-hand output of a dual identity, the
+    # left-hand output otherwise, from this position on
+    points: int = 0
+    direction: Direction | None = Direction.FORWARD  # data grid; None: either
+
+
+# data transforms: the operands the table's operators are applied to
+_anchored, _reversed = GridFunction.prepend_zero, GridFunction.reversed_view
+
+
+def _data(f):
+    return f
+
+
+def _past_anchor(f):
+    return f.drop_leading(1)
+
+
+def _reflected(f):
+    return q_reflect(f, f.origin, f.far_point)
+
+
+_D, _N = Kind.DELTA, Kind.NABLA
+_L, _R = Side.LEFT, Side.RIGHT
+_SUM, _DIFF, _CAP = Family.SUM, Family.RIEMANN, Family.CAPUTO
+_BWD = Direction.BACKWARD
+# a, a+alpha, a+n-alpha and a+n, inward of the data origin
+_AT_A, _AT_ALPHA, _AT_BETA, _AT_N = (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0)
+
+IDENTITIES = {
+    IdentityId.LEFT_DUAL_SUM: IdentitySpec(
+        "dual", (_D, _L, _SUM), _data, (_N, _L, _SUM), _anchored, (_AT_ALPHA, (-1, 0, 0)),
+        points=1),
+    IdentityId.LEFT_DUAL_DIFF: IdentitySpec(
+        "dual", (_D, _L, _DIFF), _data, (_N, _L, _DIFF), _anchored, (_AT_BETA, (-1, 1, 0)),
+        points=1),
+    IdentityId.RIGHT_DUAL_SUM: IdentitySpec(
+        "dual", (_D, _R, _SUM), _past_anchor, (_N, _R, _SUM), _data, ((1, 0, 1), _AT_A),
+        points=1, direction=_BWD),
+    IdentityId.RIGHT_DUAL_DIFF: IdentitySpec(
+        "dual", (_D, _R, _DIFF), _past_anchor, (_N, _R, _DIFF), _data, ((1, 1, -1), _AT_N),
+        points=1, direction=_BWD),
+    IdentityId.CAPUTO_DUAL_LEFT: IdentitySpec(
+        "dual", (_D, _L, _CAP), _data, (_N, _L, _CAP), _data, (_AT_BETA, _AT_N)),
+    IdentityId.CAPUTO_DUAL_RIGHT: IdentitySpec(
+        "dual", (_D, _R, _CAP), _data, (_N, _R, _CAP), _data, (_AT_BETA, _AT_N), direction=_BWD),
+    IdentityId.Q_SUM_DELTA: IdentitySpec(
+        "q", (_D, _L, _SUM), _reflected, (_D, _R, _SUM), _reversed, (_AT_ALPHA, _AT_ALPHA)),
+    IdentityId.Q_DIFF_DELTA: IdentitySpec(
+        "q", (_D, _L, _DIFF), _reflected, (_D, _R, _DIFF), _reversed, (_AT_BETA, _AT_BETA)),
+    IdentityId.Q_CAPUTO_DELTA: IdentitySpec(
+        "q", (_D, _L, _CAP), _reflected, (_D, _R, _CAP), _reversed, (_AT_BETA, _AT_BETA)),
+    IdentityId.Q_SUM_NABLA: IdentitySpec(
+        "q", (_N, _L, _SUM), _reflected, (_N, _R, _SUM), _reversed, (_AT_A, _AT_A),
+        points=1),
+    IdentityId.Q_DIFF_NABLA: IdentitySpec(
+        "q", (_N, _L, _DIFF), _reflected, (_N, _R, _DIFF), _reversed, (_AT_N, _AT_N)),
+    IdentityId.Q_CAPUTO_NABLA: IdentitySpec(
+        "q", (_N, _L, _CAP), _reflected, (_N, _R, _CAP), _reversed, (_AT_N, _AT_N)),
+    IdentityId.RELATE_DELTA_LEFT: IdentitySpec(
+        "relation", (_D, _L, _CAP), _data, (_D, _L, _CAP), _data, (_AT_BETA, _AT_BETA)),
+    IdentityId.RELATE_DELTA_RIGHT: IdentitySpec(
+        "relation", (_D, _R, _CAP), _data, (_D, _R, _CAP), _data, (_AT_BETA, _AT_BETA),
+        direction=_BWD),
+    IdentityId.RELATE_NABLA_LEFT: IdentitySpec(
+        "relation", (_N, _L, _CAP), _data, (_N, _L, _CAP), _data, (_AT_N, _AT_N)),
+    IdentityId.RELATE_NABLA_RIGHT: IdentitySpec(
+        "relation", (_N, _R, _CAP), _data, (_N, _R, _CAP), _data, (_AT_N, _AT_N), direction=_BWD),
+    IdentityId.CAPUTO_INVERSION: IdentitySpec("relation", direction=None),
+}
+
+DUAL_IDS, Q_IDS, RELATION_IDS = (
+    tuple(i for i, row in IDENTITIES.items() if row.family == family)
+    for family in ("dual", "q", "relation")
 )
 
 
@@ -151,6 +221,41 @@ def _paired(points, lhs_values, rhs_values):
     return list(zip(points, lhs_values, rhs_values))
 
 
+def _inward(g: GridFunction, offset: tuple, n: int, alpha: Fraction) -> Fraction:
+    steps, n_times, alpha_times = offset
+    return g.shift_origin(steps + n_times * n + alpha_times * alpha)
+
+
+def _apply(op: tuple, alpha: Fraction, g: GridFunction, riemann_form: bool = False):
+    spec = OperatorSpec(*op, alpha)
+    if spec.family is Family.SUM:
+        return fractional_sum(spec, g)
+    if spec.family is Family.RIEMANN:
+        return riemann_difference(spec, g)
+    return caputo_from_riemann(spec, g) if riemann_form else caputo_difference(spec, g)
+
+
+def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckReport:
+    """Evaluate one table row on its stated index set."""
+    row = IDENTITIES[which]
+    alpha = as_fraction(order)
+    n = order_ceiling(alpha)
+    reflect = row.family == "q"
+    lhs = _apply(row.lhs, alpha, row.lhs_input(f))
+    rhs_input = row.rhs_input(f)
+    rhs = _apply(row.rhs, alpha, rhs_input, riemann_form=row.family == "relation")
+    _expect_origin(rhs, _inward(rhs_input if reflect else f, row.origins[1], n, alpha),
+                   f"{which.value} right-hand side")
+    _expect_origin(lhs, _inward(f, row.origins[0], n, alpha), f"{which.value} left-hand side")
+    if reflect:
+        rhs = q_reflect(rhs, f.origin, f.far_point)
+        points = lhs.points()[row.points:]
+        pairs = _paired(points, lhs.values[row.points:], [rhs.value_at(p) for p in points])
+    else:
+        pairs = _paired(rhs.points()[row.points:], lhs.values, rhs.values[row.points:])
+    return _build_report(which, alpha, f, pairs, tolerance)
+
+
 def check_delta_nabla_dual(f: GridFunction, order, which: IdentityId,
                            tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
     """Dual transport between delta and nabla operators at shifted arguments.
@@ -161,67 +266,7 @@ def check_delta_nabla_dual(f: GridFunction, order, which: IdentityId,
     """
     if which not in DUAL_IDS:
         raise DomainError(f"{which} is not a delta/nabla dual identity")
-    alpha = as_fraction(order)
-    n = order_ceiling(alpha)
-    L = f.length
-
-    if which is IdentityId.LEFT_DUAL_SUM:
-        a = f.origin
-        lhs = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, alpha), f)
-        rhs = fractional_sum(
-            OperatorSpec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), f.prepend_zero()
-        )
-        _expect_origin(lhs, a + alpha, "delta-left sum")
-        _expect_origin(rhs, a - 1, "anchored nabla-left sum")
-        points = [a + m for m in range(L)]
-        pairs = _paired(points, lhs.values, rhs.values[1:])
-    elif which is IdentityId.LEFT_DUAL_DIFF:
-        a = f.origin
-        lhs = riemann_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f)
-        rhs = riemann_difference(
-            OperatorSpec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha), f.prepend_zero()
-        )
-        _expect_origin(lhs, a + n - alpha, "delta-left difference")
-        _expect_origin(rhs, a - 1 + n, "anchored nabla-left difference")
-        points = [a + n + m for m in range(L - n)]
-        pairs = _paired(points, lhs.values, rhs.values[1:])
-    elif which is IdentityId.RIGHT_DUAL_SUM:
-        b = f.origin - 1
-        lhs = fractional_sum(
-            OperatorSpec(Kind.DELTA, Side.RIGHT, Family.SUM, alpha), f.drop_leading(1)
-        )
-        rhs = fractional_sum(OperatorSpec(Kind.NABLA, Side.RIGHT, Family.SUM, alpha), f)
-        _expect_origin(lhs, b - alpha, "delta-right sum")
-        _expect_origin(rhs, b + 1, "anchored nabla-right sum")
-        points = [b - m for m in range(L - 1)]
-        pairs = _paired(points, lhs.values, rhs.values[1:])
-    elif which is IdentityId.RIGHT_DUAL_DIFF:
-        b = f.origin - 1
-        lhs = riemann_difference(
-            OperatorSpec(Kind.DELTA, Side.RIGHT, Family.RIEMANN, alpha), f.drop_leading(1)
-        )
-        rhs = riemann_difference(OperatorSpec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha), f)
-        _expect_origin(lhs, b - (n - alpha), "delta-right difference")
-        _expect_origin(rhs, b + 1 - n, "anchored nabla-right difference")
-        points = [b - n - m for m in range(L - 1 - n)]
-        pairs = _paired(points, lhs.values, rhs.values[1:])
-    elif which is IdentityId.CAPUTO_DUAL_LEFT:
-        a = f.origin
-        lhs = caputo_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.CAPUTO, alpha), f)
-        rhs = caputo_difference(OperatorSpec(Kind.NABLA, Side.LEFT, Family.CAPUTO, alpha), f)
-        _expect_origin(lhs, a + n - alpha, "delta-left Caputo")
-        _expect_origin(rhs, a + n, "nabla-left Caputo")
-        points = [a + n + m for m in range(L - n)]
-        pairs = _paired(points, lhs.values, rhs.values)
-    else:  # CAPUTO_DUAL_RIGHT
-        b = f.origin
-        lhs = caputo_difference(OperatorSpec(Kind.DELTA, Side.RIGHT, Family.CAPUTO, alpha), f)
-        rhs = caputo_difference(OperatorSpec(Kind.NABLA, Side.RIGHT, Family.CAPUTO, alpha), f)
-        _expect_origin(lhs, b - (n - alpha), "delta-right Caputo")
-        _expect_origin(rhs, b - n, "nabla-right Caputo")
-        points = [b - n - m for m in range(L - n)]
-        pairs = _paired(points, lhs.values, rhs.values)
-    return _build_report(which, alpha, f, pairs, tolerance)
+    return _check_row(f, order, which, tolerance)
 
 
 def check_q_identity(f: GridFunction, order, which: IdentityId,
@@ -235,69 +280,7 @@ def check_q_identity(f: GridFunction, order, which: IdentityId,
         raise DomainError(f"{which} is not a Q identity")
     if f.direction is not Direction.FORWARD:
         raise DomainError("Q identities take the data as a forward grid on {a..b}")
-    alpha = as_fraction(order)
-    n = order_ceiling(alpha)
-    a = f.origin
-    b = f.far_point
-    L = f.length
-    qf = q_reflect(f, a, b)
-    back = f.reversed_view()
-
-    if which is IdentityId.Q_SUM_DELTA:
-        lhs = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, alpha), qf)
-        rhs_raw = fractional_sum(OperatorSpec(Kind.DELTA, Side.RIGHT, Family.SUM, alpha), back)
-        _expect_origin(rhs_raw, b - alpha, "delta-right sum")
-        rhs = q_reflect(rhs_raw, a, b)
-        _expect_origin(lhs, a + alpha, "delta-left sum of reflected data")
-        points = [a + alpha + m for m in range(L)]
-    elif which is IdentityId.Q_DIFF_DELTA:
-        lhs = riemann_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), qf)
-        rhs_raw = riemann_difference(
-            OperatorSpec(Kind.DELTA, Side.RIGHT, Family.RIEMANN, alpha), back
-        )
-        _expect_origin(rhs_raw, b - (n - alpha), "delta-right difference")
-        rhs = q_reflect(rhs_raw, a, b)
-        _expect_origin(lhs, a + n - alpha, "delta-left difference of reflected data")
-        points = [a + n - alpha + m for m in range(L - n)]
-    elif which is IdentityId.Q_CAPUTO_DELTA:
-        lhs = caputo_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.CAPUTO, alpha), qf)
-        rhs_raw = caputo_difference(
-            OperatorSpec(Kind.DELTA, Side.RIGHT, Family.CAPUTO, alpha), back
-        )
-        _expect_origin(rhs_raw, b - (n - alpha), "delta-right Caputo")
-        rhs = q_reflect(rhs_raw, a, b)
-        points = [a + n - alpha + m for m in range(L - n)]
-    elif which is IdentityId.Q_SUM_NABLA:
-        lhs = fractional_sum(
-            OperatorSpec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), qf
-        ).drop_leading(1)
-        rhs_raw = fractional_sum(
-            OperatorSpec(Kind.NABLA, Side.RIGHT, Family.SUM, alpha), back
-        ).drop_leading(1)
-        _expect_origin(rhs_raw, b - 1, "nabla-right sum")
-        rhs = q_reflect(rhs_raw, a, b)
-        _expect_origin(lhs, a + 1, "nabla-left sum of reflected data")
-        points = [a + 1 + m for m in range(L - 1)]
-    elif which is IdentityId.Q_DIFF_NABLA:
-        lhs = riemann_difference(OperatorSpec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha), qf)
-        rhs_raw = riemann_difference(
-            OperatorSpec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha), back
-        )
-        _expect_origin(rhs_raw, b - n, "nabla-right difference")
-        rhs = q_reflect(rhs_raw, a, b)
-        _expect_origin(lhs, a + n, "nabla-left difference of reflected data")
-        points = [a + n + m for m in range(L - n)]
-    else:  # Q_CAPUTO_NABLA
-        lhs = caputo_difference(OperatorSpec(Kind.NABLA, Side.LEFT, Family.CAPUTO, alpha), qf)
-        rhs_raw = caputo_difference(
-            OperatorSpec(Kind.NABLA, Side.RIGHT, Family.CAPUTO, alpha), back
-        )
-        _expect_origin(rhs_raw, b - n, "nabla-right Caputo")
-        rhs = q_reflect(rhs_raw, a, b)
-        points = [a + n + m for m in range(L - n)]
-
-    pairs = _paired(points, [lhs.value_at(p) for p in points], [rhs.value_at(p) for p in points])
-    return _build_report(which, alpha, f, pairs, tolerance)
+    return _check_row(f, order, which, tolerance)
 
 
 def check_relation(f: GridFunction, order, which: IdentityId,
@@ -305,46 +288,25 @@ def check_relation(f: GridFunction, order, which: IdentityId,
     """Riemann-to-Caputo relations and the sum-after-Caputo inversion."""
     if which not in RELATION_IDS:
         raise DomainError(f"{which} is not a relation identity")
+    if which is not IdentityId.CAPUTO_INVERSION:
+        return _check_row(f, order, which, tolerance)
     alpha = as_fraction(order)
-    n = order_ceiling(alpha)
-
-    if which is IdentityId.CAPUTO_INVERSION:
-        side = Side.LEFT if f.direction is Direction.FORWARD else Side.RIGHT
-        res = caputo_inversion_residual(f, alpha, side)
-        zero = f.backend.zero
-        pairs = [(p, v, zero) for p, v in zip(res.points(), res.values)]
-        return _build_report(which, alpha, f, pairs, tolerance)
-
-    kind = Kind.DELTA if which in (IdentityId.RELATE_DELTA_LEFT, IdentityId.RELATE_DELTA_RIGHT) else Kind.NABLA
-    side = Side.LEFT if which in (IdentityId.RELATE_DELTA_LEFT, IdentityId.RELATE_NABLA_LEFT) else Side.RIGHT
-    spec = OperatorSpec(kind, side, Family.CAPUTO, alpha)
-    lhs = caputo_difference(spec, f)
-    rhs = caputo_from_riemann(spec, f)
-    if kind is Kind.DELTA:
-        start = f.origin + n - alpha if side is Side.LEFT else f.origin - (n - alpha)
-    else:
-        start = f.origin + n if side is Side.LEFT else f.origin - n
-    _expect_origin(lhs, start, "Caputo difference")
-    _expect_origin(rhs, start, "Riemann-minus-correction form")
-    pairs = _paired(lhs.points(), lhs.values, rhs.values)
+    side = Side.LEFT if f.direction is Direction.FORWARD else Side.RIGHT
+    res = caputo_inversion_residual(f, alpha, side)
+    zero = f.backend.zero
+    pairs = [(p, v, zero) for p, v in zip(res.points(), res.values)]
     return _build_report(which, alpha, f, pairs, tolerance)
+
+
+_FAMILY_CHECKS = {"dual": check_delta_nabla_dual, "q": check_q_identity,
+                  "relation": check_relation}
 
 
 def check_identity(f: GridFunction, order, which: IdentityId,
                    tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    if which in DUAL_IDS:
-        return check_delta_nabla_dual(f, order, which, tolerance)
-    if which in Q_IDS:
-        return check_q_identity(f, order, which, tolerance)
-    return check_relation(f, order, which, tolerance)
-
-
-def _grid_requirement(which: IdentityId) -> Direction:
-    if which in (IdentityId.RIGHT_DUAL_SUM, IdentityId.RIGHT_DUAL_DIFF,
-                 IdentityId.CAPUTO_DUAL_RIGHT, IdentityId.RELATE_DELTA_RIGHT,
-                 IdentityId.RELATE_NABLA_RIGHT):
-        return Direction.BACKWARD
-    return Direction.FORWARD
+    if which not in IDENTITIES:
+        raise DomainError(f"{which} is not an identity")
+    return _FAMILY_CHECKS[IDENTITIES[which].family](f, order, which, tolerance)
 
 
 def random_instance(which: IdentityId, rng: random.Random, backend,
@@ -358,9 +320,9 @@ def random_instance(which: IdentityId, rng: random.Random, backend,
     alpha = Fraction(num, den)
     anchor = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
     values = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(length)]
-    direction = _grid_requirement(which)
-    if which is IdentityId.CAPUTO_INVERSION and rng.random() < 0.5:
-        direction = Direction.BACKWARD
+    direction = IDENTITIES[which].direction
+    if direction is None:
+        direction = Direction.BACKWARD if rng.random() < 0.5 else Direction.FORWARD
     f = make_grid_function(anchor, direction, values, backend)
     return f, alpha
 

@@ -127,8 +127,12 @@ def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunct
     )
 
 
-def _storage_diff(values: tuple) -> tuple:
-    return tuple(values[k + 1] - values[k] for k in range(len(values) - 1))
+def storage_difference(values, n: int = 1) -> tuple:
+    """n-th storage-space difference, ``s[k] = v[k+1] - v[k]`` iterated."""
+    values = tuple(values)
+    for _ in range(n):
+        values = tuple(values[k + 1] - values[k] for k in range(len(values) - 1))
+    return values
 
 
 def integer_difference(f: GridFunction, kind: str, n: int, signed: bool = False) -> GridFunction:
@@ -142,9 +146,7 @@ def integer_difference(f: GridFunction, kind: str, n: int, signed: bool = False)
         raise DomainError("difference order must be nonnegative")
     if f.length < n + 1:
         raise GridTooShort(f"grid of length {f.length} cannot take {n} differences")
-    vals = f.values
-    for _ in range(n):
-        vals = _storage_diff(vals)
+    vals = storage_difference(f.values, n)
     sign = 1
     if f.direction is Direction.BACKWARD and n % 2 == 1:
         sign = -sign
@@ -177,12 +179,3 @@ def q_reflect(f: GridFunction, a, b) -> GridFunction:
         raise DomainError("grid points fall outside the reflection window")
     new_origin = sigma - f.far_point
     return f.with_values(tuple(reversed(f.values)), origin=new_origin)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a pointwise inequality check."""
-
-    holds: bool
-    worst_point: object
-    margin: object

@@ -42,7 +42,7 @@ import numpy as np
 
 from .backends import FLOATING, RATIONAL, as_fraction
 from .errors import BudgetExceeded, DomainError, GridTooShort
-from .grids import Direction, GridFunction, Verdict, make_grid_function
+from .grids import Direction, GridFunction, make_grid_function
 from .kernels import binomial_weight
 from .operators import (
     Family,
@@ -174,6 +174,38 @@ class RayCondition:
     bound: object  # the left-hand value, also the k -> infinity slack
 
 
+def _one_term_ray(bound, f0, shift: int, nu, start: int, label: str) -> RayCondition:
+    # bound >= nu*f0/(k+shift) for integer k >= start
+    return RayCondition(
+        label=label,
+        r_coeffs=(bound, shift * bound - nu * f0),
+        q_coeffs=(1, shift),
+        start=start,
+        bound=bound,
+    )
+
+
+def _two_term_ray(bound, f1, f0, nu, label: str) -> RayCondition:
+    # bound >= nu*f1/(k+2) + nu*(k+1-nu)*f0/((k+2)(k+3)), k >= 1
+    r = (
+        bound,
+        5 * bound - nu * f1 - nu * f0,
+        6 * bound - 3 * nu * f1 - nu * (1 - nu) * f0,
+    )
+    return RayCondition(label=label, r_coeffs=r, q_coeffs=(1, 5, 6), start=1, bound=bound)
+
+
+def _three_term_ray(bound, f2, f1, f0, nu, label: str) -> RayCondition:
+    # bound >= nu*f2/k + nu*(k-nu)*f1/(k(k+1)) + nu*(k+1-nu)(k-nu)*f0/(k(k+1)(k+2)), k >= 2
+    r = (
+        bound,
+        3 * bound - nu * f2 - nu * f1 - nu * f0,
+        2 * bound - 3 * nu * f2 - nu * (2 - nu) * f1 - nu * (1 - 2 * nu) * f0,
+        -2 * nu * f2 + 2 * nu * nu * f1 - nu * nu * (nu - 1) * f0,
+    )
+    return RayCondition(label=label, r_coeffs=r, q_coeffs=(1, 3, 2, 0), start=2, bound=bound)
+
+
 @dataclass(frozen=True)
 class TheoremCase:
     theorem_id: str
@@ -193,6 +225,15 @@ class TheoremVerdict:
     @property
     def consistent(self) -> bool:
         return (not self.hypothesis_holds) or self.conclusion_holds
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a pointwise inequality check."""
+
+    holds: bool
+    worst_point: object
+    margin: object
 
 
 @dataclass(frozen=True)
@@ -231,7 +272,21 @@ def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdic
 
 
 # ---------------------------------------------------------------------------
-# row builders
+# row kinds
+#
+# A theorem is declared by the row kinds of its hypothesis and its
+# conclusion, plus at most one k-family start.  A row kind maps a case to
+# labelled rows, each linear in the stored values and required to be >= 0:
+#
+#   _start                      f at the first point
+#   _start_pair                 _start, then f(second) - f(first)
+#   _pair(offset, at)           nondecreasing pairs from storage index offset on
+#   _nu_step                    f(t+1) - nu*f(t) at every step
+#   _delta_riemann              delta Riemann difference on its domain
+#   _nabla_riemann(prepend, drop)  direct nabla Riemann difference, extended
+#   _caputo_bound(n)            delta Caputo difference plus its anchor bound
+#   _ray(terms, base)           one-, two- or three-term k-family start
+
 
 def _op_rows(grid: GridFunction, label: str) -> list:
     return [(f"{label} t={grid.point(m)}", v) for m, v in enumerate(grid.values)]
@@ -247,315 +302,96 @@ def _pair_rows(values, points, offset: int, count: int, label: str, at: int = 1)
     ]
 
 
-def _delta_riemann(case: TheoremCase) -> GridFunction:
-    side = Side.LEFT if case.f.direction is Direction.FORWARD else Side.RIGHT
-    return riemann_difference(
-        OperatorSpec(Kind.DELTA, side, Family.RIEMANN, case.order), case.f
-    )
+def _side(case: TheoremCase) -> Side:
+    return Side.LEFT if case.f.direction is Direction.FORWARD else Side.RIGHT
 
 
-def _nabla_riemann_extended(case: TheoremCase, prepend: bool) -> GridFunction:
-    side = Side.LEFT if case.f.direction is Direction.FORWARD else Side.RIGHT
-    f = case.f.prepend_zero() if prepend else case.f
-    return riemann_difference(
-        OperatorSpec(Kind.NABLA, side, Family.RIEMANN, case.order, Formulation.DIRECT),
-        f,
-        extended=True,
-    )
+def _start(case: TheoremCase) -> list:
+    return [(f"start f({case.f.point(0)})>=0", case.f.values[0])]
 
 
-def _delta_caputo(case: TheoremCase) -> GridFunction:
-    side = Side.LEFT if case.f.direction is Direction.FORWARD else Side.RIGHT
-    return caputo_difference(
-        OperatorSpec(Kind.DELTA, side, Family.CAPUTO, case.order), case.f
-    )
+def _start_pair(case: TheoremCase) -> list:
+    f, v = case.f, case.f.values
+    return _start(case) + [(f"start f({f.point(1)})>=f({f.point(0)})", v[1] - v[0])]
 
 
-def _caputo_bound_rows(case: TheoremCase, n: int) -> list:
-    """Caputo operator plus the anchor-correction lower bound, as rows >= 0."""
-    cap = _delta_caputo(case)
-    v = case.f.values
-    backend = case.f.backend
-    alpha = case.order
-    rows = []
-    for m, c in enumerate(cap.values):
-        bound = binomial_weight(Fraction(1) - alpha, n + m, backend) * v[0]
-        if n == 2:
-            bound = bound + binomial_weight(Fraction(2) - alpha, m + 1, backend) * (v[1] - v[0])
-        rows.append((f"frac t={cap.point(m)}", c + bound))
+def _pair(offset: int, at: int = 1) -> Callable:
+    def rows(case):
+        f = case.f
+        return _pair_rows(f.values, f.points(), offset, f.length - 1 - offset, "pair", at)
+
     return rows
 
 
-def _one_term_ray(bound, f0, shift: int, nu, start: int, label: str) -> RayCondition:
-    # bound >= nu*f0/(k+shift) for integer k >= start
-    return RayCondition(
-        label=label,
-        r_coeffs=(bound, shift * bound - nu * f0),
-        q_coeffs=(1, shift),
-        start=start,
-        bound=bound,
-    )
+def _nu_step(case: TheoremCase) -> list:
+    f, v, nu = case.f, case.f.values, case.f.backend.scalar(case.order)
+    return [(f"step t={f.point(j + 1)}", v[j + 1] - nu * v[j]) for j in range(f.length - 1)]
 
 
-def _two_term_ray(bound, f1, f0, nu, label: str) -> RayCondition:
-    # bound >= nu*f1/(k+2) + nu*(k+1-nu)*f0/((k+2)(k+3)), k >= 1
-    r = (
-        bound,
-        5 * bound - nu * f1 - nu * f0,
-        6 * bound - 3 * nu * f1 - nu * (1 - nu) * f0,
-    )
-    return RayCondition(label=label, r_coeffs=r, q_coeffs=(1, 5, 6), start=1, bound=bound)
+def _delta_riemann(case: TheoremCase) -> list:
+    spec = OperatorSpec(Kind.DELTA, _side(case), Family.RIEMANN, case.order)
+    return _op_rows(riemann_difference(spec, case.f), "frac")
 
 
-def _three_term_ray(bound, f2, f1, f0, nu, label: str) -> RayCondition:
-    # bound >= nu*f2/k + nu*(k-nu)*f1/(k(k+1)) + nu*(k+1-nu)(k-nu)*f0/(k(k+1)(k+2)), k >= 2
-    r = (
-        bound,
-        3 * bound - nu * f2 - nu * f1 - nu * f0,
-        2 * bound - 3 * nu * f2 - nu * (2 - nu) * f1 - nu * (1 - 2 * nu) * f0,
-        -2 * nu * f2 + 2 * nu * nu * f1 - nu * nu * (nu - 1) * f0,
-    )
-    return RayCondition(label=label, r_coeffs=r, q_coeffs=(1, 3, 2, 0), start=2, bound=bound)
+def _nabla_riemann(prepend: bool = False, drop: int = 0) -> Callable:
+    """``prepend`` anchors the operator one step before the data; ``drop``
+    skips leading output points."""
+
+    def rows(case):
+        spec = OperatorSpec(Kind.NABLA, _side(case), Family.RIEMANN, case.order,
+                            Formulation.DIRECT)
+        f = case.f.prepend_zero() if prepend else case.f
+        return _op_rows(riemann_difference(spec, f, extended=True).drop_leading(drop), "frac")
+
+    return rows
 
 
-def _build_jep1(case):
-    v = case.f.values
-    pts = case.f.points()
-    hyp = [(f"start f({pts[0]})>=0", v[0]), (f"start f({pts[1]})>=f({pts[0]})", v[1] - v[0])]
-    hyp += _op_rows(_delta_riemann(case), "frac")
-    concl = _pair_rows(v, pts, 0, case.f.length - 1, "pair", at=0)
-    return hyp, [], concl
+def _caputo_bound(n: int) -> Callable:
+    """Delta Caputo difference plus the order-n anchor-correction lower bound."""
+
+    def rows(case):
+        alpha, backend, v = case.order, case.f.backend, case.f.values
+        spec = OperatorSpec(Kind.DELTA, _side(case), Family.CAPUTO, alpha)
+        cap = caputo_difference(spec, case.f)
+        out = []
+        for m, c in enumerate(cap.values):
+            bound = binomial_weight(Fraction(1) - alpha, n + m, backend) * v[0]
+            if n == 2:
+                bound = bound + binomial_weight(Fraction(2) - alpha, m + 1, backend) * (v[1] - v[0])
+            out.append((f"frac t={cap.point(m)}", c + bound))
+        return out
+
+    return rows
 
 
-def _build_slov_delta(stage: int):
-    # stage 1, 2, 3: progressively weaker starting conditions
-    def build(case):
+def _ray(terms: int, base: int) -> Callable:
+    """k-family start bounding v[base + terms] by the ``terms`` values before it."""
+
+    def ray(case):
         v = case.f.values
-        pts = case.f.points()
         nu = case.f.backend.scalar(case.order)
-        hyp = _op_rows(_delta_riemann(case), "frac")
-        if stage == 1:
-            rays = [_one_term_ray(v[1], v[0], 1, nu, 0, "start")]
-        elif stage == 2:
-            rays = [_two_term_ray(v[2], v[1], v[0], nu, "start")]
-        else:
-            rays = [_three_term_ray(v[3], v[2], v[1], v[0], nu, "start")]
-        concl = _pair_rows(v, pts, stage, case.f.length - 1 - stage, "pair", at=0)
-        return hyp, rays, concl
+        if terms == 1:
+            return _one_term_ray(v[base + 1], v[base], base + 1, nu, 0, "start")
+        form = _two_term_ray if terms == 2 else _three_term_ray
+        return form(*reversed(v[base:base + terms + 1]), nu, "start")
 
-    return build
+    return ray
 
 
-def _build_jep(case):
-    v = case.f.values
-    pts = case.f.points()
-    hyp = _op_rows(_nabla_riemann_extended(case, prepend=False), "frac")
-    concl = _pair_rows(v, pts, 1, case.f.length - 2, "pair")
-    return hyp, [], concl
+def declare(hyp: list, concl: list, start: Callable | None = None) -> Callable:
+    """Builder of a theorem declared by its row kinds: case ->
+    (hypothesis rows, k-family start rays, conclusion rows)."""
+
+    def builder(case):
+        return ([row for kind in hyp for row in kind(case)],
+                [] if start is None else [start(case)],
+                [row for kind in concl for row in kind(case)])
+
+    return builder
 
 
-def _build_jepp(case):
-    v = case.f.values
-    pts = case.f.points()
-    hyp = _op_rows(_nabla_riemann_extended(case, prepend=False), "frac")
-    concl = _pair_rows(v, pts, 1, case.f.length - 2, "pair")
-    return hyp, [], concl
-
-
-def _build_slov_nabla(stage: int):
-    def build(case):
-        v = case.f.values  # stored grid starts one step before the anchor
-        pts = case.f.points()
-        nu = case.f.backend.scalar(case.order)
-        frac = _nabla_riemann_extended(case, prepend=False).drop_leading(stage + 1)
-        hyp = _op_rows(frac, "frac")
-        if stage == 1:
-            rays = [_one_term_ray(v[2], v[1], 2, nu, 0, "start")]
-        elif stage == 2:
-            rays = [_two_term_ray(v[3], v[2], v[1], nu, "start")]
-        else:
-            rays = [_three_term_ray(v[4], v[3], v[2], v[1], nu, "start")]
-        concl = _pair_rows(v, pts, stage + 1, case.f.length - 2 - stage, "pair")
-        return hyp, rays, concl
-
-    return build
-
-
-def _build_u1(case):
-    v = case.f.values
-    pts = case.f.points()
-    nu = case.f.backend.scalar(case.order)
-    hyp = [(f"start f({pts[0]})>=0", v[0])] + _op_rows(_delta_riemann(case), "frac")
-    concl = [(f"start f({pts[0]})>=0", v[0])]
-    concl += [
-        (f"step t={pts[j + 1]}", v[j + 1] - nu * v[j]) for j in range(case.f.length - 1)
-    ]
-    return hyp, [], concl
-
-
-def _build_u3(case):
-    v = case.f.values
-    pts = case.f.points()
-    hyp = [(f"start f({pts[0]})>=0", v[0])]
-    hyp += _pair_rows(v, pts, 0, case.f.length - 1, "pair", at=0)
-    concl = _op_rows(_delta_riemann(case), "frac")
-    return hyp, [], concl
-
-
-def _build_uu1(case):
-    v = case.f.values
-    pts = case.f.points()
-    nu = case.f.backend.scalar(case.order)
-    hyp = _op_rows(_nabla_riemann_extended(case, prepend=True), "frac")
-    concl = [(f"start f({pts[0]})>=0", v[0])]
-    concl += [
-        (f"step t={pts[j + 1]}", v[j + 1] - nu * v[j]) for j in range(case.f.length - 1)
-    ]
-    return hyp, [], concl
-
-
-def _build_uu2(case):
-    v = case.f.values
-    pts = case.f.points()
-    hyp = [(f"start f({pts[0]})>=0", v[0])]
-    hyp += _pair_rows(v, pts, 0, case.f.length - 1, "pair", at=0)
-    concl = _op_rows(_nabla_riemann_extended(case, prepend=True), "frac")
-    return hyp, [], concl
-
-
-def _build_caputo_delta(stage: int):
-    # stage 0 mirrors the plain starting pair; stages 1..3 the weakened ones
-    def build(case):
-        v = case.f.values
-        pts = case.f.points()
-        nu = case.f.backend.scalar(case.order)
-        hyp = _caputo_bound_rows(case, n=2)
-        rays = []
-        if stage == 0:
-            hyp = [
-                (f"start f({pts[0]})>=0", v[0]),
-                (f"start f({pts[1]})>=f({pts[0]})", v[1] - v[0]),
-            ] + hyp
-        elif stage == 1:
-            rays = [_one_term_ray(v[1], v[0], 1, nu, 0, "start")]
-        elif stage == 2:
-            rays = [_two_term_ray(v[2], v[1], v[0], nu, "start")]
-        else:
-            rays = [_three_term_ray(v[3], v[2], v[1], v[0], nu, "start")]
-        concl = _pair_rows(v, pts, stage, case.f.length - 1 - stage, "pair", at=0)
-        return hyp, rays, concl
-
-    return build
-
-
-def _build_c5(case):
-    v = case.f.values
-    pts = case.f.points()
-    nu = case.f.backend.scalar(case.order)
-    hyp = [(f"start f({pts[0]})>=0", v[0])] + _caputo_bound_rows(case, n=1)
-    concl = [(f"start f({pts[0]})>=0", v[0])]
-    concl += [
-        (f"step t={pts[j + 1]}", v[j + 1] - nu * v[j]) for j in range(case.f.length - 1)
-    ]
-    return hyp, [], concl
-
-
-def _build_c6(case):
-    v = case.f.values
-    pts = case.f.points()
-    hyp = [(f"start f({pts[0]})>=0", v[0])]
-    hyp += _pair_rows(v, pts, 0, case.f.length - 1, "pair", at=0)
-    concl = _caputo_bound_rows(case, n=1)
-    return hyp, [], concl
-
-
-def _build_d1(case):
-    u = case.f.values
-    pts = case.f.points()
-    hyp = [(f"start f({pts[0]})>=0", u[0]), (f"start f({pts[1]})>=f({pts[0]})", u[1] - u[0])]
-    hyp += _op_rows(_delta_riemann(case), "frac")
-    concl = _pair_rows(u, pts, 0, case.f.length - 1, "pair", at=0)
-    return hyp, [], concl
-
-
-def _build_d_slov(stage: int):
-    def build(case):
-        u = case.f.values
-        pts = case.f.points()
-        alpha = case.f.backend.scalar(case.order)
-        hyp = _op_rows(_delta_riemann(case), "frac")
-        if stage == 1:
-            hyp = [(f"start f({pts[0]})>=0", u[0])] + hyp
-            rays = [_one_term_ray(u[1], u[0], 1, alpha, 0, "start")]
-        elif stage == 2:
-            rays = [_two_term_ray(u[2], u[1], u[0], alpha, "start")]
-        else:
-            rays = [_three_term_ray(u[3], u[2], u[1], u[0], alpha, "start")]
-        concl = _pair_rows(u, pts, stage, case.f.length - 1 - stage, "pair", at=0)
-        return hyp, rays, concl
-
-    return build
-
-
-def _build_d5(case):
-    u = case.f.values
-    pts = case.f.points()
-    alpha = case.f.backend.scalar(case.order)
-    hyp = [(f"start f({pts[0]})>=0", u[0])] + _op_rows(_delta_riemann(case), "frac")
-    concl = [
-        (f"step t={pts[m + 1]}", u[m + 1] - alpha * u[m]) for m in range(case.f.length - 1)
-    ]
-    return hyp, [], concl
-
-
-def _build_d6(case):
-    u = case.f.values
-    pts = case.f.points()
-    hyp = [(f"start f({pts[0]})>=0", u[0])]
-    hyp += _pair_rows(u, pts, 0, case.f.length - 1, "pair")
-    concl = _op_rows(_delta_riemann(case), "frac")
-    return hyp, [], concl
-
-
-def _build_n1(case):
-    u = case.f.values
-    pts = case.f.points()
-    hyp = _op_rows(_nabla_riemann_extended(case, prepend=False), "frac")
-    concl = _pair_rows(u, pts, 1, case.f.length - 2, "pair")
-    return hyp, [], concl
-
-
-def _build_cd1(case):
-    u = case.f.values
-    pts = case.f.points()
-    backend = case.f.backend
-    alpha = case.order
-    cap = _delta_caputo(case)
-    hyp = [(f"start f({pts[0]})>=0", u[0]), (f"start f({pts[1]})>=f({pts[0]})", u[1] - u[0])]
-    for m, c in enumerate(cap.values):
-        bound = binomial_weight(Fraction(1) - alpha, m + 2, backend) * u[0]
-        bound = bound - binomial_weight(Fraction(2) - alpha, m + 1, backend) * (u[0] - u[1])
-        hyp.append((f"frac t={cap.point(m)}", c + bound))
-    concl = _pair_rows(u, pts, 0, case.f.length - 1, "pair", at=0)
-    return hyp, [], concl
-
-
-def _build_cd5(case):
-    u = case.f.values
-    pts = case.f.points()
-    backend = case.f.backend
-    alpha = case.order
-    scal = backend.scalar(alpha)
-    cap = _delta_caputo(case)
-    hyp = [(f"start f({pts[0]})>=0", u[0])]
-    for m, c in enumerate(cap.values):
-        hyp.append(
-            (f"frac t={cap.point(m)}",
-             c + binomial_weight(Fraction(1) - alpha, m + 1, backend) * u[0])
-        )
-    concl = [(f"step t={pts[m + 1]}", u[m + 1] - scal * u[m]) for m in range(case.f.length - 1)]
-    return hyp, [], concl
-
+# ---------------------------------------------------------------------------
+# theorem registry (registration order is report order)
 
 _FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
 
@@ -563,75 +399,79 @@ THEOREMS: dict[str, TheoremStatement] = {}
 
 
 def _register(theorem_id, description, order_range, direction, origin_offset,
-              leading_inert, min_length, builder, note=""):
+              leading_inert, min_length, hyp, concl, start=None, note=""):
     THEOREMS[theorem_id] = TheoremStatement(
         theorem_id, description, order_range, direction, origin_offset,
-        leading_inert, min_length, builder, note,
+        leading_inert, min_length, declare(hyp, concl, start), note,
     )
 
 
 _register("T_JEP1", "forward Riemann positivity with nonnegative nondecreasing start "
-          "forces nondecreasing", (1, 2), _FWD, 0, False, 3, _build_jep1)
+          "forces nondecreasing", (1, 2), _FWD, 0, False, 3,
+          [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_JEP", "nabla Riemann positivity from the anchor forces nondecreasing "
-          "one step in", (1, 2), _FWD, 0, False, 3, _build_jep)
+          "one step in", (1, 2), _FWD, 0, False, 3, [_nabla_riemann()], [_pair(1)])
 _register("T_JEPP", "nabla Riemann positivity anchored one step before the data "
-          "forces nondecreasing", (1, 2), _FWD, -1, True, 3, _build_jepp)
+          "forces nondecreasing", (1, 2), _FWD, -1, True, 3, [_nabla_riemann()], [_pair(1)])
 _register("T_SLOV1", "Riemann positivity with the one-term k-family start",
-          (1, 2), _FWD, 0, False, 3, _build_slov_delta(1))
+          (1, 2), _FWD, 0, False, 3, [_delta_riemann], [_pair(1, at=0)], _ray(1, 0))
 _register("T_SLOV11", "nabla mirror of the one-term k-family start",
-          (1, 2), _FWD, -1, True, 4, _build_slov_nabla(1),
+          (1, 2), _FWD, -1, True, 4, [_nabla_riemann(drop=2)], [_pair(2)], _ray(1, 1),
           note="hypothesis index set starts two steps past the anchor, one "
                "later than the plain nabla statement; kept literal")
 _register("T_SLOV2", "Riemann positivity with the two-term k-family start",
-          (1, 2), _FWD, 0, False, 4, _build_slov_delta(2))
+          (1, 2), _FWD, 0, False, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
 _register("T_SLOV22", "nabla mirror of the two-term k-family start",
-          (1, 2), _FWD, -1, True, 5, _build_slov_nabla(2))
+          (1, 2), _FWD, -1, True, 5, [_nabla_riemann(drop=3)], [_pair(3)], _ray(2, 1))
 _register("T_SLOV3", "Riemann positivity with the three-term k-family start",
-          (1, 2), _FWD, 0, False, 5, _build_slov_delta(3))
+          (1, 2), _FWD, 0, False, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
 _register("T_SLOV33", "nabla mirror of the three-term k-family start",
-          (1, 2), _FWD, -1, True, 6, _build_slov_nabla(3))
+          (1, 2), _FWD, -1, True, 6, [_nabla_riemann(drop=4)], [_pair(4)], _ray(3, 1))
 _register("T_U1", "low-order Riemann positivity forces nu-increasing",
-          (0, 1), _FWD, 0, False, 2, _build_u1)
+          (0, 1), _FWD, 0, False, 2, [_start, _delta_riemann], [_start, _nu_step])
 _register("T_UU1", "low-order nabla positivity anchored one step back forces "
-          "nu-increasing", (0, 1), _FWD, 0, False, 2, _build_uu1,
+          "nu-increasing", (0, 1), _FWD, 0, False, 2,
+          [_nabla_riemann(prepend=True)], [_start, _nu_step],
           note="no separate nonnegative-start hypothesis; the first operator "
                "row already equals the starting value")
 _register("T_U3", "nondecreasing with nonnegative start forces Riemann positivity",
-          (0, 1), _FWD, 0, False, 2, _build_u3)
+          (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_delta_riemann])
 _register("T_UU2", "nondecreasing with nonnegative start forces anchored nabla "
-          "positivity", (0, 1), _FWD, 0, False, 2, _build_uu2)
+          "positivity", (0, 1), _FWD, 0, False, 2,
+          [_start, _pair(0, at=0)], [_nabla_riemann(prepend=True)])
 _register("T_C1", "Caputo lower bound with nonnegative nondecreasing start",
-          (1, 2), _FWD, 0, False, 3, _build_caputo_delta(0))
+          (1, 2), _FWD, 0, False, 3, [_start_pair, _caputo_bound(2)], [_pair(0, at=0)])
 _register("T_C2", "Caputo lower bound with the one-term k-family start",
-          (1, 2), _FWD, 0, False, 3, _build_caputo_delta(1))
+          (1, 2), _FWD, 0, False, 3, [_caputo_bound(2)], [_pair(1, at=0)], _ray(1, 0))
 _register("T_C3", "Caputo lower bound with the two-term k-family start",
-          (1, 2), _FWD, 0, False, 4, _build_caputo_delta(2))
+          (1, 2), _FWD, 0, False, 4, [_caputo_bound(2)], [_pair(2, at=0)], _ray(2, 0))
 _register("T_C4", "Caputo lower bound with the three-term k-family start",
-          (1, 2), _FWD, 0, False, 5, _build_caputo_delta(3))
+          (1, 2), _FWD, 0, False, 5, [_caputo_bound(2)], [_pair(3, at=0)], _ray(3, 0))
 _register("T_C5", "low-order Caputo lower bound forces nu-increasing",
-          (0, 1), _FWD, 0, False, 2, _build_c5)
+          (0, 1), _FWD, 0, False, 2, [_start, _caputo_bound(1)], [_start, _nu_step])
 _register("T_C6", "nondecreasing with nonnegative start forces the Caputo lower "
-          "bound", (0, 1), _FWD, 0, False, 2, _build_c6)
+          "bound", (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_caputo_bound(1)])
 _register("T_D1", "backward Riemann positivity with nonnegative start pair forces "
-          "nonincreasing", (1, 2), _BWD, 0, False, 3, _build_d1)
+          "nonincreasing", (1, 2), _BWD, 0, False, 3,
+          [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_N1", "backward nabla positivity anchored one step out forces "
-          "nonincreasing", (1, 2), _BWD, 1, True, 3, _build_n1)
+          "nonincreasing", (1, 2), _BWD, 1, True, 3, [_nabla_riemann()], [_pair(1)])
 _register("T_D2", "backward mirror of the one-term k-family start",
-          (1, 2), _BWD, 0, False, 3, _build_d_slov(1),
+          (1, 2), _BWD, 0, False, 3, [_start, _delta_riemann], [_pair(1, at=0)], _ray(1, 0),
           note="conclusion index set starts one step inward of the plain "
                "backward statement; kept literal")
 _register("T_D3", "backward mirror of the two-term k-family start",
-          (1, 2), _BWD, 0, False, 4, _build_d_slov(2))
+          (1, 2), _BWD, 0, False, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
 _register("T_D4", "backward mirror of the three-term k-family start",
-          (1, 2), _BWD, 0, False, 5, _build_d_slov(3))
+          (1, 2), _BWD, 0, False, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
 _register("T_D5", "low-order backward Riemann positivity forces alpha-decreasing",
-          (0, 1), _BWD, 0, False, 2, _build_d5)
+          (0, 1), _BWD, 0, False, 2, [_start, _delta_riemann], [_nu_step])
 _register("T_D6", "decreasing with nonnegative end forces backward Riemann "
-          "positivity", (0, 1), _BWD, 0, False, 2, _build_d6)
+          "positivity", (0, 1), _BWD, 0, False, 2, [_start, _pair(0)], [_delta_riemann])
 _register("T_CD1", "backward Caputo lower bound with nonnegative start pair",
-          (1, 2), _BWD, 0, False, 3, _build_cd1)
+          (1, 2), _BWD, 0, False, 3, [_start_pair, _caputo_bound(2)], [_pair(0, at=0)])
 _register("T_CD5", "low-order backward Caputo lower bound forces alpha-decreasing",
-          (0, 1), _BWD, 0, False, 2, _build_cd5)
+          (0, 1), _BWD, 0, False, 2, [_start, _caputo_bound(1)], [_nu_step])
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
-from .grids import Direction, GridFunction
+from .grids import Direction, GridFunction, storage_difference
 from .kernels import binomial_weight, kernel_vector
 
 
@@ -120,13 +120,6 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
-def _storage_diff_n(values: tuple, n: int) -> tuple:
-    vals = values
-    for _ in range(n):
-        vals = tuple(vals[k + 1] - vals[k] for k in range(len(vals) - 1))
-    return vals
-
-
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """Fractional sum of order alpha; see the module table for domains."""
     if spec.family is not Family.SUM:
@@ -166,20 +159,9 @@ def riemann_difference(
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     beta = Fraction(n) - alpha
-    if spec.kind is Kind.DELTA:
-        if beta == 0:
-            inner_vals, inner_origin = f.values, f.origin
-        else:
-            inner_vals = _inner_sum_values(beta, f, skip_first=False)
-            inner_origin = f.shift_origin(beta)
-        vals = _storage_diff_n(tuple(inner_vals), n)
-        return f.with_values(vals, origin=inner_origin)
-    if beta == 0:
-        inner_vals = f.values
-    else:
-        inner_vals = _inner_sum_values(beta, f, skip_first=True)
-    vals = _storage_diff_n(tuple(inner_vals), n)
-    return f.with_values(vals, origin=f.shift_origin(n))
+    delta = spec.kind is Kind.DELTA
+    inner = f.values if beta == 0 else _inner_sum_values(beta, f, skip_first=not delta)
+    return f.with_values(storage_difference(inner, n), origin=f.shift_origin(beta if delta else n))
 
 
 def _nabla_single_sum(f: GridFunction, alpha) -> GridFunction:
@@ -237,31 +219,12 @@ def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     beta = Fraction(n) - alpha
-    diff_vals = _storage_diff_n(f.values, n)
-    if spec.kind is Kind.DELTA:
-        g_origin = f.origin
-    else:
-        g_origin = f.shift_origin(n)
-    if beta == 0:
-        return f.with_values(diff_vals, origin=g_origin)
-    w = kernel_vector(f.backend.scalar(beta), len(diff_vals), f.backend)
-    vals = _convolve(w, list(diff_vals), skip_first=False)
-    if spec.kind is Kind.DELTA:
-        origin = f.shift_origin(beta)
-    else:
-        # inner sum anchored one step before the differenced grid
-        origin = g_origin
-    return f.with_values(vals, origin=origin)
-
-
-def _difference_at_anchor(f: GridFunction, k: int):
-    """k-th storage difference evaluated at the grid's first point.
-
-    On forward grids this is the forward difference at the origin; on
-    backward grids it is the signed difference at the origin (the signed
-    variants coincide with storage diffs there).
-    """
-    return _storage_diff_n(f.values, k)[0]
+    vals = storage_difference(f.values, n)
+    if beta != 0:
+        w = kernel_vector(f.backend.scalar(beta), len(vals), f.backend)
+        vals = _convolve(w, list(vals), skip_first=False)
+    # the nabla inner sum is anchored one step before the differenced grid
+    return f.with_values(vals, origin=f.shift_origin(beta if spec.kind is Kind.DELTA else n))
 
 
 def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -284,7 +247,9 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         riem = riemann_difference(
             OperatorSpec(spec.kind, spec.side, Family.RIEMANN, alpha), f
         )
-        anchors = [_difference_at_anchor(f, k) for k in range(n)]
+        # k-th storage difference at the first point: the forward difference
+        # at the origin, or on backward grids the signed one
+        anchors = [storage_difference(f.values, k)[0] for k in range(n)]
         out = []
         for m, r in enumerate(riem.values):
             corr = None
@@ -301,7 +266,7 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     riem = _nabla_single_sum(trimmed, alpha)
     anchors = []
     for k in range(n):
-        anchors.append(_storage_diff_n(f.values, k)[n - 1 - k])
+        anchors.append(storage_difference(f.values, k)[n - 1 - k])
     out = []
     for m, r in enumerate(riem.values):
         corr = None
@@ -334,7 +299,7 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     w = kernel_vector(backend.scalar(alpha), cap.length, backend)
     summed = [backend.zero] + _convolve(w, list(cap.values), skip_first=False)
     anchor_index = n - 1
-    taylor_coeffs = [_storage_diff_n(f.values, k)[n - 1 - k] for k in range(n)]
+    taylor_coeffs = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
     out = []
     for m, s in enumerate(summed):
         # Taylor weight rising(m, k)/k! at the point m steps inward of the anchor

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from discfrac.cli import main
 
 
@@ -93,6 +95,59 @@ class TestApply:
                      "--side", "left", "--family", "sum", "--order", "1"]) == 2
 
 
+def apply_args(src, *extra):
+    return ["apply", "--input", src, "--kind", "delta", "--side", "left",
+            "--family", "sum", "--order", "1", *extra]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name,text", [
+        ("empty.csv", ""),
+        ("one-column.csv", "0\n1\n2\n"),
+        ("ragged.csv", "0,1\n1\n"),
+    ])
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, name, text):
+        assert main(apply_args(write(tmp_path, name, text))) == 2
+        assert "t,value rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        "abc",
+        {"origin": "0", "direction": "forward", "values": "12"},
+        {"origin": "0", "direction": "forward", "values": 12},
+    ])
+    def test_json_shape_is_usage_error(self, tmp_path, capsys, record):
+        src = write(tmp_path, "f.json", json.dumps(record))
+        assert main(apply_args(src)) == 2
+        assert '"values" is a list' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,text", [
+        ("f.json", json.dumps({"origin": "0", "direction": "forward", "values": ["1", "x"]})),
+        ("f.json", json.dumps({"origin": "1/0", "direction": "forward", "values": ["1"]})),
+        ("f.csv", "0,1\n1,one\n"),
+    ])
+    def test_unparsable_number_in_file_is_usage_error(self, tmp_path, capsys, name, text):
+        assert main(apply_args(write(tmp_path, name, text))) == 2
+        assert "cannot parse number" in capsys.readouterr().err
+
+    def test_unparsable_order_is_usage_error(self, tmp_path, capsys):
+        src = ones_json(tmp_path)
+        code = main(["apply", "--input", src, "--kind", "delta", "--family", "sum",
+                     "--order", "half"])
+        assert code == 2
+        assert "cannot parse number" in capsys.readouterr().err
+
+    def test_unparsable_nu_is_usage_error(self, capsys):
+        code = main(["theorems", "--id", "T_U1", "--length", "3", "--nu", "1/2,abc"])
+        assert code == 2
+        assert "cannot parse number" in capsys.readouterr().err
+
+    def test_nonpositive_tolerance_and_budget_are_domain_errors(self, capsys):
+        assert main(["check", "--id", "Q_SUM_DELTA", "--tolerance", "0"]) == 3
+        assert "tolerance must be positive" in capsys.readouterr().err
+        assert main(["theorems", "--id", "T_U1", "--budget", "0"]) == 3
+        assert "budget must be positive" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_single_identity_passes(self, tmp_path):
         report = str(tmp_path / "r.jsonl")
@@ -116,6 +171,14 @@ class TestCheck:
         code = main(["check", "--all", "--instances", "3", "--inject-error",
                      "--report", str(tmp_path / "r.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_usage_error(self, tmp_path, capsys, instances):
+        report = tmp_path / "r.jsonl"
+        code = main(["check", "--all", "--instances", instances, "--report", str(report)])
+        assert code == 2
+        assert "--instances must be at least 1" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_unknown_identity_is_domain_error(self):
         assert main(["check", "--id", "NOT_AN_IDENTITY", "--instances", "1"]) == 3
@@ -187,6 +250,14 @@ class TestTheorems:
         assert code == 0
         err = capsys.readouterr().err
         assert "vacuous" in err and " pass " not in err
+
+    def test_random_and_exhaustive_are_exclusive(self, capsys):
+        code = main(["theorems", "--id", "T_U1", "--random", "--exhaustive"])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_backend_flag_is_gone(self):
+        assert main(["theorems", "--id", "T_U1", "--backend", "rational"]) == 2
 
     def test_unknown_theorem_is_domain_error(self):
         assert main(["theorems", "--id", "T_NOPE", "--exhaustive"]) == 3

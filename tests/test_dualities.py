@@ -6,6 +6,7 @@ import pytest
 from discfrac.backends import FLOATING, RATIONAL
 from discfrac.dualities import (
     DUAL_IDS,
+    IDENTITIES,
     Q_IDS,
     RELATION_IDS,
     IdentityId,
@@ -24,6 +25,18 @@ from discfrac.kernels import fault_injection
 def test_identity_id_is_complete():
     assert len(list(IdentityId)) == 17
     assert set(DUAL_IDS) | set(Q_IDS) | set(RELATION_IDS) == set(IdentityId)
+
+
+def test_identity_table_has_one_row_per_id():
+    assert list(IDENTITIES) == list(IdentityId)
+
+
+def test_table_direction_matches_random_instances():
+    for which, row in IDENTITIES.items():
+        rng = random.Random(which.value)
+        built = {random_instance(which, rng, RATIONAL)[0].direction for _ in range(40)}
+        expected = set(Direction) if row.direction is None else {row.direction}
+        assert built == expected, which
 
 
 def test_zero_function_passes_every_identity():

@@ -166,6 +166,14 @@ class TestEvaluate:
         for stmt in THEOREMS.values():
             assert stmt.order_range in ((0, 1), (1, 2))
 
+    def test_registration_order_fixes_report_order(self):
+        assert list(THEOREMS) == [
+            "T_JEP1", "T_JEP", "T_JEPP", "T_SLOV1", "T_SLOV11", "T_SLOV2", "T_SLOV22",
+            "T_SLOV3", "T_SLOV33", "T_U1", "T_UU1", "T_U3", "T_UU2", "T_C1", "T_C2",
+            "T_C3", "T_C4", "T_C5", "T_C6", "T_D1", "T_N1", "T_D2", "T_D3", "T_D4",
+            "T_D5", "T_D6", "T_CD1", "T_CD5",
+        ]
+
     def test_zero_function_consistent_everywhere(self):
         for tid, stmt in THEOREMS.items():
             order = Fraction(1, 2) if stmt.order_range == (0, 1) else Fraction(3, 2)
