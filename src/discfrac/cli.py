@@ -68,7 +68,8 @@ def _parse_number(text: str) -> Fraction:
 def _read_grid(path: str, backend) -> GridFunction:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".csv") or ("," in text and not text.lstrip().startswith("{")):
+    is_json = text.lstrip().startswith(("{", "["))
+    if not is_json and (path.endswith(".csv") or "," in text):
         rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
         if not rows or any(len(r) != 2 for r in rows):
             raise ValueError("CSV input needs one or more t,value rows")
@@ -164,6 +165,7 @@ def cmd_apply(args) -> int:
 
 def cmd_check(args) -> int:
     backend = _resolve_backend(args)
+    _reject_repeats("--id", args.id)
     if args.all or not args.id:
         ids = list(IdentityId)
     else:
@@ -196,6 +198,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
 
 
+def _reject_repeats(flag: str, items) -> None:
+    repeated = sorted(x for x, n in Counter(items).items() if n > 1)
+    if repeated:
+        raise ValueError(f"{flag} repeats {', '.join(map(str, repeated))}")
+
+
 def _parse_values(text: str) -> list[Fraction]:
     text = text.strip()
     if ".." in text:
@@ -206,13 +214,12 @@ def _parse_values(text: str) -> list[Fraction]:
         values = [_parse_number(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"--values {text!r} names no value")
-    repeated = sorted(v for v, n in Counter(values).items() if n > 1)
-    if repeated:
-        raise ValueError(f"--values repeats {', '.join(map(str, repeated))}")
+    _reject_repeats("--values", values)
     return values
 
 
 def cmd_theorems(args) -> int:
+    _reject_repeats("--id", args.id)
     if args.all or not args.id:
         ids = list(THEOREMS)
     else:

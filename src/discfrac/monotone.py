@@ -18,9 +18,10 @@ coefficient for the tail.  The literal inequalities for k up to k_cap
 are checked as well and feed the reported margins.
 
 Searches run an exact integer prefilter: every row is linear in f with
-rational coefficients, read off unit vectors under the rational backend
-once per (theorem, order, length).  Clearing each row's denominators and
-the value set's keeps every sign, so one integer matmul per chunk of
+rational coefficients, read once per (theorem, order, length) from one
+run of the theorem's builder on coefficient vectors, with the k-family
+rays expanded in integers.  Clearing each row's denominators and the
+value set's keeps every sign, so one integer matmul per chunk of
 enumerated value-index vectors decides the explicit rows exactly (in
 float64 BLAS while the partial sums stay below 2**53, in Python integers
 otherwise).  Explicit rows are a subset of the true hypothesis, so the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -510,14 +511,16 @@ def expanded_hypothesis_rows(case: TheoremCase, hyp_rows, rays) -> list:
     return rows
 
 
+def _check_order(theorem_id: str, order) -> None:
+    lo, hi = THEOREMS[theorem_id].order_range
+    if not (lo < order < hi):
+        raise DomainError(f"{theorem_id} needs an order strictly between {lo} and {hi}")
+
+
 def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
     """Evaluate hypothesis and conclusion predicates on the case's grid."""
     stmt = THEOREMS[case.theorem_id]
-    lo, hi = stmt.order_range
-    if not (lo < case.order < hi):
-        raise DomainError(
-            f"{case.theorem_id} needs an order strictly between {lo} and {hi}"
-        )
+    _check_order(case.theorem_id, case.order)
     if case.f.direction is not stmt.direction:
         raise DomainError(f"{case.theorem_id} expects a {stmt.direction.value} grid")
     if case.f.origin != case.anchor + stmt.origin_offset:
@@ -646,11 +649,12 @@ EXACT_FLOAT_LIMIT = 2 ** 53
 
 @dataclass(frozen=True)
 class _RowBlock:
-    """Linear rows in the live values: exact, denominator-cleared, float.
+    """Linear rows in the live values: primitive integer and float.
 
-    ``scaled[r]`` is exact row r times the LCM of its denominators, so its
-    dot product with integer values has the row's sign.  ``floats`` rounds
-    each exact coefficient once; it orders witnesses and reports margins.
+    ``scaled[r]`` is exact row r times the positive factor that makes it a
+    primitive integer vector, so its dot product with integer values has
+    the row's sign.  ``floats`` rounds each exact coefficient once; it
+    orders witnesses and reports margins.
     """
 
     scaled: list
@@ -658,36 +662,69 @@ class _RowBlock:
     l1: int  # largest ||scaled row||_1
 
     @staticmethod
-    def of(exact_rows: list, length: int) -> "_RowBlock":
-        scaled = []
-        for row in exact_rows:
-            lcm = math.lcm(*(x.denominator for x in row))
-            scaled.append([x.numerator * (lcm // x.denominator) for x in row])
-        floats = np.array(exact_rows, dtype=float).reshape(len(exact_rows), length)
-        l1 = max((sum(abs(x) for x in row) for row in scaled), default=0)
+    def of(rows: list, length: int) -> "_RowBlock":
+        """Block of exact rows, each given as (integer numerators, positive
+        denominator); the float of ``n / d`` is the correctly rounded quotient."""
+        scaled, floats = [], []
+        for nums, den in rows:
+            g = math.gcd(*nums) or 1
+            scaled.append([x // g for x in nums])
+            floats.append([x / den for x in nums])
+        floats = np.array(floats, dtype=float).reshape(len(rows), length)
+        l1 = max((sum(map(abs, row)) for row in scaled), default=0)
         return _RowBlock(scaled, floats, l1)
 
 
+def _exact_row(value, length: int) -> tuple:
+    """(integer numerators, denominator) of a coefficient vector; a scalar
+    is a constant the zero-vector check has already found to vanish."""
+    coeffs = value if isinstance(value, np.ndarray) else [value] * length
+    den = math.lcm(*(x.denominator for x in coeffs))
+    return [x.numerator * (den // x.denominator) for x in coeffs], den
+
+
+def _integer_ray_rows(ray: RayCondition, k_cap: int, length: int) -> list:
+    """The rows of ``_ray_rows`` for a ray with coefficient-vector values.
+
+    With D the LCM of the denominators of R's coefficients, row k is
+    ``D*R(k) / (D*Q(k))``: an integer Horner evaluation over a positive
+    integer, since Q(k) > 0 on the ray.
+    """
+    coeffs = [_exact_row(c, length) for c in ray.r_coeffs]
+    scale = math.lcm(*(den for _, den in coeffs))
+    ks = np.arange(ray.start, k_cap + 1).astype(object)
+    nums = np.zeros((len(ks), length), dtype=object)
+    for row, den in coeffs:
+        nums = nums * ks[:, None] + np.array([x * (scale // den) for x in row], dtype=object)
+    dens = [scale * _poly_eval(ray.q_coeffs, k) for k in ks]
+    return list(zip(nums.tolist(), dens)) + [_exact_row(ray.bound, length)]
+
+
 def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
-    """Exact hypothesis and conclusion row blocks, read off unit vectors."""
+    """Exact hypothesis and conclusion row blocks from one symbolic builder run.
+
+    The builder first runs on the zero vector, where every row, ray
+    coefficient and ray bound must vanish: the rows have no constant term.
+    It then runs once on the identity basis, stored value i being the
+    coefficient vector e_i (the inert leading slot a zero vector), so each
+    row it returns is its own coefficient vector.
+    """
     stmt = THEOREMS[theorem_id]
-
-    def rows_at(live):
-        case = make_case(theorem_id, live, order, anchor, k_cap, RATIONAL)
-        hyp, rays, concl = stmt.builder(case)
-        return ([as_fraction(v) for _, v in expanded_hypothesis_rows(case, hyp, rays)],
-                [as_fraction(v) for _, v in concl])
-
-    base_h, base_c = rows_at([0] * live_length)
-    if any(x != 0 for x in base_h + base_c):
+    zero = make_case(theorem_id, [0] * live_length, order, anchor, k_cap, RATIONAL)
+    hyp, rays, concl = stmt.builder(zero)
+    constants = [v for _, v in hyp + concl]
+    constants += [x for ray in rays for x in (*ray.r_coeffs, ray.bound)]
+    if any(x != 0 for x in constants):
         raise AssertionError(f"{theorem_id}: rows are not linear in the data")
-    cols_h, cols_c = [], []
-    for i in range(live_length):
-        h, c = rows_at([1 if j == i else 0 for j in range(live_length)])
-        cols_h.append(h)
-        cols_c.append(c)
-    return (_RowBlock.of([list(r) for r in zip(*cols_h)], live_length),
-            _RowBlock.of([list(r) for r in zip(*cols_c)], live_length))
+    basis = list(np.eye(live_length, dtype=int).astype(object))
+    if stmt.leading_inert:
+        basis.insert(0, np.zeros(live_length, dtype=object))
+    hyp, rays, concl = stmt.builder(replace(zero, f=zero.f.with_values(basis)))
+    hyp_rows = [_exact_row(v, live_length) for _, v in hyp]
+    for ray in rays:
+        hyp_rows += _integer_ray_rows(ray, k_cap, live_length)
+    return (_RowBlock.of(hyp_rows, live_length),
+            _RowBlock.of([_exact_row(v, live_length) for _, v in concl], live_length))
 
 
 def _integer_operands(blocks, value_ints: list):
@@ -837,6 +874,8 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
             f"{theorem_id} needs at least {min_live_length(theorem_id)} live values"
         )
     orders = [as_fraction(x) for x in (nu_samples or default_orders(theorem_id))]
+    for order in orders:
+        _check_order(theorem_id, order)
     if mode == "exhaustive":
         total = len(value_set) ** grid_length * len(orders)
         if total > budget:

@@ -114,6 +114,7 @@ class TestInputContract:
         "abc",
         {"origin": "0", "direction": "forward", "values": "12"},
         {"origin": "0", "direction": "forward", "values": 12},
+        [1, 2],
     ])
     def test_json_shape_is_usage_error(self, tmp_path, capsys, record):
         src = write(tmp_path, "f.json", json.dumps(record))
@@ -182,6 +183,14 @@ class TestCheck:
 
     def test_unknown_identity_is_domain_error(self):
         assert main(["check", "--id", "NOT_AN_IDENTITY", "--instances", "1"]) == 3
+
+    def test_repeated_id_is_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "r.jsonl"
+        code = main(["check", "--id", "LEFT_DUAL_SUM", "--id", "Q_SUM_DELTA",
+                     "--id", "LEFT_DUAL_SUM", "--instances", "1", "--report", str(report)])
+        assert code == 2
+        assert "--id repeats LEFT_DUAL_SUM" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -261,6 +270,23 @@ class TestTheorems:
 
     def test_unknown_theorem_is_domain_error(self):
         assert main(["theorems", "--id", "T_NOPE", "--exhaustive"]) == 3
+
+    def test_repeated_id_is_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--id", "T_U1", "--id", "T_U1", "--length", "3",
+                     "--report", str(report)])
+        assert code == 2
+        assert "--id repeats T_U1" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("values,nu", [("0", "2"), ("-1,0,1", "5/2")])
+    def test_order_outside_range_is_domain_error(self, tmp_path, capsys, values, nu):
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--id", "T_JEP1", "--length", "3", "--values", values,
+                     "--nu", nu, "--report", str(report)])
+        assert code == 3
+        assert "T_JEP1 needs an order strictly between 1 and 2" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -20,7 +21,10 @@ from discfrac.monotone import (
     _row_matrices,
     _sign,
     d1_via_q_reflection,
+    declare,
+    default_orders,
     evaluate_theorem,
+    expanded_hypothesis_rows,
     is_nu_monotone,
     jepp_via_dual_transport,
     make_case,
@@ -405,3 +409,76 @@ class TestExactPrefilter:
         (result,) = search_campaign(tid, 6, values, [order])
         assert result.hypothesis_count == hyp_count
         assert result.counterexamples == []
+
+
+def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
+    """Reference rows read off unit vectors, one rational builder run per
+    live value, with the rays expanded in Fraction arithmetic: per block,
+    the primitive integer rows and the correctly rounded float rows."""
+
+    def rows_at(live):
+        case = make_case(tid, live, order, anchor, k_cap, RATIONAL)
+        hyp, rays, concl = THEOREMS[tid].builder(case)
+        return ([v for _, v in expanded_hypothesis_rows(case, hyp, rays)],
+                [v for _, v in concl])
+
+    columns = [rows_at([int(i == j) for j in range(length)]) for i in range(length)]
+    blocks = []
+    for part in (0, 1):
+        exact = [[Fraction(x) for x in row] for row in zip(*(col[part] for col in columns))]
+        scaled = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row]
+                  for row in exact]
+        blocks.append((scaled, [[float(x) for x in row] for row in exact]))
+    return blocks
+
+
+def _shifted_start(case):
+    return [("shifted start", case.f.values[0] + Fraction(1, 3))]
+
+
+def _shifted_ray(case):
+    v = case.f.values
+    return monotone._one_term_ray(v[1], v[0] - 1, 1, case.f.backend.scalar(case.order),
+                                  0, "start")
+
+
+class TestOnePassRows:
+    @pytest.mark.parametrize("tid", list(THEOREMS))
+    def test_rows_match_unit_vector_oracle(self, tid):
+        for order in default_orders(tid):
+            for length in range(min_live_length(tid), 7):
+                blocks = _row_matrices(tid, length, order, 64, 0)
+                for block, (scaled, floats) in zip(blocks, _unit_vector_rows(tid, length, order)):
+                    assert block.scaled == scaled
+                    assert block.floats.tolist() == floats
+                    assert block.l1 == max(sum(map(abs, row)) for row in scaled)
+
+    @pytest.mark.parametrize("tid", list(THEOREMS))
+    def test_prefilter_signs_match_explicit_rows(self, tid):
+        values = [-1, 0, Fraction(1, 2), 1]
+        length, order, k_cap = min_live_length(tid), default_orders(tid)[1], 12
+        hyp, concl = _row_matrices(tid, length, order, k_cap, 0)
+        (h_int, c_int), ints = _integer_operands((hyp, concl), [int(2 * v) for v in values])
+        for combo in itertools.product(range(len(values)), repeat=length):
+            live = [values[i] for i in combo]
+            verdict = evaluate_theorem(make_case(tid, live, order, 0, k_cap, RATIONAL))
+            explicit = verdict.hypothesis_margins[:len(hyp.scaled)]
+            # a ray decided false past k_cap appends its witness row
+            for label, _ in verdict.hypothesis_margins[len(hyp.scaled):]:
+                assert int(label.rsplit("k=", 1)[1]) > k_cap
+            row = ints[list(combo)]
+            assert [_sign(x) for x in row @ h_int.T] == [_sign(m) for _, m in explicit]
+            assert [_sign(x) for x in row @ c_int.T] == [
+                _sign(m) for _, m in verdict.conclusion_margins]
+
+    @pytest.mark.parametrize("hyp,start", [
+        ([monotone._start, _shifted_start], None),
+        ([monotone._start], _shifted_ray),
+    ])
+    def test_constant_term_is_rejected(self, monkeypatch, hyp, start):
+        builder = declare(hyp, [monotone._pair(0)], start)
+        monkeypatch.setitem(THEOREMS, "T_AFFINE", _statement("T_AFFINE", builder))
+        with pytest.raises(AssertionError, match="T_AFFINE: rows are not linear"):
+            _row_matrices("T_AFFINE", 3, Fraction(1, 2), 64, 0)
+        with pytest.raises(AssertionError, match="not linear"):
+            search_campaign("T_AFFINE", 3, [0, 1], [Fraction(1, 2)])
