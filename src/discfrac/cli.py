@@ -229,6 +229,7 @@ def cmd_theorems(args) -> int:
         ids = list(args.id)
     values = _parse_values(args.values)
     orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
+    _reject_repeats("--nu", orders or [])
     if args.budget <= 0:
         raise DomainError("budget must be positive")
     mode = "random" if args.random else "exhaustive"

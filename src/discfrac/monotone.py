@@ -21,14 +21,19 @@ Searches run an exact integer prefilter: every row is linear in f with
 rational coefficients, read once per (theorem, order, length) from one
 run of the theorem's builder on coefficient vectors, with the k-family
 rays expanded in integers.  Clearing each row's denominators and the
-value set's keeps every sign, so one integer matmul per chunk of
-enumerated value-index vectors decides the explicit rows exactly (in
-float64 BLAS while the partial sums stay below 2**53, in Python integers
-otherwise).  Explicit rows are a subset of the true hypothesis, so the
-candidates are re-verified with ``evaluate_theorem``, which also settles
-the ray conditions.  Witness order and reported margins come from float
-rows rounded from the exact ones.  Enumeration and candidate ordering
-are canonical, so results are deterministic for a fixed seed.
+value set's keeps every sign, so integer dot products of the rows with
+the scaled values decide the explicit rows exactly (in float64 BLAS while
+the partial sums stay below 2**53, in Python integers otherwise).  A
+hypothesis row reads the values up to its last nonzero coefficient, its
+level, so the search grows value-index prefixes one coordinate at a time
+and drops a prefix as soon as a row of its level is negative: no
+completion of it can pass.  Conclusion rows, margins and witness
+candidates are computed on the surviving vectors only.  Explicit rows are
+a subset of the true hypothesis, so the candidates are re-verified with
+``evaluate_theorem``, which also settles the ray conditions.  Witness
+order and reported margins come from float rows rounded from the exact
+ones.  Enumeration and candidate ordering are canonical, so results are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -496,10 +501,20 @@ def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64,
 
 
 def _ray_rows(ray: RayCondition, k_cap: int) -> list:
-    rows = []
-    for k in range(ray.start, k_cap + 1):
-        q = _poly_eval(ray.q_coeffs, k)
-        rows.append((f"{ray.label} k={k}", _poly_eval(ray.r_coeffs, k) / q))
+    """Rows ``R(k)/Q(k)`` for k = start..k_cap, then the k -> infinity bound.
+
+    Exact coefficients are cleared once by the LCM D of their denominators,
+    so each row is the integer Horner value D*R(k) over D*Q(k).
+    """
+    ks = range(ray.start, k_cap + 1)
+    if all(isinstance(c, Fraction) for c in ray.r_coeffs):
+        scale = math.lcm(*(c.denominator for c in ray.r_coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in ray.r_coeffs]
+        values = [Fraction(_poly_eval(ints, k), scale * _poly_eval(ray.q_coeffs, k))
+                  for k in ks]
+    else:
+        values = [_poly_eval(ray.r_coeffs, k) / _poly_eval(ray.q_coeffs, k) for k in ks]
+    rows = [(f"{ray.label} k={k}", v) for k, v in zip(ks, values)]
     rows.append((f"{ray.label} k->inf", ray.bound))
     return rows
 
@@ -638,7 +653,7 @@ class SearchResult:
         }
 
 
-# Vectors per prefilter chunk: bounds the (chunk x rows) products at any budget.
+# Vectors per candidate array: bounds the (chunk x rows) products at any budget.
 CHUNK = 1 << 16
 # Witness candidates, in float-margin order, that the nonvacuity search considers.
 WITNESS_WINDOW = 400
@@ -739,24 +754,84 @@ def _integer_operands(blocks, value_ints: list):
     return mats, np.array(value_ints, dtype=dtype)
 
 
-def _index_chunks(k: int, length: int, mode: str, samples: int | None, rng_key: str):
-    """Value-index vectors in enumeration order, ``CHUNK`` at a time.
+def _row_levels(mat, length: int) -> list:
+    """Rows of an integer row matrix grouped by level, the index of the last
+    coefficient they read: ``levels[d]`` holds the rows whose last nonzero
+    coefficient is at d, cut to their first d+1 coefficients.  An all-zero
+    row is 0 >= 0 on every vector and is left out."""
+    nonzero = mat != 0
+    last = np.where(nonzero.any(axis=1), length - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    return [mat[last == d, :d + 1] for d in range(length)]
 
-    Exhaustive mode walks flat indices 0..k**length-1 in ``itertools.product``
-    order; random mode draws indices from the same stream as
-    ``rng.choice(values)`` would, sample by sample.
+
+def _passes(ints, idx, rows):
+    """Mask of the index vectors on which every row is >= 0 (exact)."""
+    return ((ints[idx] @ rows.T) >= 0).all(axis=1)
+
+
+def _prefix_search(k: int, levels: list, ints):
+    """Value-index vectors on which every row of ``levels`` is >= 0, in
+    ``itertools.product`` order, at most ``CHUNK`` at a time.
+
+    A prefix grows one coordinate at a time, and the rows of level d are
+    applied as soon as coordinate d is set, so a prefix that breaks a row
+    is never completed.  Prefixes are grown depth-first, ``CHUNK``
+    candidates per step: flat position p of a step is surviving prefix
+    p // k extended by digit p % k, so no candidate array holds more than
+    ``CHUNK`` vectors at any length.
     """
+    length = len(levels)
+    stack = [(np.zeros((1, 0), np.intp), iter(range(0, k, CHUNK)))]
+    while stack:
+        prefixes, starts = stack[-1]
+        start = next(starts, None)
+        if start is None:
+            stack.pop()
+            continue
+        flat = np.arange(start, min(start + CHUNK, len(prefixes) * k))
+        cand = np.column_stack((prefixes[flat // k], flat % k))
+        depth = cand.shape[1]
+        if len(levels[depth - 1]):
+            cand = cand[_passes(ints, cand, levels[depth - 1])]
+        if not len(cand):
+            continue
+        if depth == length:
+            yield cand
+        else:
+            stack.append((cand, iter(range(0, len(cand) * k, CHUNK))))
+
+
+def _index_chunks(k: int, length: int, samples: int, rng_key: str):
+    """Random value-index vectors, ``CHUNK`` at a time, drawn from the same
+    stream as ``rng.choice(values)`` would draw them, sample by sample."""
+    rng = random.Random(rng_key)
+    for start in range(0, samples, CHUNK):
+        n = min(CHUNK, samples - start)
+        draws = [rng.randrange(k) for _ in range(n * length)]
+        yield np.array(draws, dtype=np.intp).reshape(n, length)
+
+
+def _survivors(k: int, levels: list, ints, mode: str, samples: int | None, rng_key: str):
+    """(index vectors, enumeration positions) of the vectors that pass every
+    row of ``levels``, in enumeration order."""
+    length = len(levels)
     if mode == "exhaustive":
-        total = k ** length
-        for start in range(0, total, CHUNK):
-            flat = np.arange(start, min(start + CHUNK, total))
-            yield np.stack(np.unravel_index(flat, (k,) * length), axis=1)
-    else:
-        rng = random.Random(rng_key)
-        for start in range(0, samples, CHUNK):
-            n = min(CHUNK, samples - start)
-            draws = [rng.randrange(k) for _ in range(n * length)]
-            yield np.array(draws, dtype=np.intp).reshape(n, length)
+        # a vector's position is its digits read in base k
+        dtype = np.int64 if k ** length < 2 ** 63 else object
+        weights = np.array([k ** (length - 1 - j) for j in range(length)], dtype=dtype)
+        for idx in _prefix_search(k, levels, ints):
+            yield idx, idx @ weights
+        return
+    offset = 0
+    for idx in _index_chunks(k, length, samples, rng_key):
+        positions = np.arange(offset, offset + len(idx))
+        offset += len(idx)
+        for depth, rows in enumerate(levels, 1):
+            if len(rows) and len(idx):
+                keep = _passes(ints, idx[:, :depth], rows)
+                idx, positions = idx[keep], positions[keep]
+        if len(idx):
+            yield idx, positions
 
 
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
@@ -768,41 +843,39 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     value_floats = np.array([float(v) for v in values_exact])
     hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
+    k = len(values_exact)
 
     def exact_case(idx_row):
         combo = tuple(values_exact[i] for i in idx_row)
         return combo, make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
 
     rng_key = (seed, theorem_id, str(order)).__repr__()
-    instances = hyp_count = 0
+    instances = k ** live_length if mode == "exhaustive" else samples
+    hyp_count = 0
     min_concl = None
     counterexamples = []
     # witness pool: enumeration position, float margin, exact positivity, indices
     pool = (np.empty(0, np.int64), np.empty(0), np.empty(0, bool),
             np.empty((0, live_length), np.intp))
-    for idx in _index_chunks(len(values_exact), live_length, mode, samples, rng_key):
+    levels = _row_levels(hyp_int, live_length)
+    for idx, positions in _survivors(k, levels, ints, mode, samples, rng_key):
         F = ints[idx]
-        hyp_min = (F @ hyp_int.T).min(axis=1)
-        concl_min = (F @ concl_int.T).min(axis=1)
-        passing = np.nonzero(hyp_min >= 0)[0]
-        for j in passing[concl_min[passing] < 0]:
+        for j in np.nonzero((F @ concl_int.T).min(axis=1) < 0)[0]:
             _, case = exact_case(idx[j])
             if not evaluate_theorem(case).consistent:
                 counterexamples.append(case)
-        if len(passing):
-            Fp = value_floats[idx[passing]]
-            concl_f = float((Fp @ concl.floats.T).min())
-            min_concl = concl_f if min_concl is None else min(min_concl, concl_f)
-            pool = tuple(
-                np.concatenate(pair) for pair in zip(pool, (
-                    instances + passing, (Fp @ hyp.floats.T).min(axis=1),
-                    hyp_min[passing] > 0, idx[passing],
-                ))
-            )
-            top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
-            pool = tuple(a[top] for a in pool)
-        instances += len(idx)
-        hyp_count += len(passing)
+        Fp = value_floats[idx]
+        concl_f = float((Fp @ concl.floats.T).min())
+        min_concl = concl_f if min_concl is None else min(min_concl, concl_f)
+        pool = tuple(
+            np.concatenate(pair) for pair in zip(pool, (
+                positions, (Fp @ hyp.floats.T).min(axis=1),
+                (F @ hyp_int.T).min(axis=1) > 0, idx,
+            ))
+        )
+        top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
+        pool = tuple(a[top] for a in pool)
+        hyp_count += len(idx)
 
     # nonvacuity witness: the hypothesis-true nonzero function with the best
     # margin, strictly positive when the value set admits one at all.  Once

@@ -279,6 +279,15 @@ class TestTheorems:
         assert "--id repeats T_U1" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("nu", ["1/2,1/2", "1/2,2/4", "1/4,0.5,1/2"])
+    def test_repeated_nu_is_usage_error(self, tmp_path, capsys, nu):
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--id", "T_U1", "--length", "3", "--values", "0,1",
+                     "--nu", nu, "--report", str(report)])
+        assert code == 2
+        assert "--nu repeats 1/2" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("values,nu", [("0", "2"), ("-1,0,1", "5/2")])
     def test_order_outside_range_is_domain_error(self, tmp_path, capsys, values, nu):
         report = tmp_path / "t.jsonl"

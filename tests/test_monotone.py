@@ -2,8 +2,10 @@ import itertools
 import math
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from discfrac.monotone import (
     TheoremStatement,
     _index_chunks,
     _integer_operands,
+    _prefix_search,
     _row_matrices,
     _sign,
     d1_via_q_reflection,
@@ -128,6 +131,36 @@ class TestRayDecision:
                 for k in range(0, 20):
                     slack = _poly_eval(list(ray.r_coeffs), k) / _poly_eval(list(ray.q_coeffs), k)
                     assert slack == bound - nu * f0 / (k + shift)
+
+    def test_ray_rows_match_fraction_quotients(self):
+        from discfrac.monotone import (
+            _one_term_ray,
+            _poly_eval,
+            _ray_rows,
+            _three_term_ray,
+            _two_term_ray,
+        )
+
+        rng = random.Random(2)
+        for _ in range(30):
+            nu = Fraction(rng.randint(1, 7), rng.choice([4, 8, 3]))
+            f0, f1, f2, bound = (
+                Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)
+            )
+            for ray in (_one_term_ray(bound, f0, 2, nu, 1, "start"),
+                        _two_term_ray(bound, f1, f0, nu, "start"),
+                        _three_term_ray(bound, f2, f1, f0, nu, "start")):
+                for k_cap in (ray.start, 17):
+                    literal = [(f"start k={k}", _poly_eval(ray.r_coeffs, k)
+                                / _poly_eval(ray.q_coeffs, k))
+                               for k in range(ray.start, k_cap + 1)]
+                    rows = _ray_rows(ray, k_cap)
+                    assert rows == literal + [("start k->inf", bound)]
+                    assert all(type(v) is Fraction for _, v in rows)
+                floats = replace(ray, r_coeffs=tuple(map(float, ray.r_coeffs)))
+                assert _ray_rows(floats, 9)[:-1] == [
+                    (f"start k={k}", _poly_eval(floats.r_coeffs, k)
+                     / _poly_eval(ray.q_coeffs, k)) for k in range(ray.start, 10)]
 
     def test_one_term_reduction_matches_supremum(self):
         # F >= nu*f0/(k+1) for all k >= 0 reduces to F >= nu*f0 when f0 >= 0
@@ -316,8 +349,14 @@ def _tenths_builder(case):
 
 class TestEnumeration:
     def _vectors(self, mode, k, length, samples=None, key="key"):
-        return [tuple(int(i) for i in row)
-                for chunk in _index_chunks(k, length, mode, samples, key) for row in chunk]
+        if mode == "exhaustive":
+            # the prefix search with no rows enumerates the whole product
+            no_rows = [np.zeros((0, d + 1), dtype=int) for d in range(length)]
+            chunks = list(_prefix_search(k, no_rows, np.arange(k)))
+        else:
+            chunks = list(_index_chunks(k, length, samples, key))
+        assert all(len(chunk) <= monotone.CHUNK for chunk in chunks)
+        return [tuple(int(i) for i in row) for chunk in chunks for row in chunk]
 
     def test_exhaustive_order_is_product_order(self, monkeypatch):
         monkeypatch.setattr(monotone, "CHUNK", 7)
@@ -411,10 +450,162 @@ class TestExactPrefilter:
         assert result.counterexamples == []
 
 
+def _reference_vectors(theorem_id, length, values, order, mode, samples, seed):
+    """Brute force: every value-index vector of the product, or every sample
+    drawn with ``rng.choice``, in enumeration order."""
+    k = len(values)
+    if mode == "exhaustive":
+        vectors = list(itertools.product(range(k), repeat=length))
+    else:
+        rng = random.Random((seed, theorem_id, str(order)).__repr__())
+        vectors = [tuple(values.index(rng.choice(values)) for _ in range(length))
+                   for _ in range(samples)]
+    return np.array(vectors, dtype=np.intp).reshape(-1, length)
+
+
+def _reference_instance(theorem_id, live_length, value_set, order, mode, samples, seed,
+                        k_cap, anchor):
+    """``_search_instance`` without pruning or chunks, as one batch."""
+    values = [Fraction(v) for v in value_set]
+    scale = math.lcm(*(v.denominator for v in values))
+    hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
+    (h_int, c_int), ints = _integer_operands((hyp, concl), [int(v * scale) for v in values])
+    idx = _reference_vectors(theorem_id, live_length, values, order, mode, samples, seed)
+    F = ints[idx]
+    hyp_min = (F @ h_int.T).min(axis=1)
+    passing = np.nonzero(hyp_min >= 0)[0]
+
+    def case(j):
+        combo = tuple(values[i] for i in idx[j])
+        return combo, make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
+
+    counterexamples = []
+    for j in passing:
+        if (F[j] @ c_int.T).min() < 0:
+            _, c = case(j)
+            if not evaluate_theorem(c).consistent:
+                counterexamples.append(c)
+    floats = np.array([float(v) for v in values])[idx[passing]]
+    min_concl = float((floats @ concl.floats.T).min()) if len(passing) else None
+    margins = (floats @ hyp.floats.T).min(axis=1)
+    witness = witness_margin = None
+    for j in passing[np.lexsort((passing, -margins))[:monotone.WITNESS_WINDOW]]:
+        if not F[j].any() or (witness is not None and not hyp_min[j] > 0):
+            continue
+        combo, c = case(j)
+        verdict = evaluate_theorem(c)
+        if verdict.hypothesis_holds:
+            witness, witness_margin = combo, min(m for _, m in verdict.hypothesis_margins)
+            if witness_margin > 0:
+                break
+    return monotone.SearchResult(theorem_id, Fraction(order), live_length, len(idx),
+                                 len(passing), min_concl, counterexamples, witness,
+                                 witness_margin)
+
+
+def _pair_builder(case):
+    # hypothesis rows of levels 0 and 1 whose trailing coefficients are zero
+    v = case.f.values
+    return [("start", v[0]), ("pair", v[1] - v[0])], [], [("last", v[-1])]
+
+
+_HUGE = [-2 ** 40, 0, 2 ** 40]
+
+
+class TestPrefixSearch:
+    @pytest.mark.parametrize("tid,length,values", [
+        ("T_U3", 5, [-1, Fraction(-1, 2), 0, 1]),
+        ("T_SLOV1", 4, [-1, 0, Fraction(1, 2), 1]),
+        ("T_C4", 5, [-1, 0, 1, 2]),
+        ("T_D2", 4, [-1, 0, Fraction(1, 2), 1]),
+        ("T_FALSE", 4, [-1, 0, 1]),
+        ("T_TENTHS", 4, [1, 2, 3]),
+        ("T_C4", 5, _HUGE),
+        ("T_U1", 6, _HUGE),
+    ])
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("chunk", [7, 13])
+    def test_matches_brute_force(self, monkeypatch, tid, length, values, mode, chunk):
+        monkeypatch.setitem(THEOREMS, "T_FALSE", _statement("T_FALSE", _false_builder))
+        monkeypatch.setitem(THEOREMS, "T_TENTHS", _statement("T_TENTHS", _tenths_builder, 3))
+        # random mode draws 200 samples per order
+        kwargs = dict(mode=mode, budget=600 if mode == "random" else 10 ** 5, seed=5)
+        order = default_orders(tid)[0]
+        hyp, concl = _row_matrices(tid, length, order, 64, 0)
+        scale = math.lcm(*(Fraction(v).denominator for v in values))
+        (h_int, _), ints = _integer_operands((hyp, concl), [int(v * scale) for v in values])
+        if values is _HUGE:
+            assert h_int.dtype == object
+
+        # survivors and their enumeration positions
+        idx = _reference_vectors(tid, length, [Fraction(v) for v in values], order,
+                                   mode, 200, 5)
+        expected = np.nonzero((ints[idx] @ h_int.T).min(axis=1) >= 0)[0]
+        monkeypatch.setattr(monotone, "CHUNK", chunk)
+        got = list(monotone._survivors(len(values), monotone._row_levels(h_int, length),
+                                       ints, mode, 200, (5, tid, str(order)).__repr__()))
+        assert all(len(s) <= chunk for s, _ in got)
+        assert [int(p) for _, pos in got for p in pos] == expected.tolist()
+        assert np.concatenate([s for s, _ in got]).tolist() == idx[expected].tolist()
+
+        # every record field, fallback lengths included
+        prefix = [r.as_record() for r in search_campaign(tid, length, values, **kwargs)]
+        monkeypatch.setattr(monotone, "_search_instance", _reference_instance)
+        reference = [r.as_record() for r in search_campaign(tid, length, values, **kwargs)]
+        assert prefix == reference
+        if tid in ("T_FALSE", "T_TENTHS"):
+            assert all(r["counterexamples"] for r in prefix)
+
+    def test_row_level_is_last_nonzero_coefficient(self):
+        mat = np.array([[1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0],
+                        [0, 1, 0, -1]], dtype=float)
+        levels = monotone._row_levels(mat, 4)
+        assert [lv.tolist() for lv in levels] == [
+            [[3]], [[1, -1]], [[0, 0, 2]], [[0, 1, 0, -1]]]
+
+    def test_trailing_zero_row_applies_at_its_last_coordinate(self, monkeypatch):
+        monkeypatch.setitem(THEOREMS, "T_PAIR", _statement("T_PAIR", _pair_builder))
+        seen = []
+        passes = monotone._passes
+
+        def recording(ints, idx, rows):
+            seen.append((idx.shape[1], len(rows), idx.copy()))
+            return passes(ints, idx, rows)
+
+        monkeypatch.setattr(monotone, "_passes", recording)
+        values = [-1, 0, 1, 2]
+        (result,) = search_campaign("T_PAIR", 5, values, [Fraction(1, 2)])
+        assert result.hypothesis_count == sum(
+            1 for v in itertools.product(values, repeat=5) if 0 <= v[0] <= v[1])
+        # the start row at coordinate 0 and the pair row at coordinate 1; no
+        # candidate past them breaks either
+        assert [(width, n) for width, n, _ in seen] == [(1, 1), (2, 1)]
+        assert seen[1][2].tolist() == [[i, j] for i in (1, 2, 3) for j in range(4)]
+
+    @pytest.mark.parametrize("chunk,values", [(3, [-1, 0, 1, 2, 3]), (7, [-1, 0, 1]),
+                                              (1, [0, 1])])
+    def test_candidate_arrays_stay_within_chunk(self, monkeypatch, chunk, values):
+        monkeypatch.setattr(monotone, "CHUNK", chunk)
+        sizes = []
+        passes = monotone._passes
+
+        def recording(ints, idx, rows):
+            sizes.append(len(idx))
+            return passes(ints, idx, rows)
+
+        monkeypatch.setattr(monotone, "_passes", recording)
+        results = search_campaign("T_U3", 5, values, [Fraction(1, 2)])
+        assert sizes and max(sizes) <= chunk
+        monkeypatch.setattr(monotone, "_search_instance", _reference_instance)
+        assert [r.as_record() for r in results] == [
+            r.as_record() for r in search_campaign("T_U3", 5, values, [Fraction(1, 2)])]
+
+
 def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
     """Reference rows read off unit vectors, one rational builder run per
-    live value, with the rays expanded in Fraction arithmetic: per block,
-    the primitive integer rows and the correctly rounded float rows."""
+    live value, with the rays expanded by ``expanded_hypothesis_rows`` (see
+    ``test_ray_rows_match_fraction_quotients``): per block, the primitive
+    integer rows and the correctly rounded float rows."""
 
     def rows_at(live):
         case = make_case(tid, live, order, anchor, k_cap, RATIONAL)
