@@ -18,22 +18,23 @@ coefficient for the tail.  The literal inequalities for k up to k_cap
 are checked as well and feed the reported margins.
 
 Searches run an exact integer prefilter: every row is linear in f with
-rational coefficients, read once per (theorem, order, length) from one
-run of the theorem's builder on coefficient vectors, with the k-family
-rays expanded in integers.  Clearing each row's denominators and the
+rational coefficients, read once per search from one run of the
+theorem's builder on coefficient vectors, with the k-family rays
+expanded in integers.  Clearing each row's denominators and the
 value set's keeps every sign, so integer dot products of the rows with
 the scaled values decide the explicit rows exactly (in float64 BLAS while
 the partial sums stay below 2**53, in Python integers otherwise).  A
 hypothesis row reads the values up to its last nonzero coefficient, its
 level, so the search grows value-index prefixes one coordinate at a time
 and drops a prefix as soon as a row of its level is negative: no
-completion of it can pass.  Conclusion rows, margins and witness
-candidates are computed on the surviving vectors only.  Explicit rows are
-a subset of the true hypothesis, so the candidates are re-verified with
-``evaluate_theorem``, which also settles the ray conditions.  Witness
-order and reported margins come from float rows rounded from the exact
-ones.  Enumeration and candidate ordering are canonical, so results are
-deterministic for a fixed seed.
+completion of it can pass.  The length-d rows are the rows of level < d,
+so one exhaustive tree holds the survivors of every length the nonvacuity
+fallback may visit; conclusion rows, margins and witness candidates are
+computed on survivors only.  Explicit rows are a subset of the true
+hypothesis, so candidates are re-verified with ``evaluate_theorem``, which
+also settles the ray conditions.  Witness order and reported margins come
+from float rows rounded from the exact ones.  Enumeration and candidate
+ordering are canonical, so results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -503,15 +504,12 @@ def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64,
 def _ray_rows(ray: RayCondition, k_cap: int) -> list:
     """Rows ``R(k)/Q(k)`` for k = start..k_cap, then the k -> infinity bound.
 
-    Exact coefficients are cleared once by the LCM D of their denominators,
-    so each row is the integer Horner value D*R(k) over D*Q(k).
+    Exact coefficients give the integer Horner rows of ``_integer_horner``.
     """
     ks = range(ray.start, k_cap + 1)
     if all(isinstance(c, Fraction) for c in ray.r_coeffs):
-        scale = math.lcm(*(c.denominator for c in ray.r_coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in ray.r_coeffs]
-        values = [Fraction(_poly_eval(ints, k), scale * _poly_eval(ray.q_coeffs, k))
-                  for k in ks]
+        coeffs = [([c.numerator], c.denominator) for c in ray.r_coeffs]
+        values = [Fraction(num, den) for (num,), den in _integer_horner(coeffs, ray.q_coeffs, ks)]
     else:
         values = [_poly_eval(ray.r_coeffs, k) / _poly_eval(ray.q_coeffs, k) for k in ks]
     rows = [(f"{ray.label} k={k}", v) for k, v in zip(ks, values)]
@@ -698,21 +696,17 @@ def _exact_row(value, length: int) -> tuple:
     return [x.numerator * (den // x.denominator) for x in coeffs], den
 
 
-def _integer_ray_rows(ray: RayCondition, k_cap: int, length: int) -> list:
-    """The rows of ``_ray_rows`` for a ray with coefficient-vector values.
-
-    With D the LCM of the denominators of R's coefficients, row k is
-    ``D*R(k) / (D*Q(k))``: an integer Horner evaluation over a positive
-    integer, since Q(k) > 0 on the ray.
-    """
-    coeffs = [_exact_row(c, length) for c in ray.r_coeffs]
+def _integer_horner(coeffs: list, q_coeffs, ks) -> list:
+    """``(D*R(k), D*Q(k))`` for each k of ``ks``: R's coefficients are given as
+    (integer numerator vector, positive denominator) and D is the LCM of the
+    denominators, so D*R(k) is an integer Horner evaluation.  Q(k) > 0 on a
+    ray, so each pair has the sign of R(k)/Q(k)."""
     scale = math.lcm(*(den for _, den in coeffs))
-    ks = np.arange(ray.start, k_cap + 1).astype(object)
-    nums = np.zeros((len(ks), length), dtype=object)
+    ks = np.array(ks, dtype=object)
+    nums = 0
     for row, den in coeffs:
-        nums = nums * ks[:, None] + np.array([x * (scale // den) for x in row], dtype=object)
-    dens = [scale * _poly_eval(ray.q_coeffs, k) for k in ks]
-    return list(zip(nums.tolist(), dens)) + [_exact_row(ray.bound, length)]
+        nums = nums * ks[:, None] + np.array(row, dtype=object) * (scale // den)
+    return list(zip(nums.tolist(), (scale * _poly_eval(q_coeffs, k) for k in ks)))
 
 
 def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
@@ -736,8 +730,10 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
         basis.insert(0, np.zeros(live_length, dtype=object))
     hyp, rays, concl = stmt.builder(replace(zero, f=zero.f.with_values(basis)))
     hyp_rows = [_exact_row(v, live_length) for _, v in hyp]
-    for ray in rays:
-        hyp_rows += _integer_ray_rows(ray, k_cap, live_length)
+    for ray in rays:  # the rows of ``_ray_rows``, from coefficient-vector values
+        coeffs = [_exact_row(c, live_length) for c in ray.r_coeffs]
+        hyp_rows += _integer_horner(coeffs, ray.q_coeffs, range(ray.start, k_cap + 1))
+        hyp_rows.append(_exact_row(ray.bound, live_length))
     return (_RowBlock.of(hyp_rows, live_length),
             _RowBlock.of([_exact_row(v, live_length) for _, v in concl], live_length))
 
@@ -754,13 +750,18 @@ def _integer_operands(blocks, value_ints: list):
     return mats, np.array(value_ints, dtype=dtype)
 
 
-def _row_levels(mat, length: int) -> list:
-    """Rows of an integer row matrix grouped by level, the index of the last
-    coefficient they read: ``levels[d]`` holds the rows whose last nonzero
-    coefficient is at d, cut to their first d+1 coefficients.  An all-zero
-    row is 0 >= 0 on every vector and is left out."""
+def _last_read(mat) -> np.ndarray:
+    """Level of each row of an integer row matrix, the index of the last
+    coefficient it reads; -1 for an all-zero row."""
     nonzero = mat != 0
-    last = np.where(nonzero.any(axis=1), length - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    return np.where(nonzero.any(axis=1),
+                    mat.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+
+
+def _row_levels(mat, length: int) -> list:
+    """``levels[d]``: the rows of level d (``_last_read``), cut to their first
+    d+1 coefficients.  An all-zero row never fails and is left out."""
+    last = _last_read(mat)
     return [mat[last == d, :d + 1] for d in range(length)]
 
 
@@ -769,8 +770,9 @@ def _passes(ints, idx, rows):
     return ((ints[idx] @ rows.T) >= 0).all(axis=1)
 
 
-def _prefix_search(k: int, levels: list, ints):
-    """Value-index vectors on which every row of ``levels`` is >= 0, in
+def _prefix_search(k: int, levels: list, ints, shallowest: int | None = None):
+    """Value-index vectors on which every row of ``levels`` is >= 0, and the
+    surviving prefixes of each length from ``shallowest`` on, each length in
     ``itertools.product`` order, at most ``CHUNK`` at a time.
 
     A prefix grows one coordinate at a time, and the rows of level d are
@@ -795,9 +797,9 @@ def _prefix_search(k: int, levels: list, ints):
             cand = cand[_passes(ints, cand, levels[depth - 1])]
         if not len(cand):
             continue
-        if depth == length:
+        if depth >= (shallowest or length):
             yield cand
-        else:
+        if depth < length:
             stack.append((cand, iter(range(0, len(cand) * k, CHUNK))))
 
 
@@ -811,16 +813,18 @@ def _index_chunks(k: int, length: int, samples: int, rng_key: str):
         yield np.array(draws, dtype=np.intp).reshape(n, length)
 
 
-def _survivors(k: int, levels: list, ints, mode: str, samples: int | None, rng_key: str):
+def _survivors(k: int, levels: list, ints, mode: str, samples: int | None, rng_key: str,
+               shallowest: int | None = None):
     """(index vectors, enumeration positions) of the vectors that pass every
-    row of ``levels``, in enumeration order."""
+    row of ``levels``, in enumeration order; in exhaustive mode also the
+    surviving prefixes of each length from ``shallowest`` on."""
     length = len(levels)
     if mode == "exhaustive":
         # a vector's position is its digits read in base k
         dtype = np.int64 if k ** length < 2 ** 63 else object
         weights = np.array([k ** (length - 1 - j) for j in range(length)], dtype=dtype)
-        for idx in _prefix_search(k, levels, ints):
-            yield idx, idx @ weights
+        for idx in _prefix_search(k, levels, ints, shallowest):
+            yield idx, idx @ weights[length - idx.shape[1]:]
         return
     offset = 0
     for idx in _index_chunks(k, length, samples, rng_key):
@@ -836,7 +840,17 @@ def _survivors(k: int, levels: list, ints, mode: str, samples: int | None, rng_k
 
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
                      mode: str, samples: int | None, seed: int, k_cap: int,
-                     anchor) -> SearchResult:
+                     anchor) -> Callable[[int], SearchResult]:
+    """Search at ``live_length``; return d -> the length-d result, for
+    d = ``live_length`` and, in exhaustive mode, every shorter length.
+
+    The length-d rows are, as a set, the length-``live_length`` rows of
+    level < d cut to d coefficients (``test_rows_nest_across_lengths``), so
+    the depth-d survivors of the prefix search are the length-d survivors
+    in enumeration order.  Each length keeps its survivor count, smallest
+    float conclusion margin, survivors with a negative conclusion row and
+    witness pool (enumeration position, float margin, exact positivity,
+    indices); ``evaluate_theorem`` runs when a result is asked for."""
     values_exact = [as_fraction(v) for v in value_set]
     value_scale = math.lcm(*(v.denominator for v in values_exact))
     value_ints = [int(v * value_scale) for v in values_exact]
@@ -844,69 +858,58 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
     k = len(values_exact)
+    shallowest = min_live_length(theorem_id) if mode == "exhaustive" else live_length
+    h, c = _last_read(hyp_int), _last_read(concl_int)
+    rows = {d: (hyp_int[h < d, :d], hyp.floats[h < d, :d], concl_int[c < d, :d],
+                concl.floats[c < d, :d]) for d in range(shallowest, live_length + 1)}
+    counts, suspects = dict.fromkeys(rows, 0), {d: [] for d in rows}
+    min_concl = dict.fromkeys(rows, math.inf)
+    pools = {d: (np.empty(0, np.int64), np.empty(0), np.empty(0, bool),
+                 np.empty((0, d), np.intp)) for d in rows}
+    rng_key = (seed, theorem_id, str(order)).__repr__()
+    levels = _row_levels(hyp_int, live_length)
+    for idx, positions in _survivors(k, levels, ints, mode, samples, rng_key, shallowest):
+        d = idx.shape[1]
+        hyp_d, hyp_f, concl_d, concl_f = rows[d]
+        F, Fp = ints[idx], value_floats[idx]
+        suspects[d].extend(idx[((F @ concl_d.T) < 0).any(axis=1)])
+        min_concl[d] = min(min_concl[d], float((Fp @ concl_f.T).min(initial=np.inf)))
+        pool = tuple(np.concatenate(pair) for pair in zip(pools[d], (
+            positions, (Fp @ hyp_f.T).min(axis=1, initial=np.inf),
+            ((F @ hyp_d.T) > 0).all(axis=1), idx,
+        )))
+        top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
+        pools[d] = tuple(a[top] for a in pool)
+        counts[d] += len(idx)
 
     def exact_case(idx_row):
         combo = tuple(values_exact[i] for i in idx_row)
         return combo, make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
 
-    rng_key = (seed, theorem_id, str(order)).__repr__()
-    instances = k ** live_length if mode == "exhaustive" else samples
-    hyp_count = 0
-    min_concl = None
-    counterexamples = []
-    # witness pool: enumeration position, float margin, exact positivity, indices
-    pool = (np.empty(0, np.int64), np.empty(0), np.empty(0, bool),
-            np.empty((0, live_length), np.intp))
-    levels = _row_levels(hyp_int, live_length)
-    for idx, positions in _survivors(k, levels, ints, mode, samples, rng_key):
-        F = ints[idx]
-        for j in np.nonzero((F @ concl_int.T).min(axis=1) < 0)[0]:
-            _, case = exact_case(idx[j])
-            if not evaluate_theorem(case).consistent:
-                counterexamples.append(case)
-        Fp = value_floats[idx]
-        concl_f = float((Fp @ concl.floats.T).min())
-        min_concl = concl_f if min_concl is None else min(min_concl, concl_f)
-        pool = tuple(
-            np.concatenate(pair) for pair in zip(pool, (
-                positions, (Fp @ hyp.floats.T).min(axis=1),
-                (F @ hyp_int.T).min(axis=1) > 0, idx,
-            ))
-        )
-        top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
-        pool = tuple(a[top] for a in pool)
-        hyp_count += len(idx)
+    def result(d: int) -> SearchResult:
+        counterexamples = [case for _, case in map(exact_case, suspects[d])
+                           if not evaluate_theorem(case).consistent]
+        # nonvacuity witness: the hypothesis-true nonzero function with the best
+        # margin, strictly positive when the value set admits one at all.  Once
+        # a witness (margin >= 0) is found, only exactly positive rows beat it.
+        witness = witness_margin = None
+        _, _, positive, pool_idx = pools[d]
+        for j in np.nonzero((ints[pool_idx] != 0).any(axis=1))[0]:
+            if witness is not None and not positive[j]:
+                continue
+            combo, case = exact_case(pool_idx[j])
+            verdict = evaluate_theorem(case)
+            if not verdict.hypothesis_holds:
+                continue
+            witness, witness_margin = combo, min(v for _, v in verdict.hypothesis_margins)
+            if witness_margin > 0:
+                break
+        instances = k ** d if mode == "exhaustive" else samples
+        return SearchResult(theorem_id, as_fraction(order), d, instances, counts[d],
+                            min_concl[d] if counts[d] else None, counterexamples,
+                            witness, witness_margin)
 
-    # nonvacuity witness: the hypothesis-true nonzero function with the best
-    # margin, strictly positive when the value set admits one at all.  Once
-    # a witness (margin >= 0) is found, only a candidate whose explicit rows
-    # are exactly positive can beat it.
-    witness = None
-    witness_margin = None
-    _, _, positive, pool_idx = pool
-    for j in np.nonzero((ints[pool_idx] != 0).any(axis=1))[0]:
-        if witness is not None and not positive[j]:
-            continue
-        combo, case = exact_case(pool_idx[j])
-        verdict = evaluate_theorem(case)
-        if not verdict.hypothesis_holds:
-            continue
-        witness = combo
-        witness_margin = min(v for _, v in verdict.hypothesis_margins)
-        if witness_margin > 0:
-            break
-
-    return SearchResult(
-        theorem_id=theorem_id,
-        order=as_fraction(order),
-        live_length=live_length,
-        instances=instances,
-        hypothesis_count=hyp_count,
-        min_conclusion_margin=min_concl,
-        counterexamples=counterexamples,
-        witness=witness,
-        witness_margin=witness_margin,
-    )
+    return result
 
 
 def default_orders(theorem_id: str) -> list[Fraction]:
@@ -929,10 +932,7 @@ def search_counterexamples(theorem_id: str, grid_length: int, value_set,
     stays inconsistent under exact re-verification.  Expected empty."""
     results = search_campaign(theorem_id, grid_length, value_set, nu_samples,
                               mode, budget, seed, k_cap, anchor)
-    out = []
-    for res in results:
-        out.extend(res.counterexamples)
-    return out
+    return [case for res in results for case in res.counterexamples]
 
 
 def search_campaign(theorem_id: str, grid_length: int, value_set,
@@ -942,19 +942,17 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     """Per-order search results, including witness and statistics."""
     if theorem_id not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
-    if grid_length < min_live_length(theorem_id):
-        raise GridTooShort(
-            f"{theorem_id} needs at least {min_live_length(theorem_id)} live values"
-        )
+    shortest = min_live_length(theorem_id)
+    if grid_length < shortest:
+        raise GridTooShort(f"{theorem_id} needs at least {shortest} live values")
     orders = [as_fraction(x) for x in (nu_samples or default_orders(theorem_id))]
     for order in orders:
         _check_order(theorem_id, order)
     if mode == "exhaustive":
         total = len(value_set) ** grid_length * len(orders)
         if total > budget:
-            raise BudgetExceeded(
-                f"exhaustive search needs {total} evaluations, budget is {budget}"
-            )
+            raise BudgetExceeded(f"exhaustive search needs {total} evaluations, "
+                                 f"budget is {budget}")
         samples = None
     elif mode == "random":
         samples = max(1, budget // len(orders))
@@ -962,23 +960,25 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
         raise DomainError(f"unknown search mode {mode!r}")
     results = []
     for order in orders:
-        results.append(
-            _search_instance(theorem_id, grid_length, value_set, order, mode,
-                             samples, seed, k_cap, anchor)
-        )
+        args = (value_set, order, mode, samples, seed, k_cap, anchor)
+        result = _search_instance(theorem_id, grid_length, *args)
+        res = result(grid_length)
         # nonvacuity fallback: shorter grids often admit a strictly positive
-        # margin that the capped value set rules out at full length
+        # margin that the capped value set rules out at full length.  The
+        # exhaustive tree already holds every shorter length; random mode
+        # draws each one from its own stream.  Each length visited also
+        # reports its own counterexamples.
         length = grid_length
-        res = results[-1]
-        while (res.witness is None or res.witness_margin <= 0) and length > min_live_length(theorem_id):
+        while (res.witness is None or res.witness_margin <= 0) and length > shortest:
             length -= 1
-            shorter = _search_instance(theorem_id, length, value_set, order,
-                                       mode, samples, seed, k_cap, anchor)
-            if shorter.witness is not None and (
-                res.witness is None or shorter.witness_margin > res.witness_margin
-            ):
-                res.witness = shorter.witness
-                res.witness_margin = shorter.witness_margin
+            if mode == "random":
+                result = _search_instance(theorem_id, length, *args)
+            shorter = result(length)
+            res.counterexamples += shorter.counterexamples
+            if shorter.witness is not None and (res.witness is None or
+                                                shorter.witness_margin > res.witness_margin):
+                res.witness, res.witness_margin = shorter.witness, shorter.witness_margin
+        results.append(res)
     return results
 
 

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from discfrac import monotone
 from discfrac.cli import main
+
+# sha256 of the acceptance campaign's report lines without min_conclusion_margin
+CAMPAIGN_DIGEST = "50180a1a97419e7069e0e07d35d7702f9943da95fb780046b8488ac4f90c09ca"
 
 
 def write(tmp_path, name, text):
@@ -296,6 +301,30 @@ class TestTheorems:
         assert code == 3
         assert "T_JEP1 needs an order strictly between 1 and 2" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_campaign_report_is_pinned(self, tmp_path, monkeypatch):
+        # witnesses, exact margins and counts of the 28-theorem campaign; the
+        # float min_conclusion_margin is dropped, as its last bit depends on BLAS
+        calls = dict.fromkeys(["_row_matrices", "evaluate_theorem"], 0)
+        for name in calls:
+            def counting(*args, inner=getattr(monotone, name), name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(monotone, name, counting)
+        report = tmp_path / "t.jsonl"
+        assert main(["theorems", "--all", "--length", "6", "--values", "-1,-1/2,0,1/2,1",
+                     "--report", str(report)]) == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        for rec in records:
+            del rec["min_conclusion_margin"]
+        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == CAMPAIGN_DIGEST
+        assert len(records) == 84
+        assert sum(rec["instances"] for rec in records) == 1_312_500
+        assert sum(rec["hypothesis_count"] for rec in records) == 1_854
+        # one row build per (theorem, order): no shorter length is re-searched
+        assert calls == {"_row_matrices": 84, "evaluate_theorem": 266}
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

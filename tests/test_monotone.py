@@ -347,6 +347,17 @@ def _tenths_builder(case):
     return [("start", v[0])], [], [("tenths", concl)]
 
 
+def _short_false_builder(case):
+    # "a nonnegative start forces nondecreasing", false at length 2; from
+    # length 3 on the rows v2 >= 0, -v2 >= 0 and v1 - v0 - v2 >= 0 make it
+    # true, and leave no vector whose hypothesis rows are all positive
+    v = case.f.values
+    hyp = [("start", v[0])]
+    if len(v) > 2:
+        hyp += [("up", v[2]), ("down", -v[2]), ("pair", v[1] - v[0] - v[2])]
+    return hyp, [], [("pair", v[1] - v[0])]
+
+
 class TestEnumeration:
     def _vectors(self, mode, k, length, samples=None, key="key"):
         if mode == "exhaustive":
@@ -406,6 +417,22 @@ class TestExactPrefilter:
             assert case.f.backend is RATIONAL
             assert not evaluate_theorem(case).consistent
         assert main(["theorems", "--id", "T_FALSE", "--length", "3", "--values", "0,1",
+                     "--nu", "1/2", "--report", os.devnull]) == 1
+
+    def test_shorter_length_counterexamples_are_reported(self, monkeypatch):
+        monkeypatch.setitem(THEOREMS, "T_SHORT", _statement("T_SHORT", _short_false_builder))
+        values = [-1, 0, 1]
+        (result,) = search_campaign("T_SHORT", 4, values, [Fraction(1, 2)])
+        # lengths 4 and 3 have witnesses of margin 0 only, so the fallback
+        # visits length 2, where the statement is false
+        assert result.live_length == 4
+        assert (result.witness, result.witness_margin) == ((1, -1), 1)
+        found = [tuple(c.f.values) for c in result.counterexamples]
+        assert found == [v for v in itertools.product(values, repeat=2) if v[0] >= 0 > v[1] - v[0]]
+        for case in result.counterexamples:
+            assert case.f.length == 2 and case.f.backend is RATIONAL
+            assert not evaluate_theorem(case).consistent
+        assert main(["theorems", "--id", "T_SHORT", "--length", "4", "--values", "-1,0,1",
                      "--nu", "1/2", "--report", os.devnull]) == 1
 
     def test_exact_zero_conclusion_is_not_flagged(self, monkeypatch):
@@ -503,6 +530,30 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
                                  witness_margin)
 
 
+def _reference_campaign(theorem_id, grid_length, value_set, orders=None, mode="exhaustive",
+                        budget=10 ** 5, seed=0):
+    """``search_campaign`` by full re-searches: one unpruned
+    ``_reference_instance`` per order and per length the nonvacuity fallback
+    visits, each length reporting its own counterexamples."""
+    orders = orders or default_orders(theorem_id)
+    samples = max(1, budget // len(orders)) if mode == "random" else None
+    shortest, results = min_live_length(theorem_id), []
+    for order in orders:
+        args = (value_set, order, mode, samples, seed, 64, 0)
+        res = _reference_instance(theorem_id, grid_length, *args)
+        length = grid_length
+        while (res.witness is None or res.witness_margin <= 0) and length > shortest:
+            length -= 1
+            shorter = _reference_instance(theorem_id, length, *args)
+            res.counterexamples += shorter.counterexamples
+            if shorter.witness is not None and (
+                res.witness is None or shorter.witness_margin > res.witness_margin
+            ):
+                res.witness, res.witness_margin = shorter.witness, shorter.witness_margin
+        results.append(res)
+    return results
+
+
 def _pair_builder(case):
     # hypothesis rows of levels 0 and 1 whose trailing coefficients are zero
     v = case.f.values
@@ -522,12 +573,14 @@ class TestPrefixSearch:
         ("T_TENTHS", 4, [1, 2, 3]),
         ("T_C4", 5, _HUGE),
         ("T_U1", 6, _HUGE),
+        ("T_SHORT", 4, [-1, 0, 1]),
     ])
     @pytest.mark.parametrize("mode", ["exhaustive", "random"])
     @pytest.mark.parametrize("chunk", [7, 13])
     def test_matches_brute_force(self, monkeypatch, tid, length, values, mode, chunk):
         monkeypatch.setitem(THEOREMS, "T_FALSE", _statement("T_FALSE", _false_builder))
         monkeypatch.setitem(THEOREMS, "T_TENTHS", _statement("T_TENTHS", _tenths_builder, 3))
+        monkeypatch.setitem(THEOREMS, "T_SHORT", _statement("T_SHORT", _short_false_builder))
         # random mode draws 200 samples per order
         kwargs = dict(mode=mode, budget=600 if mode == "random" else 10 ** 5, seed=5)
         order = default_orders(tid)[0]
@@ -550,10 +603,9 @@ class TestPrefixSearch:
 
         # every record field, fallback lengths included
         prefix = [r.as_record() for r in search_campaign(tid, length, values, **kwargs)]
-        monkeypatch.setattr(monotone, "_search_instance", _reference_instance)
-        reference = [r.as_record() for r in search_campaign(tid, length, values, **kwargs)]
+        reference = [r.as_record() for r in _reference_campaign(tid, length, values, **kwargs)]
         assert prefix == reference
-        if tid in ("T_FALSE", "T_TENTHS"):
+        if tid in ("T_FALSE", "T_TENTHS", "T_SHORT"):
             assert all(r["counterexamples"] for r in prefix)
 
     def test_row_level_is_last_nonzero_coefficient(self):
@@ -596,9 +648,27 @@ class TestPrefixSearch:
         monkeypatch.setattr(monotone, "_passes", recording)
         results = search_campaign("T_U3", 5, values, [Fraction(1, 2)])
         assert sizes and max(sizes) <= chunk
-        monkeypatch.setattr(monotone, "_search_instance", _reference_instance)
         assert [r.as_record() for r in results] == [
-            r.as_record() for r in search_campaign("T_U3", 5, values, [Fraction(1, 2)])]
+            r.as_record() for r in _reference_campaign("T_U3", 5, values, [Fraction(1, 2)])]
+
+    @pytest.mark.parametrize("mode,lengths", [("exhaustive", [4, 4]),
+                                              ("random", [4, 3, 2, 4, 3, 2])])
+    def test_one_row_build_per_order_in_exhaustive_mode(self, monkeypatch, mode, lengths):
+        monkeypatch.setitem(THEOREMS, "T_SHORT", _statement("T_SHORT", _short_false_builder))
+        built = []
+        row_matrices = monotone._row_matrices
+
+        def counting(theorem_id, live_length, *args):
+            built.append(live_length)
+            return row_matrices(theorem_id, live_length, *args)
+
+        monkeypatch.setattr(monotone, "_row_matrices", counting)
+        results = search_campaign("T_SHORT", 4, [-1, 0, 1], [Fraction(1, 4), Fraction(1, 2)],
+                                  mode=mode, budget=400, seed=2)
+        # both modes visit lengths 3 and 2; only random mode rebuilds them
+        assert built == lengths
+        assert all(len(c.f.values) == 2 for r in results for c in r.counterexamples)
+        assert all(r.counterexamples for r in results)
 
 
 def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):

@@ -3,7 +3,8 @@
 The exhaustive searches cannot catch a builder that evaluates the right
 operator at the wrong index set (a shifted hypothesis usually still
 yields a true implication), so every operator-bearing row is re-derived
-here point by point from the oracle sums.
+here point by point from the oracle sums.  The rows must also nest across
+lengths, which the one-tree search reads every shorter length from.
 """
 
 import math
@@ -11,9 +12,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discfrac import monotone
 from discfrac.backends import RATIONAL
-from discfrac.monotone import evaluate_theorem, make_case, min_live_length
+from discfrac.grids import Direction
+from discfrac.monotone import (
+    THEOREMS,
+    TheoremStatement,
+    _row_matrices,
+    declare,
+    default_orders,
+    evaluate_theorem,
+    make_case,
+    min_live_length,
+)
 
 import oracles
 
@@ -208,3 +222,64 @@ class TestBackwardRows:
                 w2 = oracles.gr(2 - order, lag - 1) / math.factorial(lag - 1)
                 bound -= w2 * (fmap[b] - fmap[b - 1])
             assert val == cap + bound
+
+
+# ---------------------------------------------------------------------------
+# rows nest across lengths
+
+NEST_LENGTH = 8
+ANCHORS = [0, 3, Fraction(1, 2)]
+
+
+def nesting_mismatches(tid, order, anchor):
+    """(length, block) pairs whose length-d rows differ, as a set of (primitive
+    integer row, float row) pairs, from the length-8 rows of level < d (no
+    nonzero coefficient at d or past it) cut to their first d coefficients."""
+    full = _row_matrices(tid, NEST_LENGTH, order, 64, anchor)
+    bad = []
+    for d in range(min_live_length(tid), NEST_LENGTH):
+        short = _row_matrices(tid, d, order, 64, anchor)
+        for name, big, small in zip(("hypothesis", "conclusion"), full, short):
+            cut = {(tuple(s[:d]), tuple(f[:d]))
+                   for s, f in zip(big.scaled, big.floats.tolist()) if not any(s[d:])}
+            if cut != {(tuple(s), tuple(f)) for s, f in zip(small.scaled, small.floats.tolist())}:
+                bad.append((d, name))
+    return bad
+
+
+@pytest.mark.parametrize("tid", list(THEOREMS))
+class TestRowsNest:
+    def test_rows_nest_across_lengths(self, tid):
+        # each default order at one of the anchors
+        for order, anchor in zip(default_orders(tid), ANCHORS):
+            assert nesting_mismatches(tid, order, anchor) == []
+
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_rows_nest_at_drawn_orders(self, tid, data):
+        lo, hi = THEOREMS[tid].order_range
+        order = data.draw(st.fractions(min_value=lo, max_value=hi, max_denominator=12)
+                          .filter(lambda x: lo < x < hi))
+        assert nesting_mismatches(tid, order, data.draw(st.sampled_from(ANCHORS))) == []
+
+
+def _last_value(case):
+    # reads the last stored value, whatever the length
+    return [("last", case.f.values[-1])]
+
+
+def _running_mean(case):
+    # every coefficient depends on the length
+    v = case.f.values
+    return [("mean", Fraction(1, len(v)) * sum(v[1:], v[0]))]
+
+
+@pytest.mark.parametrize("hyp,concl", [
+    ([monotone._start], [_last_value]),
+    ([monotone._start, _running_mean], [monotone._pair(0)]),
+])
+def test_a_row_kind_that_does_not_nest_is_caught(monkeypatch, hyp, concl):
+    stmt = TheoremStatement("T_LOOSE", "test statement", (0, 1), Direction.FORWARD, 0,
+                            False, 2, declare(hyp, concl))
+    monkeypatch.setitem(THEOREMS, "T_LOOSE", stmt)
+    assert nesting_mismatches("T_LOOSE", Fraction(1, 2), 0)
