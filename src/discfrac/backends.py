@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BackendOverflow, UnitMismatch
+from .errors import BackendOverflow, DomainError, UnitMismatch
 
 DEFAULT_BIT_CAP = 4096
 
@@ -169,9 +169,13 @@ class FloatBackend:
     exact = False
 
     def scalar(self, x) -> float:
-        if isinstance(x, str):
-            return float(Fraction(x))
-        return float(x)
+        exact = Fraction(x) if isinstance(x, str) else x
+        try:
+            return float(exact)
+        except OverflowError:
+            size = math.log10(abs(exact.numerator)) - math.log10(exact.denominator)
+            sign = "-" if exact < 0 else ""
+            raise DomainError(f"value {sign}1e{size:.0f} lies outside the double range") from None
 
     zero = 0.0
     one = 1.0

@@ -175,8 +175,8 @@ def cmd_check(args) -> int:
             raise DomainError(str(exc)) from exc
     if args.instances < 1:
         raise ValueError("--instances must be at least 1")
-    if args.tolerance <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < args.tolerance < float("inf"):
+        raise DomainError("tolerance must be positive and finite")
     with fault_injection(1 + 1e-6) if args.inject_error else contextlib.nullcontext():
         results = run_identity_suite(ids, instances=args.instances, seed=args.seed,
                                      backend=backend, tolerance=args.tolerance)

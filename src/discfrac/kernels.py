@@ -222,12 +222,18 @@ def _float_weight(beta: float, lag: int) -> float:
 
 
 def kernel_vector(beta, count: int, backend=FLOATING) -> list:
-    """Weights ``[w(beta, 0), ..., w(beta, count-1)]``."""
+    """Weights ``[w(beta, 0), ..., w(beta, count-1)]``; for exact beta = p/q each
+    weight is the last times (p + q*(lag-1)) / (q*lag), formed in integers."""
+    if count < 0:
+        raise DomainError("kernel count must be nonnegative")
     if backend.exact:
         bf = as_fraction(beta)
-        out = [Fraction(1)]
+        p, q = bf.numerator, bf.denominator
+        out = [Fraction(1)][:count]
         for lag in range(1, count):
-            out.append(backend.guard(out[-1] * (bf + lag - 1) / lag))
+            w = out[-1]
+            out.append(backend.guard(Fraction(w.numerator * (p + q * (lag - 1)),
+                                              w.denominator * q * lag)))
     else:
         b = float(beta)
         out = [_float_weight(b, lag) for lag in range(count)]

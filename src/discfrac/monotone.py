@@ -854,7 +854,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     values_exact = [as_fraction(v) for v in value_set]
     value_scale = math.lcm(*(v.denominator for v in values_exact))
     value_ints = [int(v * value_scale) for v in values_exact]
-    value_floats = np.array([float(v) for v in values_exact])
+    value_floats = np.array([FLOATING.scalar(v) for v in values_exact])
     hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
     k = len(values_exact)

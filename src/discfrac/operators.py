@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,7 +107,17 @@ def _require_direction(spec: OperatorSpec, f: GridFunction) -> None:
         )
 
 
+def _cleared(values):
+    """``(nums, d)`` with ``values[i] == nums[i] / d`` for d the LCM of the
+    denominators, or None unless every value is a Fraction."""
+    if not all(isinstance(v, Fraction) for v in values):
+        return None
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _convolve(weights, values, skip_first: bool) -> list:
+    """out[m] = sum of weights[m-j] * values[j] over j <= m (j >= 1 with skip_first)."""
     lo = 1 if skip_first else 0
     out = []
     for m in range(len(values)):
@@ -120,25 +131,42 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
+def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list:
+    """Values of f through its ``pre``-th storage difference, the
+    convolution with w(beta, .) (none when beta is 0) and a ``post``-th
+    storage difference.
+
+    Exact values are cleared to integers over one denominator, and so is
+    the kernel; every step then runs in Python ints and each output is one
+    Fraction.  Floats and the coefficient vectors of the symbolic row pass
+    run the same steps through ``_convolve``.
+    """
+    cleared = _cleared(f.values)
+    vals, den = cleared if cleared is not None else (f.values, 1)
+    vals = storage_difference(vals, pre)
+    if beta != 0:
+        w = kernel_vector(f.backend.scalar(beta), len(vals), f.backend)
+        if cleared is None:
+            vals = _convolve(w, list(vals), skip_first)
+        else:
+            w, d = _cleared(w)
+            if skip_first:
+                vals = (0,) + vals[1:]
+            vals = [sum(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
+            den *= d
+    vals = storage_difference(vals, post)
+    return list(vals) if cleared is None else [Fraction(x, den) for x in vals]
+
+
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """Fractional sum of order alpha; see the module table for domains."""
     if spec.family is not Family.SUM:
         raise DomainError("fractional_sum needs a spec with family=sum")
     _require_direction(spec, f)
     alpha = spec.order
-    w = kernel_vector(f.backend.scalar(alpha), f.length, f.backend)
-    if spec.kind is Kind.DELTA:
-        vals = _convolve(w, f.values, skip_first=False)
-        origin = f.shift_origin(alpha)
-    else:
-        vals = _convolve(w, f.values, skip_first=True)
-        origin = f.origin
-    return f.with_values(vals, origin=origin)
-
-
-def _inner_sum_values(order, f: GridFunction, skip_first: bool) -> list:
-    w = kernel_vector(f.backend.scalar(order), f.length, f.backend)
-    return _convolve(w, f.values, skip_first=skip_first)
+    delta = spec.kind is Kind.DELTA
+    vals = _pipeline(f, alpha, skip_first=not delta)
+    return f.with_values(vals, origin=f.shift_origin(alpha) if delta else f.origin)
 
 
 def riemann_difference(
@@ -160,8 +188,8 @@ def riemann_difference(
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     beta = Fraction(n) - alpha
     delta = spec.kind is Kind.DELTA
-    inner = f.values if beta == 0 else _inner_sum_values(beta, f, skip_first=not delta)
-    return f.with_values(storage_difference(inner, n), origin=f.shift_origin(beta if delta else n))
+    vals = _pipeline(f, beta, skip_first=not delta, post=n)
+    return f.with_values(vals, origin=f.shift_origin(beta if delta else n))
 
 
 def _nabla_single_sum(f: GridFunction, alpha) -> GridFunction:
@@ -170,33 +198,19 @@ def _nabla_single_sum(f: GridFunction, alpha) -> GridFunction:
     to the signed binomial row (the limit of the non-integer form)."""
     if f.length < 2:
         raise GridTooShort("grid too short for the single-sum difference form")
-    w = kernel_vector(f.backend.scalar(-as_fraction(alpha)), f.length, f.backend)
-    out = []
-    for m in range(f.length - 1):
-        top = m + 1
-        acc = w[top - 1] * f.values[1]
-        for j in range(2, top + 1):
-            acc = acc + w[top - j] * f.values[j]
-        out.append(acc)
-    return f.with_values(out, origin=f.shift_origin(1))
+    vals = _pipeline(f, -as_fraction(alpha), skip_first=True)[1:]
+    return f.with_values(vals, origin=f.shift_origin(1))
 
 
 def _riemann_direct(spec: OperatorSpec, f: GridFunction, extended: bool) -> GridFunction:
     n = spec.n
     alpha = spec.order
     if spec.kind is Kind.DELTA:
-        w = kernel_vector(f.backend.scalar(-alpha), f.length, f.backend)
         q = 1 if extended else n
-        if f.length < q + 1:
+        vals = _pipeline(f, -alpha)[q:]
+        if not vals:
             raise GridTooShort("grid too short for the direct difference form")
-        out = []
-        for m in range(f.length - q):
-            top = q + m
-            acc = w[top] * f.values[0]
-            for j in range(1, top + 1):
-                acc = acc + w[top - j] * f.values[j]
-            out.append(acc)
-        return f.with_values(out, origin=f.shift_origin(q - alpha))
+        return f.with_values(vals, origin=f.shift_origin(q - alpha))
     grid = _nabla_single_sum(f, alpha)
     if extended:
         return grid
@@ -219,10 +233,7 @@ def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     beta = Fraction(n) - alpha
-    vals = storage_difference(f.values, n)
-    if beta != 0:
-        w = kernel_vector(f.backend.scalar(beta), len(vals), f.backend)
-        vals = _convolve(w, list(vals), skip_first=False)
+    vals = _pipeline(f, beta, pre=n)
     # the nabla inner sum is anchored one step before the differenced grid
     return f.with_values(vals, origin=f.shift_origin(beta if spec.kind is Kind.DELTA else n))
 
@@ -250,28 +261,24 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         # k-th storage difference at the first point: the forward difference
         # at the origin, or on backward grids the signed one
         anchors = [storage_difference(f.values, k)[0] for k in range(n)]
-        out = []
-        for m, r in enumerate(riem.values):
-            corr = None
-            for k in range(n):
-                c = binomial_weight(Fraction(k + 1) - alpha, n + m - k, backend) * anchors[k]
-                corr = c if corr is None else corr + c
-            out.append(r - corr)
-        return riem.with_values(out)
-    # nabla: Riemann side anchored n-1 steps inward, on its extended domain.
-    # The single-sum form is used for every order: at integer orders the
-    # stated correction terms are pole-over-pole and this together with the
-    # fused correction weights realizes their limiting values.
-    trimmed = f.drop_leading(n - 1) if n > 1 else f
-    riem = _nabla_single_sum(trimmed, alpha)
-    anchors = []
-    for k in range(n):
-        anchors.append(storage_difference(f.values, k)[n - 1 - k])
+        first_lags = [n - k for k in range(n)]
+    else:
+        # nabla: Riemann side anchored n-1 steps inward, on its extended
+        # domain.  The single-sum form is used for every order: at integer
+        # orders the stated correction terms are pole-over-pole and this
+        # together with the fused correction weights realizes their limits.
+        trimmed = f.drop_leading(n - 1) if n > 1 else f
+        riem = _nabla_single_sum(trimmed, alpha)
+        anchors = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
+        first_lags = [0] * n
+    # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
+    weights = [kernel_vector(backend.scalar(k + 1 - alpha), lag + riem.length, backend)[lag:]
+               for k, lag in enumerate(first_lags)]
     out = []
     for m, r in enumerate(riem.values):
         corr = None
         for k in range(n):
-            c = binomial_weight(Fraction(k + 1) - alpha, m, backend) * anchors[k]
+            c = weights[k][m] * anchors[k]
             corr = c if corr is None else corr + c
         out.append(r - corr)
     return riem.with_values(out)
@@ -296,8 +303,7 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     cap = caputo_difference(spec, f)
     # anchored sum of the Caputo output: full convolution, origin kept,
     # plus the conventional zero at the anchor point itself
-    w = kernel_vector(backend.scalar(alpha), cap.length, backend)
-    summed = [backend.zero] + _convolve(w, list(cap.values), skip_first=False)
+    summed = [backend.zero] + _pipeline(cap, alpha)
     anchor_index = n - 1
     taylor_coeffs = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
     out = []

@@ -2,12 +2,17 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from discfrac import monotone
 from discfrac.cli import main
 
 # sha256 of the acceptance campaign's report lines without min_conclusion_margin
 CAMPAIGN_DIGEST = "50180a1a97419e7069e0e07d35d7702f9943da95fb780046b8488ac4f90c09ca"
+# sha256 of `check --all --instances 200 --seed 0 --backend rational`: every
+# residual is exact, so the whole report is machine-independent
+RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e0892288fec1375"
 
 
 def write(tmp_path, name, text):
@@ -150,8 +155,29 @@ class TestInputContract:
     def test_nonpositive_tolerance_and_budget_are_domain_errors(self, capsys):
         assert main(["check", "--id", "Q_SUM_DELTA", "--tolerance", "0"]) == 3
         assert "tolerance must be positive" in capsys.readouterr().err
+        for text in ("nan", "inf", "1e400"):
+            assert main(["check", "--id", "Q_SUM_DELTA", "--tolerance", text]) == 3
+            assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert main(["theorems", "--id", "T_U1", "--budget", "0"]) == 3
         assert "budget must be positive" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", [
+        ["apply", "--input", "BIG", "--kind", "delta", "--family", "sum", "--order", "1/2"],
+        ["apply", "--input", "ONES", "--kind", "delta", "--family", "sum", "--order", "1e400"],
+        ["apply", "--input", "CSV", "--kind", "nabla", "--family", "caputo", "--order", "1/3"],
+        ["theorems", "--id", "T_U1", "--length", "3", "--values", "1e400,0"],
+        ["theorems", "--id", "T_U1", "--length", "3", "--values", "-1e400,0", "--random"],
+    ])
+    def test_value_outside_double_range_is_domain_error(self, tmp_path, capsys, command):
+        big = write(tmp_path, "big.json", json.dumps(
+            {"origin": "0", "direction": "forward", "values": ["1", "1e400", "2"]}))
+        csv = write(tmp_path, "big.csv", "0,1\n1,-1e400\n2,0\n")
+        files = {"BIG": big, "CSV": csv, "ONES": ones_json(tmp_path)}
+        assert main([files.get(arg, arg) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert "1e400 lies outside the double range" in err
+        assert "Traceback" not in err
 
 
 class TestCheck:
@@ -177,6 +203,21 @@ class TestCheck:
         code = main(["check", "--all", "--instances", "3", "--inject-error",
                      "--report", str(tmp_path / "r.jsonl")])
         assert code == 1
+
+    def test_inject_error_fails_on_the_exact_backend(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        code = main(["check", "--all", "--instances", "3", "--inject-error",
+                     "--backend", "rational", "--report", str(report)])
+        assert code == 1
+        failed = [json.loads(line) for line in report.read_text().splitlines()]
+        failed = [rec for rec in failed if not rec["pass"]]
+        assert failed and all(rec["max_residual"] != "0" for rec in failed)
+
+    def test_rational_report_is_pinned(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        assert main(["check", "--all", "--instances", "200", "--seed", "0",
+                     "--backend", "rational", "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == RATIONAL_CHECK_DIGEST
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_is_usage_error(self, tmp_path, capsys, instances):
@@ -338,3 +379,69 @@ class TestTheorems:
 def test_usage_error_exit_code():
     assert main(["apply", "--kind", "delta"]) == 2
     assert main([]) == 2
+
+
+# malformed input for the fuzz test: numbers outside the double range, NaN,
+# infinities, zero denominators and plain junk next to well-formed values
+number_text = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "1e-400", "nan", "inf", "-inf", "1/0", "0", "-0",
+                     "1/3", "2.5", "3/-4", "", " ", "abc", "0x10", "1_0", "1..2", "--1"]),
+    st.integers(-4, 4).map(str),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).map(str),
+    st.text(max_size=4),
+)
+json_value = st.one_of(number_text, st.integers(-3, 3), st.floats(), st.none(),
+                       st.lists(number_text, max_size=2))
+
+
+@st.composite
+def input_file(draw):
+    """(file name, text) of a JSON record or CSV table, well formed or not."""
+    shape = draw(st.sampled_from(["json", "csv", "text"]))
+    if shape == "json":
+        record = draw(st.fixed_dictionaries(
+            {}, optional={"origin": json_value,
+                          "direction": st.sampled_from(["forward", "backward", "up", 1]),
+                          "values": st.one_of(st.lists(json_value, max_size=6), json_value)}))
+        return "f.json", json.dumps(record)
+    if shape == "csv":
+        rows = draw(st.lists(st.lists(number_text, min_size=1, max_size=3), max_size=6))
+        return "f.csv", "".join(",".join(row) + "\n" for row in rows)
+    return draw(st.sampled_from(["f.json", "f.csv", "f.txt"])), draw(st.text(max_size=30))
+
+
+@st.composite
+def cli_command(draw):
+    command = draw(st.sampled_from(["apply", "check", "theorems"]))
+    if command == "apply":
+        return ["apply", "--input", "INPUT",
+                "--kind", draw(st.sampled_from(["delta", "nabla"])),
+                "--side", draw(st.sampled_from(["left", "right"])),
+                "--family", draw(st.sampled_from(["sum", "riemann", "caputo"])),
+                "--form", draw(st.sampled_from(["composed", "direct"])),
+                "--order", draw(number_text),
+                "--backend", draw(st.sampled_from(["floating", "rational"])),
+                *draw(st.sampled_from([[], ["--extended"]]))]
+    if command == "check":
+        return ["check", "--id", draw(st.sampled_from(["Q_SUM_DELTA", "CAPUTO_INVERSION", "X"])),
+                "--instances", draw(st.sampled_from(["1", "2", "0", "-1", "x", "1e400"])),
+                "--tolerance", draw(number_text),
+                "--backend", draw(st.sampled_from(["floating", "rational"]))]
+    return ["theorems", "--id", draw(st.sampled_from(["T_U1", "T_JEP1", "T_NOPE"])),
+            "--length", draw(st.sampled_from(["1", "3", "4", "0", "-2", "x"])),
+            "--values", draw(st.one_of(st.lists(number_text, min_size=1, max_size=3)
+                                       .map(",".join), st.sampled_from(["-1..1", "2..1", "a..b"]))),
+            *draw(st.sampled_from([[], ["--nu", "1/2"], ["--nu", "nan"], ["--nu", "1e400"]])),
+            "--budget", draw(st.sampled_from(["100", "0", "x"])),
+            *draw(st.sampled_from([[], ["--random"]]))]
+
+
+@given(command=cli_command(), source=input_file())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_input_never_escapes_the_exit_codes(tmp_path, capsys, command, source):
+    name, text = source
+    path = write(tmp_path, name, text)
+    code = main([path if arg == "INPUT" else arg for arg in command])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

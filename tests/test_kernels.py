@@ -144,6 +144,26 @@ class TestSumKernel:
         for lag, w in enumerate(vec):
             assert w == oracles.ratio_coeff(lag, beta)
 
+    @pytest.mark.parametrize("backend", [FLOATING, RATIONAL])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    def test_kernel_vector_has_count_weights(self, backend, count):
+        assert len(kernel_vector(Fraction(1, 3), count, backend)) == count
+
+    @pytest.mark.parametrize("backend", [FLOATING, RATIONAL])
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_kernel_vector_rejects_negative_count(self, backend, count):
+        with pytest.raises(DomainError):
+            kernel_vector(Fraction(1, 3), count, backend)
+
+    @given(beta=st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+           count=st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_recurrence_matches_oracle(self, beta, count):
+        # negative, integer and above-one orders, poles included
+        vec = kernel_vector(beta, count, RATIONAL)
+        assert vec == [oracles.ratio_coeff(lag, beta) for lag in range(count)]
+        assert all(type(w) is Fraction for w in vec)
+
     def test_backend_agreement(self):
         for den in range(2, 13):
             beta = Fraction(den + 1, den)
@@ -218,6 +238,15 @@ class TestBackends:
         assert a > 0
         assert (-a) < 0
         assert float(abs(-a)) == pytest.approx(float(a))
+
+    def test_kernel_guard_fires_at_the_first_weight_past_the_cap(self):
+        beta = Fraction(1, 7)
+        tight = RationalBackend(bit_cap=64)
+        first = next(lag for lag in range(60)
+                     if oracles.ratio_coeff(lag, beta).denominator.bit_length() > 64)
+        assert len(kernel_vector(beta, first, tight)) == first
+        with pytest.raises(BackendOverflow):
+            kernel_vector(beta, first + 1, tight)
 
     def test_fault_injection_changes_weights(self):
         clean = binomial_weight(0.5, 3, FLOATING)

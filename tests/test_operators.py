@@ -1,12 +1,15 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from discfrac.backends import FLOATING, RATIONAL
-from discfrac.errors import DirectFormIntegerOrder, DomainError, GridTooShort
+from discfrac import operators
+from discfrac.backends import FLOATING, RATIONAL, RationalBackend
+from discfrac.errors import BackendOverflow, DirectFormIntegerOrder, DomainError, GridTooShort
+from discfrac.dualities import run_identity_suite
 from discfrac.grids import Direction, integer_difference, make_grid_function
 from discfrac.operators import (
     Family,
@@ -396,3 +399,187 @@ class TestAlgebraicProperties:
         f = forward([1, 2, 0, 3, 1, 2])
         res = semigroup_diagnostic(f, Fraction(1, 2), Fraction(1, 3))
         assert max(abs(v) for v in res.values) == 0
+
+
+# every (kind, side, family, form, extended) pipeline with its oracle; the
+# direct nabla forms and the nabla composed differences share the single-sum
+# oracle, which is valid from one step past the anchor on
+PIPELINES = [
+    (Kind.DELTA, Side.LEFT, Family.SUM, Formulation.COMPOSED, False, oracles.delta_left_sum),
+    (Kind.DELTA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, False, oracles.delta_right_sum),
+    (Kind.NABLA, Side.LEFT, Family.SUM, Formulation.COMPOSED, False, oracles.nabla_left_sum),
+    (Kind.NABLA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, False, oracles.nabla_right_sum),
+    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED, False,
+     oracles.delta_left_riemann),
+    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED, False,
+     oracles.delta_right_riemann),
+    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED, False,
+     oracles.nabla_left_riemann),
+    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED, False,
+     oracles.nabla_right_riemann),
+    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, False,
+     oracles.delta_left_riemann_direct),
+    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, True,
+     oracles.delta_left_riemann_direct),
+    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, False,
+     oracles.delta_right_riemann_direct),
+    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, True,
+     oracles.delta_right_riemann_direct),
+    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, False,
+     oracles.nabla_left_riemann),
+    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, True,
+     oracles.nabla_left_riemann),
+    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, False,
+     oracles.nabla_right_riemann),
+    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, True,
+     oracles.nabla_right_riemann),
+    (Kind.DELTA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED, False,
+     oracles.delta_left_caputo),
+    (Kind.DELTA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED, False,
+     oracles.delta_right_caputo),
+    (Kind.NABLA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED, False,
+     oracles.nabla_left_caputo),
+    (Kind.NABLA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED, False,
+     oracles.nabla_right_caputo),
+]
+
+# orders p/q with q <= 12 in (0, 3], integers included
+exact_orders = st.integers(1, 12).flatmap(
+    lambda q: st.integers(1, 3 * q).map(lambda p: Fraction(p, q)))
+mixed_values = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+def both_grids(values, a, backend=RATIONAL):
+    """The same function stored forward from ``a`` and backward from ``b``."""
+    b = a + len(values) - 1
+    f = make_grid_function(a, Direction.FORWARD, values, backend)
+    g = make_grid_function(b, Direction.BACKWARD, list(reversed(values)), backend)
+    return f, g, b
+
+
+def expected_length(family, form, extended, length, n):
+    if family is Family.SUM:
+        return length
+    if form is Formulation.DIRECT and extended:
+        return length - 1
+    return length - n
+
+
+@pytest.fixture
+def memo_oracles(monkeypatch):
+    """The oracles' literal weight products, computed once per (lag, beta)."""
+    monkeypatch.setattr(oracles, "ratio_coeff", functools.lru_cache(oracles.ratio_coeff))
+
+
+def evaluate(op, grid, extended, relation=False):
+    """Output of one pipeline, or None when the grid is too short for it."""
+    try:
+        if relation:
+            return caputo_from_riemann(op, grid)
+        return apply_operator(op, grid, extended=extended)
+    except GridTooShort:
+        assert grid.length < op.n + 1
+        return None
+
+
+class TestIntegerPath:
+    """The exact backend's fraction-free pipelines against the literal sums
+    of ``oracles``, on grids of 1 to 40 points."""
+
+    @given(values=st.lists(mixed_values, min_size=1, max_size=40),
+           alpha=exact_orders, a=st.integers(-3, 3))
+    @example(values=[Fraction(3, 7)], alpha=Fraction(1, 2), a=0)
+    @example(values=[Fraction(k - 20, k % 12 + 1) for k in range(40)],
+             alpha=Fraction(31, 12), a=1)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_pipeline_matches_oracles(self, memo_oracles, values, alpha, a):
+        f, g, b = both_grids(values, Fraction(a))
+        fmap = f.mapping()
+        n = order_ceiling(alpha)
+        for kind, side, family, form, extended, oracle in PIPELINES:
+            if form is Formulation.DIRECT and alpha.denominator == 1:
+                continue
+            left = side is Side.LEFT
+            grid, anchor = (f, f.origin) if left else (g, b)
+            op = spec(kind, side, family, alpha, form)
+            runs = [False, True] if family is Family.CAPUTO else [False]
+            for relation in runs:
+                out = evaluate(op, grid, extended, relation)
+                if out is None:
+                    continue
+                assert out.length == expected_length(family, form, extended, len(values), n)
+                assert out.values == tuple(oracle(fmap, anchor, alpha, p) for p in out.points())
+                assert all(type(v) is Fraction for v in out.values)
+
+    def test_exact_scalars_skip_the_generic_loop(self, monkeypatch):
+        def generic_loop(*args):
+            raise AssertionError("an exact operator reached the Fraction loop")
+
+        monkeypatch.setattr(operators, "_convolve", generic_loop)
+        results = run_identity_suite(instances=3, seed=4, backend=RATIONAL)
+        assert all(r.passed for r in results)
+        with pytest.raises(AssertionError, match="Fraction loop"):
+            run_identity_suite(instances=1, backend=FLOATING)
+
+    @given(values=st.lists(mixed_values, min_size=1, max_size=40),
+           alpha=exact_orders, a=st.integers(-3, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_inversion_residual_vanishes(self, values, alpha, a):
+        f, g, _ = both_grids(values, Fraction(a))
+        for grid, side in ((f, Side.LEFT), (g, Side.RIGHT)):
+            if len(values) < order_ceiling(alpha) + 1:
+                with pytest.raises(GridTooShort):
+                    caputo_inversion_residual(grid, alpha, side)
+                continue
+            res = caputo_inversion_residual(grid, alpha, side)
+            assert res.values == (0,) * res.length
+
+    @given(values=st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12)),
+                           min_size=1, max_size=40),
+           alpha=exact_orders.filter(lambda x: x.denominator > 1))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_overflow_iff_an_oracle_weight_exceeds_the_cap(self, memo_oracles, values, alpha):
+        """At a 64-bit cap an operator raises BackendOverflow exactly when a
+        kernel weight w(beta, lag) it reads, lag below its kernel length,
+        has a numerator or denominator past 64 bits."""
+        tight = RationalBackend(bit_cap=64)
+        f, g, _ = both_grids(values, Fraction(0), tight)
+        length, n = len(values), order_ceiling(alpha)
+
+        def kernels(family, form):
+            if family is Family.SUM:
+                return [(alpha, length)]
+            if form is Formulation.DIRECT:
+                return [(-alpha, length)]
+            if family is Family.RIEMANN:
+                return [(n - alpha, length)]
+            return [(n - alpha, length - n)]
+
+        def relation_kernels(kind):
+            riemann = (n - alpha, length) if kind is Kind.DELTA else (-alpha, length - n + 1)
+            corrections = [(k + 1 - alpha, length - k if kind is Kind.DELTA else length - n)
+                           for k in range(n)]
+            return [riemann] + corrections
+
+        def exceeds(kernel_list):
+            return any(max(w.numerator.bit_length(), w.denominator.bit_length()) > 64
+                       for beta, count in kernel_list for w in
+                       (oracles.ratio_coeff(lag, beta) for lag in range(count)))
+
+        cases = [(kind, side, family, form, extended, kernels(family, form), False)
+                 for kind, side, family, form, extended, _ in PIPELINES]
+        cases += [(kind, side, Family.CAPUTO, Formulation.COMPOSED, False,
+                   relation_kernels(kind), True)
+                  for kind in Kind for side in Side]
+        for kind, side, family, form, extended, kernel_list, relation in cases:
+            grid = f if side is Side.LEFT else g
+            op = spec(kind, side, family, alpha, form)
+            try:
+                out = evaluate(op, grid, extended, relation)
+            except BackendOverflow:
+                assert exceeds(kernel_list), (kind, side, family, form)
+                continue
+            if out is not None:
+                assert not exceeds(kernel_list), (kind, side, family, form)
