@@ -14,6 +14,7 @@ decided by the rational coefficient alone.
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
@@ -162,7 +163,25 @@ class GammaValue:
         return a >= b
 
 
-class FloatBackend:
+class _Backend:
+    """What both backends share: an optional table of kernels."""
+
+    kernels = None  # see run_scoped()
+
+    def run_scoped(self, kernel_length: int):
+        """A copy of this backend that owns an empty kernel table.
+
+        ``kernels.kernel`` builds each kernel for grids on the copy once, at
+        ``kernel_length`` weights, keeps it in the table and serves later
+        calls a prefix.  The table lives as long as the copy does, which is
+        one run of the identity suite.
+        """
+        run = copy.copy(self)
+        run.kernels, run.kernel_length = {}, kernel_length
+        return run
+
+
+class FloatBackend(_Backend):
     """IEEE double-precision scalars."""
 
     name = "floating"
@@ -187,7 +206,7 @@ class FloatBackend:
         return "FloatBackend()"
 
 
-class RationalBackend:
+class RationalBackend(_Backend):
     """Arbitrary-precision rational scalars with a configurable bit cap.
 
     Growth past ``bit_cap`` bits in a numerator or denominator raises

@@ -33,6 +33,7 @@ from .dualities import (
     run_identity_suite,
 )
 from .errors import (
+    BackendOverflow,
     BudgetExceeded,
     DirectFormIntegerOrder,
     DiscfracError,
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, GridTooShort, EmptyValues) as exc:
+    except (DomainError, GridTooShort, EmptyValues, BackendOverflow) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (DiscfracError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

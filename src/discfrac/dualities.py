@@ -5,6 +5,16 @@ stated index set, asserts that both computations land on exactly that
 index set (an off-by-one in a domain is reported as a failure, never
 absorbed into a tolerance), and reports pointwise residuals.
 
+The pairing works in storage index space.  Once both output origins
+have been checked exactly, the stated index set is a range of storage
+indices, and both sides are read by slicing; a Q identity reads its
+right-hand side at a fixed integer index shift instead of reflecting it
+point by point.  The points themselves are formed only when a report's
+``residuals`` are read.  Equal exact sides record zero residuals without
+a subtraction.  ``run_identity_suite`` puts its grids on a
+``run_scoped()`` copy of the backend, whose table builds each kernel once
+per call; nothing of it outlives the call.
+
 Tolerance policy: the rational backend must produce residuals that are
 exactly zero; the floating backend uses an absolute tolerance for values
 of magnitude up to one and a relative tolerance above that.
@@ -13,6 +23,7 @@ of magnitude up to one and a relative tolerance above that.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +31,7 @@ from typing import Callable
 
 from .backends import FLOATING, as_fraction
 from .errors import DomainError
-from .grids import Direction, GridFunction, make_grid_function, q_reflect
+from .grids import Direction, GridFunction, make_grid_function
 from .operators import (
     Family,
     Kind,
@@ -93,7 +104,9 @@ def _past_anchor(f):
 
 
 def _reflected(f):
-    return q_reflect(f, f.origin, f.far_point)
+    # (Qf)(s) = f(a + b - s) on the forward grid {a..b}: the same grid with
+    # its values reversed
+    return f.with_values(f.values[::-1])
 
 
 _D, _N = Kind.DELTA, Kind.NABLA
@@ -156,11 +169,20 @@ class CheckReport:
     identity: IdentityId
     order: Fraction
     grid: str
-    residuals: list = field(default_factory=list)
+    # residual values on the stated index set, whose points run from
+    # ``first`` in steps of ``step`` (1 or -1)
+    values: list = field(default_factory=list)
+    first: Fraction = Fraction(0)
+    step: int = 1
     max_abs_residual: object = 0
     passed: bool = True
     tolerance: float = DEFAULT_TOLERANCE
     backend: str = "floating"
+
+    @property
+    def residuals(self) -> list:
+        """(point, residual) pairs on the stated index set."""
+        return [(self.first + self.step * i, r) for i, r in enumerate(self.values)]
 
     def as_record(self) -> dict:
         return {
@@ -169,7 +191,7 @@ class CheckReport:
             "grid": self.grid,
             "max_abs_residual": str(self.max_abs_residual),
             "pass": self.passed,
-            "points": len(self.residuals),
+            "points": len(self.values),
             "backend": self.backend,
         }
 
@@ -181,28 +203,29 @@ def _residual_ok(res, lhs, rhs, backend, tol) -> bool:
     return abs(res) <= tol * scale
 
 
-def _build_report(identity, order, f, pairs, tolerance) -> CheckReport:
-    """pairs: list of (point, lhs_value, rhs_value)."""
+def _build_report(identity, order, f, stated, start, lhs, rhs, tolerance) -> CheckReport:
+    """Residuals ``lhs - rhs`` on the stated index set, which is the storage
+    of the grid ``stated`` from index ``start`` on."""
     backend = f.backend
-    report = CheckReport(
+    if backend.exact and lhs == rhs:
+        # equal exact sides: every residual is zero, nothing to compare
+        values, largest, ok = [backend.zero] * len(lhs), abs(backend.zero), True
+    else:
+        values = list(map(operator.sub, lhs, rhs))
+        largest = max([abs(backend.zero), *map(abs, values)])
+        ok = all(_residual_ok(*v, backend, tolerance) for v in zip(values, lhs, rhs))
+    return CheckReport(
         identity=identity,
         order=as_fraction(order),
         grid=f"{f.direction.value} origin={f.origin} length={f.length}",
+        values=values,
+        first=stated.point(start),
+        step=1 if stated.direction is Direction.FORWARD else -1,
+        max_abs_residual=largest,
+        passed=ok,
         tolerance=tolerance,
         backend=backend.name,
     )
-    worst = backend.zero
-    ok = True
-    for point, lhs, rhs in pairs:
-        res = lhs - rhs
-        report.residuals.append((point, res))
-        if abs(res) > abs(worst):
-            worst = res
-        if not _residual_ok(res, lhs, rhs, backend, tolerance):
-            ok = False
-    report.max_abs_residual = abs(worst)
-    report.passed = ok
-    return report
 
 
 def _expect_origin(grid: GridFunction, expected, what: str) -> None:
@@ -212,13 +235,29 @@ def _expect_origin(grid: GridFunction, expected, what: str) -> None:
         )
 
 
-def _paired(points, lhs_values, rhs_values):
+def _paired(points, lhs_values, rhs_values) -> None:
     if not (len(points) == len(lhs_values) == len(rhs_values)):
         raise DomainError(
             f"index sets differ: {len(lhs_values)} vs {len(rhs_values)} values "
             f"for {len(points)} stated points"
         )
-    return list(zip(points, lhs_values, rhs_values))
+
+
+def _reflected_pairs(lhs: GridFunction, rhs: GridFunction, f: GridFunction, start: int):
+    """The values of both sides of a Q identity on the stated index set,
+    lhs storage from ``start`` on, paired through the reflection
+    s -> a + b - s of the forward data grid {a..b}.
+
+    A left operator's output runs forward and a right one's backward, so
+    the lhs point ``o_L + i`` reflects to the rhs point ``o_R - (i + k)``
+    with ``k = o_L + o_R - (a + b)``: the pairs are read by slicing.
+    """
+    k = lhs.origin + rhs.origin - (f.origin + f.far_point)
+    if k.denominator != 1 or not (0 <= start + k and lhs.length + k <= rhs.length):
+        raise DomainError(f"the reflected right-hand side misses the stated index set "
+                          f"(index shift {k})")
+    k = int(k)
+    return lhs.values[start:], rhs.values[start + k:lhs.length + k]
 
 
 def _inward(g: GridFunction, offset: tuple, n: int, alpha: Fraction) -> Fraction:
@@ -247,13 +286,13 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     _expect_origin(rhs, _inward(rhs_input if reflect else f, row.origins[1], n, alpha),
                    f"{which.value} right-hand side")
     _expect_origin(lhs, _inward(f, row.origins[0], n, alpha), f"{which.value} left-hand side")
+    start = row.points
     if reflect:
-        rhs = q_reflect(rhs, f.origin, f.far_point)
-        points = lhs.points()[row.points:]
-        pairs = _paired(points, lhs.values[row.points:], [rhs.value_at(p) for p in points])
+        stated, (lhs_values, rhs_values) = lhs, _reflected_pairs(lhs, rhs, f, start)
     else:
-        pairs = _paired(rhs.points()[row.points:], lhs.values, rhs.values[row.points:])
-    return _build_report(which, alpha, f, pairs, tolerance)
+        stated, lhs_values, rhs_values = rhs, lhs.values, rhs.values[start:]
+    _paired(range(start, stated.length), lhs_values, rhs_values)
+    return _build_report(which, alpha, f, stated, start, lhs_values, rhs_values, tolerance)
 
 
 def check_delta_nabla_dual(f: GridFunction, order, which: IdentityId,
@@ -293,9 +332,8 @@ def check_relation(f: GridFunction, order, which: IdentityId,
     alpha = as_fraction(order)
     side = Side.LEFT if f.direction is Direction.FORWARD else Side.RIGHT
     res = caputo_inversion_residual(f, alpha, side)
-    zero = f.backend.zero
-    pairs = [(p, v, zero) for p, v in zip(res.points(), res.values)]
-    return _build_report(which, alpha, f, pairs, tolerance)
+    zeros = (f.backend.zero,) * res.length
+    return _build_report(which, alpha, f, res, 0, res.values, zeros, tolerance)
 
 
 _FAMILY_CHECKS = {"dual": check_delta_nabla_dual, "q": check_q_identity,
@@ -309,6 +347,11 @@ def check_identity(f: GridFunction, order, which: IdentityId,
     return _FAMILY_CHECKS[IDENTITIES[which].family](f, order, which, tolerance)
 
 
+# the values p/q (|p| <= 8, 1 <= q <= 4) random_instance draws, at [p + 8][q - 1]
+_DRAWN = tuple(tuple(Fraction(p, q) for q in range(1, 5)) for p in range(-8, 9))
+_DRAWN_FLOAT = tuple(tuple(map(float, row)) for row in _DRAWN)
+
+
 def random_instance(which: IdentityId, rng: random.Random, backend,
                     min_length: int = 4, max_length: int = 12):
     """Seeded (grid, order) instance admissible for the given identity."""
@@ -319,7 +362,8 @@ def random_instance(which: IdentityId, rng: random.Random, backend,
         num += 1
     alpha = Fraction(num, den)
     anchor = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
-    values = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(length)]
+    drawn = _DRAWN if backend.exact else _DRAWN_FLOAT
+    values = [drawn[rng.randint(-8, 8) + 8][rng.randint(1, 4) - 1] for _ in range(length)]
     direction = IDENTITIES[which].direction
     if direction is None:
         direction = Direction.BACKWARD if rng.random() < 0.5 else Direction.FORWARD
@@ -348,9 +392,16 @@ class SuiteResult:
 def run_identity_suite(ids=None, instances: int = 200, seed: int = 0,
                        backend=FLOATING, tolerance: float = DEFAULT_TOLERANCE,
                        min_length: int = 4, max_length: int = 12) -> list[SuiteResult]:
-    """Randomized identity campaign; deterministic for a fixed seed."""
+    """Randomized identity campaign; deterministic for a fixed seed.
+
+    The run's grids carry a ``run_scoped()`` copy of ``backend``, so each
+    kernel is built once per call, long enough for the longest operand (a
+    grid of ``max_length`` with a zero prepended), and dropped when it
+    returns.
+    """
     if ids is None:
         ids = list(IdentityId)
+    backend = backend.run_scoped(max_length + 1)
     results = []
     for which in ids:
         rng = random.Random((seed, which.value).__repr__())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOATING, GammaValue, as_fraction
-from .errors import DomainError, PoleAmbiguous
+from .errors import BackendOverflow, DomainError, PoleAmbiguous
 
 # Multiplier applied to every kernel weight.  Left at 1.0 except inside
 # fault_injection(), which the check harness uses to prove it can detect
@@ -240,6 +240,43 @@ def kernel_vector(beta, count: int, backend=FLOATING) -> list:
     if _FAULT_FACTOR != 1.0:
         out = [v * backend.scalar(_FAULT_FACTOR) for v in out]
     return out
+
+
+def cleared(values):
+    """``(nums, d)`` with ``values[i] == nums[i] / d`` for d the LCM of the
+    denominators, or None unless every value is a Fraction."""
+    if not all(isinstance(v, Fraction) for v in values):
+        return None
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
+    """``kernel_vector(beta, count, backend)``, or with ``as_integers`` its
+    ``cleared`` form; either may hold more than ``count`` weights.
+
+    A backend from ``run_scoped(length)`` keeps each kernel in its table,
+    built at ``length`` weights (more if a call asks for more) and exact
+    ones already cleared, and serves every later call a prefix.  The key
+    holds the fault factor, so a kernel built under ``fault_injection`` is
+    never served outside it.  A build that overflows the bit cap at
+    ``length`` is retried at ``count``, so ``BackendOverflow`` fires on the
+    same calls as without a table.
+    """
+    table = backend.kernels
+    if table is None:
+        weights = kernel_vector(backend.scalar(beta), count, backend)
+        return cleared(weights) if as_integers else weights
+    key = (beta, _FAULT_FACTOR)
+    entry = table.get(key)
+    if entry is None or len(entry[0]) < count:
+        try:
+            weights = kernel_vector(backend.scalar(beta), max(count, backend.kernel_length),
+                                    backend)
+        except BackendOverflow:
+            weights = kernel_vector(backend.scalar(beta), count, backend)
+        entry = table[key] = (weights, cleared(weights) if backend.exact else None)
+    return entry[1] if as_integers else entry[0]
 
 
 @dataclass(frozen=True)

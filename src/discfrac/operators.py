@@ -42,7 +42,7 @@ from fractions import Fraction
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
 from .grids import Direction, GridFunction, storage_difference
-from .kernels import binomial_weight, kernel_vector
+from .kernels import binomial_weight, cleared, kernel
 
 
 class Kind(enum.Enum):
@@ -107,15 +107,6 @@ def _require_direction(spec: OperatorSpec, f: GridFunction) -> None:
         )
 
 
-def _cleared(values):
-    """``(nums, d)`` with ``values[i] == nums[i] / d`` for d the LCM of the
-    denominators, or None unless every value is a Fraction."""
-    if not all(isinstance(v, Fraction) for v in values):
-        return None
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def _convolve(weights, values, skip_first: bool) -> list:
     """out[m] = sum of weights[m-j] * values[j] over j <= m (j >= 1 with skip_first)."""
     lo = 1 if skip_first else 0
@@ -141,21 +132,20 @@ def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list
     Fraction.  Floats and the coefficient vectors of the symbolic row pass
     run the same steps through ``_convolve``.
     """
-    cleared = _cleared(f.values)
-    vals, den = cleared if cleared is not None else (f.values, 1)
+    exact = cleared(f.values)
+    vals, den = exact if exact is not None else (f.values, 1)
     vals = storage_difference(vals, pre)
     if beta != 0:
-        w = kernel_vector(f.backend.scalar(beta), len(vals), f.backend)
-        if cleared is None:
-            vals = _convolve(w, list(vals), skip_first)
+        if exact is None:
+            vals = _convolve(kernel(beta, len(vals), f.backend), list(vals), skip_first)
         else:
-            w, d = _cleared(w)
+            w, d = kernel(beta, len(vals), f.backend, as_integers=True)
             if skip_first:
                 vals = (0,) + vals[1:]
             vals = [sum(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
             den *= d
     vals = storage_difference(vals, post)
-    return list(vals) if cleared is None else [Fraction(x, den) for x in vals]
+    return list(vals) if exact is None else [Fraction(x, den) for x in vals]
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -272,7 +262,7 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         anchors = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
         first_lags = [0] * n
     # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
-    weights = [kernel_vector(backend.scalar(k + 1 - alpha), lag + riem.length, backend)[lag:]
+    weights = [kernel(k + 1 - alpha, lag + riem.length, backend)[lag:]
                for k, lag in enumerate(first_lags)]
     out = []
     for m, r in enumerate(riem.values):

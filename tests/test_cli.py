@@ -179,6 +179,17 @@ class TestInputContract:
         assert "1e400 lies outside the double range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["1e2000", "-1e2000", "1e-2000"])
+    def test_value_past_the_bit_cap_is_domain_error(self, tmp_path, capsys, value):
+        big = write(tmp_path, "big.json", json.dumps(
+            {"origin": "0", "direction": "forward", "values": ["1", value, "2"]}))
+        code = main(["apply", "--input", big, "--kind", "delta", "--family", "sum",
+                     "--order", "1/2", "--backend", "rational"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: rational magnitude exceeds 4096-bit cap")
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_single_identity_passes(self, tmp_path):

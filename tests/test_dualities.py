@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from discfrac import dualities, kernels
 from discfrac.backends import FLOATING, RATIONAL
+from discfrac.cli import main
 from discfrac.dualities import (
     DUAL_IDS,
     IDENTITIES,
@@ -20,6 +22,7 @@ from discfrac.dualities import (
 from discfrac.errors import DomainError
 from discfrac.grids import Direction, make_grid_function
 from discfrac.kernels import fault_injection
+from discfrac.operators import Kind, Side
 
 
 def test_identity_id_is_complete():
@@ -54,6 +57,21 @@ def test_left_dual_sum_on_ramp():
     assert len(report.residuals) == 8
 
 
+@pytest.mark.parametrize("which,data,order,points", [
+    (IdentityId.LEFT_DUAL_SUM, (0, "forward"), "1/2", [0, 1, 2, 3, 4, 5, 6, 7]),
+    (IdentityId.Q_SUM_DELTA, (0, "forward"), "1/2", [Fraction(2 * k + 1, 2) for k in range(8)]),
+    (IdentityId.Q_SUM_NABLA, (0, "forward"), "1/2", [1, 2, 3, 4, 5, 6, 7]),
+    (IdentityId.RIGHT_DUAL_DIFF, (10, "backward"), "3/2", [7, 6, 5, 4, 3]),
+    (IdentityId.CAPUTO_INVERSION, (10, "backward"), "3/2", [9, 8, 7, 6, 5, 4, 3]),
+])
+def test_residuals_carry_the_stated_points(which, data, order, points):
+    f = make_grid_function(*data, list(range(8)), RATIONAL)
+    report = check_identity(f, Fraction(order), which)
+    assert report.passed
+    assert report.residuals == [(Fraction(p), 0) for p in points]
+    assert report.as_record()["points"] == len(points)
+
+
 def test_right_dual_diff_random():
     rng = random.Random(7)
     vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(8)]
@@ -73,6 +91,19 @@ def test_q_identity_constant_fixed_point():
     for which in Q_IDS:
         report = check_q_identity(f, Fraction(5, 4), which)
         assert report.passed and report.max_abs_residual == 0
+
+
+def test_q_sum_delta_at_integer_orders():
+    # at an integer order the right-hand delta sum lands on the data lattice
+    # past a; its reflection is paired by index like at any other order
+    rng = random.Random(5)
+    vals = [Fraction(rng.randint(-6, 6), 2) for _ in range(7)]
+    for backend in (RATIONAL, FLOATING):
+        f = make_grid_function(0, Direction.FORWARD, vals, backend)
+        for order in (1, 2, 3):
+            report = check_q_identity(f, order, IdentityId.Q_SUM_DELTA)
+            assert report.passed and report.max_abs_residual == 0
+            assert [p for p, _ in report.residuals] == [order + k for k in range(7)]
 
 
 def test_relation_constant_low_order():
@@ -178,3 +209,97 @@ def test_seeded_suite_is_deterministic():
     b = run_identity_suite(ids=[IdentityId.Q_DIFF_NABLA], instances=4, seed=9,
                            backend=FLOATING)
     assert a[0].max_abs_residual == b[0].max_abs_residual
+
+
+# One operator of a Q row and one of a dual row, each made to move its
+# output origin one step: the evaluator must refuse or fail, never pass.
+_SHIFTED = [
+    (IdentityId.Q_SUM_DELTA, "fractional_sum", lambda spec: spec.side is Side.RIGHT),
+    (IdentityId.Q_DIFF_NABLA, "riemann_difference", lambda spec: spec.side is Side.RIGHT),
+    (IdentityId.Q_CAPUTO_DELTA, "caputo_difference", lambda spec: spec.side is Side.LEFT),
+    (IdentityId.LEFT_DUAL_SUM, "fractional_sum", lambda spec: spec.kind is Kind.NABLA),
+    (IdentityId.RIGHT_DUAL_DIFF, "riemann_difference", lambda spec: spec.kind is Kind.DELTA),
+]
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("which,name,picked", _SHIFTED)
+def test_an_operator_off_by_one_never_passes(monkeypatch, backend, step, which, name, picked):
+    real = getattr(dualities, name)
+
+    def shifted(spec, g, *args, **kwargs):
+        out = real(spec, g, *args, **kwargs)
+        return out.with_values(out.values, origin=out.shift_origin(step)) if picked(spec) else out
+
+    rng = random.Random(which.value)
+    instances = [random_instance(which, rng, backend) for _ in range(12)]
+    monkeypatch.setattr(dualities, name, shifted)
+    refused = 0
+    for f, alpha in instances:
+        try:
+            report = check_identity(f, alpha, which)
+        except DomainError:
+            refused += 1
+            continue
+        assert not report.passed, (which, alpha, f)
+    assert refused == len(instances)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+def test_warm_suite_matches_cold_checks(monkeypatch, backend):
+    """Every suite instance, re-checked on a backend without a kernel table,
+    reproduces its report and the suite's max_residual bit for bit."""
+    seen = []
+
+    def recording(f, alpha, which, tolerance):
+        report = check_identity(f, alpha, which, tolerance)
+        seen.append((f, alpha, which, report))
+        return report
+
+    monkeypatch.setattr(dualities, "check_identity", recording)
+    results = run_identity_suite(instances=30, seed=11, backend=backend)
+    monkeypatch.undo()
+    assert len(seen) == 17 * 30
+    worst = {}
+    for f, alpha, which, warm in seen:
+        assert f.backend.kernels is not None
+        cold = check_identity(make_grid_function(f.origin, f.direction, f.values, backend),
+                              alpha, which)
+        assert repr(cold.residuals) == repr(warm.residuals)
+        assert (repr(cold.max_abs_residual), cold.passed) == \
+            (repr(warm.max_abs_residual), warm.passed)
+        prev = worst.get(which, backend.zero)
+        worst[which] = cold.max_abs_residual if abs(cold.max_abs_residual) > abs(prev) else prev
+    for r in results:
+        assert repr(r.max_abs_residual) == repr(worst[r.identity]), r.identity
+
+
+@pytest.mark.parametrize("backend", ["rational", "floating"])
+def test_kernel_table_lives_for_one_run(tmp_path, backend):
+    plain = ["check", "--all", "--instances", "3", "--seed", "4", "--backend", backend]
+    first, after = tmp_path / "first.jsonl", tmp_path / "after.jsonl"
+    assert main(plain + ["--report", str(first)]) == 0
+    assert main(plain + ["--inject-error", "--report", str(tmp_path / "bad.jsonl")]) == 1
+    assert main(plain + ["--report", str(after)]) == 0
+    assert after.read_bytes() == first.read_bytes()
+    assert FLOATING.kernels is None and RATIONAL.kernels is None
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+def test_each_run_builds_its_kernels_once(monkeypatch, backend):
+    built = []
+    real = kernels.kernel_vector
+
+    def counting(beta, count, b):
+        built.append((beta, b))
+        return real(beta, count, b)
+
+    monkeypatch.setattr(kernels, "kernel_vector", counting)
+    run_identity_suite(instances=5, seed=3, backend=backend)
+    first = len(built)
+    run_identity_suite(instances=5, seed=3, backend=backend)
+    assert first > 0 and len(built) == 2 * first
+    # one build per beta and run, on the run's own backend copy
+    assert len(set(built)) == len(built)
+    assert len({id(b) for _, b in built}) == 2

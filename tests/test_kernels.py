@@ -12,6 +12,7 @@ from discfrac.kernels import (
     falling,
     fault_injection,
     gamma_ratio,
+    kernel,
     kernel_vector,
     rising,
     sum_kernel,
@@ -247,6 +248,29 @@ class TestBackends:
         assert len(kernel_vector(beta, first, tight)) == first
         with pytest.raises(BackendOverflow):
             kernel_vector(beta, first + 1, tight)
+
+    def test_run_table_overflows_where_a_cold_build_does(self):
+        beta = Fraction(1, 7)
+        first = next(lag for lag in range(60)
+                     if oracles.ratio_coeff(lag, beta).denominator.bit_length() > 64)
+        run = RationalBackend(bit_cap=64).run_scoped(first + 8)
+        # the build at first + 8 weights overflows; the table falls back to
+        # the requested count, which a cold build also serves
+        assert kernel(beta, first, run) == kernel_vector(beta, first, RATIONAL)
+        with pytest.raises(BackendOverflow):
+            kernel(beta, first + 1, run)
+
+    def test_run_table_serves_prefixes_of_one_build(self):
+        run = RATIONAL.run_scoped(12)
+        beta = Fraction(-5, 12)
+        nums, d = kernel(beta, 3, run, as_integers=True)
+        assert len(nums) == 12 and run.kernels[beta, 1.0][0] == kernel_vector(beta, 12, RATIONAL)
+        assert [Fraction(x, d) for x in nums] == kernel_vector(beta, 12, RATIONAL)
+        assert kernel(beta, 7, run) is run.kernels[beta, 1.0][0]
+        with fault_injection(2.0):
+            assert kernel(beta, 4, run)[1] == 2 * beta
+        assert kernel(beta, 13, run) == kernel_vector(beta, 13, RATIONAL)
+        assert RATIONAL.kernels is None and kernel(beta, 2, RATIONAL) == [1, beta]
 
     def test_fault_injection_changes_weights(self):
         clean = binomial_weight(0.5, 3, FLOATING)
