@@ -50,7 +50,7 @@ import numpy as np
 from .backends import FLOATING, RATIONAL, as_fraction
 from .errors import BudgetExceeded, DomainError, GridTooShort
 from .grids import Direction, GridFunction, make_grid_function
-from .kernels import binomial_weight
+from .kernels import kernel
 from .operators import (
     Family,
     Formulation,
@@ -360,11 +360,15 @@ def _caputo_bound(n: int) -> Callable:
         alpha, backend, v = case.order, case.f.backend, case.f.values
         spec = OperatorSpec(Kind.DELTA, _side(case), Family.CAPUTO, alpha)
         cap = caputo_difference(spec, case.f)
+        # the bound at output m reads w(1 - alpha, n + m) and w(2 - alpha, m + 1)
+        first = kernel(Fraction(1) - alpha, n + cap.length, backend)[n:]
+        if n == 2:
+            second = kernel(Fraction(2) - alpha, cap.length + 1, backend)[1:]
         out = []
         for m, c in enumerate(cap.values):
-            bound = binomial_weight(Fraction(1) - alpha, n + m, backend) * v[0]
+            bound = first[m] * v[0]
             if n == 2:
-                bound = bound + binomial_weight(Fraction(2) - alpha, m + 1, backend) * (v[1] - v[0])
+                bound = bound + second[m] * (v[1] - v[0])
             out.append((f"frac t={cap.point(m)}", c + bound))
         return out
 

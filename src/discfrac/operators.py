@@ -39,6 +39,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
 from .grids import Direction, GridFunction, storage_difference
@@ -108,7 +110,8 @@ def _require_direction(spec: OperatorSpec, f: GridFunction) -> None:
 
 
 def _convolve(weights, values, skip_first: bool) -> list:
-    """out[m] = sum of weights[m-j] * values[j] over j <= m (j >= 1 with skip_first)."""
+    """out[m] = sum of weights[m-j] * values[j] over j <= m (j >= 1 with
+    skip_first).  Only floats come here; exact values run in integers."""
     lo = 1 if skip_first else 0
     out = []
     for m in range(len(values)):
@@ -122,17 +125,62 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
+def _stacked(values):
+    """``(M, e)`` with ``values[i] == M[i] / e`` for an integer matrix M and e
+    the LCM of the denominators, or None unless some value is a numpy
+    coefficient vector.  The only scalar allowed beside the vectors is the
+    exact zero that ``prepend_zero`` stores, which becomes a zero row."""
+    vectors = [v for v in values if isinstance(v, np.ndarray)]
+    if not vectors:
+        return None
+    if any(not isinstance(v, np.ndarray) and v != 0 for v in values):
+        raise TypeError("a nonzero constant among coefficient vectors")
+    width = len(vectors[0])
+    flat = [x for v in values for x in (v if isinstance(v, np.ndarray) else [0] * width)]
+    e = math.lcm(*(x.denominator for x in flat))
+    ints = [x.numerator * (e // x.denominator) for x in flat]
+    return np.array(ints, dtype=object).reshape(len(values), width), e
+
+
+def _toeplitz(w, n: int, skip_first: bool) -> np.ndarray:
+    """Lower-triangular n x n matrix with entry (m, j) = w[m - j]; column 0
+    is zero with ``skip_first``."""
+    lo = 1 if skip_first else 0
+    rows = [[w[m - j] if lo <= j <= m else 0 for j in range(n)] for m in range(n)]
+    return np.array(rows, dtype=object).reshape(n, n)
+
+
+def _stacked_pipeline(stacked, beta, backend, skip_first: bool, pre: int, post: int) -> list:
+    """``_pipeline`` on the rows of an integer matrix over one denominator:
+    differences are row differences and the convolution is one product
+    with the kernel's Toeplitz matrix; each coefficient is one Fraction."""
+    mat, den = stacked
+    mat = np.diff(mat, pre, axis=0)
+    if beta != 0:
+        w, d = kernel(beta, len(mat), backend, as_integers=True)
+        mat = _toeplitz(w, len(mat), skip_first) @ mat
+        den *= d
+    mat = np.diff(mat, post, axis=0)
+    return [np.array([Fraction(x, den) for x in row], dtype=object) for row in mat]
+
+
 def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list:
     """Values of f through its ``pre``-th storage difference, the
     convolution with w(beta, .) (none when beta is 0) and a ``post``-th
     storage difference.
 
-    Exact values are cleared to integers over one denominator, and so is
-    the kernel; every step then runs in Python ints and each output is one
-    Fraction.  Floats and the coefficient vectors of the symbolic row pass
-    run the same steps through ``_convolve``.
+    Exact values are cleared to integers over one denominator E, and so is
+    the kernel, over D; every step then runs in Python ints and each output
+    is one Fraction over D*E.  The coefficient vectors of the symbolic row
+    pass, which runs on the exact backend, are stacked into one integer
+    matrix over one E and take the same steps as matrix products
+    (``_stacked_pipeline``).  Only floats run through ``_convolve``.
     """
     exact = cleared(f.values)
+    if exact is None and f.backend.exact:
+        stacked = _stacked(f.values)
+        if stacked is not None:
+            return _stacked_pipeline(stacked, beta, f.backend, skip_first, pre, post)
     vals, den = exact if exact is not None else (f.values, 1)
     vals = storage_difference(vals, pre)
     if beta != 0:
@@ -140,7 +188,7 @@ def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list
             vals = _convolve(kernel(beta, len(vals), f.backend), list(vals), skip_first)
         else:
             w, d = kernel(beta, len(vals), f.backend, as_integers=True)
-            if skip_first:
+            if skip_first and vals:
                 vals = (0,) + vals[1:]
             vals = [sum(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
             den *= d
@@ -262,6 +310,10 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         anchors = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
         first_lags = [0] * n
     # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
+    exact = cleared(anchors)
+    if exact is not None:
+        return riem.with_values(_exact_correction(riem.values, *exact, alpha, first_lags,
+                                                  backend))
     weights = [kernel(k + 1 - alpha, lag + riem.length, backend)[lag:]
                for k, lag in enumerate(first_lags)]
     out = []
@@ -272,6 +324,24 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
             corr = c if corr is None else corr + c
         out.append(r - corr)
     return riem.with_values(out)
+
+
+def _exact_correction(riem: tuple, nums: list, e: int, alpha, first_lags: list,
+                      backend) -> list:
+    """``riem[m]`` minus the correction sum, fraction-free: the anchors are
+    ``nums`` over their LCM e, each correction kernel is cleared over its
+    own LCM and brought over their common LCM D, and each output is one
+    Fraction."""
+    kernels = [kernel(k + 1 - alpha, lag + len(riem), backend, as_integers=True)
+               for k, lag in enumerate(first_lags)]
+    d = math.lcm(*(dk for _, dk in kernels))
+    scales = [a * (d // dk) for a, (_, dk) in zip(nums, kernels)]
+    den = d * e
+    out = []
+    for m, r in enumerate(riem):
+        corr = sum(w[lag + m] * s for (w, _), lag, s in zip(kernels, first_lags, scales))
+        out.append(Fraction(r.numerator * den - corr * r.denominator, r.denominator * den))
+    return out
 
 
 def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunction:

@@ -10,6 +10,10 @@ from discfrac.cli import main
 
 # sha256 of the acceptance campaign's report lines without min_conclusion_margin
 CAMPAIGN_DIGEST = "50180a1a97419e7069e0e07d35d7702f9943da95fb780046b8488ac4f90c09ca"
+# the same digest of `theorems --all --random --budget 5000 --seed 3 --length 7
+# --values -2,-1,0,1/3,1,2`, which re-runs the symbolic row pass at every
+# fallback length
+RANDOM_DIGEST = "31fa4554072fba2ae9f60e4388d2e6581b0711bb0ab94f81ddf06d18b52a80cb"
 # sha256 of `check --all --instances 200 --seed 0 --backend rational`: every
 # residual is exact, so the whole report is machine-independent
 RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e0892288fec1375"
@@ -377,6 +381,27 @@ class TestTheorems:
         assert sum(rec["hypothesis_count"] for rec in records) == 1_854
         # one row build per (theorem, order): no shorter length is re-searched
         assert calls == {"_row_matrices": 84, "evaluate_theorem": 266}
+
+    def test_random_report_is_pinned(self, tmp_path, monkeypatch):
+        calls = {"_row_matrices": 0}
+
+        def counting(*args, inner=monotone._row_matrices):
+            calls["_row_matrices"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(monotone, "_row_matrices", counting)
+        report = tmp_path / "t.jsonl"
+        assert main(["theorems", "--all", "--random", "--budget", "5000", "--seed", "3",
+                     "--length", "7", "--values", "-2,-1,0,1/3,1,2",
+                     "--report", str(report)]) == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        for rec in records:
+            del rec["min_conclusion_margin"]
+        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGEST
+        assert len(records) == 84
+        # every fallback length draws its own vectors and builds its own rows
+        assert calls == {"_row_matrices": 306}
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

@@ -2,6 +2,7 @@ import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -521,6 +522,48 @@ class TestIntegerPath:
         assert all(r.passed for r in results)
         with pytest.raises(AssertionError, match="Fraction loop"):
             run_identity_suite(instances=1, backend=FLOATING)
+
+    @given(length=st.integers(1, 10),
+           beta=st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12)),
+           pre=st.integers(0, 2), post=st.integers(0, 2), skip_first=st.booleans(),
+           zero_slot=st.booleans(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coefficient_vectors_run_each_column(self, length, beta, pre, post,
+                                                 skip_first, zero_slot, data):
+        """The symbolic row pass's values are coefficient vectors, here the
+        basis e_j scaled by c_j.  Column j of the pipeline on them is the
+        pipeline on the scalar data c_j e_j, and the exact zero stored by
+        ``prepend_zero`` acts as the zero vector."""
+        scales = data.draw(st.lists(mixed_values, min_size=length, max_size=length))
+        basis = [c * np.eye(length, dtype=int)[j].astype(object)
+                 for j, c in enumerate(scales)]
+        zero = np.zeros(length, dtype=object)
+        lead = [RATIONAL.zero] if zero_slot else []
+        grid = forward([0] * (len(lead) + length))
+
+        def run(values):
+            return operators._pipeline(grid.with_values(values), beta,
+                                       skip_first=skip_first, pre=pre, post=post)
+
+        out = run(lead + basis)
+        assert all(isinstance(row, np.ndarray) and len(row) == length for row in out)
+        assert all(type(x) is Fraction for row in out for x in row)
+        for j, c in enumerate(scales):
+            e_j = [Fraction(0)] * (len(lead) + length)
+            e_j[len(lead) + j] = c
+            assert [row[j] for row in out] == run(e_j)
+        if zero_slot:
+            assert [list(row) for row in run([zero] + basis)] == [list(row) for row in out]
+        with pytest.raises(TypeError, match="constant"):
+            run([RATIONAL.one] + basis)
+
+    @pytest.mark.parametrize("skip_first", [False, True])
+    def test_nothing_left_to_convolve_gives_no_output(self, skip_first):
+        # a difference as long as the grid leaves no values, on every path
+        grids = [make_grid_function(0, Direction.FORWARD, [1], FLOATING), forward([1])]
+        grids.append(grids[1].with_values([np.ones(1, dtype=object)]))
+        for grid in grids:
+            assert operators._pipeline(grid, Fraction(1), skip_first=skip_first, pre=1) == []
 
     @given(values=st.lists(mixed_values, min_size=1, max_size=40),
            alpha=exact_orders, a=st.integers(-3, 3))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discfrac import monotone
+from discfrac import monotone, operators
 from discfrac.backends import RATIONAL
 from discfrac.grids import Direction
 from discfrac.monotone import (
@@ -261,6 +261,24 @@ class TestRowsNest:
         order = data.draw(st.fractions(min_value=lo, max_value=hi, max_denominator=12)
                           .filter(lambda x: lo < x < hi))
         assert nesting_mismatches(tid, order, data.draw(st.sampled_from(ANCHORS))) == []
+
+
+def test_row_pass_runs_in_integers(monkeypatch):
+    """Every row build of every theorem, default order and length up to 7,
+    the two ``_nabla_riemann(prepend=...)`` kinds included, reaches the
+    generic convolution loop with floats only."""
+    float_loop = operators._convolve
+
+    def floats_only(weights, values, skip_first):
+        if any(type(x) is not float for x in (*weights, *values)):
+            raise AssertionError("a non-float value reached _convolve")
+        return float_loop(weights, values, skip_first)
+
+    monkeypatch.setattr(operators, "_convolve", floats_only)
+    for tid in THEOREMS:
+        for order in default_orders(tid):
+            for length in range(min_live_length(tid), 8):
+                _row_matrices(tid, length, order, 64, 0)
 
 
 def _last_value(case):
