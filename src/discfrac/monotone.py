@@ -31,10 +31,15 @@ completion of it can pass.  The length-d rows are the rows of level < d,
 so one exhaustive tree holds the survivors of every length the nonvacuity
 fallback may visit; conclusion rows, margins and witness candidates are
 computed on survivors only.  Explicit rows are a subset of the true
-hypothesis, so candidates are re-verified with ``evaluate_theorem``, which
-also settles the ray conditions.  Witness order and reported margins come
-from float rows rounded from the exact ones.  Enumeration and candidate
-ordering are canonical, so results are deterministic for a fixed seed.
+hypothesis, so each counterexample candidate is re-verified with
+``evaluate_theorem``, which also settles the ray conditions.  Nonvacuity
+witness tries are decided from the exact rows themselves: a survivor's
+exact margin is its smallest row value, and each ray is settled on its
+exact coefficients as ``evaluate_theorem`` settles it; only the witness a
+result reports is confirmed with ``evaluate_theorem``.  Witness order and
+the conclusion margin come from float rows rounded from the exact ones.
+Enumeration and candidate ordering are canonical, so results are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -666,7 +671,7 @@ EXACT_FLOAT_LIMIT = 2 ** 53
 
 @dataclass(frozen=True)
 class _RowBlock:
-    """Linear rows in the live values: primitive integer and float.
+    """Linear rows in the live values: exact, primitive integer and float.
 
     ``scaled[r]`` is exact row r times the positive factor that makes it a
     primitive integer vector, so its dot product with integer values has
@@ -677,6 +682,7 @@ class _RowBlock:
     scaled: list
     floats: np.ndarray
     l1: int  # largest ||scaled row||_1
+    exact: list  # the unscaled rows, (integer numerators, positive denominator)
 
     @staticmethod
     def of(rows: list, length: int) -> "_RowBlock":
@@ -689,15 +695,13 @@ class _RowBlock:
             floats.append([x / den for x in nums])
         floats = np.array(floats, dtype=float).reshape(len(rows), length)
         l1 = max((sum(map(abs, row)) for row in scaled), default=0)
-        return _RowBlock(scaled, floats, l1)
+        return _RowBlock(scaled, floats, l1, rows)
 
 
-def _exact_row(value, length: int) -> tuple:
-    """(integer numerators, denominator) of a coefficient vector; a scalar
-    is a constant the zero-vector check has already found to vanish."""
-    coeffs = value if isinstance(value, np.ndarray) else [value] * length
-    den = math.lcm(*(x.denominator for x in coeffs))
-    return [x.numerator * (den // x.denominator) for x in coeffs], den
+def _exact_row(value) -> tuple:
+    """(integer numerators, denominator) of a coefficient vector."""
+    den = math.lcm(*(x.denominator for x in value))
+    return [x.numerator * (den // x.denominator) for x in value], den
 
 
 def _integer_horner(coeffs: list, q_coeffs, ks) -> list:
@@ -714,7 +718,9 @@ def _integer_horner(coeffs: list, q_coeffs, ks) -> list:
 
 
 def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
-    """Exact hypothesis and conclusion row blocks from one symbolic builder run.
+    """Exact hypothesis and conclusion row blocks from one symbolic builder
+    run, and each ray as (exact coefficient rows of R, start, level), its
+    level being the last value any of those rows reads (``_last_read``).
 
     The builder first runs on the zero vector, where every row, ray
     coefficient and ray bound must vanish: the rows have no constant term.
@@ -733,13 +739,16 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     if stmt.leading_inert:
         basis.insert(0, np.zeros(live_length, dtype=object))
     hyp, rays, concl = stmt.builder(replace(zero, f=zero.f.with_values(basis)))
-    hyp_rows = [_exact_row(v, live_length) for _, v in hyp]
+    hyp_rows = [_exact_row(v) for _, v in hyp]
+    ray_rows = []
     for ray in rays:  # the rows of ``_ray_rows``, from coefficient-vector values
-        coeffs = [_exact_row(c, live_length) for c in ray.r_coeffs]
+        coeffs = [_exact_row(c) for c in ray.r_coeffs]
         hyp_rows += _integer_horner(coeffs, ray.q_coeffs, range(ray.start, k_cap + 1))
-        hyp_rows.append(_exact_row(ray.bound, live_length))
+        hyp_rows.append(_exact_row(ray.bound))
+        level = _last_read(np.array([row for row, _ in coeffs], dtype=object)).max()
+        ray_rows.append((coeffs, ray.start, level))
     return (_RowBlock.of(hyp_rows, live_length),
-            _RowBlock.of([_exact_row(v, live_length) for _, v in concl], live_length))
+            _RowBlock.of([_exact_row(v) for _, v in concl], live_length), ray_rows)
 
 
 def _integer_operands(blocks, value_ints: list):
@@ -842,6 +851,43 @@ def _survivors(k: int, levels: list, ints, mode: str, samples: int | None, rng_k
             yield idx, positions
 
 
+def _min_quotient(dots, dens, scale: int) -> Fraction:
+    """``min(dots[r] / (dens[r] * scale))`` for positive denominators, compared
+    by integer cross-multiplication; one Fraction, for the minimum."""
+    best = 0
+    for r in range(1, len(dots)):
+        if dots[r] * dens[best] < dots[best] * dens[r]:
+            best = r
+    return Fraction(dots[best], dens[best] * scale)
+
+
+def _row_verdict(hyp: _RowBlock, levels, rays: list, d: int, value_scale: int) -> Callable:
+    """Values of a length-d pool candidate, as integers over ``value_scale``
+    -> its smallest hypothesis margin, or None when a ray fails it.
+
+    This is ``evaluate_theorem``'s verdict on the candidate's case, read
+    from the exact hypothesis rows of level < d (``levels``) and the rays'
+    exact coefficient rows.  A pool candidate passes every explicit row, so
+    only the rays can fail it, each settled on its exact coefficients as
+    ``evaluate_theorem`` settles it.  Every ray reads only values below d
+    (``_search_instance`` checks its level), so its rows cut to d are whole.
+    """
+    keep = np.nonzero(levels < d)[0]
+    nums = np.array([hyp.exact[r][0][:d] for r in keep], dtype=object).reshape(len(keep), d)
+    dens = [hyp.exact[r][1] for r in keep]
+    polys = [([(np.array(row[:d], dtype=object), den * value_scale) for row, den in coeffs],
+              start) for coeffs, start, _ in rays]
+
+    def margin(v):
+        for coeffs, start in polys:
+            if not poly_nonneg_on_integer_ray([Fraction(row @ v, den) for row, den in coeffs],
+                                              start)[0]:
+                return None
+        return _min_quotient(nums @ v, dens, value_scale)
+
+    return margin
+
+
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
                      mode: str, samples: int | None, seed: int, k_cap: int,
                      anchor) -> Callable[[int], SearchResult]:
@@ -854,15 +900,20 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     in enumeration order.  Each length keeps its survivor count, smallest
     float conclusion margin, survivors with a negative conclusion row and
     witness pool (enumeration position, float margin, exact positivity,
-    indices); ``evaluate_theorem`` runs when a result is asked for."""
+    indices).  When a result is asked for, ``evaluate_theorem`` confirms
+    the counterexample suspects, and the witness tries are decided from the
+    exact rows (``search_campaign`` confirms the witness it reports)."""
     values_exact = [as_fraction(v) for v in value_set]
     value_scale = math.lcm(*(v.denominator for v in values_exact))
     value_ints = [int(v * value_scale) for v in values_exact]
+    exact_ints = np.array(value_ints, dtype=object)
     value_floats = np.array([FLOATING.scalar(v) for v in values_exact])
-    hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
-    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
+    hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     k = len(values_exact)
     shallowest = min_live_length(theorem_id) if mode == "exhaustive" else live_length
+    if any(level >= shallowest for *_, level in rays):
+        raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
+    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
     h, c = _last_read(hyp_int), _last_read(concl_int)
     rows = {d: (hyp_int[h < d, :d], hyp.floats[h < d, :d], concl_int[c < d, :d],
                 concl.floats[c < d, :d]) for d in range(shallowest, live_length + 1)}
@@ -888,25 +939,25 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
 
     def exact_case(idx_row):
         combo = tuple(values_exact[i] for i in idx_row)
-        return combo, make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
+        return make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
 
     def result(d: int) -> SearchResult:
-        counterexamples = [case for _, case in map(exact_case, suspects[d])
+        counterexamples = [case for case in map(exact_case, suspects[d])
                            if not evaluate_theorem(case).consistent]
         # nonvacuity witness: the hypothesis-true nonzero function with the best
         # margin, strictly positive when the value set admits one at all.  Once
         # a witness (margin >= 0) is found, only exactly positive rows beat it.
         witness = witness_margin = None
         _, _, positive, pool_idx = pools[d]
+        margin_of = _row_verdict(hyp, h, rays, d, value_scale)
         for j in np.nonzero((ints[pool_idx] != 0).any(axis=1))[0]:
             if witness is not None and not positive[j]:
                 continue
-            combo, case = exact_case(pool_idx[j])
-            verdict = evaluate_theorem(case)
-            if not verdict.hypothesis_holds:
+            margin = margin_of(exact_ints[pool_idx[j]])
+            if margin is None:
                 continue
-            witness, witness_margin = combo, min(v for _, v in verdict.hypothesis_margins)
-            if witness_margin > 0:
+            witness, witness_margin = tuple(values_exact[i] for i in pool_idx[j]), margin
+            if margin > 0:
                 break
         instances = k ** d if mode == "exhaustive" else samples
         return SearchResult(theorem_id, as_fraction(order), d, instances, counts[d],
@@ -982,6 +1033,14 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
             if shorter.witness is not None and (res.witness is None or
                                                 shorter.witness_margin > res.witness_margin):
                 res.witness, res.witness_margin = shorter.witness, shorter.witness_margin
+        if res.witness is not None:
+            # the witness was decided from the exact rows; confirm it on its case
+            verdict = evaluate_theorem(make_case(theorem_id, res.witness, order, anchor,
+                                                 k_cap, RATIONAL))
+            if not (verdict.hypothesis_holds and res.witness_margin == min(
+                    v for _, v in verdict.hypothesis_margins)):
+                raise AssertionError(f"{theorem_id}: the rows and evaluate_theorem disagree "
+                                     f"on the witness {[str(x) for x in res.witness]}")
         results.append(res)
     return results
 

@@ -379,17 +379,19 @@ class TestTheorems:
         assert len(records) == 84
         assert sum(rec["instances"] for rec in records) == 1_312_500
         assert sum(rec["hypothesis_count"] for rec in records) == 1_854
-        # one row build per (theorem, order): no shorter length is re-searched
-        assert calls == {"_row_matrices": 84, "evaluate_theorem": 266}
+        # one row build per (theorem, order): no shorter length is re-searched;
+        # witness tries are decided from the rows, and only each reported
+        # witness goes through evaluate_theorem
+        assert calls == {"_row_matrices": 84, "evaluate_theorem": 84}
 
     def test_random_report_is_pinned(self, tmp_path, monkeypatch):
-        calls = {"_row_matrices": 0}
+        calls = dict.fromkeys(["_row_matrices", "evaluate_theorem"], 0)
+        for name in calls:
+            def counting(*args, inner=getattr(monotone, name), name=name):
+                calls[name] += 1
+                return inner(*args)
 
-        def counting(*args, inner=monotone._row_matrices):
-            calls["_row_matrices"] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(monotone, "_row_matrices", counting)
+            monkeypatch.setattr(monotone, name, counting)
         report = tmp_path / "t.jsonl"
         assert main(["theorems", "--all", "--random", "--budget", "5000", "--seed", "3",
                      "--length", "7", "--values", "-2,-1,0,1/3,1,2",
@@ -401,7 +403,7 @@ class TestTheorems:
         assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGEST
         assert len(records) == 84
         # every fallback length draws its own vectors and builds its own rows
-        assert calls == {"_row_matrices": 306}
+        assert calls == {"_row_matrices": 306, "evaluate_theorem": 84}
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

@@ -459,7 +459,7 @@ class TestExactPrefilter:
     @pytest.mark.parametrize("tid,order", [("T_U1", Fraction(1, 4)), ("T_C6", Fraction(3, 4))])
     def test_huge_values_use_exact_integers(self, tid, order):
         values = [-2 ** 40, 0, 2 ** 40]
-        hyp, concl = _row_matrices(tid, 6, order, 64, 0)
+        hyp, concl, _ = _row_matrices(tid, 6, order, 64, 0)
         (h_int, c_int), ints = _integer_operands((hyp, concl), values)
         assert h_int.dtype == c_int.dtype == ints.dtype == object
         hyp_count = 0
@@ -495,7 +495,7 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
     """``_search_instance`` without pruning or chunks, as one batch."""
     values = [Fraction(v) for v in value_set]
     scale = math.lcm(*(v.denominator for v in values))
-    hyp, concl = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
+    hyp, concl, _ = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     (h_int, c_int), ints = _integer_operands((hyp, concl), [int(v * scale) for v in values])
     idx = _reference_vectors(theorem_id, live_length, values, order, mode, samples, seed)
     F = ints[idx]
@@ -584,7 +584,7 @@ class TestPrefixSearch:
         # random mode draws 200 samples per order
         kwargs = dict(mode=mode, budget=600 if mode == "random" else 10 ** 5, seed=5)
         order = default_orders(tid)[0]
-        hyp, concl = _row_matrices(tid, length, order, 64, 0)
+        hyp, concl, _ = _row_matrices(tid, length, order, 64, 0)
         scale = math.lcm(*(Fraction(v).denominator for v in values))
         (h_int, _), ints = _integer_operands((hyp, concl), [int(v * scale) for v in values])
         if values is _HUGE:
@@ -718,7 +718,7 @@ class TestOnePassRows:
     def test_prefilter_signs_match_explicit_rows(self, tid):
         values = [-1, 0, Fraction(1, 2), 1]
         length, order, k_cap = min_live_length(tid), default_orders(tid)[1], 12
-        hyp, concl = _row_matrices(tid, length, order, k_cap, 0)
+        hyp, concl, _ = _row_matrices(tid, length, order, k_cap, 0)
         (h_int, c_int), ints = _integer_operands((hyp, concl), [int(2 * v) for v in values])
         for combo in itertools.product(range(len(values)), repeat=length):
             live = [values[i] for i in combo]
@@ -743,3 +743,106 @@ class TestOnePassRows:
             _row_matrices("T_AFFINE", 3, Fraction(1, 2), 64, 0)
         with pytest.raises(AssertionError, match="not linear"):
             search_campaign("T_AFFINE", 3, [0, 1], [Fraction(1, 2)])
+
+    def test_a_scalar_row_is_rejected(self, monkeypatch):
+        # every row kind returns coefficient vectors in the symbolic pass; a
+        # constant row (here an exact zero, which passes the zero-vector
+        # check) has no coefficients to read
+        def builder(case):
+            v = case.f.values
+            return [("start", v[0]), ("constant", Fraction(0))], [], [("start", v[0])]
+
+        monkeypatch.setitem(THEOREMS, "T_CONST", _statement("T_CONST", builder))
+        with pytest.raises(TypeError):
+            _row_matrices("T_CONST", 3, Fraction(1, 2), 64, 0)
+        with pytest.raises(TypeError):
+            monotone._exact_row(Fraction(0))
+
+
+CAMPAIGN_VALUES = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
+
+
+def _tried_verdicts(monkeypatch, tid, values, order, anchor, k_cap, length):
+    """(live values, row-derived margin or None) of every witness try that
+    ``result(d)`` makes, for d from the minimum length to ``length``, in one
+    exhaustive search at ``length``."""
+    tried = []
+    row_verdict = monotone._row_verdict
+
+    def recording(hyp, levels, rays, d, value_scale):
+        margin_of = row_verdict(hyp, levels, rays, d, value_scale)
+
+        def margin(v):
+            tried.append(([Fraction(x, value_scale) for x in v], margin_of(v)))
+            return tried[-1][1]
+
+        return margin
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monotone, "_row_verdict", recording)
+        result = monotone._search_instance(tid, length, values, order, "exhaustive", None, 0,
+                                           k_cap, anchor)
+        for d in range(min_live_length(tid), length + 1):
+            result(d)
+    return tried
+
+
+def _assert_verdicts_match(tid, order, anchor, k_cap, tried):
+    for live, margin in tried:
+        verdict = evaluate_theorem(make_case(tid, live, order, anchor, k_cap, RATIONAL))
+        assert verdict.hypothesis_holds == (margin is not None), live
+        if margin is not None:
+            assert margin == min(m for _, m in verdict.hypothesis_margins), live
+
+
+class TestRowVerdict:
+    @pytest.mark.parametrize("tid", list(THEOREMS))
+    def test_row_verdicts_match_evaluate_theorem(self, monkeypatch, tid):
+        # every default order, lengths min..7 and anchors 0, 7/2 and -3
+        for order in default_orders(tid):
+            for anchor in (0, Fraction(7, 2), -3):
+                tried = _tried_verdicts(monkeypatch, tid, CAMPAIGN_VALUES, order, anchor, 64, 7)
+                assert tried
+                _assert_verdicts_match(tid, order, anchor, 64, tried)
+
+    def test_a_ray_failing_past_k_cap_skips_the_try(self, monkeypatch):
+        # with k_cap 1 the three-term start rays leave some pool candidates
+        # whose explicit rows all pass and whose ray fails further out
+        tid, order, values = "T_SLOV33", Fraction(7, 4), [-1, 0, Fraction(1, 2), 1]
+        tried = _tried_verdicts(monkeypatch, tid, values, order, 0, 1, 6)
+        assert any(margin is None for _, margin in tried)
+        assert any(margin is not None for _, margin in tried)
+        _assert_verdicts_match(tid, order, 0, 1, tried)
+
+    def test_a_ray_reading_past_the_shortest_length_raises(self, monkeypatch):
+        # the ray bounds the last stored value, so it reads v[1] at length 2
+        # and v[2] at length 3, where the length-2 rows cannot hold it
+        def last_value_ray(case):
+            v = case.f.values
+            nu = case.f.backend.scalar(case.order)
+            return monotone._one_term_ray(v[-1], v[-2], 1, nu, 0, "start")
+
+        builder = declare([monotone._start], [monotone._pair(0)], last_value_ray)
+        monkeypatch.setitem(THEOREMS, "T_LAST_RAY", _statement("T_LAST_RAY", builder))
+        values, order = [-1, 0, Fraction(1, 2), 1], Fraction(1, 2)
+        tried = _tried_verdicts(monkeypatch, "T_LAST_RAY", values, order, 0, 64, 2)
+        assert tried
+        _assert_verdicts_match("T_LAST_RAY", order, 0, 64, tried)
+        with pytest.raises(AssertionError, match="T_LAST_RAY: a start ray reads past length 2"):
+            search_campaign("T_LAST_RAY", 3, values, [order])
+
+    @pytest.mark.parametrize("factor,holds", [(2, True), (-1, False)])
+    def test_a_witness_evaluate_theorem_rejects_raises(self, monkeypatch, factor, holds):
+        # the start row reads v[0] in the symbolic pass and factor * v[0] on a
+        # case's scalars, so the rows and evaluate_theorem disagree on the witness
+        def builder(case):
+            v = case.f.values
+            start = v[0] if isinstance(v[0], np.ndarray) else factor * v[0]
+            return [("start", start)], [], [("start", v[0])]
+
+        monkeypatch.setitem(THEOREMS, "T_TWO_FACED", _statement("T_TWO_FACED", builder))
+        witness = make_case("T_TWO_FACED", [1, 0], Fraction(1, 2), backend=RATIONAL)
+        assert evaluate_theorem(witness).hypothesis_holds is holds
+        with pytest.raises(AssertionError, match="T_TWO_FACED: the rows and "
+                                                 "evaluate_theorem disagree"):
+            search_campaign("T_TWO_FACED", 2, [0, 1], [Fraction(1, 2)])
