@@ -57,6 +57,7 @@ from .errors import BudgetExceeded, DomainError, GridTooShort
 from .grids import Direction, GridFunction, make_grid_function
 from .kernels import kernel
 from .operators import (
+    CoefficientVector,
     Family,
     Formulation,
     Kind,
@@ -300,18 +301,14 @@ def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdic
 #   _ray(terms, base)           one-, two- or three-term k-family start
 
 
-def _op_rows(grid: GridFunction, label: str) -> list:
-    return [(f"{label} t={grid.point(m)}", v) for m, v in enumerate(grid.values)]
+def _label(label) -> str:
+    """A row kind's label (template, grid, storage indices...) with the grid's
+    points filled in, formatted only where ``evaluate_theorem`` reports it."""
+    return label if isinstance(label, str) else label[0].format(*map(label[1].point, label[2:]))
 
 
-def _pair_rows(values, points, offset: int, count: int, label: str, at: int = 1) -> list:
-    """Nondecreasing-pair rows; ``at`` picks which pair element names the row
-    (0 for statements quantified at the earlier storage point, 1 for the
-    later one, matching each statement's index set)."""
-    return [
-        (f"{label} t={points[offset + j + at]}", values[offset + j + 1] - values[offset + j])
-        for j in range(count)
-    ]
+def _op_rows(grid: GridFunction) -> list:
+    return [(("frac t={}", grid, m), v) for m, v in enumerate(grid.values)]
 
 
 def _side(case: TheoremCase) -> Side:
@@ -319,30 +316,34 @@ def _side(case: TheoremCase) -> Side:
 
 
 def _start(case: TheoremCase) -> list:
-    return [(f"start f({case.f.point(0)})>=0", case.f.values[0])]
+    return [(("start f({})>=0", case.f, 0), case.f.values[0])]
 
 
 def _start_pair(case: TheoremCase) -> list:
     f, v = case.f, case.f.values
-    return _start(case) + [(f"start f({f.point(1)})>=f({f.point(0)})", v[1] - v[0])]
+    return _start(case) + [(("start f({})>=f({})", f, 1, 0), v[1] - v[0])]
 
 
 def _pair(offset: int, at: int = 1) -> Callable:
+    """Nondecreasing pairs from storage index ``offset`` on; ``at`` picks which
+    pair element names the row (0 for statements quantified at the earlier
+    storage point, 1 for the later one, matching each statement's index set)."""
+
     def rows(case):
-        f = case.f
-        return _pair_rows(f.values, f.points(), offset, f.length - 1 - offset, "pair", at)
+        f, v = case.f, case.f.values
+        return [(("pair t={}", f, j + at), v[j + 1] - v[j]) for j in range(offset, f.length - 1)]
 
     return rows
 
 
 def _nu_step(case: TheoremCase) -> list:
     f, v, nu = case.f, case.f.values, case.f.backend.scalar(case.order)
-    return [(f"step t={f.point(j + 1)}", v[j + 1] - nu * v[j]) for j in range(f.length - 1)]
+    return [(("step t={}", f, j + 1), v[j + 1] - nu * v[j]) for j in range(f.length - 1)]
 
 
 def _delta_riemann(case: TheoremCase) -> list:
     spec = OperatorSpec(Kind.DELTA, _side(case), Family.RIEMANN, case.order)
-    return _op_rows(riemann_difference(spec, case.f), "frac")
+    return _op_rows(riemann_difference(spec, case.f))
 
 
 def _nabla_riemann(prepend: bool = False, drop: int = 0) -> Callable:
@@ -353,7 +354,7 @@ def _nabla_riemann(prepend: bool = False, drop: int = 0) -> Callable:
         spec = OperatorSpec(Kind.NABLA, _side(case), Family.RIEMANN, case.order,
                             Formulation.DIRECT)
         f = case.f.prepend_zero() if prepend else case.f
-        return _op_rows(riemann_difference(spec, f, extended=True).drop_leading(drop), "frac")
+        return _op_rows(riemann_difference(spec, f, extended=True).drop_leading(drop))
 
     return rows
 
@@ -366,16 +367,11 @@ def _caputo_bound(n: int) -> Callable:
         spec = OperatorSpec(Kind.DELTA, _side(case), Family.CAPUTO, alpha)
         cap = caputo_difference(spec, case.f)
         # the bound at output m reads w(1 - alpha, n + m) and w(2 - alpha, m + 1)
-        first = kernel(Fraction(1) - alpha, n + cap.length, backend)[n:]
+        bounds = [w * v[0] for w in kernel(Fraction(1) - alpha, n + cap.length, backend)[n:]]
         if n == 2:
             second = kernel(Fraction(2) - alpha, cap.length + 1, backend)[1:]
-        out = []
-        for m, c in enumerate(cap.values):
-            bound = first[m] * v[0]
-            if n == 2:
-                bound = bound + second[m] * (v[1] - v[0])
-            out.append((f"frac t={cap.point(m)}", c + bound))
-        return out
+            bounds = [b + w * (v[1] - v[0]) for b, w in zip(bounds, second)]
+        return [(("frac t={}", cap, m), c + b) for m, (c, b) in enumerate(zip(cap.values, bounds))]
 
     return rows
 
@@ -554,7 +550,7 @@ def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
             f"{case.theorem_id} needs at least {stmt.min_length} stored values"
         )
     hyp_rows, rays, concl_rows = stmt.builder(case)
-    margins = expanded_hypothesis_rows(case, hyp_rows, rays)
+    margins = [(_label(label), v) for label, v in expanded_hypothesis_rows(case, hyp_rows, rays)]
     hyp_ok = all(v >= 0 for _, v in margins)
     for ray in rays:
         ok, witness = poly_nonneg_on_integer_ray(list(ray.r_coeffs), ray.start)
@@ -570,7 +566,7 @@ def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
         hypothesis_holds=hyp_ok,
         conclusion_holds=concl_ok,
         hypothesis_margins=margins,
-        conclusion_margins=list(concl_rows),
+        conclusion_margins=[(_label(label), v) for label, v in concl_rows],
     )
 
 
@@ -601,7 +597,7 @@ def jepp_via_dual_transport(case: TheoremCase) -> TheoremVerdict:
         OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, case.order), g
     )
     hyp += [(f"frac t={pts[2] + m}", val) for m, val in enumerate(delta.values)]
-    concl = _pair_rows(case.f.values, case.f.points(), 1, case.f.length - 2, "pair")
+    concl = [(_label(label), x) for label, x in _pair(1)(case)]
     hyp_ok = all(x >= 0 for _, x in hyp)
     concl_ok = all(x >= 0 for _, x in concl)
     return TheoremVerdict(hyp_ok, concl_ok, hyp, concl)
@@ -699,9 +695,13 @@ class _RowBlock:
 
 
 def _exact_row(value) -> tuple:
-    """(integer numerators, denominator) of a coefficient vector."""
-    den = math.lcm(*(x.denominator for x in value))
-    return [x.numerator * (den // x.denominator) for x in value], den
+    """(integer numerators, positive denominator) of a coefficient vector's
+    coordinates but the last, constant one, in lowest terms by one gcd.  A
+    scalar row has no coefficients to read."""
+    if not isinstance(value, CoefficientVector):
+        raise TypeError(f"row value {value!r} is not a coefficient vector")
+    g = math.gcd(*value.nums[:-1], value.den)
+    return [x // g for x in value.nums[:-1]], value.den // g
 
 
 def _integer_horner(coeffs: list, q_coeffs, ks) -> list:
@@ -722,24 +722,19 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     run, and each ray as (exact coefficient rows of R, start, level), its
     level being the last value any of those rows reads (``_last_read``).
 
-    The builder first runs on the zero vector, where every row, ray
-    coefficient and ray bound must vanish: the rows have no constant term.
-    It then runs once on the identity basis, stored value i being the
-    coefficient vector e_i (the inert leading slot a zero vector), so each
-    row it returns is its own coefficient vector.
+    The builder runs once, on the identity basis plus a coordinate that no
+    stored value reads: stored value i is the ``CoefficientVector`` e_i, so
+    each row it returns is its own coefficient vector.  A scalar added
+    anywhere lands in the extra coordinate, so it must be zero in every
+    row, ray coefficient and ray bound; ``_exact_row`` leaves it out.
     """
     stmt = THEOREMS[theorem_id]
-    zero = make_case(theorem_id, [0] * live_length, order, anchor, k_cap, RATIONAL)
-    hyp, rays, concl = stmt.builder(zero)
-    constants = [v for _, v in hyp + concl]
-    constants += [x for ray in rays for x in (*ray.r_coeffs, ray.bound)]
-    if any(x != 0 for x in constants):
-        raise AssertionError(f"{theorem_id}: rows are not linear in the data")
-    basis = list(np.eye(live_length, dtype=int).astype(object))
-    if stmt.leading_inert:
-        basis.insert(0, np.zeros(live_length, dtype=object))
-    hyp, rays, concl = stmt.builder(replace(zero, f=zero.f.with_values(basis)))
-    hyp_rows = [_exact_row(v) for _, v in hyp]
+    inert = int(stmt.leading_inert)  # an inert leading slot is the zero row 0
+    basis = np.eye(live_length + inert, live_length + 1, -inert, dtype=int).astype(object)
+    case = make_case(theorem_id, [0] * live_length, order, anchor, k_cap, RATIONAL)
+    hyp, rays, concl = stmt.builder(replace(case, f=case.f.with_values(
+        map(CoefficientVector, basis))))
+    hyp_rows, concl_rows = [_exact_row(v) for _, v in hyp], [_exact_row(v) for _, v in concl]
     ray_rows = []
     for ray in rays:  # the rows of ``_ray_rows``, from coefficient-vector values
         coeffs = [_exact_row(c) for c in ray.r_coeffs]
@@ -747,8 +742,10 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
         hyp_rows.append(_exact_row(ray.bound))
         level = _last_read(np.array([row for row, _ in coeffs], dtype=object)).max()
         ray_rows.append((coeffs, ray.start, level))
-    return (_RowBlock.of(hyp_rows, live_length),
-            _RowBlock.of([_exact_row(v) for _, v in concl], live_length), ray_rows)
+    values = [v for _, v in hyp + concl] + [x for ray in rays for x in (*ray.r_coeffs, ray.bound)]
+    if any(v.nums[-1] for v in values):
+        raise AssertionError(f"{theorem_id}: rows are not linear in the data")
+    return _RowBlock.of(hyp_rows, live_length), _RowBlock.of(concl_rows, live_length), ray_rows
 
 
 def _integer_operands(blocks, value_ints: list):

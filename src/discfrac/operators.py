@@ -125,21 +125,53 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
+@dataclass(slots=True, eq=False)
+class CoefficientVector:
+    """A value of the symbolic row pass: the linear form ``nums / den`` (ints
+    over one positive denominator) in the stored values and a last, constant
+    coordinate that no stored value reads, where an added scalar lands.  A
+    product of two vectors is not linear and raises ``TypeError``."""
+
+    nums: np.ndarray
+    den: int = 1
+
+    def __add__(self, other):
+        if not isinstance(other, CoefficientVector):  # a constant: the last coordinate
+            other = CoefficientVector(np.append(self.nums[:-1] * 0, 1)) * as_fraction(other)
+        return CoefficientVector(self.nums * other.den + other.nums * self.den,
+                                 self.den * other.den)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, CoefficientVector):
+            raise TypeError("a product of two coefficient vectors is not linear")
+        return CoefficientVector(self.nums * scalar.numerator, self.den * scalar.denominator)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 def _stacked(values):
     """``(M, e)`` with ``values[i] == M[i] / e`` for an integer matrix M and e
-    the LCM of the denominators, or None unless some value is a numpy
-    coefficient vector.  The only scalar allowed beside the vectors is the
+    the LCM of the denominators, or None unless some value is a
+    ``CoefficientVector``.  The only scalar allowed beside the vectors is the
     exact zero that ``prepend_zero`` stores, which becomes a zero row."""
-    vectors = [v for v in values if isinstance(v, np.ndarray)]
+    vectors = [v for v in values if isinstance(v, CoefficientVector)]
     if not vectors:
         return None
-    if any(not isinstance(v, np.ndarray) and v != 0 for v in values):
+    if any(not isinstance(v, CoefficientVector) and v != 0 for v in values):
         raise TypeError("a nonzero constant among coefficient vectors")
-    width = len(vectors[0])
-    flat = [x for v in values for x in (v if isinstance(v, np.ndarray) else [0] * width)]
-    e = math.lcm(*(x.denominator for x in flat))
-    ints = [x.numerator * (e // x.denominator) for x in flat]
-    return np.array(ints, dtype=object).reshape(len(values), width), e
+    e = math.lcm(*(v.den for v in vectors))
+    zero = np.zeros(len(vectors[0].nums), dtype=object)
+    rows = [v.nums * (e // v.den) if isinstance(v, CoefficientVector) else zero for v in values]
+    return np.array(rows, dtype=object).reshape(len(values), len(zero)), e
 
 
 def _toeplitz(w, n: int, skip_first: bool) -> np.ndarray:
@@ -153,7 +185,7 @@ def _toeplitz(w, n: int, skip_first: bool) -> np.ndarray:
 def _stacked_pipeline(stacked, beta, backend, skip_first: bool, pre: int, post: int) -> list:
     """``_pipeline`` on the rows of an integer matrix over one denominator:
     differences are row differences and the convolution is one product
-    with the kernel's Toeplitz matrix; each coefficient is one Fraction."""
+    with the kernel's Toeplitz matrix; each output is a CoefficientVector."""
     mat, den = stacked
     mat = np.diff(mat, pre, axis=0)
     if beta != 0:
@@ -161,7 +193,7 @@ def _stacked_pipeline(stacked, beta, backend, skip_first: bool, pre: int, post: 
         mat = _toeplitz(w, len(mat), skip_first) @ mat
         den *= d
     mat = np.diff(mat, post, axis=0)
-    return [np.array([Fraction(x, den) for x in row], dtype=object) for row in mat]
+    return [CoefficientVector(row, den) for row in mat]
 
 
 def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list:
@@ -171,10 +203,11 @@ def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list
 
     Exact values are cleared to integers over one denominator E, and so is
     the kernel, over D; every step then runs in Python ints and each output
-    is one Fraction over D*E.  The coefficient vectors of the symbolic row
-    pass, which runs on the exact backend, are stacked into one integer
-    matrix over one E and take the same steps as matrix products
-    (``_stacked_pipeline``).  Only floats run through ``_convolve``.
+    is one Fraction over D*E.  The ``CoefficientVector`` values of the
+    symbolic row pass are stacked into one integer matrix over one E and
+    take the same steps as matrix products, each output row staying
+    integers over D*E (``_stacked_pipeline``).  Only floats run through
+    ``_convolve``.
     """
     exact = cleared(f.values)
     if exact is None and f.backend.exact:
@@ -352,8 +385,6 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     Caputo anchor; the contract is that the residual vanishes.
     """
     alpha = as_fraction(order)
-    if alpha <= 0:
-        raise DomainError("order must be positive")
     if isinstance(side, str):
         side = Side(side)
     n = order_ceiling(alpha)

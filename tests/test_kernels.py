@@ -115,6 +115,12 @@ class TestGammaRatio:
         assert gamma_ratio("-5/2", 4, RATIONAL) == want
         assert gamma_ratio(-2.5, 4, FLOATING) == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("x,expected", [(-5, -60), ("-11/2", Fraction(-693, 8))])
+    def test_negative_head_covering_every_factor(self, x, expected):
+        # every factor x, x+1, x+2 is negative, so the head is the whole product
+        assert gamma_ratio(x, 3, RATIONAL) == expected
+        assert gamma_ratio(x, 3, FLOATING) == float(expected)
+
     def test_large_lag_stays_finite(self):
         w = binomial_weight(0.5, 800, FLOATING)
         assert math.isfinite(w) and w > 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -37,6 +38,7 @@ from discfrac.monotone import (
     search_counterexamples,
     theorem_report,
 )
+from discfrac.operators import CoefficientVector
 
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
@@ -326,6 +328,34 @@ class TestSearch:
         for entry in report:
             assert entry["counterexamples"] == 0
             assert entry["nonvacuous"]
+
+
+_QUARTERS = [1, Fraction(7, 16), Fraction(5, 16), Fraction(1, 4)]
+
+
+class TestTwoTermStartCounterexamples:
+    """The two-term k-family theorems fail at order 3/2 on values finer than
+    the campaign's: the exact evaluator finds the hypothesis true and the
+    first pair row negative, and the CLI reports the counterexample."""
+
+    @pytest.mark.parametrize("tid,live,values,pair", [
+        ("T_SLOV2", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=2", Fraction(-1, 16))),
+        ("T_C3", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=2", Fraction(-1, 16))),
+        ("T_D3", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=-2", Fraction(-1, 16))),
+        ("T_SLOV22", [1, 1, Fraction(9, 16), Fraction(7, 16)], "1,9/16,7/16",
+         ("pair t=3", Fraction(-1, 8))),
+    ])
+    def test_hypothesis_holds_and_conclusion_fails(self, tmp_path, tid, live, values, pair):
+        verdict = evaluate_theorem(make_case(tid, live, Fraction(3, 2), backend=RATIONAL))
+        assert verdict.hypothesis_holds and not verdict.conclusion_holds
+        assert verdict.conclusion_margins == [pair]
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--id", tid, "--nu", "3/2", "--length", "4",
+                     "--values", values, "--report", str(report)])
+        assert code == 1
+        (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
+        stored = [0] + live if THEOREMS[tid].leading_inert else live
+        assert [str(x) for x in stored] in rec["counterexamples"]
 
 
 def _statement(theorem_id, builder, min_length=2):
@@ -746,8 +776,8 @@ class TestOnePassRows:
 
     def test_a_scalar_row_is_rejected(self, monkeypatch):
         # every row kind returns coefficient vectors in the symbolic pass; a
-        # constant row (here an exact zero, which passes the zero-vector
-        # check) has no coefficients to read
+        # constant row (here an exact zero, which would pass the constant-
+        # coordinate check) has no coefficients to read
         def builder(case):
             v = case.f.values
             return [("start", v[0]), ("constant", Fraction(0))], [], [("start", v[0])]
@@ -757,6 +787,44 @@ class TestOnePassRows:
             _row_matrices("T_CONST", 3, Fraction(1, 2), 64, 0)
         with pytest.raises(TypeError):
             monotone._exact_row(Fraction(0))
+
+    @pytest.mark.parametrize("tid", list(THEOREMS))
+    def test_the_builder_runs_once(self, monkeypatch, tid):
+        cases = []
+        stmt = THEOREMS[tid]
+
+        def recording(case):
+            cases.append(case)
+            return stmt.builder(case)
+
+        monkeypatch.setitem(THEOREMS, tid, replace(stmt, builder=recording))
+        _row_matrices(tid, min_live_length(tid) + 1, default_orders(tid)[0], 64, 0)
+        assert len(cases) == 1
+        assert all(isinstance(v, CoefficientVector) for v in cases[0].f.values)
+
+    @pytest.mark.parametrize("kind", [monotone._delta_riemann,
+                                      monotone._nabla_riemann(prepend=True),
+                                      monotone._caputo_bound(1)])
+    def test_a_constant_after_an_operator_is_rejected(self, monkeypatch, kind):
+        def shifted(case):
+            return [(label, v + Fraction(1, 3)) for label, v in kind(case)]
+
+        builder = declare([monotone._start, shifted], [monotone._pair(0)])
+        monkeypatch.setitem(THEOREMS, "T_AFFINE", _statement("T_AFFINE", builder))
+        with pytest.raises(AssertionError, match="T_AFFINE: rows are not linear"):
+            _row_matrices("T_AFFINE", 3, Fraction(1, 2), 64, 0)
+        with pytest.raises(AssertionError, match="not linear"):
+            search_campaign("T_AFFINE", 3, [0, 1], [Fraction(1, 2)])
+
+    def test_a_product_of_stored_values_is_rejected(self, monkeypatch):
+        def builder(case):
+            v = case.f.values
+            return [("start", v[0]), ("square", v[0] * v[1])], [], [("start", v[0])]
+
+        monkeypatch.setitem(THEOREMS, "T_SQUARE", _statement("T_SQUARE", builder))
+        assert evaluate_theorem(make_case("T_SQUARE", [2, 3], Fraction(1, 2))).hypothesis_holds
+        with pytest.raises(TypeError, match="not linear"):
+            _row_matrices("T_SQUARE", 3, Fraction(1, 2), 64, 0)
 
 
 CAMPAIGN_VALUES = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
@@ -837,7 +905,7 @@ class TestRowVerdict:
         # case's scalars, so the rows and evaluate_theorem disagree on the witness
         def builder(case):
             v = case.f.values
-            start = v[0] if isinstance(v[0], np.ndarray) else factor * v[0]
+            start = v[0] if isinstance(v[0], CoefficientVector) else factor * v[0]
             return [("start", start)], [], [("start", v[0])]
 
         monkeypatch.setitem(THEOREMS, "T_TWO_FACED", _statement("T_TWO_FACED", builder))

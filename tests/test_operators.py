@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from discfrac.errors import BackendOverflow, DirectFormIntegerOrder, DomainError
 from discfrac.dualities import run_identity_suite
 from discfrac.grids import Direction, integer_difference, make_grid_function
 from discfrac.operators import (
+    CoefficientVector,
     Family,
     Formulation,
     Kind,
@@ -352,6 +354,13 @@ class TestInversionResidual:
         res = caputo_inversion_residual(g, Fraction(alpha), Side.RIGHT)
         assert all(v == 0 for v in res.values)
 
+    @pytest.mark.parametrize("alpha", [0, -1])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_nonpositive_order_is_a_domain_error(self, alpha, side):
+        f = forward([1, 2, 3]) if side is Side.LEFT else backward([1, 2, 3], origin=2)
+        with pytest.raises(DomainError, match="order must be positive"):
+            caputo_inversion_residual(f, alpha, side)
+
     def test_low_order_matches_f_minus_start(self):
         # for order in (0, 1] the inverted pipeline returns f(t) - f(a)
         rng = random.Random(44)
@@ -535,9 +544,9 @@ class TestIntegerPath:
         pipeline on the scalar data c_j e_j, and the exact zero stored by
         ``prepend_zero`` acts as the zero vector."""
         scales = data.draw(st.lists(mixed_values, min_size=length, max_size=length))
-        basis = [c * np.eye(length, dtype=int)[j].astype(object)
+        basis = [c * CoefficientVector(np.eye(length, dtype=int)[j].astype(object))
                  for j, c in enumerate(scales)]
-        zero = np.zeros(length, dtype=object)
+        zero = CoefficientVector(np.zeros(length, dtype=object))
         lead = [RATIONAL.zero] if zero_slot else []
         grid = forward([0] * (len(lead) + length))
 
@@ -545,23 +554,53 @@ class TestIntegerPath:
             return operators._pipeline(grid.with_values(values), beta,
                                        skip_first=skip_first, pre=pre, post=post)
 
+        def coefficients(row):
+            return [Fraction(x, row.den) for x in row.nums]
+
         out = run(lead + basis)
-        assert all(isinstance(row, np.ndarray) and len(row) == length for row in out)
-        assert all(type(x) is Fraction for row in out for x in row)
+        assert all(isinstance(row, CoefficientVector) and len(row.nums) == length
+                   for row in out)
+        assert all(type(x) is int for row in out for x in (*row.nums, row.den))
         for j, c in enumerate(scales):
             e_j = [Fraction(0)] * (len(lead) + length)
             e_j[len(lead) + j] = c
-            assert [row[j] for row in out] == run(e_j)
+            assert [coefficients(row)[j] for row in out] == run(e_j)
         if zero_slot:
-            assert [list(row) for row in run([zero] + basis)] == [list(row) for row in out]
+            assert list(map(coefficients, run([zero] + basis))) == list(map(coefficients, out))
         with pytest.raises(TypeError, match="constant"):
             run([RATIONAL.one] + basis)
+
+    @given(a=st.lists(mixed_values, min_size=3, max_size=3),
+           b=st.lists(mixed_values, min_size=3, max_size=3), c=mixed_values)
+    @settings(max_examples=60, deadline=None)
+    def test_coefficient_vector_arithmetic_is_coordinatewise(self, a, b, c):
+        """Sums, differences and scalar multiples of coefficient vectors are
+        those of their coordinates; a scalar lands in the last, constant
+        coordinate, and a product of two vectors is refused."""
+
+        def vector(coords):
+            den = math.lcm(*(x.denominator for x in coords))
+            return CoefficientVector(np.array([int(x * den) for x in coords], dtype=object),
+                                     den)
+
+        u, w = vector(a), vector(b)
+        expected = [
+            (u + w, [x + y for x, y in zip(a, b)]), (u - w, [x - y for x, y in zip(a, b)]),
+            (-u, [-x for x in a]), (c * u, [c * x for x in a]), (u * 3, [3 * x for x in a]),
+            (u + c, a[:2] + [a[2] + c]), (c + u, a[:2] + [a[2] + c]),
+            (u - c, a[:2] + [a[2] - c]), (c - u, [-a[0], -a[1], c - a[2]]),
+        ]
+        for got, want in expected:
+            assert got.den > 0 and all(type(x) is int for x in got.nums)
+            assert [Fraction(x, got.den) for x in got.nums] == want
+        with pytest.raises(TypeError, match="not linear"):
+            u * w
 
     @pytest.mark.parametrize("skip_first", [False, True])
     def test_nothing_left_to_convolve_gives_no_output(self, skip_first):
         # a difference as long as the grid leaves no values, on every path
         grids = [make_grid_function(0, Direction.FORWARD, [1], FLOATING), forward([1])]
-        grids.append(grids[1].with_values([np.ones(1, dtype=object)]))
+        grids.append(grids[1].with_values([CoefficientVector(np.ones(1, dtype=object))]))
         for grid in grids:
             assert operators._pipeline(grid, Fraction(1), skip_first=skip_first, pre=1) == []
 
