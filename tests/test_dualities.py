@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from discfrac import dualities, kernels
-from discfrac.backends import FLOATING, RATIONAL
+from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.cli import main
 from discfrac.dualities import (
     DUAL_IDS,
@@ -19,7 +21,7 @@ from discfrac.dualities import (
     random_instance,
     run_identity_suite,
 )
-from discfrac.errors import DomainError
+from discfrac.errors import BackendOverflow, DomainError
 from discfrac.grids import Direction, make_grid_function
 from discfrac.kernels import fault_injection
 from discfrac.operators import Kind, Side
@@ -303,3 +305,83 @@ def test_each_run_builds_its_kernels_once(monkeypatch, backend):
     # one build per beta and run, on the run's own backend copy
     assert len(set(built)) == len(built)
     assert len({id(b) for _, b in built}) == 2
+
+
+def _pinned_fields(backend) -> list:
+    """``as_record()``, first point, step and residuals of four seeded
+    instances of every identity.  Floating residual values and
+    ``max_abs_residual`` are left out: only the exact ones are
+    machine-independent."""
+    out = []
+    for which in IdentityId:
+        rng = random.Random(f"pin/{which.value}")
+        for _ in range(4):
+            f, alpha = random_instance(which, rng, backend)
+            report = check_identity(f, alpha, which)
+            rec = report.as_record()
+            if backend.exact:
+                residuals = [[str(p), str(r)] for p, r in report.residuals]
+            else:
+                del rec["max_abs_residual"]
+                residuals = [str(p) for p, _ in report.residuals]
+            out.append([rec, str(report.first), report.step, residuals])
+    return out
+
+
+# sha256 of json.dumps(_pinned_fields(backend)) per backend
+PINNED_REPORTS = {
+    "rational": "e694594a534b49d23a6a0fe53ee9c7dfe2a86d0a497cbb569649d3ce29b854d7",
+    "floating": "cc08ff19f1f9e3274931bc4214f53cfb57e78d9be00f2363c2d2e2779797a376",
+}
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+def test_check_reports_are_pinned(backend):
+    fields = _pinned_fields(backend)
+    first = fields[0]
+    assert first[0] == {"id": "LEFT_DUAL_SUM", "order": first[0]["order"],
+                        "grid": first[0]["grid"], **({"max_abs_residual": "0"}
+                                                     if backend.exact else {}),
+                        "pass": True, "points": len(first[3]), "backend": backend.name}
+    # both data directions are covered, and both residual steps
+    assert {rec["grid"].split()[0] for rec, *_ in fields} == {"forward", "backward"}
+    assert {step for _, _, step, _ in fields} == {1, -1}
+    assert all(rec["pass"] for rec, *_ in fields)
+    digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+    assert digest == PINNED_REPORTS[backend.name]
+
+
+def _reference_instance(which, rng, backend, min_length=4, max_length=12):
+    """random_instance as written with make_grid_function and one randint per draw."""
+    length = rng.randint(min_length, max_length)
+    den = rng.randint(2, 12)
+    num = rng.randrange(1, 2 * den)
+    if num == den:
+        num += 1
+    anchor = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+    values = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(length)]
+    direction = IDENTITIES[which].direction
+    if direction is None:
+        direction = Direction.BACKWARD if rng.random() < 0.5 else Direction.FORWARD
+    return make_grid_function(anchor, direction, values, backend), Fraction(num, den)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+def test_random_instance_matches_make_grid_function(backend):
+    for which in IdentityId:
+        rng, ref = random.Random(which.value), random.Random(which.value)
+        for _ in range(25):
+            f, alpha = random_instance(which, rng, backend, 2, 9)
+            g, beta = _reference_instance(which, ref, backend, 2, 9)
+            assert (f, alpha) == (g, beta)
+            assert [type(v) for v in f.values] == [type(v) for v in g.values]
+            assert type(f.origin) is Fraction and f.backend is backend
+            assert rng.getstate() == ref.getstate()
+
+
+def test_drawn_values_go_through_the_backend():
+    tight = RationalBackend(bit_cap=2)
+    with pytest.raises(BackendOverflow):
+        random_instance(IdentityId.LEFT_DUAL_SUM, random.Random(0), tight)
+    with pytest.raises(BackendOverflow):
+        run_identity_suite([IdentityId.LEFT_DUAL_SUM], instances=1, backend=tight)
