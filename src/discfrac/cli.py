@@ -167,7 +167,7 @@ def cmd_apply(args) -> int:
 def cmd_check(args) -> int:
     backend = _resolve_backend(args)
     _reject_repeats("--id", args.id)
-    if args.all or not args.id:
+    if not args.id:
         ids = list(IdentityId)
     else:
         try:
@@ -221,7 +221,7 @@ def _parse_values(text: str) -> list[Fraction]:
 
 def cmd_theorems(args) -> int:
     _reject_repeats("--id", args.id)
-    if args.all or not args.id:
+    if not args.id:
         ids = list(THEOREMS)
     else:
         for name in args.id:
@@ -289,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.set_defaults(func=cmd_apply)
 
     p_check = sub.add_parser("check", help="run identity suites")
-    p_check.add_argument("--id", action="append", default=[],
-                         help="identity id (repeatable); default all")
-    p_check.add_argument("--all", action="store_true")
+    which = p_check.add_mutually_exclusive_group()
+    which.add_argument("--id", action="append", default=[],
+                       help="identity id (repeatable); default all")
+    which.add_argument("--all", action="store_true")
     p_check.add_argument("--instances", type=int, default=50)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
@@ -302,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_theo = sub.add_parser("theorems", help="run theorem campaigns")
-    p_theo.add_argument("--id", action="append", default=[],
-                        help="theorem id (repeatable); default all")
-    p_theo.add_argument("--all", action="store_true")
+    which = p_theo.add_mutually_exclusive_group()
+    which.add_argument("--id", action="append", default=[],
+                       help="theorem id (repeatable); default all")
+    which.add_argument("--all", action="store_true")
     mode = p_theo.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", help="the default mode")
     mode.add_argument("--random", action="store_true")

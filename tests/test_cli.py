@@ -253,6 +253,14 @@ class TestCheck:
         assert "--id repeats LEFT_DUAL_SUM" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_all_and_id_are_exclusive(self, tmp_path, capsys):
+        report = tmp_path / "r.jsonl"
+        code = main(["check", "--all", "--id", "LEFT_DUAL_SUM", "--instances", "1",
+                     "--report", str(report)])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         args = ["check", "--id", "LEFT_DUAL_DIFF", "--instances", "4", "--seed", "3"]
@@ -325,6 +333,14 @@ class TestTheorems:
         code = main(["theorems", "--id", "T_U1", "--random", "--exhaustive"])
         assert code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_all_and_id_are_exclusive(self, tmp_path, capsys):
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--all", "--id", "T_U1", "--length", "2",
+                     "--report", str(report)])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_backend_flag_is_gone(self):
         assert main(["theorems", "--id", "T_U1", "--backend", "rational"]) == 2
