@@ -28,14 +28,12 @@ def as_fraction(x) -> Fraction:
 
     Floats convert to their exact binary value, never to a decimal guess.
     """
+    # the builtin types first: an isinstance check against Fraction, an
+    # abstract base class, is slow for anything but a Fraction
+    if isinstance(x, (int, str, float)):
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -9,8 +9,9 @@ The pairing works in storage index space.  Once both output origins
 have been checked exactly, the stated index set is a range of storage
 indices, and both sides are read by slicing; a Q identity reads its
 right-hand side at a fixed integer index shift instead of reflecting it
-point by point.  The points themselves are formed only when a report's
-``residuals`` are read.  Equal exact sides record zero residuals without
+point by point.  Each expected origin is one ``Fraction`` formed from the
+table's integer offsets.  The points themselves, and a report's grid
+string, are formed only when read.  Equal exact sides record zero residuals without
 a subtraction.  ``run_identity_suite`` puts its grids on a
 ``run_scoped()`` copy of the backend, whose table builds each kernel once
 per call; nothing of it outlives the call.
@@ -25,13 +26,13 @@ from __future__ import annotations
 import enum
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .backends import FLOATING, as_fraction
 from .errors import DomainError
-from .grids import Direction, GridFunction, make_grid_function
+from .grids import Direction, GridFunction
 from .operators import (
     Family,
     Kind,
@@ -168,16 +169,29 @@ DUAL_IDS, Q_IDS, RELATION_IDS = (
 class CheckReport:
     identity: IdentityId
     order: Fraction
-    grid: str
-    # residual values on the stated index set, whose points run from
-    # ``first`` in steps of ``step`` (1 or -1)
-    values: list = field(default_factory=list)
-    first: Fraction = Fraction(0)
-    step: int = 1
-    max_abs_residual: object = 0
-    passed: bool = True
+    data: GridFunction  # the checked instance
+    # residual values on the stated index set, the storage of ``stated``
+    # from index ``start`` on
+    values: list
+    stated: GridFunction
+    start: int
+    max_abs_residual: object
+    passed: bool
     tolerance: float = DEFAULT_TOLERANCE
     backend: str = "floating"
+
+    @property
+    def grid(self) -> str:
+        f = self.data
+        return f"{f.direction.value} origin={f.origin} length={f.length}"
+
+    @property
+    def first(self) -> Fraction:
+        return self.stated.point(self.start)
+
+    @property
+    def step(self) -> int:
+        return 1 if self.stated.direction is Direction.FORWARD else -1
 
     @property
     def residuals(self) -> list:
@@ -196,36 +210,21 @@ class CheckReport:
         }
 
 
-def _residual_ok(res, lhs, rhs, backend, tol) -> bool:
-    if backend.exact:
-        return res == 0
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return abs(res) <= tol * scale
-
-
-def _build_report(identity, order, f, stated, start, lhs, rhs, tolerance) -> CheckReport:
+def _build_report(identity, alpha, f, stated, start, lhs, rhs, tolerance) -> CheckReport:
     """Residuals ``lhs - rhs`` on the stated index set, which is the storage
-    of the grid ``stated`` from index ``start`` on."""
+    of the grid ``stated`` from index ``start`` on.  Exact residuals pass
+    when all are zero, that is when the sides are equal; floating ones
+    within ``tolerance`` times ``max(1, |lhs|, |rhs|)``."""
     backend = f.backend
     if backend.exact and lhs == rhs:
-        # equal exact sides: every residual is zero, nothing to compare
-        values, largest, ok = [backend.zero] * len(lhs), abs(backend.zero), True
+        values, largest, ok = [backend.zero] * len(lhs), backend.zero, True
     else:
         values = list(map(operator.sub, lhs, rhs))
         largest = max([abs(backend.zero), *map(abs, values)])
-        ok = all(_residual_ok(*v, backend, tolerance) for v in zip(values, lhs, rhs))
-    return CheckReport(
-        identity=identity,
-        order=as_fraction(order),
-        grid=f"{f.direction.value} origin={f.origin} length={f.length}",
-        values=values,
-        first=stated.point(start),
-        step=1 if stated.direction is Direction.FORWARD else -1,
-        max_abs_residual=largest,
-        passed=ok,
-        tolerance=tolerance,
-        backend=backend.name,
-    )
+        ok = not backend.exact and all(abs(r) <= tolerance * max(1.0, abs(x), abs(y))
+                                       for r, x, y in zip(values, lhs, rhs))
+    return CheckReport(identity, alpha, f, values, stated, start, largest, ok, tolerance,
+                       backend.name)
 
 
 def _expect_origin(grid: GridFunction, expected, what: str) -> None:
@@ -243,26 +242,30 @@ def _paired(points, lhs_values, rhs_values) -> None:
         )
 
 
-def _reflected_pairs(lhs: GridFunction, rhs: GridFunction, f: GridFunction, start: int):
+def _reflected_pairs(lhs: GridFunction, rhs: GridFunction, k: Fraction, start: int):
     """The values of both sides of a Q identity on the stated index set,
     lhs storage from ``start`` on, paired through the reflection
     s -> a + b - s of the forward data grid {a..b}.
 
     A left operator's output runs forward and a right one's backward, so
     the lhs point ``o_L + i`` reflects to the rhs point ``o_R - (i + k)``
-    with ``k = o_L + o_R - (a + b)``: the pairs are read by slicing.
+    with ``k = o_L + o_R - (a + b)``: the pairs are read by slicing.  With
+    both origins checked, ``o_L = a + d_L`` and ``o_R = b - d_R`` for the
+    stated offsets, so ``k = d_L - d_R``.
     """
-    k = lhs.origin + rhs.origin - (f.origin + f.far_point)
-    if k.denominator != 1 or not (0 <= start + k and lhs.length + k <= rhs.length):
+    shift = k.numerator  # k itself, once its denominator is 1
+    if k.denominator != 1 or not (0 <= start + shift and lhs.length + shift <= rhs.length):
         raise DomainError(f"the reflected right-hand side misses the stated index set "
                           f"(index shift {k})")
-    k = int(k)
-    return lhs.values[start:], rhs.values[start + k:lhs.length + k]
+    return lhs.values[start:], rhs.values[start + shift:lhs.length + shift]
 
 
-def _inward(g: GridFunction, offset: tuple, n: int, alpha: Fraction) -> Fraction:
-    steps, n_times, alpha_times = offset
-    return g.shift_origin(steps + n_times * n + alpha_times * alpha)
+def _inward(g: GridFunction, inward: int, den: int) -> Fraction:
+    """g's origin moved ``inward / den`` steps into the grid's own direction."""
+    a = g.origin
+    if g.direction is Direction.BACKWARD:
+        inward = -inward
+    return Fraction(a.numerator * den + inward * a.denominator, a.denominator * den)
 
 
 def _apply(op: tuple, alpha: Fraction, g: GridFunction, riemann_form: bool = False):
@@ -283,12 +286,17 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     lhs = _apply(row.lhs, alpha, row.lhs_input(f))
     rhs_input = row.rhs_input(f)
     rhs = _apply(row.rhs, alpha, rhs_input, riemann_form=row.family == "relation")
-    _expect_origin(rhs, _inward(rhs_input if reflect else f, row.origins[1], n, alpha),
+    # each stated origin offset (steps, n_times, alpha_times), times alpha's denominator
+    den = alpha.denominator
+    at_lhs, at_rhs = ((steps + n_times * n) * den + alpha_times * alpha.numerator
+                      for steps, n_times, alpha_times in row.origins)
+    _expect_origin(rhs, _inward(rhs_input if reflect else f, at_rhs, den),
                    f"{which.value} right-hand side")
-    _expect_origin(lhs, _inward(f, row.origins[0], n, alpha), f"{which.value} left-hand side")
+    _expect_origin(lhs, _inward(f, at_lhs, den), f"{which.value} left-hand side")
     start = row.points
     if reflect:
-        stated, (lhs_values, rhs_values) = lhs, _reflected_pairs(lhs, rhs, f, start)
+        k = Fraction(at_lhs - at_rhs, den)
+        stated, (lhs_values, rhs_values) = lhs, _reflected_pairs(lhs, rhs, k, start)
     else:
         stated, lhs_values, rhs_values = rhs, lhs.values, rhs.values[start:]
     _paired(range(start, stated.length), lhs_values, rhs_values)
@@ -349,12 +357,21 @@ def check_identity(f: GridFunction, order, which: IdentityId,
 
 # the values p/q (|p| <= 8, 1 <= q <= 4) random_instance draws, at [p + 8][q - 1]
 _DRAWN = tuple(tuple(Fraction(p, q) for q in range(1, 5)) for p in range(-8, 9))
-_DRAWN_FLOAT = tuple(tuple(map(float, row)) for row in _DRAWN)
+
+
+def _drawn_values(backend) -> tuple:
+    """``_DRAWN`` with every value through ``backend.scalar``."""
+    return tuple(tuple(map(backend.scalar, row)) for row in _DRAWN)
 
 
 def random_instance(which: IdentityId, rng: random.Random, backend,
-                    min_length: int = 4, max_length: int = 12):
-    """Seeded (grid, order) instance admissible for the given identity."""
+                    min_length: int = 4, max_length: int = 12, drawn=None):
+    """Seeded (grid, order) instance admissible for the given identity.
+
+    Values are read from ``drawn``, ``_drawn_values(backend)``, which a run
+    of many instances validates once.  Choosing a row of 17 and then one of
+    its 4 values draws what ``randint(-8, 8)`` and ``randint(1, 4)`` would.
+    """
     length = rng.randint(min_length, max_length)
     den = rng.randint(2, 12)
     num = rng.randrange(1, 2 * den)
@@ -362,13 +379,13 @@ def random_instance(which: IdentityId, rng: random.Random, backend,
         num += 1
     alpha = Fraction(num, den)
     anchor = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
-    drawn = _DRAWN if backend.exact else _DRAWN_FLOAT
-    values = [drawn[rng.randint(-8, 8) + 8][rng.randint(1, 4) - 1] for _ in range(length)]
+    drawn = drawn or _drawn_values(backend)
+    choice = rng.choice
+    values = tuple([choice(choice(drawn)) for _ in range(length)])
     direction = IDENTITIES[which].direction
     if direction is None:
         direction = Direction.BACKWARD if rng.random() < 0.5 else Direction.FORWARD
-    f = make_grid_function(anchor, direction, values, backend)
-    return f, alpha
+    return GridFunction(anchor, direction, values, backend), alpha
 
 
 @dataclass
@@ -402,17 +419,18 @@ def run_identity_suite(ids=None, instances: int = 200, seed: int = 0,
     if ids is None:
         ids = list(IdentityId)
     backend = backend.run_scoped(max_length + 1)
+    drawn = _drawn_values(backend)
     results = []
     for which in ids:
         rng = random.Random((seed, which.value).__repr__())
         worst = backend.zero
         failures = 0
         for _ in range(instances):
-            f, alpha = random_instance(which, rng, backend, min_length, max_length)
+            f, alpha = random_instance(which, rng, backend, min_length, max_length, drawn)
             report = check_identity(f, alpha, which, tolerance)
-            if not report.passed:
-                failures += 1
-            if abs(report.max_abs_residual) > abs(worst):
+            failures += not report.passed
+            # max_abs_residual is never negative
+            if report.max_abs_residual > worst:
                 worst = report.max_abs_residual
         results.append(
             SuiteResult(

@@ -86,7 +86,7 @@ class GridFunction:
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
-        amount = as_fraction(inward)
+        amount = inward if isinstance(inward, int) else as_fraction(inward)
         if self.direction is Direction.FORWARD:
             return self.origin + amount
         return self.origin - amount

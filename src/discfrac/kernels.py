@@ -245,10 +245,11 @@ def kernel_vector(beta, count: int, backend=FLOATING) -> list:
 def cleared(values):
     """``(nums, d)`` with ``values[i] == nums[i] / d`` for d the LCM of the
     denominators, or None unless every value is a Fraction."""
-    if not all(isinstance(v, Fraction) for v in values):
+    if not all(type(v) is Fraction for v in values):
         return None
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
 
 
 def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
@@ -267,7 +268,7 @@ def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
     if table is None:
         weights = kernel_vector(backend.scalar(beta), count, backend)
         return cleared(weights) if as_integers else weights
-    key = (beta, _FAULT_FACTOR)
+    key = (beta.numerator, beta.denominator, _FAULT_FACTOR)  # a Fraction hashes slowly
     entry = table.get(key)
     if entry is None or len(entry[0]) < count:
         try:

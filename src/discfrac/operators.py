@@ -71,7 +71,7 @@ class Formulation(enum.Enum):
 def order_ceiling(order) -> int:
     """n = [alpha] + 1 where [alpha] is the greatest integer below alpha."""
     a = as_fraction(order)
-    return int(math.ceil(a))
+    return -(-a.numerator // a.denominator)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class OperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "order", as_fraction(self.order))
-        if self.order <= 0:
+        if self.order.numerator <= 0:
             raise DomainError("operator order must be positive")
         if self.formulation is Formulation.DIRECT:
             if self.family is not Family.RIEMANN:
@@ -331,7 +331,7 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         )
         # k-th storage difference at the first point: the forward difference
         # at the origin, or on backward grids the signed one
-        anchors = [storage_difference(f.values, k)[0] for k in range(n)]
+        anchors = [storage_difference(f.values[:k + 1], k)[0] for k in range(n)]
         first_lags = [n - k for k in range(n)]
     else:
         # nabla: Riemann side anchored n-1 steps inward, on its extended
@@ -340,7 +340,7 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         # together with the fused correction weights realizes their limits.
         trimmed = f.drop_leading(n - 1) if n > 1 else f
         riem = _nabla_single_sum(trimmed, alpha)
-        anchors = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
+        anchors = [storage_difference(f.values[n - 1 - k:n], k)[0] for k in range(n)]
         first_lags = [0] * n
     # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
     exact = cleared(anchors)
@@ -396,7 +396,7 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     # plus the conventional zero at the anchor point itself
     summed = [backend.zero] + _pipeline(cap, alpha)
     anchor_index = n - 1
-    taylor_coeffs = [storage_difference(f.values, k)[n - 1 - k] for k in range(n)]
+    taylor_coeffs = [storage_difference(f.values[n - 1 - k:n], k)[0] for k in range(n)]
     out = []
     for m, s in enumerate(summed):
         # Taylor weight rising(m, k)/k! at the point m steps inward of the anchor

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -309,15 +310,17 @@ def test_each_run_builds_its_kernels_once(monkeypatch, backend):
 
 def _pinned_fields(backend) -> list:
     """``as_record()``, first point, step and residuals of four seeded
-    instances of every identity.  Floating residual values and
+    instances of every identity, the fourth under fault injection, which
+    leaves nonzero residuals.  Floating residual values and
     ``max_abs_residual`` are left out: only the exact ones are
     machine-independent."""
     out = []
     for which in IdentityId:
         rng = random.Random(f"pin/{which.value}")
-        for _ in range(4):
+        for i in range(4):
             f, alpha = random_instance(which, rng, backend)
-            report = check_identity(f, alpha, which)
+            with fault_injection(1 + 1e-6) if i == 3 else contextlib.nullcontext():
+                report = check_identity(f, alpha, which)
             rec = report.as_record()
             if backend.exact:
                 residuals = [[str(p), str(r)] for p, r in report.residuals]
@@ -330,23 +333,25 @@ def _pinned_fields(backend) -> list:
 
 # sha256 of json.dumps(_pinned_fields(backend)) per backend
 PINNED_REPORTS = {
-    "rational": "e694594a534b49d23a6a0fe53ee9c7dfe2a86d0a497cbb569649d3ce29b854d7",
-    "floating": "cc08ff19f1f9e3274931bc4214f53cfb57e78d9be00f2363c2d2e2779797a376",
+    "rational": "7ae3c43572bce7f9989b9ae5b2e3d48656d7866779a659bb3e2af3821aad547c",
+    "floating": "95d65516acb8baba5e62384ac0b36e3418f8b99f931e591f2a6a36d011e52ca0",
 }
 
 
 @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
 def test_check_reports_are_pinned(backend):
     fields = _pinned_fields(backend)
-    first = fields[0]
-    assert first[0] == {"id": "LEFT_DUAL_SUM", "order": first[0]["order"],
-                        "grid": first[0]["grid"], **({"max_abs_residual": "0"}
-                                                     if backend.exact else {}),
-                        "pass": True, "points": len(first[3]), "backend": backend.name}
-    # both data directions are covered, and both residual steps
+    record = {"id": "LEFT_DUAL_SUM", "order": "5/8", "grid": "forward origin=0 length=11",
+              "max_abs_residual": "0", "pass": True, "points": 11, "backend": backend.name}
+    if not backend.exact:
+        del record["max_abs_residual"]
+    assert fields[0][:3] == [record, "0", 1]
+    assert fields[0][3][-1] == (["10", "0"] if backend.exact else "10")
+    # both data directions and both residual steps are covered, and the
+    # faulted CAPUTO_INVERSION instance fails
     assert {rec["grid"].split()[0] for rec, *_ in fields} == {"forward", "backward"}
     assert {step for _, _, step, _ in fields} == {1, -1}
-    assert all(rec["pass"] for rec, *_ in fields)
+    assert not fields[-1][0]["pass"]
     digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
     assert digest == PINNED_REPORTS[backend.name]
 
@@ -385,3 +390,20 @@ def test_drawn_values_go_through_the_backend():
         random_instance(IdentityId.LEFT_DUAL_SUM, random.Random(0), tight)
     with pytest.raises(BackendOverflow):
         run_identity_suite([IdentityId.LEFT_DUAL_SUM], instances=1, backend=tight)
+
+
+def test_an_exact_residual_below_the_tolerance_fails(monkeypatch):
+    """The exact backend passes only zero residuals, however small the
+    tolerance would make a floating one."""
+    real = dualities.fractional_sum
+
+    def nudged(spec, g):
+        out = real(spec, g)
+        if spec.kind is not Kind.NABLA:
+            return out
+        return out.with_values(out.values[:-1] + (out.values[-1] + Fraction(1, 10**30),))
+
+    f, alpha = random_instance(IdentityId.LEFT_DUAL_SUM, random.Random(1), RATIONAL)
+    monkeypatch.setattr(dualities, "fractional_sum", nudged)
+    report = check_identity(f, alpha, IdentityId.LEFT_DUAL_SUM)
+    assert not report.passed and report.max_abs_residual == Fraction(1, 10**30)

@@ -269,10 +269,11 @@ class TestBackends:
     def test_run_table_serves_prefixes_of_one_build(self):
         run = RATIONAL.run_scoped(12)
         beta = Fraction(-5, 12)
+        key = (beta.numerator, beta.denominator, 1.0)
         nums, d = kernel(beta, 3, run, as_integers=True)
-        assert len(nums) == 12 and run.kernels[beta, 1.0][0] == kernel_vector(beta, 12, RATIONAL)
+        assert len(nums) == 12 and run.kernels[key][0] == kernel_vector(beta, 12, RATIONAL)
         assert [Fraction(x, d) for x in nums] == kernel_vector(beta, 12, RATIONAL)
-        assert kernel(beta, 7, run) is run.kernels[beta, 1.0][0]
+        assert kernel(beta, 7, run) is run.kernels[key][0]
         with fault_injection(2.0):
             assert kernel(beta, 4, run)[1] == 2 * beta
         assert kernel(beta, 13, run) == kernel_vector(beta, 13, RATIONAL)
