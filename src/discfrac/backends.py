@@ -162,9 +162,11 @@ class GammaValue:
 
 
 class _Backend:
-    """What both backends share: an optional table of kernels."""
+    """What both backends share: an optional table of kernels and an
+    optional kernel fault."""
 
     kernels = None  # see run_scoped()
+    fault = None  # see with_fault()
 
     def run_scoped(self, kernel_length: int):
         """A copy of this backend that owns an empty kernel table.
@@ -177,6 +179,19 @@ class _Backend:
         run = copy.copy(self)
         run.kernels, run.kernel_length = {}, kernel_length
         return run
+
+    def with_fault(self):
+        """A copy of this backend whose kernels come with the lag-1 weight
+        scaled by 1 + 1e-6: the identity suite's self-test.
+
+        ``kernels.kernel`` applies the fault.  The copy owns a fresh table if
+        this backend has one, so a faulted kernel never reaches a clean run.
+        """
+        bad = copy.copy(self)
+        bad.fault = 1 + 1e-6
+        if bad.kernels is not None:
+            bad.kernels = {}
+        return bad
 
 
 class FloatBackend(_Backend):

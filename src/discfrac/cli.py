@@ -12,16 +12,13 @@ Input format for ``apply``: a JSON object {"origin": str, "direction":
 "forward"|"backward", "values": [str, ...]} whose numbers are decimal or
 "p/q" strings, parsed exactly by the rational backend.  A CSV file with
 ``t,value`` rows (consecutive integer t, ascending) is accepted for
-forward integer-origin grids.  The environment variable FRAC_BACKEND
-overrides --backend when set.
+forward integer-origin grids.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -42,7 +39,6 @@ from .errors import (
     GridTooShort,
 )
 from .grids import Direction, GridFunction, make_grid_function
-from .kernels import fault_injection
 from .monotone import THEOREMS, min_live_length, search_campaign
 from .operators import Family, Formulation, Kind, OperatorSpec, Side, apply_operator
 
@@ -120,11 +116,6 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _resolve_backend(args) -> object:
-    name = os.environ.get("FRAC_BACKEND") or args.backend
-    return get_backend(name)
-
-
 def _domain_note(spec: OperatorSpec, grid: GridFunction) -> str:
     if grid.direction is Direction.FORWARD:
         note = f"points {grid.origin} + k for k = 0..{grid.length - 1}"
@@ -136,7 +127,9 @@ def _domain_note(spec: OperatorSpec, grid: GridFunction) -> str:
 
 
 def cmd_apply(args) -> int:
-    backend = _resolve_backend(args)
+    if args.extended and args.form != "direct":
+        raise ValueError("--extended needs --form direct")
+    backend = get_backend(args.backend)
     spec = OperatorSpec(
         Kind(args.kind),
         Side(args.side),
@@ -165,7 +158,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_check(args) -> int:
-    backend = _resolve_backend(args)
+    backend = get_backend(args.backend)
     _reject_repeats("--id", args.id)
     if not args.id:
         ids = list(IdentityId)
@@ -178,9 +171,10 @@ def cmd_check(args) -> int:
         raise ValueError("--instances must be at least 1")
     if not 0 < args.tolerance < float("inf"):
         raise DomainError("tolerance must be positive and finite")
-    with fault_injection(1 + 1e-6) if args.inject_error else contextlib.nullcontext():
-        results = run_identity_suite(ids, instances=args.instances, seed=args.seed,
-                                     backend=backend, tolerance=args.tolerance)
+    if args.inject_error:
+        backend = backend.with_fault()
+    results = run_identity_suite(ids, instances=args.instances, seed=args.seed,
+                                 backend=backend, tolerance=args.tolerance)
     records = []
     for r in results:
         rec = r.as_record()
@@ -299,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--backend", choices=["floating", "rational"], default="floating")
     p_check.add_argument("--report", default=None)
     p_check.add_argument("--inject-error", action="store_true",
-                         help="self-test: corrupt the kernels and expect failures")
+                         help="self-test: corrupt every kernel's lag-1 weight and "
+                              "expect the relation checks to fail")
     p_check.set_defaults(func=cmd_check)
 
     p_theo = sub.add_parser("theorems", help="run theorem campaigns")

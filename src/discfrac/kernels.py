@@ -27,30 +27,6 @@ from fractions import Fraction
 from .backends import FLOATING, GammaValue, as_fraction
 from .errors import BackendOverflow, DomainError, PoleAmbiguous
 
-# Multiplier applied to every kernel weight.  Left at 1.0 except inside
-# fault_injection(), which the check harness uses to prove it can detect
-# a corrupted kernel (self-test mode).
-_FAULT_FACTOR = 1.0
-
-
-class fault_injection:
-    """Context manager scaling all kernel weights by ``factor``."""
-
-    def __init__(self, factor: float):
-        self.factor = factor
-        self._saved = None
-
-    def __enter__(self):
-        global _FAULT_FACTOR
-        self._saved = _FAULT_FACTOR
-        _FAULT_FACTOR = self.factor
-        return self
-
-    def __exit__(self, *exc):
-        global _FAULT_FACTOR
-        _FAULT_FACTOR = self._saved
-        return False
-
 
 def _is_nonpositive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
@@ -194,12 +170,8 @@ def binomial_weight(beta, lag: int, backend=FLOATING):
         prod = Fraction(1)
         for j in range(lag):
             prod = prod * (bf + j) / (j + 1)
-        value = backend.guard(prod)
-    else:
-        value = _float_weight(float(beta), lag)
-    if _FAULT_FACTOR != 1.0:
-        value = value * backend.scalar(_FAULT_FACTOR)
-    return value
+        return backend.guard(prod)
+    return _float_weight(float(beta), lag)
 
 
 def _float_weight(beta: float, lag: int) -> float:
@@ -234,12 +206,9 @@ def kernel_vector(beta, count: int, backend=FLOATING) -> list:
             w = out[-1]
             out.append(backend.guard(Fraction(w.numerator * (p + q * (lag - 1)),
                                               w.denominator * q * lag)))
-    else:
-        b = float(beta)
-        out = [_float_weight(b, lag) for lag in range(count)]
-    if _FAULT_FACTOR != 1.0:
-        out = [v * backend.scalar(_FAULT_FACTOR) for v in out]
-    return out
+        return out
+    b = float(beta)
+    return [_float_weight(b, lag) for lag in range(count)]
 
 
 def cleared(values):
@@ -252,30 +221,37 @@ def cleared(values):
     return [p * (d // q) for p, q in pairs], d
 
 
+def _build(beta: Fraction, count: int, backend) -> list:
+    """``kernel_vector`` with the lag-1 weight scaled by the backend's fault,
+    if it carries one (``with_fault``)."""
+    weights = kernel_vector(backend.scalar(beta), count, backend)
+    if backend.fault is not None and count > 1:
+        weights[1] = backend.guard(weights[1] * backend.scalar(backend.fault))
+    return weights
+
+
 def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
     """``kernel_vector(beta, count, backend)``, or with ``as_integers`` its
-    ``cleared`` form; either may hold more than ``count`` weights.
+    ``cleared`` form; either may hold more than ``count`` weights.  On a
+    backend from ``with_fault`` the lag-1 weight carries the fault.
 
     A backend from ``run_scoped(length)`` keeps each kernel in its table,
     built at ``length`` weights (more if a call asks for more) and exact
-    ones already cleared, and serves every later call a prefix.  The key
-    holds the fault factor, so a kernel built under ``fault_injection`` is
-    never served outside it.  A build that overflows the bit cap at
-    ``length`` is retried at ``count``, so ``BackendOverflow`` fires on the
-    same calls as without a table.
+    ones already cleared, and serves every later call a prefix.  A build
+    that overflows the bit cap at ``length`` is retried at ``count``, so
+    ``BackendOverflow`` fires on the same calls as without a table.
     """
     table = backend.kernels
     if table is None:
-        weights = kernel_vector(backend.scalar(beta), count, backend)
+        weights = _build(beta, count, backend)
         return cleared(weights) if as_integers else weights
-    key = (beta.numerator, beta.denominator, _FAULT_FACTOR)  # a Fraction hashes slowly
+    key = (beta.numerator, beta.denominator)  # a Fraction hashes slowly
     entry = table.get(key)
     if entry is None or len(entry[0]) < count:
         try:
-            weights = kernel_vector(backend.scalar(beta), max(count, backend.kernel_length),
-                                    backend)
+            weights = _build(beta, max(count, backend.kernel_length), backend)
         except BackendOverflow:
-            weights = kernel_vector(backend.scalar(beta), count, backend)
+            weights = _build(beta, count, backend)
         entry = table[key] = (weights, cleared(weights) if backend.exact else None)
     return entry[1] if as_integers else entry[0]
 

@@ -44,7 +44,7 @@ import numpy as np
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
 from .grids import Direction, GridFunction, storage_difference
-from .kernels import binomial_weight, cleared, kernel
+from .kernels import cleared, kernel
 
 
 class Kind(enum.Enum):
@@ -397,12 +397,16 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     summed = [backend.zero] + _pipeline(cap, alpha)
     anchor_index = n - 1
     taylor_coeffs = [storage_difference(f.values[n - 1 - k:n], k)[0] for k in range(n)]
+    # Taylor weight rising(m, k)/k! = C(m+k-1, k) at the point m steps inward
+    # of the anchor: w(k+1, m-1) for m >= 1, and at m = 0 it is 1 for k = 0
+    # and 0 otherwise
+    weights = [[backend.zero if k else backend.one]
+               + kernel(Fraction(k + 1), len(summed) - 1, backend) for k in range(n)]
     out = []
     for m, s in enumerate(summed):
-        # Taylor weight rising(m, k)/k! at the point m steps inward of the anchor
         t_val = None
         for k in range(n):
-            c = binomial_weight(Fraction(m), k, backend) * taylor_coeffs[k]
+            c = weights[k][m] * taylor_coeffs[k]
             t_val = c if t_val is None else t_val + c
         rhs = f.values[anchor_index + m] - t_val
         out.append(s - rhs)

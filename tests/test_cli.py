@@ -63,6 +63,28 @@ class TestApply:
         assert code == 2
         assert "non-integer order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator", [["--family", "sum"], ["--family", "caputo"],
+                                          ["--family", "riemann", "--form", "composed"]])
+    def test_extended_without_the_direct_form_is_usage_error(self, tmp_path, capsys,
+                                                             operator):
+        out = tmp_path / "out.json"
+        code = main(["apply", "--input", ones_json(tmp_path), "--kind", "nabla",
+                     "--order", "1/2", *operator, "--extended", "--output", str(out)])
+        assert code == 2
+        assert "--extended needs --form direct" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_extended_direct_form_adds_points(self, tmp_path):
+        args = ["apply", "--input", ones_json(tmp_path), "--kind", "delta",
+                "--family", "riemann", "--form", "direct", "--order", "3/2",
+                "--backend", "rational"]
+        plain, extended = tmp_path / "plain.json", tmp_path / "extended.json"
+        assert main(args + ["--output", str(plain)]) == 0
+        assert main(args + ["--extended", "--output", str(extended)]) == 0
+        plain, extended = json.loads(plain.read_text()), json.loads(extended.read_text())
+        assert len(extended["values"]) == len(plain["values"]) + 1
+        assert extended["values"][1:] == plain["values"]
+
     def test_direction_mismatch_is_domain_error(self, tmp_path):
         src = write(tmp_path, "b.json", json.dumps(
             {"origin": "5", "direction": "backward", "values": ["1", "2", "3"]}))
@@ -225,8 +247,13 @@ class TestCheck:
                      "--backend", "rational", "--report", str(report)])
         assert code == 1
         failed = [json.loads(line) for line in report.read_text().splitlines()]
-        failed = [rec for rec in failed if not rec["pass"]]
-        assert failed and all(rec["max_residual"] != "0" for rec in failed)
+        failed = {rec["id"]: rec for rec in failed if not rec["pass"]}
+        # a single-lag fault escapes some instances: RELATE_DELTA_LEFT
+        # passes all three of these
+        assert {k: rec["failures"] for k, rec in failed.items()} == {
+            "RELATE_DELTA_RIGHT": 2, "RELATE_NABLA_LEFT": 3, "RELATE_NABLA_RIGHT": 3,
+            "CAPUTO_INVERSION": 3}
+        assert all(rec["max_residual"] != "0" for rec in failed.values())
 
     def test_rational_report_is_pinned(self, tmp_path):
         report = tmp_path / "r.jsonl"
@@ -268,15 +295,15 @@ class TestCheck:
         main(args + ["--report", r2])
         assert open(r1, "rb").read() == open(r2, "rb").read()
 
-    def test_env_overrides_backend(self, tmp_path, monkeypatch):
+    def test_environment_does_not_choose_the_backend(self, tmp_path, monkeypatch):
         report = str(tmp_path / "r.jsonl")
         monkeypatch.setenv("FRAC_BACKEND", "rational")
         code = main(["check", "--id", "LEFT_DUAL_SUM", "--instances", "2",
                      "--backend", "floating", "--report", report])
         assert code == 0
         rec = json.loads(open(report).read().strip())
-        assert rec["config"]["backend"] == "rational"
-        assert rec["max_residual"] == "0"
+        assert rec["config"]["backend"] == "floating"
+        assert rec["max_residual"] == "0.0"
 
 
 class TestTheorems:

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import random
@@ -24,7 +23,6 @@ from discfrac.dualities import (
 )
 from discfrac.errors import BackendOverflow, DomainError
 from discfrac.grids import Direction, make_grid_function
-from discfrac.kernels import fault_injection
 from discfrac.operators import Kind, Side
 
 
@@ -177,24 +175,24 @@ def test_suite_small_run_all_pass(backend):
             assert float(abs(r.max_abs_residual)) <= 1e-10
 
 
-def test_corrupted_kernel_is_detected():
-    with fault_injection(1 + 1e-6):
-        results = run_identity_suite(
-            ids=[IdentityId.Q_SUM_DELTA, IdentityId.LEFT_DUAL_SUM],
-            instances=5,
-            seed=2,
-            backend=FLOATING,
-        )
-    # a uniformly scaled kernel leaves sum-vs-sum identities balanced, so
-    # corrupt runs are caught by the relation checks instead
-    with fault_injection(1 + 1e-6):
-        rel = run_identity_suite(
-            ids=[IdentityId.RELATE_DELTA_LEFT, IdentityId.CAPUTO_INVERSION],
-            instances=5,
-            seed=2,
-            backend=FLOATING,
-        )
-    assert any(not r.passed for r in rel)
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+def test_corrupted_kernel_is_detected(backend):
+    # both sides of a dual or Q identity apply the same kernel, so only the
+    # relation checks can see a corrupted lag-1 weight, and all five do
+    results = run_identity_suite(instances=50, seed=0, backend=backend.with_fault())
+    assert {r.identity for r in results if not r.passed} == set(RELATION_IDS)
+    assert sum(r.passed for r in results) == 12
+    assert backend.fault is None and backend.kernels is None
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+@pytest.mark.parametrize("order", [0, -1])
+def test_relation_checks_reject_a_nonpositive_order(backend, order):
+    for which in RELATION_IDS:
+        direction = IDENTITIES[which].direction or Direction.FORWARD
+        f = make_grid_function(0, direction, [1, 2, 3, 4, 5], backend)
+        with pytest.raises(DomainError, match="order must be positive"):
+            check_relation(f, order, which)
 
 
 def test_report_record_shape():
@@ -310,17 +308,16 @@ def test_each_run_builds_its_kernels_once(monkeypatch, backend):
 
 def _pinned_fields(backend) -> list:
     """``as_record()``, first point, step and residuals of four seeded
-    instances of every identity, the fourth under fault injection, which
-    leaves nonzero residuals.  Floating residual values and
+    instances of every identity, the fourth on ``backend.with_fault()``,
+    which leaves nonzero relation residuals.  Floating residual values and
     ``max_abs_residual`` are left out: only the exact ones are
     machine-independent."""
     out = []
     for which in IdentityId:
         rng = random.Random(f"pin/{which.value}")
         for i in range(4):
-            f, alpha = random_instance(which, rng, backend)
-            with fault_injection(1 + 1e-6) if i == 3 else contextlib.nullcontext():
-                report = check_identity(f, alpha, which)
+            f, alpha = random_instance(which, rng, backend.with_fault() if i == 3 else backend)
+            report = check_identity(f, alpha, which)
             rec = report.as_record()
             if backend.exact:
                 residuals = [[str(p), str(r)] for p, r in report.residuals]
@@ -333,8 +330,8 @@ def _pinned_fields(backend) -> list:
 
 # sha256 of json.dumps(_pinned_fields(backend)) per backend
 PINNED_REPORTS = {
-    "rational": "7ae3c43572bce7f9989b9ae5b2e3d48656d7866779a659bb3e2af3821aad547c",
-    "floating": "95d65516acb8baba5e62384ac0b36e3418f8b99f931e591f2a6a36d011e52ca0",
+    "rational": "6dca50ce434064ec0860ff9ce2fa0e26aab53dc93f2484823bdc79ae3455d775",
+    "floating": "10c684635c858f1a8a4a2c547f18a829b1a8edb10af42fdac1b9f5f099285093",
 }
 
 
@@ -347,11 +344,12 @@ def test_check_reports_are_pinned(backend):
         del record["max_abs_residual"]
     assert fields[0][:3] == [record, "0", 1]
     assert fields[0][3][-1] == (["10", "0"] if backend.exact else "10")
-    # both data directions and both residual steps are covered, and the
-    # faulted CAPUTO_INVERSION instance fails
+    # both data directions and both residual steps are covered, and exactly
+    # the faulted relation instances fail
     assert {rec["grid"].split()[0] for rec, *_ in fields} == {"forward", "backward"}
     assert {step for _, _, step, _ in fields} == {1, -1}
-    assert not fields[-1][0]["pass"]
+    assert [i for i, (rec, *_) in enumerate(fields) if not rec["pass"]] == \
+        [4 * list(IdentityId).index(which) + 3 for which in RELATION_IDS]
     digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
     assert digest == PINNED_REPORTS[backend.name]
 

@@ -10,7 +10,6 @@ from discfrac.errors import BackendOverflow, DomainError, PoleAmbiguous, UnitMis
 from discfrac.kernels import (
     binomial_weight,
     falling,
-    fault_injection,
     gamma_ratio,
     kernel,
     kernel_vector,
@@ -269,19 +268,36 @@ class TestBackends:
     def test_run_table_serves_prefixes_of_one_build(self):
         run = RATIONAL.run_scoped(12)
         beta = Fraction(-5, 12)
-        key = (beta.numerator, beta.denominator, 1.0)
+        key = (beta.numerator, beta.denominator)
         nums, d = kernel(beta, 3, run, as_integers=True)
         assert len(nums) == 12 and run.kernels[key][0] == kernel_vector(beta, 12, RATIONAL)
         assert [Fraction(x, d) for x in nums] == kernel_vector(beta, 12, RATIONAL)
         assert kernel(beta, 7, run) is run.kernels[key][0]
-        with fault_injection(2.0):
-            assert kernel(beta, 4, run)[1] == 2 * beta
+        dirty = kernel(beta, 4, run.with_fault())
+        assert dirty[1] == beta * Fraction(1 + 1e-6) and dirty[2:] == run.kernels[key][0][2:]
         assert kernel(beta, 13, run) == kernel_vector(beta, 13, RATIONAL)
         assert RATIONAL.kernels is None and kernel(beta, 2, RATIONAL) == [1, beta]
 
-    def test_fault_injection_changes_weights(self):
-        clean = binomial_weight(0.5, 3, FLOATING)
-        with fault_injection(1 + 1e-6):
-            dirty = binomial_weight(0.5, 3, FLOATING)
-        assert dirty != clean
-        assert binomial_weight(0.5, 3, FLOATING) == clean
+    def test_faulty_backend_owns_its_table(self):
+        run = RATIONAL.run_scoped(12)
+        beta = Fraction(-5, 12)
+        clean = kernel(beta, 12, run)
+        bad = run.with_fault()
+        assert bad.kernels == {} and bad.kernel_length == 12
+        assert kernel(beta, 12, bad) != clean
+        assert kernel(beta, 12, run) is clean and clean == kernel_vector(beta, 12, RATIONAL)
+        assert run.fault is None and RATIONAL.fault is None and RATIONAL.kernels is None
+
+    @pytest.mark.parametrize("backend", [RATIONAL, FLOATING, RATIONAL.run_scoped(9),
+                                         FLOATING.run_scoped(9)])
+    def test_fault_changes_the_lag_one_weight_only(self, backend):
+        for beta in (Fraction(1, 2), Fraction(-7, 12), Fraction(2)):
+            clean = kernel(beta, 9, backend)
+            dirty = kernel(beta, 9, backend.with_fault())
+            assert [lag for lag in range(9) if dirty[lag] != clean[lag]] == [1]
+            assert dirty[1] == clean[1] * backend.scalar(1 + 1e-6)
+            exact = kernel(beta, 9, backend.with_fault(), as_integers=True)
+            assert (exact is not None) == backend.exact
+            if exact is not None:
+                assert [Fraction(x, exact[1]) for x in exact[0]][:9] == dirty[:9]
+            assert kernel(beta, 9, backend) == clean
