@@ -37,17 +37,21 @@ from .operators import (
     semigroup_diagnostic,
 )
 from .dualities import CheckReport, IdentityId, check_identity, run_identity_suite
-from .monotone import (
-    TheoremCase,
-    TheoremVerdict,
-    THEOREMS,
-    Verdict,
-    evaluate_theorem,
-    is_nu_monotone,
-    make_case,
-    search_counterexamples,
-    theorem_report,
-)
+
+# The theorem engine, and numpy with it, loads on first use of one of its
+# names, so that ``check`` and ``apply`` start without it.
+_MONOTONE_NAMES = frozenset({
+    "TheoremCase", "TheoremVerdict", "THEOREMS", "Verdict", "evaluate_theorem",
+    "is_nu_monotone", "make_case", "search_counterexamples", "theorem_report",
+})
+
+
+def __getattr__(name):
+    if name in _MONOTONE_NAMES:
+        from . import monotone
+        return getattr(monotone, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -39,7 +39,6 @@ from .errors import (
     GridTooShort,
 )
 from .grids import Direction, GridFunction, make_grid_function
-from .monotone import THEOREMS, min_live_length, search_campaign
 from .operators import Family, Formulation, Kind, OperatorSpec, Side, apply_operator
 
 EXIT_OK = 0
@@ -129,6 +128,8 @@ def _domain_note(spec: OperatorSpec, grid: GridFunction) -> str:
 def cmd_apply(args) -> int:
     if args.extended and args.form != "direct":
         raise ValueError("--extended needs --form direct")
+    if args.form == "direct" and args.family != "riemann":
+        raise ValueError("--form direct needs --family riemann")
     backend = get_backend(args.backend)
     spec = OperatorSpec(
         Kind(args.kind),
@@ -214,6 +215,8 @@ def _parse_values(text: str) -> list[Fraction]:
 
 
 def cmd_theorems(args) -> int:
+    from .monotone import THEOREMS, min_live_length, search_campaign  # loads numpy
+
     _reject_repeats("--id", args.id)
     if not args.id:
         ids = list(THEOREMS)

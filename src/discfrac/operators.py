@@ -39,8 +39,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
 from .grids import Direction, GridFunction, storage_difference
@@ -132,12 +130,14 @@ class CoefficientVector:
     coordinate that no stored value reads, where an added scalar lands.  A
     product of two vectors is not linear and raises ``TypeError``."""
 
-    nums: np.ndarray
+    nums: "numpy.ndarray"
     den: int = 1
 
     def __add__(self, other):
         if not isinstance(other, CoefficientVector):  # a constant: the last coordinate
-            other = CoefficientVector(np.append(self.nums[:-1] * 0, 1)) * as_fraction(other)
+            unit = self.nums * 0
+            unit[-1] = 1
+            other = CoefficientVector(unit) * as_fraction(other)
         return CoefficientVector(self.nums * other.den + other.nums * self.den,
                                  self.den * other.den)
 
@@ -166,6 +166,7 @@ def _stacked(values):
     vectors = [v for v in values if isinstance(v, CoefficientVector)]
     if not vectors:
         return None
+    import numpy as np  # only the theorem engine's symbolic row pass gets here
     if any(not isinstance(v, CoefficientVector) and v != 0 for v in values):
         raise TypeError("a nonzero constant among coefficient vectors")
     e = math.lcm(*(v.den for v in vectors))
@@ -174,9 +175,11 @@ def _stacked(values):
     return np.array(rows, dtype=object).reshape(len(values), len(zero)), e
 
 
-def _toeplitz(w, n: int, skip_first: bool) -> np.ndarray:
+def _toeplitz(w, n: int, skip_first: bool):
     """Lower-triangular n x n matrix with entry (m, j) = w[m - j]; column 0
     is zero with ``skip_first``."""
+    import numpy as np
+
     lo = 1 if skip_first else 0
     rows = [[w[m - j] if lo <= j <= m else 0 for j in range(n)] for m in range(n)]
     return np.array(rows, dtype=object).reshape(n, n)
@@ -186,6 +189,8 @@ def _stacked_pipeline(stacked, beta, backend, skip_first: bool, pre: int, post: 
     """``_pipeline`` on the rows of an integer matrix over one denominator:
     differences are row differences and the convolution is one product
     with the kernel's Toeplitz matrix; each output is a CoefficientVector."""
+    import numpy as np
+
     mat, den = stacked
     mat = np.diff(mat, pre, axis=0)
     if beta != 0:

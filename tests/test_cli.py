@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from discfrac import monotone
 from discfrac.cli import main
+from discfrac.errors import DomainError
+from discfrac.operators import Family, Formulation, Kind, OperatorSpec, Side
 
 # sha256 of the acceptance campaign's report lines without min_conclusion_margin
 CAMPAIGN_DIGEST = "50180a1a97419e7069e0e07d35d7702f9943da95fb780046b8488ac4f90c09ca"
@@ -73,6 +76,20 @@ class TestApply:
         assert code == 2
         assert "--extended needs --form direct" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["sum", "caputo"])
+    def test_direct_form_off_riemann_is_usage_error(self, tmp_path, capsys, family):
+        out = tmp_path / "out.json"
+        code = main(["apply", "--input", ones_json(tmp_path), "--kind", "delta",
+                     "--family", family, "--form", "direct", "--order", "1/2",
+                     "--output", str(out)])
+        assert code == 2
+        assert "--form direct needs --family riemann" in capsys.readouterr().err
+        assert not out.exists()
+        # a library caller still gets the domain error from the spec
+        with pytest.raises(DomainError, match="Riemann differences only"):
+            OperatorSpec(Kind.DELTA, Side.LEFT, Family(family), Fraction(1, 2),
+                         Formulation.DIRECT)
 
     def test_extended_direct_form_adds_points(self, tmp_path):
         args = ["apply", "--input", ones_json(tmp_path), "--kind", "delta",

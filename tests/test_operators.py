@@ -411,6 +411,37 @@ class TestAlgebraicProperties:
         assert max(abs(v) for v in res.values) == 0
 
 
+# the 16 operators of `apply`: 12 composed pipelines and 4 direct Riemann forms
+APPLY_OPERATORS = [(kind, side, family, Formulation.COMPOSED)
+                   for family in Family for kind in Kind for side in Side] + \
+                  [(kind, side, Family.RIEMANN, Formulation.DIRECT)
+                   for kind in Kind for side in Side]
+# |floating - rational| <= AGREEMENT_BOUND * max(1, max |rational|) over each
+# output at L = 256.  The worst case today is 1.26e-12 (the delta sums at
+# order 3/2); the composed differences reach 4.3e-13 and the direct forms
+# 5.1e-16.  The bound leaves room for a reordered summation or another
+# floating kernel, not for a wrong weight (a lag-1 fault of 1e-6 reads ~1e-6).
+AGREEMENT_BOUND = 1e-11
+
+
+@pytest.mark.parametrize("kind, side, family, form", APPLY_OPERATORS)
+def test_floating_agrees_with_rational_at_length_256(kind, side, family, form):
+    rng = random.Random(256)
+    vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(256)]
+    direction = Direction.FORWARD if side is Side.LEFT else Direction.BACKWARD
+    exact = make_grid_function(3, direction, vals, RATIONAL)
+    floating = make_grid_function(3, direction, [float(v) for v in vals], FLOATING)
+    for order in (Fraction(k, 4) for k in range(1, 8)):
+        if form is Formulation.DIRECT and order == 1:
+            continue  # the direct form needs a non-integer order
+        op = spec(kind, side, family, order, form)
+        want, got = apply_operator(op, exact), apply_operator(op, floating)
+        assert got.origin == want.origin and len(got.values) == len(want.values)
+        scale = max(1.0, max(abs(float(r)) for r in want.values))
+        worst = max(abs(x - float(r)) for x, r in zip(got.values, want.values))
+        assert worst <= AGREEMENT_BOUND * scale, (order, worst / scale)
+
+
 # every (kind, side, family, form, extended) pipeline with its oracle; the
 # direct nabla forms and the nabla composed differences share the single-sum
 # oracle, which is valid from one step past the anchor on
