@@ -18,6 +18,7 @@ from .errors import (
     GridTooShort,
     PoleAmbiguous,
     UnitMismatch,
+    UsageError,
 )
 from .grids import Direction, GridFunction, integer_difference, make_grid_function, q_reflect
 from .kernels import KernelCoefficient, binomial_weight, falling, gamma_ratio, rising, sum_kernel
@@ -68,6 +69,7 @@ __all__ = [
     "UnitMismatch",
     "GridTooShort",
     "EmptyValues",
+    "UsageError",
     "DirectFormIntegerOrder",
     "BudgetExceeded",
     "Direction",

@@ -32,11 +32,11 @@ from .dualities import (
 from .errors import (
     BackendOverflow,
     BudgetExceeded,
-    DirectFormIntegerOrder,
     DiscfracError,
     DomainError,
     EmptyValues,
     GridTooShort,
+    UsageError,
 )
 from .grids import Direction, GridFunction, make_grid_function
 from .operators import Family, Formulation, Kind, OperatorSpec, Side, apply_operator
@@ -127,9 +127,9 @@ def _domain_note(spec: OperatorSpec, grid: GridFunction) -> str:
 
 def cmd_apply(args) -> int:
     if args.extended and args.form != "direct":
-        raise ValueError("--extended needs --form direct")
+        raise UsageError("--extended needs --form direct")
     if args.form == "direct" and args.family != "riemann":
-        raise ValueError("--form direct needs --family riemann")
+        raise UsageError("--form direct needs --family riemann")
     backend = get_backend(args.backend)
     spec = OperatorSpec(
         Kind(args.kind),
@@ -169,7 +169,7 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
     if args.instances < 1:
-        raise ValueError("--instances must be at least 1")
+        raise UsageError("--instances must be at least 1")
     if not 0 < args.tolerance < float("inf"):
         raise DomainError("tolerance must be positive and finite")
     if args.inject_error:
@@ -197,14 +197,19 @@ def cmd_check(args) -> int:
 def _reject_repeats(flag: str, items) -> None:
     repeated = sorted(x for x, n in Counter(items).items() if n > 1)
     if repeated:
-        raise ValueError(f"{flag} repeats {', '.join(map(str, repeated))}")
+        raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}")
 
 
-def _parse_values(text: str) -> list[Fraction]:
+def _parse_values(text: str, cap: int | None = None) -> list[Fraction]:
+    """The ``--values`` set; a ``lo..hi`` range of more than ``cap`` values
+    is refused before it is built."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
+        if cap is not None and hi - lo + 1 > cap:
+            raise BudgetExceeded(f"--values {text} names more values than the budget of "
+                                 f"{cap} evaluations")
         values = [Fraction(k) for k in range(lo, hi + 1)]
     else:
         values = [_parse_number(part) for part in text.split(",") if part.strip()]
@@ -225,12 +230,12 @@ def cmd_theorems(args) -> int:
             if name not in THEOREMS:
                 raise DomainError(f"unknown theorem id {name!r}")
         ids = list(args.id)
-    values = _parse_values(args.values)
-    orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
-    _reject_repeats("--nu", orders or [])
     if args.budget <= 0:
         raise DomainError("budget must be positive")
     mode = "random" if args.random else "exhaustive"
+    values = _parse_values(args.values, None if args.random else args.budget)
+    orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
+    _reject_repeats("--nu", orders or [])
     records = []
     any_counterexample = False
     for tid in ids:
@@ -348,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DirectFormIntegerOrder as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

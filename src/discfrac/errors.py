@@ -30,7 +30,11 @@ class EmptyValues(DiscfracError):
     """A grid function was constructed with no values."""
 
 
-class DirectFormIntegerOrder(DiscfracError):
+class UsageError(DiscfracError):
+    """Arguments that contradict each other or repeat a value (exit 2)."""
+
+
+class DirectFormIntegerOrder(UsageError):
     """The single-sum (direct) difference form requires a non-integer order."""
 
 

@@ -1001,10 +1001,13 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     for order in orders:
         _check_order(theorem_id, order)
     if mode == "exhaustive":
-        total = len(value_set) ** grid_length * len(orders)
-        if total > budget:
-            raise BudgetExceeded(f"exhaustive search needs {total} evaluations, "
-                                 f"budget is {budget}")
+        k, n = len(value_set), len(orders)
+        # k**L * n, with L cut where k**L (k >= 2) already passes the budget,
+        # so a long grid builds no huge number
+        if k ** min(grid_length, budget.bit_length() + 1) * n > budget:
+            raise BudgetExceeded(f"exhaustive search needs {k}^{grid_length} x {n} evaluations "
+                                 f"({k} values, length {grid_length}, {n} orders), "
+                                 f"more than the budget of {budget}")
         samples = None
     elif mode == "random":
         samples = max(1, budget // len(orders))

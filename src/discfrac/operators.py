@@ -158,47 +158,29 @@ class CoefficientVector:
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _stacked(values):
-    """``(M, e)`` with ``values[i] == M[i] / e`` for an integer matrix M and e
-    the LCM of the denominators, or None unless some value is a
-    ``CoefficientVector``.  The only scalar allowed beside the vectors is the
-    exact zero that ``prepend_zero`` stores, which becomes a zero row."""
+def _cleared(f: GridFunction):
+    """``(nums, e, make)`` with ``f.values[i] == make(nums[i], e)``, or None
+    unless the values are all Fractions or, on the exact backend, hold a
+    ``CoefficientVector``.  Fractions clear to ints (``cleared``, make is
+    Fraction); the vectors of the symbolic row pass clear to integer arrays
+    over the LCM e of their denominators (make is CoefficientVector), and
+    the only scalar allowed beside them is the exact zero that
+    ``prepend_zero`` stores, a zero array."""
+    values = f.values
+    exact = cleared(values)
+    if exact is not None:
+        return (*exact, Fraction)
+    if not f.backend.exact:  # floats: no vector to look for
+        return None
     vectors = [v for v in values if isinstance(v, CoefficientVector)]
     if not vectors:
         return None
-    import numpy as np  # only the theorem engine's symbolic row pass gets here
     if any(not isinstance(v, CoefficientVector) and v != 0 for v in values):
         raise TypeError("a nonzero constant among coefficient vectors")
     e = math.lcm(*(v.den for v in vectors))
-    zero = np.zeros(len(vectors[0].nums), dtype=object)
-    rows = [v.nums * (e // v.den) if isinstance(v, CoefficientVector) else zero for v in values]
-    return np.array(rows, dtype=object).reshape(len(values), len(zero)), e
-
-
-def _toeplitz(w, n: int, skip_first: bool):
-    """Lower-triangular n x n matrix with entry (m, j) = w[m - j]; column 0
-    is zero with ``skip_first``."""
-    import numpy as np
-
-    lo = 1 if skip_first else 0
-    rows = [[w[m - j] if lo <= j <= m else 0 for j in range(n)] for m in range(n)]
-    return np.array(rows, dtype=object).reshape(n, n)
-
-
-def _stacked_pipeline(stacked, beta, backend, skip_first: bool, pre: int, post: int) -> list:
-    """``_pipeline`` on the rows of an integer matrix over one denominator:
-    differences are row differences and the convolution is one product
-    with the kernel's Toeplitz matrix; each output is a CoefficientVector."""
-    import numpy as np
-
-    mat, den = stacked
-    mat = np.diff(mat, pre, axis=0)
-    if beta != 0:
-        w, d = kernel(beta, len(mat), backend, as_integers=True)
-        mat = _toeplitz(w, len(mat), skip_first) @ mat
-        den *= d
-    mat = np.diff(mat, post, axis=0)
-    return [CoefficientVector(row, den) for row in mat]
+    zero = vectors[0].nums * 0
+    return ([v.nums * (e // v.den) if isinstance(v, CoefficientVector) else zero
+             for v in values], e, CoefficientVector)
 
 
 def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list:
@@ -206,32 +188,27 @@ def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list
     convolution with w(beta, .) (none when beta is 0) and a ``post``-th
     storage difference.
 
-    Exact values are cleared to integers over one denominator E, and so is
-    the kernel, over D; every step then runs in Python ints and each output
-    is one Fraction over D*E.  The ``CoefficientVector`` values of the
-    symbolic row pass are stacked into one integer matrix over one E and
-    take the same steps as matrix products, each output row staying
-    integers over D*E (``_stacked_pipeline``).  Only floats run through
-    ``_convolve``.
+    Exact values, Fractions or the coefficient vectors of the symbolic row
+    pass, are cleared over one denominator E (``_cleared``) and the kernel
+    over D; every step then runs in Python ints, or in integer arrays for
+    vectors, and each output is one Fraction or CoefficientVector over D*E.
+    Only floats run through ``_convolve``.
     """
-    exact = cleared(f.values)
-    if exact is None and f.backend.exact:
-        stacked = _stacked(f.values)
-        if stacked is not None:
-            return _stacked_pipeline(stacked, beta, f.backend, skip_first, pre, post)
-    vals, den = exact if exact is not None else (f.values, 1)
+    exact = _cleared(f)
+    if exact is None:
+        vals = storage_difference(f.values, pre)
+        if beta != 0:
+            vals = _convolve(kernel(beta, len(vals), f.backend), list(vals), skip_first)
+        return list(storage_difference(vals, post))
+    vals, den, make = exact
     vals = storage_difference(vals, pre)
     if beta != 0:
-        if exact is None:
-            vals = _convolve(kernel(beta, len(vals), f.backend), list(vals), skip_first)
-        else:
-            w, d = kernel(beta, len(vals), f.backend, as_integers=True)
-            if skip_first and vals:
-                vals = (0,) + vals[1:]
-            vals = [sum(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
-            den *= d
-    vals = storage_difference(vals, post)
-    return list(vals) if exact is None else [Fraction(x, den) for x in vals]
+        w, d = kernel(beta, len(vals), f.backend, as_integers=True)
+        if skip_first and vals:
+            vals = (vals[0] * 0,) + vals[1:]
+        vals = [sum(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
+        den *= d
+    return [make(x, den) for x in storage_difference(vals, post)]
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:

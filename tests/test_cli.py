@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discfrac import monotone
-from discfrac.cli import main
-from discfrac.errors import DomainError
+from discfrac.cli import _parse_values, main
+from discfrac.errors import BudgetExceeded, DomainError
 from discfrac.operators import Family, Formulation, Kind, OperatorSpec, Side
 
 # sha256 of the acceptance campaign's report lines without min_conclusion_margin
@@ -340,6 +340,36 @@ class TestTheorems:
                      "--values", "-2..2", "--report", str(tmp_path / "t.jsonl")])
         assert code == 4
 
+    def test_value_range_past_the_budget_is_refused_unbuilt(self, tmp_path, capsys):
+        # 3,000,001 values: built, they took seconds and half a gigabyte
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--id", "T_U1", "--values", "0..3000000", "--length", "2",
+                     "--report", str(report)])
+        assert code == 4
+        assert capsys.readouterr().err == ("budget error: --values 0..3000000 names more "
+                                           "values than the budget of 500000 evaluations\n")
+        assert not report.exists()
+        with pytest.raises(BudgetExceeded):
+            _parse_values("0..3000000", 500_000)
+        # one value past the budget; a range within it is built as before
+        assert main(["theorems", "--id", "T_U1", "--values", "1..11", "--budget", "10"]) == 4
+        assert _parse_values("1..10", 10) == [Fraction(k) for k in range(1, 11)]
+
+    def test_random_mode_builds_any_range(self, tmp_path):
+        code = main(["theorems", "--id", "T_U1", "--random", "--values", "0..20",
+                     "--budget", "10", "--length", "2", "--nu", "1/2",
+                     "--report", str(tmp_path / "t.jsonl")])
+        assert code == 0
+
+    @pytest.mark.parametrize("length", ["6000", "7000"])
+    def test_long_grid_budget_error_names_its_factors(self, capsys, length):
+        # 5**7000 * 3 has more digits than int-to-str conversion allows
+        code = main(["theorems", "--id", "T_U1", "--values", "-2..2", "--length", length])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"budget error: exhaustive search needs 5^{length} x 3 evaluations (5 values, "
+            f"length {length}, 3 orders), more than the budget of 500000\n")
+
     def test_range_value_syntax(self, tmp_path):
         report = str(tmp_path / "t.jsonl")
         code = main(["theorems", "--id", "T_U1", "--exhaustive", "--length", "3",
@@ -477,6 +507,26 @@ class TestTheorems:
 def test_usage_error_exit_code():
     assert main(["apply", "--kind", "delta"]) == 2
     assert main([]) == 2
+
+
+APPLY = ["apply", "--input", "ONES", "--kind", "delta", "--order", "1/2"]
+
+
+@pytest.mark.parametrize("command,message", [
+    (APPLY + ["--family", "sum", "--extended"], "--extended needs --form direct"),
+    (APPLY + ["--family", "caputo", "--form", "direct"], "--form direct needs --family riemann"),
+    (["apply", "--input", "ONES", "--kind", "delta", "--family", "riemann", "--form", "direct",
+      "--order", "2"], "the single-sum difference form needs a non-integer order"),
+    (["check", "--all", "--instances", "0"], "--instances must be at least 1"),
+    (["check", "--id", "Q_SUM_DELTA", "--id", "Q_SUM_DELTA"], "--id repeats Q_SUM_DELTA"),
+    (["theorems", "--id", "T_U1", "--id", "T_U1"], "--id repeats T_U1"),
+    (["theorems", "--id", "T_U1", "--values", "0,1,0"], "--values repeats 0"),
+    (["theorems", "--id", "T_U1", "--nu", "1/2,2/4"], "--nu repeats 1/2"),
+])
+def test_flag_conflicts_are_usage_errors(tmp_path, capsys, command, message):
+    code = main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 # malformed input for the fuzz test: numbers outside the double range, NaN,

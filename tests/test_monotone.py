@@ -303,6 +303,19 @@ class TestSearch:
                 "T_U1", 20, [-2, -1, 0, 1, 2], [Fraction(1, 2)], budget=500_000
             )
 
+    @pytest.mark.parametrize("length,values,budget,fits", [
+        (2, [-1, 0, 1], 9, True), (2, [-1, 0, 1], 8, False),
+        (30, [0], 1, True),  # 1**30: past the budget's bit length, still exact
+        (7000, [-2, -1, 0, 1, 2], 500_000, False),
+    ])
+    def test_budget_is_exact_at_its_edge(self, length, values, budget, fits):
+        args = ("T_U1", length, values, [Fraction(1, 2)])
+        if fits:
+            assert search_campaign(*args, budget=budget)[0].instances == len(values) ** length
+        else:
+            with pytest.raises(BudgetExceeded, match=f"{len(values)}\\^{length} x 1 "):
+                search_campaign(*args, budget=budget)
+
     def test_random_mode_runs(self):
         results = search_campaign("T_UU1", 5, [Fraction(k, 2) for k in range(-2, 3)],
                                   [Fraction(1, 2)], mode="random", budget=500, seed=4)

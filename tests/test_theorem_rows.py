@@ -7,10 +7,13 @@ here point by point from the oracle sums.  The rows must also nest across
 lengths, which the one-tree search reads every shorter length from.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,6 +282,34 @@ def test_row_pass_runs_in_integers(monkeypatch):
         for order in default_orders(tid):
             for length in range(min_live_length(tid), 8):
                 _row_matrices(tid, length, order, 64, 0)
+
+
+# sha256 of every row block: each theorem x default order x anchor
+# {0, 7/2, -3} x live length min..7, in that order, 1,251 builds
+ROW_BLOCK_DIGEST = "21bb9cd6b46e2251f7befd4dfbb8e5896aafac80f28ae2aabb140c4f992ad217"
+
+
+def _canonical(x):
+    """Nested lists of ints, with floats as their hex strings."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_canonical(y) for y in x]
+    return int(x)
+
+
+def test_row_blocks_are_pinned():
+    """The scaled, float, l1 and exact rows of both blocks and the exact
+    ray rows, starts and levels of every default row build."""
+    digest = hashlib.sha256()
+    for tid in THEOREMS:
+        for order in default_orders(tid):
+            for anchor in (0, Fraction(7, 2), -3):
+                for length in range(min_live_length(tid), 8):
+                    hyp, concl, rays = _row_matrices(tid, length, order, 64, anchor)
+                    blocks = [[b.scaled, b.floats, b.l1, b.exact] for b in (hyp, concl)]
+                    digest.update(json.dumps(_canonical([blocks, rays])).encode())
+    assert digest.hexdigest() == ROW_BLOCK_DIGEST
 
 
 def _last_value(case):
