@@ -178,45 +178,39 @@ def poly_nonneg_on_integer_ray(coeffs, start: int):
 
 @dataclass(frozen=True)
 class RayCondition:
-    """``bound >= P(k)/Q(k)`` for all integers k >= start, cleared to R >= 0."""
+    """``bound >= P(k)/Q(k)`` for all integers k >= start, cleared to R >= 0;
+    its rows are labelled ``start k=...``."""
 
-    label: str
     r_coeffs: tuple
     q_coeffs: tuple
     start: int
     bound: object  # the left-hand value, also the k -> infinity slack
 
 
-def _one_term_ray(bound, f0, shift: int, nu, start: int, label: str) -> RayCondition:
-    # bound >= nu*f0/(k+shift) for integer k >= start
-    return RayCondition(
-        label=label,
-        r_coeffs=(bound, shift * bound - nu * f0),
-        q_coeffs=(1, shift),
-        start=start,
-        bound=bound,
-    )
+def _partial_sum_ray(values, nu, first: int, start: int) -> RayCondition:
+    """The k-family start f_j >= sum_{i<j} c_i(M) f_i for every integer
+    k >= start, M = k + first - start, on ``values`` = (f_0, ..., f_j), with
+    c_i(M) = nu/(M-i) prod_{r=M-j+1}^{M-i-1} (r-nu)/r read off the partial
+    sums of the order-nu kernel (README, "The k-family starts").  Over
+    Q = prod_{r=M-j+1}^{M} r each c_i(M) Q is nu times a product of linear
+    factors in k, so R = f_j Q - sum_i c_i(M) Q f_i is a polynomial in k."""
+    *lower, bound = values
+    high = first - start + 1  # M + 1 = k + high, M - j + 1 = k + low
+    low = high - len(lower)
 
+    def product(roots):  # coefficients in k of prod (k + a), highest first
+        poly = [1]
+        for a in roots:
+            poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)]
+        return poly
 
-def _two_term_ray(bound, f1, f0, nu, label: str) -> RayCondition:
-    # bound >= nu*f1/(k+2) + nu*(k+1-nu)*f0/((k+2)(k+3)), k >= 1
-    r = (
-        bound,
-        5 * bound - nu * f1 - nu * f0,
-        6 * bound - 3 * nu * f1 - nu * (1 - nu) * f0,
-    )
-    return RayCondition(label=label, r_coeffs=r, q_coeffs=(1, 5, 6), start=1, bound=bound)
-
-
-def _three_term_ray(bound, f2, f1, f0, nu, label: str) -> RayCondition:
-    # bound >= nu*f2/k + nu*(k-nu)*f1/(k(k+1)) + nu*(k+1-nu)(k-nu)*f0/(k(k+1)(k+2)), k >= 2
-    r = (
-        bound,
-        3 * bound - nu * f2 - nu * f1 - nu * f0,
-        2 * bound - 3 * nu * f2 - nu * (2 - nu) * f1 - nu * (1 - 2 * nu) * f0,
-        -2 * nu * f2 + 2 * nu * nu * f1 - nu * nu * (nu - 1) * f0,
-    )
-    return RayCondition(label=label, r_coeffs=r, q_coeffs=(1, 3, 2, 0), start=2, bound=bound)
+    q = product(range(low, high))
+    coeffs = [bound * c for c in q]
+    for i, f in enumerate(lower):
+        c_q = product([a - nu for a in range(low, high - 1 - i)] + list(range(high - i, high)))
+        for d, x in enumerate(c_q, 1):
+            coeffs[d] -= nu * x * f
+    return RayCondition(tuple(coeffs), tuple(q), start, bound)
 
 
 @dataclass(frozen=True)
@@ -298,7 +292,7 @@ def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdic
 #   _delta_riemann              delta Riemann difference on its domain
 #   _nabla_riemann(prepend, drop)  direct nabla Riemann difference, extended
 #   _caputo_bound(n)            delta Caputo difference plus its anchor bound
-#   _ray(terms, base)           one-, two- or three-term k-family start
+#   _ray(terms, base)           k-family start from the kernel's partial sums
 
 
 def _label(label) -> str:
@@ -377,15 +371,15 @@ def _caputo_bound(n: int) -> Callable:
 
 
 def _ray(terms: int, base: int) -> Callable:
-    """k-family start bounding v[base + terms] by the ``terms`` values before it."""
+    """k-family start bounding v[base + terms] by the ``terms`` values before
+    it (``_partial_sum_ray``).  Each family keeps its first M and its window
+    of k: the one-term family from M = base + 1, the others from M = terms + 1,
+    the three-term one counting k from 2."""
+    first, start = {1: (base + 1, 0), 2: (3, 0), 3: (4, 2)}[terms]
 
     def ray(case):
-        v = case.f.values
-        nu = case.f.backend.scalar(case.order)
-        if terms == 1:
-            return _one_term_ray(v[base + 1], v[base], base + 1, nu, 0, "start")
-        form = _two_term_ray if terms == 2 else _three_term_ray
-        return form(*reversed(v[base:base + terms + 1]), nu, "start")
+        return _partial_sum_ray(case.f.values[base:base + terms + 1],
+                                case.f.backend.scalar(case.order), first, start)
 
     return ray
 
@@ -517,8 +511,8 @@ def _ray_rows(ray: RayCondition, k_cap: int) -> list:
         values = [Fraction(num, den) for (num,), den in _integer_horner(coeffs, ray.q_coeffs, ks)]
     else:
         values = [_poly_eval(ray.r_coeffs, k) / _poly_eval(ray.q_coeffs, k) for k in ks]
-    rows = [(f"{ray.label} k={k}", v) for k, v in zip(ks, values)]
-    rows.append((f"{ray.label} k->inf", ray.bound))
+    rows = [(f"start k={k}", v) for k, v in zip(ks, values)]
+    rows.append(("start k->inf", ray.bound))
     return rows
 
 
@@ -559,7 +553,7 @@ def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
             if witness > case.k_cap:
                 q = _poly_eval(ray.q_coeffs, witness)
                 margins.append(
-                    (f"{ray.label} k={witness}", _poly_eval(list(ray.r_coeffs), witness) / q)
+                    (f"start k={witness}", _poly_eval(list(ray.r_coeffs), witness) / q)
                 )
     concl_ok = all(v >= 0 for _, v in concl_rows)
     return TheoremVerdict(

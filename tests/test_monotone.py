@@ -16,12 +16,16 @@ from discfrac.backends import RATIONAL
 from discfrac.cli import main
 from discfrac.errors import BudgetExceeded, DomainError, GridTooShort
 from discfrac.grids import Direction, make_grid_function
+from discfrac.kernels import kernel
 from discfrac.monotone import (
     THEOREMS,
     TheoremStatement,
     _index_chunks,
     _integer_operands,
+    _partial_sum_ray,
+    _poly_eval,
     _prefix_search,
+    _ray_rows,
     _row_matrices,
     _sign,
     d1_via_q_reflection,
@@ -38,7 +42,14 @@ from discfrac.monotone import (
     search_counterexamples,
     theorem_report,
 )
-from discfrac.operators import CoefficientVector
+from discfrac.operators import (
+    CoefficientVector,
+    Family,
+    Kind,
+    OperatorSpec,
+    Side,
+    riemann_difference,
+)
 
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
@@ -100,58 +111,38 @@ class TestRayDecision:
                 value = sum(c * k ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
                 assert value >= 0
 
-    def test_ray_polynomials_match_literal_conditions(self):
-        from discfrac.monotone import (
-            _one_term_ray,
-            _poly_eval,
-            _three_term_ray,
-            _two_term_ray,
-        )
-
-        rng = random.Random(1)
-        for _ in range(40):
-            nu = Fraction(rng.randint(5, 7), 4)
-            f0, f1, f2, bound = (
-                Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(4)
-            )
-            ray = _two_term_ray(bound, f1, f0, nu, "x")
-            for k in range(1, 20):
-                literal = nu * f1 / (k + 2) + nu * (k + 1 - nu) * f0 / ((k + 2) * (k + 3))
-                slack = _poly_eval(list(ray.r_coeffs), k) / _poly_eval(list(ray.q_coeffs), k)
-                assert slack == bound - literal
-            ray = _three_term_ray(bound, f2, f1, f0, nu, "x")
-            for k in range(2, 20):
-                literal = (
-                    nu * f2 / k
-                    + (k - nu) * nu * f1 / (k * (k + 1))
-                    + (k + 1 - nu) * (k - nu) * nu * f0 / ((k + 1) * (k + 2) * k)
-                )
-                slack = _poly_eval(list(ray.r_coeffs), k) / _poly_eval(list(ray.q_coeffs), k)
-                assert slack == bound - literal
-            for shift in (1, 2):
-                ray = _one_term_ray(bound, f0, shift, nu, 0, "x")
-                for k in range(0, 20):
-                    slack = _poly_eval(list(ray.r_coeffs), k) / _poly_eval(list(ray.q_coeffs), k)
-                    assert slack == bound - nu * f0 / (k + shift)
+    # the registry's families (one-term from M = 1 and M = 2, the others from
+    # M = j + 1, the three-term one counting k from 2), then four terms and a
+    # later first M; the ratios |S_r| / |S_{r-1}| equal (r - nu)/r from r = 2
+    # on, so below M = j + 1 the oracle's magnitudes would not fit
+    @pytest.mark.parametrize("terms,first,start", [
+        (1, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 2), (4, 5, 0), (4, 7, 3)])
+    def test_ray_matches_kernel_partial_sums(self, terms, first, start):
+        # c_i(M) = nu |S_{M-i-1}| / ((M - i) |S_{M-j}|), read off the partial
+        # sums S_r of the order-nu difference kernel, against R(k)/Q(k)
+        rng = random.Random(terms * first)
+        for nu in (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)):
+            weights = kernel(-nu, 70, RATIONAL)
+            sums = [abs(sum(weights[:r + 1])) for r in range(len(weights))]
+            f = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(terms + 1)]
+            ray = _partial_sum_ray(f, nu, first, start)
+            assert (ray.start, ray.bound) == (start, f[-1])
+            for k in range(start, 61):
+                m = k + first - start
+                c = [nu * sums[m - i - 1] / ((m - i) * sums[m - terms]) for i in range(terms)]
+                slack = f[-1] - sum(ci * fi for ci, fi in zip(c, f))
+                assert _poly_eval(ray.r_coeffs, k) / _poly_eval(ray.q_coeffs, k) == slack
 
     def test_ray_rows_match_fraction_quotients(self):
-        from discfrac.monotone import (
-            _one_term_ray,
-            _poly_eval,
-            _ray_rows,
-            _three_term_ray,
-            _two_term_ray,
-        )
-
         rng = random.Random(2)
         for _ in range(30):
             nu = Fraction(rng.randint(1, 7), rng.choice([4, 8, 3]))
             f0, f1, f2, bound = (
                 Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)
             )
-            for ray in (_one_term_ray(bound, f0, 2, nu, 1, "start"),
-                        _two_term_ray(bound, f1, f0, nu, "start"),
-                        _three_term_ray(bound, f2, f1, f0, nu, "start")):
+            for ray in (_partial_sum_ray([f0, bound], nu, 3, 1),
+                        _partial_sum_ray([f0, f1, bound], nu, 3, 0),
+                        _partial_sum_ray([f0, f1, f2, bound], nu, 4, 2)):
                 for k_cap in (ray.start, 17):
                     literal = [(f"start k={k}", _poly_eval(ray.r_coeffs, k)
                                 / _poly_eval(ray.q_coeffs, k))
@@ -174,6 +165,25 @@ class TestRayDecision:
                 ok, _ = poly_nonneg_on_integer_ray(coeffs, 0)
                 expected = (F >= nu * f0) if f0 >= 0 else (F >= 0)
                 assert ok == expected
+
+
+@given(values=st.lists(small_frac, min_size=3, max_size=10),
+       nu=st.sampled_from([Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)]))
+@settings(max_examples=80, deadline=None)
+def test_delta_difference_sums_by_parts(values, nu):
+    """Output m of the delta-left difference is S_M f(0) plus the sum of
+    S_{M-i} (f(i) - f(i-1)), M = m + 2, with S_r the partial sums of the
+    order-nu kernel: the step every k-family start ray encodes."""
+    f = make_grid_function(0, Direction.FORWARD, values, RATIONAL)
+    out = riemann_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, nu), f)
+    weights = kernel(-nu, len(values), RATIONAL)
+    sums = [sum(weights[:r + 1]) for r in range(len(values))]
+    v = f.values
+    assert len(out.values) == len(values) - 2
+    for m, value in enumerate(out.values):
+        big_m = m + 2
+        assert value == sums[big_m] * v[0] + sum(
+            sums[big_m - i] * (v[i] - v[i - 1]) for i in range(1, big_m + 1))
 
 
 class TestCaputoBoundWeights:
@@ -346,29 +356,50 @@ class TestSearch:
 _QUARTERS = [1, Fraction(7, 16), Fraction(5, 16), Fraction(1, 4)]
 
 
-class TestTwoTermStartCounterexamples:
-    """The two-term k-family theorems fail at order 3/2 on values finer than
-    the campaign's: the exact evaluator finds the hypothesis true and the
-    first pair row negative, and the CLI reports the counterexample."""
+class TestTwoTermStartBound:
+    """Four vectors at order 3/2, on values finer than the campaign's, whose
+    first pair row is negative.  The two-term start bound, summed by parts
+    from M = 3 on (f2 >= nu f1/2 + nu (2 - nu) f0/6 at k = 0), fails on each,
+    so none is a counterexample.  A bound that read (k + 1 - nu) for
+    (k + 2 - nu) and started at k = 1 let their hypothesis hold."""
 
-    @pytest.mark.parametrize("tid,live,values,pair", [
-        ("T_SLOV2", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=2", Fraction(-1, 16))),
-        ("T_C3", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=2", Fraction(-1, 16))),
-        ("T_D3", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=-2", Fraction(-1, 16))),
+    @pytest.mark.parametrize("tid,live,values,pair,start", [
+        ("T_SLOV2", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=2", Fraction(-1, 16)),
+         Fraction(-9, 64)),
+        ("T_C3", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=2", Fraction(-1, 16)),
+         Fraction(-9, 64)),
+        ("T_D3", _QUARTERS, "1,7/16,5/16,1/4", ("pair t=-2", Fraction(-1, 16)),
+         Fraction(-9, 64)),
         ("T_SLOV22", [1, 1, Fraction(9, 16), Fraction(7, 16)], "1,9/16,7/16",
-         ("pair t=3", Fraction(-1, 8))),
+         ("pair t=3", Fraction(-1, 8)), Fraction(-5, 16)),
     ])
-    def test_hypothesis_holds_and_conclusion_fails(self, tmp_path, tid, live, values, pair):
+    def test_hypothesis_fails_and_no_counterexample_is_reported(self, tmp_path, tid, live,
+                                                                 values, pair, start):
         verdict = evaluate_theorem(make_case(tid, live, Fraction(3, 2), backend=RATIONAL))
-        assert verdict.hypothesis_holds and not verdict.conclusion_holds
+        assert not verdict.hypothesis_holds and not verdict.conclusion_holds
         assert verdict.conclusion_margins == [pair]
+        assert ("start k=0", start) in verdict.hypothesis_margins
         report = tmp_path / "t.jsonl"
         code = main(["theorems", "--id", tid, "--nu", "3/2", "--length", "4",
                      "--values", values, "--report", str(report)])
-        assert code == 1
+        assert code == 0
         (rec,) = [json.loads(line) for line in report.read_text().splitlines()]
-        stored = [0] + live if THEOREMS[tid].leading_inert else live
-        assert [str(x) for x in stored] in rec["counterexamples"]
+        assert rec["counterexamples"] == []
+
+    def test_eighths_campaign_has_no_counterexample(self, tmp_path):
+        # T_SLOV22 gave 66 counterexamples at 3/2 and 291 at 7/4 on these values
+        # under the old two-term bound
+        report = tmp_path / "t.jsonl"
+        code = main(["theorems", "--id", "T_SLOV2", "--id", "T_SLOV22", "--id", "T_C3",
+                     "--id", "T_D3", "--length", "6",
+                     "--values", "0,1/8,1/4,3/8,1/2,5/8,3/4,7/8,1",
+                     "--budget", "2000000", "--report", str(report)])
+        assert code == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [(rec["id"], rec["order"]) for rec in records] == [
+            (tid, order) for tid in ("T_SLOV2", "T_SLOV22", "T_C3", "T_D3")
+            for order in ("5/4", "3/2", "7/4")]
+        assert all(rec["counterexamples"] == [] and rec["witness"] for rec in records)
 
 
 def _statement(theorem_id, builder, min_length=2):
@@ -742,8 +773,7 @@ def _shifted_start(case):
 
 def _shifted_ray(case):
     v = case.f.values
-    return monotone._one_term_ray(v[1], v[0] - 1, 1, case.f.backend.scalar(case.order),
-                                  0, "start")
+    return monotone._partial_sum_ray([v[0] - 1, v[1]], case.f.backend.scalar(case.order), 1, 0)
 
 
 class TestOnePassRows:
@@ -901,7 +931,7 @@ class TestRowVerdict:
         def last_value_ray(case):
             v = case.f.values
             nu = case.f.backend.scalar(case.order)
-            return monotone._one_term_ray(v[-1], v[-2], 1, nu, 0, "start")
+            return monotone._partial_sum_ray(v[-2:], nu, 1, 0)
 
         builder = declare([monotone._start], [monotone._pair(0)], last_value_ray)
         monkeypatch.setitem(THEOREMS, "T_LAST_RAY", _statement("T_LAST_RAY", builder))
