@@ -11,10 +11,13 @@ indices, and both sides are read by slicing; a Q identity reads its
 right-hand side at a fixed integer index shift instead of reflecting it
 point by point.  Each expected origin is one ``Fraction`` formed from the
 table's integer offsets.  The points themselves, and a report's grid
-string, are formed only when read.  Equal exact sides record zero residuals without
-a subtraction.  ``run_identity_suite`` puts its grids on a
-``run_scoped()`` copy of the backend, whose table builds each kernel once
-per call; nothing of it outlives the call.
+string, are formed only when read.  Exact sides arrive cleared (integer
+numerators over one denominator each) and are compared by
+cross-multiplication, the numerators of each side times the other side's
+denominator; residual ``Fraction``s are formed only when the sides
+differ, and equal sides record zero residuals.  ``run_identity_suite``
+puts its grids on a ``run_scoped()`` copy of the backend, whose table
+builds each kernel once per call; nothing of it outlives the call.
 
 Tolerance policy: the rational backend must produce residuals that are
 exactly zero; the floating backend uses an absolute tolerance for values
@@ -107,7 +110,7 @@ def _past_anchor(f):
 def _reflected(f):
     # (Qf)(s) = f(a + b - s) on the forward grid {a..b}: the same grid with
     # its values reversed
-    return f.with_values(f.values[::-1])
+    return f.reflected()
 
 
 _D, _N = Kind.DELTA, Kind.NABLA
@@ -210,19 +213,36 @@ class CheckReport:
         }
 
 
+_ALL = slice(None)
+
+
+def _part(grid: GridFunction, part: slice) -> tuple:
+    """The values of ``grid`` at the storage slice ``part``: its cleared
+    numerators and denominator, or the values and None."""
+    exact = grid.cleared
+    return (grid.values[part], None) if exact is None else (exact[0][part], exact[1])
+
+
 def _build_report(identity, alpha, f, stated, start, lhs, rhs, tolerance) -> CheckReport:
     """Residuals ``lhs - rhs`` on the stated index set, which is the storage
-    of the grid ``stated`` from index ``start`` on.  Exact residuals pass
-    when all are zero, that is when the sides are equal; floating ones
-    within ``tolerance`` times ``max(1, |lhs|, |rhs|)``."""
+    of the grid ``stated`` from index ``start`` on; each side is a
+    ``_part``.  Exact residuals pass when all are zero, that is when the
+    sides are equal; floating ones within ``tolerance`` times
+    ``max(1, |lhs|, |rhs|)``."""
     backend = f.backend
-    if backend.exact and lhs == rhs:
-        values, largest, ok = [backend.zero] * len(lhs), backend.zero, True
+    (xs, dx), (ys, dy) = lhs, rhs
+    if dx is not None and dy is not None:
+        # cleared sides: x/dx == y/dy iff x*dy == y*dx
+        diffs = [x * dy - y * dx for x, y in zip(xs, ys)]
+        values = [Fraction(r, dx * dy) for r in diffs] if any(diffs) else None
     else:
-        values = list(map(operator.sub, lhs, rhs))
+        values = None if backend.exact and xs == ys else list(map(operator.sub, xs, ys))
+    if values is None:
+        values, largest, ok = [backend.zero] * len(xs), backend.zero, True
+    else:
         largest = max([abs(backend.zero), *map(abs, values)])
         ok = not backend.exact and all(abs(r) <= tolerance * max(1.0, abs(x), abs(y))
-                                       for r, x, y in zip(values, lhs, rhs))
+                                       for r, x, y in zip(values, xs, ys))
     return CheckReport(identity, alpha, f, values, stated, start, largest, ok, tolerance,
                        backend.name)
 
@@ -242,9 +262,9 @@ def _paired(points, lhs_values, rhs_values) -> None:
         )
 
 
-def _reflected_pairs(lhs: GridFunction, rhs: GridFunction, k: Fraction, start: int):
-    """The values of both sides of a Q identity on the stated index set,
-    lhs storage from ``start`` on, paired through the reflection
+def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: Fraction, start: int) -> slice:
+    """The storage of ``rhs`` that pairs with the lhs storage from ``start``
+    on, the stated index set of a Q identity, through the reflection
     s -> a + b - s of the forward data grid {a..b}.
 
     A left operator's output runs forward and a right one's backward, so
@@ -257,7 +277,7 @@ def _reflected_pairs(lhs: GridFunction, rhs: GridFunction, k: Fraction, start: i
     if k.denominator != 1 or not (0 <= start + shift and lhs.length + shift <= rhs.length):
         raise DomainError(f"the reflected right-hand side misses the stated index set "
                           f"(index shift {k})")
-    return lhs.values[start:], rhs.values[start + shift:lhs.length + shift]
+    return slice(start + shift, lhs.length + shift)
 
 
 def _inward(g: GridFunction, inward: int, den: int) -> Fraction:
@@ -296,10 +316,11 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     start = row.points
     if reflect:
         k = Fraction(at_lhs - at_rhs, den)
-        stated, (lhs_values, rhs_values) = lhs, _reflected_pairs(lhs, rhs, k, start)
+        stated, lhs_part, rhs_part = lhs, slice(start, None), _reflected_part(lhs, rhs, k, start)
     else:
-        stated, lhs_values, rhs_values = rhs, lhs.values, rhs.values[start:]
-    _paired(range(start, stated.length), lhs_values, rhs_values)
+        stated, lhs_part, rhs_part = rhs, _ALL, slice(start, None)
+    lhs_values, rhs_values = _part(lhs, lhs_part), _part(rhs, rhs_part)
+    _paired(range(start, stated.length), lhs_values[0], rhs_values[0])
     return _build_report(which, alpha, f, stated, start, lhs_values, rhs_values, tolerance)
 
 
@@ -340,8 +361,9 @@ def check_relation(f: GridFunction, order, which: IdentityId,
     alpha = as_fraction(order)
     side = Side.LEFT if f.direction is Direction.FORWARD else Side.RIGHT
     res = caputo_inversion_residual(f, alpha, side)
-    zeros = (f.backend.zero,) * res.length
-    return _build_report(which, alpha, f, res, 0, res.values, zeros, tolerance)
+    zeros = res.with_values((f.backend.zero,) * res.length)
+    return _build_report(which, alpha, f, res, 0, _part(res, _ALL), _part(zeros, _ALL),
+                         tolerance)
 
 
 _FAMILY_CHECKS = {"dual": check_delta_nabla_dual, "q": check_q_identity,

@@ -19,16 +19,28 @@ backward grids) are exactly ``s^n`` in storage space.
 
 Any sum over an empty index range is zero; operators rely on this at
 their anchor point.
+
+On the exact backend a grid of ``Fraction`` values is held cleared: one
+tuple of integer numerators over one positive denominator (not reduced;
+``cleared``).  Only this module knows how a grid stores it.  The exact
+operators read it and build their outputs from integers
+(``with_cleared``); ``drop_leading``, ``prepend_zero``, ``reflected`` and
+``reversed_view`` slice, extend or reverse the numerators and keep the
+denominator.  ``values`` builds the normalized ``Fraction``s when first
+read, so a grid whose values nobody reads never builds one.  Floats, and
+the coefficient vectors of the theorem search's symbolic row pass, are
+held as given.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .backends import FLOATING, as_fraction
 from .errors import DomainError, EmptyValues, GridTooShort
+from .kernels import cleared as _clear
 
 
 class Direction(enum.Enum):
@@ -36,18 +48,58 @@ class Direction(enum.Enum):
     BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
 class GridFunction:
-    """Finite function on a shifted integer grid."""
+    """Finite function on a shifted integer grid.
 
-    origin: Fraction
-    direction: Direction
-    values: tuple
-    backend: object = FLOATING
+    ``cleared`` is ``(nums, den)`` for values that are all ``Fraction``s on
+    an exact backend, held in that form (see the module docstring), and
+    None otherwise.  Instances are immutable; ``==`` and ``hash`` are those
+    of ``(origin, direction, values, backend)``.
+    """
+
+    __slots__ = ("origin", "direction", "backend", "cleared", "_values")
+
+    def __init__(self, origin, direction, values, backend=FLOATING):
+        values = tuple(values)
+        _set_origin(self, origin)
+        _set_direction(self, direction)
+        _set_backend(self, backend)
+        _set_cleared(self, _clear(values) if backend.exact else None)
+        _set_values(self, values)
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            nums, den = self.cleared
+            _set_values(self, tuple([Fraction(x, den) for x in nums]))
+        return self._values
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.origin, self.direction, self.values, self.backend
+
+    def __reduce__(self):
+        return GridFunction, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "GridFunction(origin={!r}, direction={!r}, values={!r}, backend={!r})".format(
+            *self._fields())
 
     @property
     def length(self) -> int:
-        return len(self.values)
+        return len(self._values if self.cleared is None else self.cleared[0])
 
     def point(self, index: int) -> Fraction:
         if self.direction is Direction.FORWARD:
@@ -77,12 +129,27 @@ class GridFunction:
         return {self.point(i): v for i, v in enumerate(self.values)}
 
     def with_values(self, values, origin=None) -> "GridFunction":
-        return GridFunction(
-            origin=self.origin if origin is None else as_fraction(origin),
-            direction=self.direction,
-            values=tuple(values),
-            backend=self.backend,
-        )
+        return GridFunction(self.origin if origin is None else as_fraction(origin),
+                            self.direction, values, self.backend)
+
+    def with_cleared(self, nums, den: int, origin=None, direction=None) -> "GridFunction":
+        """The grid of values ``nums[i] / den`` (ints, ``den > 0``) on this
+        grid's exact backend, held cleared."""
+        grid = _blank(GridFunction)
+        _set_origin(grid, self.origin if origin is None else as_fraction(origin))
+        _set_direction(grid, direction or self.direction)
+        _set_backend(grid, self.backend)
+        _set_cleared(grid, (tuple(nums), den))
+        _set_values(grid, None)
+        return grid
+
+    def _rearranged(self, part: slice, origin, direction=None) -> "GridFunction":
+        """The values ``values[part]`` at ``origin``, in this grid's form."""
+        if self.cleared is None:
+            return GridFunction(origin, direction or self.direction, self.values[part],
+                                self.backend)
+        nums, den = self.cleared
+        return self.with_cleared(nums[part], den, origin, direction)
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
@@ -94,25 +161,34 @@ class GridFunction:
     def drop_leading(self, n: int) -> "GridFunction":
         if n >= self.length:
             raise GridTooShort("cannot drop every grid value")
-        return self.with_values(self.values[n:], origin=self.shift_origin(n))
+        return self._rearranged(slice(n, None), self.shift_origin(n))
 
     def prepend_zero(self) -> "GridFunction":
         """Extend one step toward the anchor side with a zero value."""
-        return self.with_values(
-            (self.backend.zero,) + self.values, origin=self.shift_origin(-1)
-        )
+        origin = self.shift_origin(-1)
+        if self.cleared is None:
+            return self.with_values((self.backend.zero,) + self.values, origin)
+        nums, den = self.cleared
+        return self.with_cleared((0,) + nums, den, origin)
+
+    def reflected(self, origin=None) -> "GridFunction":
+        """The values in reverse storage order, same direction, at ``origin``
+        (this grid's own by default)."""
+        return self._rearranged(_REVERSE, self.origin if origin is None else origin)
 
     def reversed_view(self) -> "GridFunction":
         """Same function, opposite storage direction."""
         other = (
             Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
         )
-        return GridFunction(
-            origin=self.far_point,
-            direction=other,
-            values=tuple(reversed(self.values)),
-            backend=self.backend,
-        )
+        return self._rearranged(_REVERSE, self.far_point, other)
+
+
+# the slots' own setters, which the frozen ``__setattr__`` does not block
+_set_origin, _set_direction, _set_backend, _set_cleared, _set_values = (
+    GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__)
+_blank = object.__new__
+_REVERSE = slice(None, None, -1)
 
 
 def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunction:
@@ -177,5 +253,4 @@ def q_reflect(f: GridFunction, a, b) -> GridFunction:
     hi = max(f.point(0), f.far_point)
     if (f.origin - af).denominator == 1 and not (min(af, bf) <= lo and hi <= max(af, bf)):
         raise DomainError("grid points fall outside the reflection window")
-    new_origin = sigma - f.far_point
-    return f.with_values(tuple(reversed(f.values)), origin=new_origin)
+    return f.reflected(sigma - f.far_point)

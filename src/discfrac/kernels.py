@@ -212,13 +212,13 @@ def kernel_vector(beta, count: int, backend=FLOATING) -> list:
 
 
 def cleared(values):
-    """``(nums, d)`` with ``values[i] == nums[i] / d`` for d the LCM of the
-    denominators, or None unless every value is a Fraction."""
-    if not all(type(v) is Fraction for v in values):
+    """``(nums, d)``, nums a tuple, with ``values[i] == nums[i] / d`` for d
+    the LCM of the denominators, or None unless every value is a Fraction."""
+    if not {*map(type, values)} <= {Fraction}:
         return None
-    pairs = [v.as_integer_ratio() for v in values]
+    pairs = list(map(Fraction.as_integer_ratio, values))
     d = math.lcm(*[q for _, q in pairs])
-    return [p * (d // q) for p, q in pairs], d
+    return tuple([p * (d // q) for p, q in pairs]), d
 
 
 def _build(beta: Fraction, count: int, backend) -> list:

@@ -29,6 +29,14 @@ inner sum one step before the first value of the n-th difference
 In storage space every pipeline is direction-free: sums are lower
 triangular convolutions against the binomial kernel, differences are
 iterated storage diffs (see grids module), and only origins differ.
+
+On the exact backend a grid of Fractions arrives cleared (integer
+numerators over one denominator, ``GridFunction.cleared``) and every
+operator returns one: ``_pipeline`` differences and convolves the
+numerators in Python ints against the cleared kernel, and the
+Riemann-to-Caputo correction and the Caputo inversion residual subtract
+their sums in integers over one common denominator.  No exact operator
+clears its input again or builds a Fraction per output point.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from fractions import Fraction
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
 from .grids import Direction, GridFunction, storage_difference
-from .kernels import cleared, kernel
+from .kernels import kernel
 
 
 class Kind(enum.Enum):
@@ -159,19 +167,15 @@ class CoefficientVector:
 
 
 def _cleared(f: GridFunction):
-    """``(nums, e, make)`` with ``f.values[i] == make(nums[i], e)``, or None
-    unless the values are all Fractions or, on the exact backend, hold a
-    ``CoefficientVector``.  Fractions clear to ints (``cleared``, make is
-    Fraction); the vectors of the symbolic row pass clear to integer arrays
-    over the LCM e of their denominators (make is CoefficientVector), and
-    the only scalar allowed beside them is the exact zero that
-    ``prepend_zero`` stores, a zero array."""
-    values = f.values
-    exact = cleared(values)
-    if exact is not None:
-        return (*exact, Fraction)
+    """``(nums, e)`` with ``f.values[i] == CoefficientVector(nums[i], e)``,
+    or None unless ``f`` is on the exact backend and holds a
+    ``CoefficientVector``: the vectors of the symbolic row pass clear to
+    integer arrays over the LCM e of their denominators, and the only
+    scalar allowed beside them is the exact zero that ``prepend_zero``
+    stores, a zero array."""
     if not f.backend.exact:  # floats: no vector to look for
         return None
+    values = f.values
     vectors = [v for v in values if isinstance(v, CoefficientVector)]
     if not vectors:
         return None
@@ -180,35 +184,48 @@ def _cleared(f: GridFunction):
     e = math.lcm(*(v.den for v in vectors))
     zero = vectors[0].nums * 0
     return ([v.nums * (e // v.den) if isinstance(v, CoefficientVector) else zero
-             for v in values], e, CoefficientVector)
+             for v in values], e)
 
 
-def _pipeline(f: GridFunction, beta, *, skip_first=False, pre=0, post=0) -> list:
-    """Values of f through its ``pre``-th storage difference, the
-    convolution with w(beta, .) (none when beta is 0) and a ``post``-th
-    storage difference.
+def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
+              post=0) -> GridFunction:
+    """f through its ``pre``-th storage difference, the convolution with
+    w(beta, .) (none when beta is 0) and a ``post``-th storage difference,
+    as a grid at ``origin`` (f's own by default).
 
-    Exact values, Fractions or the coefficient vectors of the symbolic row
-    pass, are cleared over one denominator E (``_cleared``) and the kernel
-    over D; every step then runs in Python ints, or in integer arrays for
-    vectors, and each output is one Fraction or CoefficientVector over D*E.
-    Only floats run through ``_convolve``.
+    Exact values run in integers over one denominator: a cleared grid's
+    numerators over its denominator E, or the coefficient vectors of the
+    symbolic row pass as integer arrays over one LCM E (``_cleared``).  The
+    kernel is cleared over D, and every step runs in Python ints, or in
+    integer arrays for vectors; the output is a cleared grid over D*E, or
+    one CoefficientVector per point.  Only floats run through
+    ``_convolve``.
     """
-    exact = _cleared(f)
+    exact = f.cleared or _cleared(f)
     if exact is None:
         vals = storage_difference(f.values, pre)
         if beta != 0:
             vals = _convolve(kernel(beta, len(vals), f.backend), list(vals), skip_first)
-        return list(storage_difference(vals, post))
-    vals, den, make = exact
+        return f.with_values(storage_difference(vals, post), origin)
+    vals, den = exact
     vals = storage_difference(vals, pre)
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend, as_integers=True)
         if skip_first and vals:
             vals = (vals[0] * 0,) + vals[1:]
-        vals = [sum(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
+        fold = sum if f.cleared is not None else _folded  # ints keep sum's fast path
+        vals = [fold(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
         den *= d
-    return [make(x, den) for x in storage_difference(vals, post)]
+    vals = storage_difference(vals, post)
+    if f.cleared is not None:
+        return f.with_cleared(vals, den, origin)
+    return f.with_values([CoefficientVector(x, den) for x in vals], origin)
+
+
+def _folded(terms):
+    """The sum of a nonempty iterator, folded from its first term: a
+    coefficient vector never pays for ``0 + array``."""
+    return sum(terms, next(terms))
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -218,8 +235,7 @@ def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     _require_direction(spec, f)
     alpha = spec.order
     delta = spec.kind is Kind.DELTA
-    vals = _pipeline(f, alpha, skip_first=not delta)
-    return f.with_values(vals, origin=f.shift_origin(alpha) if delta else f.origin)
+    return _pipeline(f, alpha, f.shift_origin(alpha) if delta else None, skip_first=not delta)
 
 
 def riemann_difference(
@@ -241,8 +257,8 @@ def riemann_difference(
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     beta = Fraction(n) - alpha
     delta = spec.kind is Kind.DELTA
-    vals = _pipeline(f, beta, skip_first=not delta, post=n)
-    return f.with_values(vals, origin=f.shift_origin(beta if delta else n))
+    return _pipeline(f, beta, f.shift_origin(beta if delta else n), skip_first=not delta,
+                     post=n)
 
 
 def _nabla_single_sum(f: GridFunction, alpha) -> GridFunction:
@@ -251,8 +267,7 @@ def _nabla_single_sum(f: GridFunction, alpha) -> GridFunction:
     to the signed binomial row (the limit of the non-integer form)."""
     if f.length < 2:
         raise GridTooShort("grid too short for the single-sum difference form")
-    vals = _pipeline(f, -as_fraction(alpha), skip_first=True)[1:]
-    return f.with_values(vals, origin=f.shift_origin(1))
+    return _pipeline(f, -as_fraction(alpha), skip_first=True).drop_leading(1)
 
 
 def _riemann_direct(spec: OperatorSpec, f: GridFunction, extended: bool) -> GridFunction:
@@ -260,10 +275,9 @@ def _riemann_direct(spec: OperatorSpec, f: GridFunction, extended: bool) -> Grid
     alpha = spec.order
     if spec.kind is Kind.DELTA:
         q = 1 if extended else n
-        vals = _pipeline(f, -alpha)[q:]
-        if not vals:
+        if f.length <= q:
             raise GridTooShort("grid too short for the direct difference form")
-        return f.with_values(vals, origin=f.shift_origin(q - alpha))
+        return _pipeline(f, -alpha, f.shift_origin(-alpha)).drop_leading(q)
     grid = _nabla_single_sum(f, alpha)
     if extended:
         return grid
@@ -286,9 +300,8 @@ def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     beta = Fraction(n) - alpha
-    vals = _pipeline(f, beta, pre=n)
     # the nabla inner sum is anchored one step before the differenced grid
-    return f.with_values(vals, origin=f.shift_origin(beta if spec.kind is Kind.DELTA else n))
+    return _pipeline(f, beta, f.shift_origin(beta if spec.kind is Kind.DELTA else n), pre=n)
 
 
 def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -307,13 +320,15 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     backend = f.backend
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
+    exact = f.cleared
+    data = f.values if exact is None else exact[0]
     if spec.kind is Kind.DELTA:
         riem = riemann_difference(
             OperatorSpec(spec.kind, spec.side, Family.RIEMANN, alpha), f
         )
         # k-th storage difference at the first point: the forward difference
         # at the origin, or on backward grids the signed one
-        anchors = [storage_difference(f.values[:k + 1], k)[0] for k in range(n)]
+        anchors = [storage_difference(data[:k + 1], k)[0] for k in range(n)]
         first_lags = [n - k for k in range(n)]
     else:
         # nabla: Riemann side anchored n-1 steps inward, on its extended
@@ -322,13 +337,15 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         # together with the fused correction weights realizes their limits.
         trimmed = f.drop_leading(n - 1) if n > 1 else f
         riem = _nabla_single_sum(trimmed, alpha)
-        anchors = [storage_difference(f.values[n - 1 - k:n], k)[0] for k in range(n)]
+        anchors = [storage_difference(data[n - 1 - k:n], k)[0] for k in range(n)]
         first_lags = [0] * n
     # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
-    exact = cleared(anchors)
     if exact is not None:
-        return riem.with_values(_exact_correction(riem.values, *exact, alpha, first_lags,
-                                                  backend))
+        rows = []
+        for k, lag in enumerate(first_lags):
+            w, d = kernel(k + 1 - alpha, lag + riem.length, backend, as_integers=True)
+            rows.append((w[lag:], d))
+        return riem.with_cleared(*_exact_correction(riem.cleared, anchors, exact[1], rows))
     weights = [kernel(k + 1 - alpha, lag + riem.length, backend)[lag:]
                for k, lag in enumerate(first_lags)]
     out = []
@@ -341,22 +358,20 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     return riem.with_values(out)
 
 
-def _exact_correction(riem: tuple, nums: list, e: int, alpha, first_lags: list,
-                      backend) -> list:
-    """``riem[m]`` minus the correction sum, fraction-free: the anchors are
-    ``nums`` over their LCM e, each correction kernel is cleared over its
-    own LCM and brought over their common LCM D, and each output is one
-    Fraction."""
-    kernels = [kernel(k + 1 - alpha, lag + len(riem), backend, as_integers=True)
-               for k, lag in enumerate(first_lags)]
-    d = math.lcm(*(dk for _, dk in kernels))
-    scales = [a * (d // dk) for a, (_, dk) in zip(nums, kernels)]
-    den = d * e
-    out = []
-    for m, r in enumerate(riem):
-        corr = sum(w[lag + m] * s for (w, _), lag, s in zip(kernels, first_lags, scales))
-        out.append(Fraction(r.numerator * den - corr * r.denominator, r.denominator * den))
-    return out
+def _exact_correction(base: tuple, coefficients: list, e: int, rows: list) -> tuple:
+    """``base``, a cleared ``(nums, den)``, minus the correction sum
+    ``sum_k rows[k][m] * coefficients[k]`` at each output m, fraction-free:
+    the coefficients are integers over e, each row ``(ints, d_k)`` a
+    cleared kernel over d_k.  The result is ``(nums, den)`` over the LCM of
+    the base's denominator and D*e, D the LCM of the d_k."""
+    nums, den = base
+    d = math.lcm(*(dk for _, dk in rows))
+    common = math.lcm(den, d * e)
+    acc = [x * (common // den) for x in nums]
+    for c, (w, dk) in zip(coefficients, rows):
+        s = c * (d // dk) * (common // (d * e))
+        acc = [x - wm * s for x, wm in zip(acc, w)]
+    return acc, common
 
 
 def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunction:
@@ -376,23 +391,34 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     cap = caputo_difference(spec, f)
     # anchored sum of the Caputo output: full convolution, origin kept,
     # plus the conventional zero at the anchor point itself
-    summed = [backend.zero] + _pipeline(cap, alpha)
-    anchor_index = n - 1
-    taylor_coeffs = [storage_difference(f.values[n - 1 - k:n], k)[0] for k in range(n)]
+    summed = _pipeline(cap, alpha).prepend_zero()
+    exact = f.cleared
+    stored = f.values if exact is None else exact[0]
+    taylor_coeffs = [storage_difference(stored[n - 1 - k:n], k)[0] for k in range(n)]
+    data = stored[n - 1:]  # f from the anchor on
+    origin = f.shift_origin(n - 1)
     # Taylor weight rising(m, k)/k! = C(m+k-1, k) at the point m steps inward
     # of the anchor: w(k+1, m-1) for m >= 1, and at m = 0 it is 1 for k = 0
     # and 0 otherwise
+    if exact is not None:
+        (s, sden), e = summed.cleared, exact[1]
+        den = math.lcm(sden, e)
+        base = [x * (den // sden) - y * (den // e) for x, y in zip(s, data)], den
+        rows = [((0 if k else d,) + w, d) for k, (w, d) in enumerate(
+            kernel(Fraction(k + 1), summed.length - 1, backend, as_integers=True)
+            for k in range(n))]
+        negated = [-c for c in taylor_coeffs]  # the residual adds T back
+        return f.with_cleared(*_exact_correction(base, negated, e, rows), origin)
     weights = [[backend.zero if k else backend.one]
-               + kernel(Fraction(k + 1), len(summed) - 1, backend) for k in range(n)]
+               + kernel(Fraction(k + 1), summed.length - 1, backend) for k in range(n)]
     out = []
-    for m, s in enumerate(summed):
+    for m, s in enumerate(summed.values):
         t_val = None
         for k in range(n):
             c = weights[k][m] * taylor_coeffs[k]
             t_val = c if t_val is None else t_val + c
-        rhs = f.values[anchor_index + m] - t_val
-        out.append(s - rhs)
-    return f.with_values(out, origin=f.shift_origin(n - 1))
+        out.append(s - (data[m] - t_val))
+    return f.with_values(out, origin)
 
 
 def apply_operator(spec: OperatorSpec, f: GridFunction, *, extended: bool = False) -> GridFunction:

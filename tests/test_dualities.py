@@ -390,18 +390,48 @@ def test_drawn_values_go_through_the_backend():
         run_identity_suite([IdentityId.LEFT_DUAL_SUM], instances=1, backend=tight)
 
 
-def test_an_exact_residual_below_the_tolerance_fails(monkeypatch):
-    """The exact backend passes only zero residuals, however small the
-    tolerance would make a floating one."""
-    real = dualities.fractional_sum
+def _scaled_by_7(out):
+    """The same values, cleared over seven times the denominator."""
+    nums, den = out.cleared
+    return out.with_cleared([7 * x for x in nums], 7 * den)
 
-    def nudged(spec, g):
+
+def _nudged(index):
+    def nudge(out):
+        values = list(out.values)
+        values[index] += Fraction(1, 10**30)
+        return out.with_values(values)
+    return nudge
+
+
+@pytest.mark.parametrize("kind, change, index", [
+    (Kind.NABLA, _scaled_by_7, None),  # equal sides over different denominators
+    (Kind.DELTA, _nudged(0), 0),  # the first stated point
+    (Kind.DELTA, _nudged(-1), -1),  # the last one
+])
+def test_an_exact_residual_below_the_tolerance_fails(monkeypatch, kind, change, index):
+    """The exact backend passes only zero residuals, however small the
+    tolerance would make a floating one, and compares sides cleared over
+    different denominators exactly."""
+    real = dualities.fractional_sum
+    dens = {}
+
+    def changed(spec, g):
         out = real(spec, g)
-        if spec.kind is not Kind.NABLA:
-            return out
-        return out.with_values(out.values[:-1] + (out.values[-1] + Fraction(1, 10**30),))
+        if spec.kind is kind:
+            out = change(out)
+        dens[spec.kind] = out.cleared[1]
+        return out
 
     f, alpha = random_instance(IdentityId.LEFT_DUAL_SUM, random.Random(1), RATIONAL)
-    monkeypatch.setattr(dualities, "fractional_sum", nudged)
+    monkeypatch.setattr(dualities, "fractional_sum", changed)
     report = check_identity(f, alpha, IdentityId.LEFT_DUAL_SUM)
-    assert not report.passed and report.max_abs_residual == Fraction(1, 10**30)
+    if index is None:
+        assert dens[Kind.NABLA] != dens[Kind.DELTA]
+        assert report.passed and report.max_abs_residual == 0
+        assert set(report.values) == {0}
+    else:
+        assert not report.passed and report.max_abs_residual == Fraction(1, 10**30)
+        nudged = index % len(report.values)
+        assert [i for i, r in enumerate(report.values) if r] == [nudged]
+        assert report.values[nudged] == Fraction(1, 10**30)

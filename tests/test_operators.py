@@ -488,6 +488,10 @@ PIPELINES = [
 exact_orders = st.integers(1, 12).flatmap(
     lambda q: st.integers(1, 3 * q).map(lambda p: Fraction(p, q)))
 mixed_values = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+LARGE_PRIME = 2**61 - 1  # a Mersenne prime
+# denominators 1 to 12 with one large prime among them
+prime_mixed_values = mixed_values | st.builds(Fraction, st.integers(-20, 20),
+                                              st.just(LARGE_PRIME))
 
 
 def both_grids(values, a, backend=RATIONAL):
@@ -527,14 +531,21 @@ class TestIntegerPath:
     """The exact backend's fraction-free pipelines against the literal sums
     of ``oracles``, on grids of 1 to 40 points."""
 
-    @given(values=st.lists(mixed_values, min_size=1, max_size=40),
+    @given(values=st.lists(prime_mixed_values, min_size=1, max_size=40),
            alpha=exact_orders, a=st.integers(-3, 3))
     @example(values=[Fraction(3, 7)], alpha=Fraction(1, 2), a=0)
     @example(values=[Fraction(k - 20, k % 12 + 1) for k in range(40)],
              alpha=Fraction(31, 12), a=1)
+    @example(values=[Fraction(k - 6, k + 1) for k in range(12)] + [Fraction(-5, LARGE_PRIME)],
+             alpha=Fraction(7, 5), a=-2)
+    @example(values=[Fraction(3, LARGE_PRIME)] + [Fraction(k + 1, 12 - k) for k in range(12)],
+             alpha=Fraction(9, 4), a=3)
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_pipeline_matches_oracles(self, memo_oracles, values, alpha, a):
+        """Every pipeline, and one chained pair, against the oracles; each
+        output equals, and hashes like, the grid ``make_grid_function``
+        builds from its values."""
         f, g, b = both_grids(values, Fraction(a))
         fmap = f.mapping()
         n = order_ceiling(alpha)
@@ -552,6 +563,16 @@ class TestIntegerPath:
                 assert out.length == expected_length(family, form, extended, len(values), n)
                 assert out.values == tuple(oracle(fmap, anchor, alpha, p) for p in out.points())
                 assert all(type(v) is Fraction for v in out.values)
+                rebuilt = make_grid_function(out.origin, out.direction, out.values, RATIONAL)
+                assert out == rebuilt and hash(out) == hash(rebuilt)
+        # chained: the delta-left difference's output feeds the nabla-left sum
+        first = evaluate(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f, False)
+        if first is not None:
+            second = fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), first)
+            inner = {p: oracles.delta_left_riemann(fmap, f.origin, alpha, p)
+                     for p in first.points()}
+            assert second.values == tuple(oracles.nabla_left_sum(inner, first.origin, alpha, p)
+                                          for p in second.points())
 
     def test_exact_scalars_skip_the_generic_loop(self, monkeypatch):
         def generic_loop(*args):
@@ -582,8 +603,8 @@ class TestIntegerPath:
         grid = forward([0] * (len(lead) + length))
 
         def run(values):
-            return operators._pipeline(grid.with_values(values), beta,
-                                       skip_first=skip_first, pre=pre, post=post)
+            return list(operators._pipeline(grid.with_values(values), beta,
+                                            skip_first=skip_first, pre=pre, post=post).values)
 
         def coefficients(row):
             return [Fraction(x, row.den) for x in row.nums]
@@ -633,7 +654,7 @@ class TestIntegerPath:
         grids = [make_grid_function(0, Direction.FORWARD, [1], FLOATING), forward([1])]
         grids.append(grids[1].with_values([CoefficientVector(np.ones(1, dtype=object))]))
         for grid in grids:
-            assert operators._pipeline(grid, Fraction(1), skip_first=skip_first, pre=1) == []
+            assert operators._pipeline(grid, Fraction(1), skip_first=skip_first, pre=1).values == ()
 
     @given(values=st.lists(mixed_values, min_size=1, max_size=40),
            alpha=exact_orders, a=st.integers(-3, 3))
