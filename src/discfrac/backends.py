@@ -163,10 +163,22 @@ class GammaValue:
 
 class _Backend:
     """What both backends share: an optional table of kernels and an
-    optional kernel fault."""
+    optional kernel fault.  Backends compare by value, by class, bit cap and
+    fault; a copy from ``run_scoped`` equals its original, since its table
+    only caches what the original would build."""
 
     kernels = None  # see run_scoped()
     fault = None  # see with_fault()
+    bit_cap = None  # a RationalBackend's own
+
+    def _key(self) -> tuple:
+        return self.__class__, self.bit_cap, self.fault
+
+    def __eq__(self, other):
+        return isinstance(other, _Backend) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def run_scoped(self, kernel_length: int):
         """A copy of this backend that owns an empty kernel table.

@@ -202,7 +202,7 @@ def _reject_repeats(flag: str, items) -> None:
 
 def _parse_values(text: str, cap: int | None = None) -> list[Fraction]:
     """The ``--values`` set; a ``lo..hi`` range of more than ``cap`` values
-    is refused before it is built."""
+    is refused before it is built, and cannot repeat a value."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -213,9 +213,9 @@ def _parse_values(text: str, cap: int | None = None) -> list[Fraction]:
         values = [Fraction(k) for k in range(lo, hi + 1)]
     else:
         values = [_parse_number(part) for part in text.split(",") if part.strip()]
+        _reject_repeats("--values", values)
     if not values:
         raise ValueError(f"--values {text!r} names no value")
-    _reject_repeats("--values", values)
     return values
 
 

@@ -11,10 +11,11 @@ indices, and both sides are read by slicing; a Q identity reads its
 right-hand side at a fixed integer index shift instead of reflecting it
 point by point.  Each expected origin is one ``Fraction`` formed from the
 table's integer offsets.  The points themselves, and a report's grid
-string, are formed only when read.  Exact sides arrive cleared (integer
-numerators over one denominator each) and are compared by
-cross-multiplication, the numerators of each side times the other side's
-denominator; residual ``Fraction``s are formed only when the sides
+string, are formed only when read.  Both sides are read as their
+``(nums, den)`` parts (integer numerators over one denominator each, or
+floats over 1) and compared by one cross-multiplication on both
+backends, the numerators of each side times the other side's
+denominator; exact residual ``Fraction``s are formed only when the sides
 differ, and equal sides record zero residuals.  ``run_identity_suite``
 puts its grids on a ``run_scoped()`` copy of the backend, whose table
 builds each kernel once per call; nothing of it outlives the call.
@@ -27,7 +28,6 @@ of magnitude up to one and a relative tolerance above that.
 from __future__ import annotations
 
 import enum
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,32 +217,28 @@ _ALL = slice(None)
 
 
 def _part(grid: GridFunction, part: slice) -> tuple:
-    """The values of ``grid`` at the storage slice ``part``: its cleared
-    numerators and denominator, or the values and None."""
-    exact = grid.cleared
-    return (grid.values[part], None) if exact is None else (exact[0][part], exact[1])
+    """The ``(nums, den)`` parts of ``grid`` at the storage slice ``part``."""
+    nums, den = grid.parts
+    return nums[part], den
 
 
 def _build_report(identity, alpha, f, stated, start, lhs, rhs, tolerance) -> CheckReport:
     """Residuals ``lhs - rhs`` on the stated index set, which is the storage
     of the grid ``stated`` from index ``start`` on; each side is a
-    ``_part``.  Exact residuals pass when all are zero, that is when the
-    sides are equal; floating ones within ``tolerance`` times
-    ``max(1, |lhs|, |rhs|)``."""
+    ``_part``, compared by cross-multiplication: x/dx == y/dy iff
+    x*dy == y*dx (on floats both denominators are 1).  Exact residuals pass
+    when all are zero, that is when the sides are equal; floating ones
+    within ``tolerance`` times ``max(1, |lhs|, |rhs|)``."""
     backend = f.backend
     (xs, dx), (ys, dy) = lhs, rhs
-    if dx is not None and dy is not None:
-        # cleared sides: x/dx == y/dy iff x*dy == y*dx
-        diffs = [x * dy - y * dx for x, y in zip(xs, ys)]
-        values = [Fraction(r, dx * dy) for r in diffs] if any(diffs) else None
-    else:
-        values = None if backend.exact and xs == ys else list(map(operator.sub, xs, ys))
-    if values is None:
-        values, largest, ok = [backend.zero] * len(xs), backend.zero, True
-    else:
+    diffs = [x * dy - y * dx for x, y in zip(xs, ys)]
+    if any(diffs):
+        values = diffs if dx * dy == 1 else [Fraction(r, dx * dy) for r in diffs]
         largest = max([abs(backend.zero), *map(abs, values)])
         ok = not backend.exact and all(abs(r) <= tolerance * max(1.0, abs(x), abs(y))
                                        for r, x, y in zip(values, xs, ys))
+    else:
+        values, largest, ok = [backend.zero] * len(xs), backend.zero, True
     return CheckReport(identity, alpha, f, values, stated, start, largest, ok, tolerance,
                        backend.name)
 
@@ -361,8 +357,7 @@ def check_relation(f: GridFunction, order, which: IdentityId,
     alpha = as_fraction(order)
     side = Side.LEFT if f.direction is Direction.FORWARD else Side.RIGHT
     res = caputo_inversion_residual(f, alpha, side)
-    zeros = res.with_values((f.backend.zero,) * res.length)
-    return _build_report(which, alpha, f, res, 0, _part(res, _ALL), _part(zeros, _ALL),
+    return _build_report(which, alpha, f, res, 0, _part(res, _ALL), ((0,) * res.length, 1),
                          tolerance)
 
 

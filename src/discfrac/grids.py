@@ -20,16 +20,18 @@ backward grids) are exactly ``s^n`` in storage space.
 Any sum over an empty index range is zero; operators rely on this at
 their anchor point.
 
-On the exact backend a grid of ``Fraction`` values is held cleared: one
-tuple of integer numerators over one positive denominator (not reduced;
-``cleared``).  Only this module knows how a grid stores it.  The exact
-operators read it and build their outputs from integers
-(``with_cleared``); ``drop_leading``, ``prepend_zero``, ``reflected`` and
-``reversed_view`` slice, extend or reverse the numerators and keep the
-denominator.  ``values`` builds the normalized ``Fraction``s when first
-read, so a grid whose values nobody reads never builds one.  Floats, and
-the coefficient vectors of the theorem search's symbolic row pass, are
-held as given.
+Every grid exposes its values as one ``(nums, den)`` view, ``parts``,
+and every operator reads that view and builds its output from one
+(``with_parts``), so the exact and the floating operators run the same
+code.  Only this module knows how a grid stores it.  On the exact backend
+a grid of ``Fraction`` values is held cleared: one tuple of integer
+numerators over one positive denominator (not reduced), and ``values``
+builds the normalized ``Fraction``s when first read, so a grid whose
+values nobody reads never builds one.  Floats, and the coefficient
+vectors of the theorem search's symbolic row pass, are held as given
+and read over 1.  ``drop_leading``, ``prepend_zero``, ``reflected`` and
+``reversed_view`` slice, extend or reverse the parts and keep the
+denominator.
 """
 
 from __future__ import annotations
@@ -51,28 +53,36 @@ class Direction(enum.Enum):
 class GridFunction:
     """Finite function on a shifted integer grid.
 
-    ``cleared`` is ``(nums, den)`` for values that are all ``Fraction``s on
-    an exact backend, held in that form (see the module docstring), and
-    None otherwise.  Instances are immutable; ``==`` and ``hash`` are those
-    of ``(origin, direction, values, backend)``.
+    ``parts`` is the ``(nums, den)`` view of the values (see the module
+    docstring).  Instances are immutable; ``==`` and ``hash`` are those of
+    ``(origin, direction, values, backend)``.
     """
 
-    __slots__ = ("origin", "direction", "backend", "cleared", "_values")
+    # _nums and _den: the cleared numerators and denominator, or the values
+    # as held and None
+    __slots__ = ("origin", "direction", "backend", "_nums", "_den", "_values")
 
     def __init__(self, origin, direction, values, backend=FLOATING):
         values = tuple(values)
+        nums, den = (_clear(values) if backend.exact else None) or (values, None)
         _set_origin(self, origin)
         _set_direction(self, direction)
         _set_backend(self, backend)
-        _set_cleared(self, _clear(values) if backend.exact else None)
+        _set_nums(self, nums)
+        _set_den(self, den)
         _set_values(self, values)
 
     @property
     def values(self) -> tuple:
         if self._values is None:
-            nums, den = self.cleared
-            _set_values(self, tuple([Fraction(x, den) for x in nums]))
+            den = self._den
+            _set_values(self, tuple([Fraction(x, den) for x in self._nums]))
         return self._values
+
+    @property
+    def parts(self) -> tuple:
+        """``(nums, den)`` with ``values[i] == nums[i] / den``."""
+        return self._nums, self._den or 1
 
     def __setattr__(self, name, value=None):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -99,7 +109,7 @@ class GridFunction:
 
     @property
     def length(self) -> int:
-        return len(self._values if self.cleared is None else self.cleared[0])
+        return len(self._nums)
 
     def point(self, index: int) -> Fraction:
         if self.direction is Direction.FORWARD:
@@ -132,24 +142,23 @@ class GridFunction:
         return GridFunction(self.origin if origin is None else as_fraction(origin),
                             self.direction, values, self.backend)
 
-    def with_cleared(self, nums, den: int, origin=None, direction=None) -> "GridFunction":
-        """The grid of values ``nums[i] / den`` (ints, ``den > 0``) on this
-        grid's exact backend, held cleared."""
+    def with_parts(self, nums, den: int, origin=None, direction=None) -> "GridFunction":
+        """The grid of values ``nums[i] / den`` (``den > 0``) at ``origin`` and
+        in ``direction`` (this grid's own by default), in this grid's form."""
+        nums = tuple(nums)
+        if self._den is not None:
+            values = None
+        else:  # values held as given, read over 1
+            values = nums if den == 1 else tuple([x * Fraction(1, den) for x in nums])
+            nums, den = values, None
         grid = _blank(GridFunction)
         _set_origin(grid, self.origin if origin is None else as_fraction(origin))
         _set_direction(grid, direction or self.direction)
         _set_backend(grid, self.backend)
-        _set_cleared(grid, (tuple(nums), den))
-        _set_values(grid, None)
+        _set_nums(grid, nums)
+        _set_den(grid, den)
+        _set_values(grid, values)
         return grid
-
-    def _rearranged(self, part: slice, origin, direction=None) -> "GridFunction":
-        """The values ``values[part]`` at ``origin``, in this grid's form."""
-        if self.cleared is None:
-            return GridFunction(origin, direction or self.direction, self.values[part],
-                                self.backend)
-        nums, den = self.cleared
-        return self.with_cleared(nums[part], den, origin, direction)
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
@@ -161,34 +170,34 @@ class GridFunction:
     def drop_leading(self, n: int) -> "GridFunction":
         if n >= self.length:
             raise GridTooShort("cannot drop every grid value")
-        return self._rearranged(slice(n, None), self.shift_origin(n))
+        nums, den = self.parts
+        return self.with_parts(nums[n:], den, self.shift_origin(n))
 
     def prepend_zero(self) -> "GridFunction":
         """Extend one step toward the anchor side with a zero value."""
-        origin = self.shift_origin(-1)
-        if self.cleared is None:
-            return self.with_values((self.backend.zero,) + self.values, origin)
-        nums, den = self.cleared
-        return self.with_cleared((0,) + nums, den, origin)
+        nums, den = self.parts
+        zero = self.backend.zero if self._den is None else 0
+        return self.with_parts((zero,) + nums, den, self.shift_origin(-1))
 
     def reflected(self, origin=None) -> "GridFunction":
         """The values in reverse storage order, same direction, at ``origin``
         (this grid's own by default)."""
-        return self._rearranged(_REVERSE, self.origin if origin is None else origin)
+        nums, den = self.parts
+        return self.with_parts(nums[::-1], den, origin)
 
     def reversed_view(self) -> "GridFunction":
         """Same function, opposite storage direction."""
         other = (
             Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
         )
-        return self._rearranged(_REVERSE, self.far_point, other)
+        nums, den = self.parts
+        return self.with_parts(nums[::-1], den, self.far_point, other)
 
 
 # the slots' own setters, which the frozen ``__setattr__`` does not block
-_set_origin, _set_direction, _set_backend, _set_cleared, _set_values = (
+_set_origin, _set_direction, _set_backend, _set_nums, _set_den, _set_values = (
     GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__)
 _blank = object.__new__
-_REVERSE = slice(None, None, -1)
 
 
 def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunction:
@@ -222,7 +231,8 @@ def integer_difference(f: GridFunction, kind: str, n: int, signed: bool = False)
         raise DomainError("difference order must be nonnegative")
     if f.length < n + 1:
         raise GridTooShort(f"grid of length {f.length} cannot take {n} differences")
-    vals = storage_difference(f.values, n)
+    nums, den = f.parts
+    vals = storage_difference(nums, n)
     sign = 1
     if f.direction is Direction.BACKWARD and n % 2 == 1:
         sign = -sign
@@ -232,8 +242,7 @@ def integer_difference(f: GridFunction, kind: str, n: int, signed: bool = False)
         vals = tuple(-v for v in vals)
     forward = f.direction is Direction.FORWARD
     moves = (kind == "nabla") if forward else (kind == "delta")
-    origin = f.shift_origin(n) if moves else f.origin
-    return f.with_values(vals, origin=origin)
+    return f.with_parts(vals, den, f.shift_origin(n) if moves else None)
 
 
 def q_reflect(f: GridFunction, a, b) -> GridFunction:

@@ -13,9 +13,15 @@ with ``beta = alpha`` for sums and ``beta = -alpha`` for direct
 differences; the normalizing ``1/Gamma(beta)`` is always fused into the
 product so the exact backend never evaluates a transcendental gamma.
 
-Floating evaluation goes through log-gamma with explicit sign tracking
-(never a direct gamma of a large argument), so kernels stay finite at
-large lags.
+Exact weights come from one integer recurrence in ``kernel_vector``,
+which ``binomial_weight`` reads to its lag.  Floating weights and
+``gamma_ratio`` products come from one log-gamma helper with explicit
+sign tracking (``_float_rising``; never a direct gamma of a large
+argument), so kernels stay finite at large lags.
+
+``kernel(..., as_integers=True)`` hands the operators a kernel in the
+``(nums, den)`` form of ``GridFunction.parts``: exact weights cleared to
+integers over their LCM, floats as they are over 1.
 """
 
 from __future__ import annotations
@@ -140,16 +146,19 @@ def gamma_ratio(x, k: int, backend=FLOATING):
         for j in range(k):
             prod *= xf + j
         return backend.guard(prod)
-    return _float_gamma_ratio(float(xf), k)
+    return _float_rising(float(xf), k)
 
 
-def _float_gamma_ratio(x: float, k: int) -> float:
+def _float_rising(x: float, k: int, per_factorial: bool = False) -> float:
+    """``x(x+1)...(x+k-1)``, over ``k!`` with ``per_factorial``, via log-gamma:
+    a zero factor gives 0, a negative head of factors is an explicit short
+    product and the positive tail a log-gamma quotient."""
     for j in range(k):
         if x + j == 0.0:
             return 0.0
+    log_factorial = math.lgamma(k + 1) if per_factorial else 0.0
     if x > 0:
-        return math.exp(math.lgamma(x + k) - math.lgamma(x))
-    # negative head as an explicit short product, positive tail via log-gamma
+        return math.exp(math.lgamma(x + k) - math.lgamma(x) - log_factorial)
     j0 = 0
     while j0 < k and x + j0 < 0:
         j0 += 1
@@ -157,8 +166,8 @@ def _float_gamma_ratio(x: float, k: int) -> float:
     for j in range(j0):
         head *= x + j
     if j0 >= k:
-        return head
-    return head * math.exp(math.lgamma(x + k) - math.lgamma(x + j0))
+        return head / math.factorial(k) if per_factorial else head
+    return head * math.exp(math.lgamma(x + k) - math.lgamma(x + j0) - log_factorial)
 
 
 def binomial_weight(beta, lag: int, backend=FLOATING):
@@ -166,31 +175,8 @@ def binomial_weight(beta, lag: int, backend=FLOATING):
     if lag < 0:
         raise DomainError("kernel lag must be nonnegative")
     if backend.exact:
-        bf = as_fraction(beta)
-        prod = Fraction(1)
-        for j in range(lag):
-            prod = prod * (bf + j) / (j + 1)
-        return backend.guard(prod)
-    return _float_weight(float(beta), lag)
-
-
-def _float_weight(beta: float, lag: int) -> float:
-    for j in range(lag):
-        if beta + j == 0.0:
-            return 0.0
-    if beta > 0:
-        return math.exp(math.lgamma(beta + lag) - math.lgamma(beta) - math.lgamma(lag + 1))
-    j0 = 0
-    while j0 < lag and beta + j0 < 0:
-        j0 += 1
-    head = 1.0
-    for j in range(j0):
-        head *= beta + j
-    if j0 >= lag:
-        return head / math.factorial(lag)
-    return head * math.exp(
-        math.lgamma(beta + lag) - math.lgamma(beta + j0) - math.lgamma(lag + 1)
-    )
+        return kernel_vector(beta, lag + 1, backend)[lag]
+    return _float_rising(float(beta), lag, per_factorial=True)
 
 
 def kernel_vector(beta, count: int, backend=FLOATING) -> list:
@@ -208,7 +194,7 @@ def kernel_vector(beta, count: int, backend=FLOATING) -> list:
                                               w.denominator * q * lag)))
         return out
     b = float(beta)
-    return [_float_weight(b, lag) for lag in range(count)]
+    return [_float_rising(b, lag, True) for lag in range(count)]
 
 
 def cleared(values):
@@ -232,8 +218,9 @@ def _build(beta: Fraction, count: int, backend) -> list:
 
 def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
     """``kernel_vector(beta, count, backend)``, or with ``as_integers`` its
-    ``cleared`` form; either may hold more than ``count`` weights.  On a
-    backend from ``with_fault`` the lag-1 weight carries the fault.
+    ``(nums, den)`` form: exact weights ``cleared``, floats as they are over
+    1.  Either may hold more than ``count`` weights.  On a backend from
+    ``with_fault`` the lag-1 weight carries the fault.
 
     A backend from ``run_scoped(length)`` keeps each kernel in its table,
     built at ``length`` weights (more if a call asks for more) and exact
@@ -244,7 +231,7 @@ def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
     table = backend.kernels
     if table is None:
         weights = _build(beta, count, backend)
-        return cleared(weights) if as_integers else weights
+        return _as_integers(weights, backend) if as_integers else weights
     key = (beta.numerator, beta.denominator)  # a Fraction hashes slowly
     entry = table.get(key)
     if entry is None or len(entry[0]) < count:
@@ -252,8 +239,12 @@ def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
             weights = _build(beta, max(count, backend.kernel_length), backend)
         except BackendOverflow:
             weights = _build(beta, count, backend)
-        entry = table[key] = (weights, cleared(weights) if backend.exact else None)
+        entry = table[key] = (weights, _as_integers(weights, backend))
     return entry[1] if as_integers else entry[0]
+
+
+def _as_integers(weights: list, backend) -> tuple:
+    return cleared(weights) if backend.exact else (weights, 1)
 
 
 @dataclass(frozen=True)
@@ -282,5 +273,5 @@ def sum_kernel(kind: str, side: str, order, lag: int, backend=FLOATING) -> Kerne
     order_f = as_fraction(order)
     if order_f <= 0:
         raise DomainError("fractional sum order must be positive")
-    value = binomial_weight(order_f if backend.exact else float(order_f), lag, backend)
+    value = binomial_weight(order_f, lag, backend)
     return KernelCoefficient(value=value, kind=kind, side=side, order=order_f, lag=lag)

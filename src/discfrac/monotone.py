@@ -5,8 +5,11 @@ the function values: hypothesis rows (operator positivity on the stated
 index set, starting conditions), optional "for all k" starting
 conditions, and conclusion rows.  A verdict is consistent when the
 hypothesis fails or the conclusion holds; a consistent=False case is a
-counterexample candidate and is always re-verified under the exact
-rational backend before being reported.
+counterexample candidate and is always re-verified with
+``evaluate_theorem`` before being reported.  Theorem cases are always
+exact: ``make_case`` puts the grid on the rational backend, converting
+floats to their exact binary values, and ``evaluate_theorem`` refuses
+any other grid, so no margin or ray coefficient is ever rounded.
 
 "For all k" starting conditions (value bounded below by a rational
 function of k on an integer ray) are decided completely: after clearing
@@ -14,8 +17,9 @@ the positive denominator they become "polynomial R(k) >= 0 for every
 integer k >= j", which is settled exactly by locating the monotonicity
 breakpoints of R (integer brackets of the roots of R', found
 recursively) and testing R at those integers plus the leading
-coefficient for the tail.  The literal inequalities for k up to k_cap
-are checked as well and feed the reported margins.
+coefficient for the tail, all in exact arithmetic.  The literal
+inequalities for k up to k_cap are checked as well and feed the reported
+margins.
 
 Searches run an exact integer prefilter: every row is linear in f with
 rational coefficients, read once per search from one run of the
@@ -55,7 +59,7 @@ import numpy as np
 from .backends import FLOATING, RATIONAL, as_fraction
 from .errors import BudgetExceeded, DomainError, GridTooShort
 from .grids import Direction, GridFunction, make_grid_function
-from .kernels import kernel
+from .kernels import cleared, kernel
 from .operators import (
     CoefficientVector,
     Family,
@@ -84,12 +88,8 @@ def _poly_deriv(coeffs):
 
 
 def _strip(coeffs):
-    snap = 0
-    if coeffs and isinstance(coeffs[0], float):
-        scale = max((abs(c) for c in coeffs), default=0.0)
-        snap = 1e-12 * max(1.0, scale)
     out = list(coeffs)
-    while out and abs(out[0]) <= snap:
+    while out and out[0] == 0:
         out.pop(0)
     return out
 
@@ -484,9 +484,9 @@ _register("T_CD5", "low-order backward Caputo lower bound forces alpha-decreasin
 # evaluation
 
 
-def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64,
-              backend=FLOATING) -> TheoremCase:
-    """Build a case from the live (enumerated) values.
+def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64) -> TheoremCase:
+    """Build a case from the live (enumerated) values, on the exact backend;
+    floats convert to their exact binary values.
 
     Statements whose stated data starts one step before the operator
     anchor carry an inert leading slot; it is filled with zero and never
@@ -496,21 +496,16 @@ def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64,
     anchor_f = as_fraction(anchor)
     stored = ([0] + list(live_values)) if stmt.leading_inert else list(live_values)
     origin = anchor_f + stmt.origin_offset
-    f = make_grid_function(origin, stmt.direction, stored, backend)
+    f = make_grid_function(origin, stmt.direction, stored, RATIONAL)
     return TheoremCase(theorem_id, anchor_f, as_fraction(order), f, k_cap)
 
 
 def _ray_rows(ray: RayCondition, k_cap: int) -> list:
-    """Rows ``R(k)/Q(k)`` for k = start..k_cap, then the k -> infinity bound.
-
-    Exact coefficients give the integer Horner rows of ``_integer_horner``.
-    """
+    """Rows ``R(k)/Q(k)`` for k = start..k_cap, the integer Horner rows of
+    ``_integer_horner``, then the k -> infinity bound."""
     ks = range(ray.start, k_cap + 1)
-    if all(isinstance(c, Fraction) for c in ray.r_coeffs):
-        coeffs = [([c.numerator], c.denominator) for c in ray.r_coeffs]
-        values = [Fraction(num, den) for (num,), den in _integer_horner(coeffs, ray.q_coeffs, ks)]
-    else:
-        values = [_poly_eval(ray.r_coeffs, k) / _poly_eval(ray.q_coeffs, k) for k in ks]
+    coeffs = [([c.numerator], c.denominator) for c in ray.r_coeffs]
+    values = [Fraction(num, den) for (num,), den in _integer_horner(coeffs, ray.q_coeffs, ks)]
     rows = [(f"start k={k}", v) for k, v in zip(ks, values)]
     rows.append(("start k->inf", ray.bound))
     return rows
@@ -530,9 +525,12 @@ def _check_order(theorem_id: str, order) -> None:
 
 
 def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
-    """Evaluate hypothesis and conclusion predicates on the case's grid."""
+    """Evaluate hypothesis and conclusion predicates on the case's grid,
+    which must be on the exact backend (``make_case`` puts it there)."""
     stmt = THEOREMS[case.theorem_id]
     _check_order(case.theorem_id, case.order)
+    if not case.f.backend.exact:
+        raise DomainError(f"{case.theorem_id} is evaluated on exact grids only")
     if case.f.direction is not stmt.direction:
         raise DomainError(f"{case.theorem_id} expects a {stmt.direction.value} grid")
     if case.f.origin != case.anchor + stmt.origin_offset:
@@ -725,7 +723,7 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     stmt = THEOREMS[theorem_id]
     inert = int(stmt.leading_inert)  # an inert leading slot is the zero row 0
     basis = np.eye(live_length + inert, live_length + 1, -inert, dtype=int).astype(object)
-    case = make_case(theorem_id, [0] * live_length, order, anchor, k_cap, RATIONAL)
+    case = make_case(theorem_id, [0] * live_length, order, anchor, k_cap)
     hyp, rays, concl = stmt.builder(replace(case, f=case.f.with_values(
         map(CoefficientVector, basis))))
     hyp_rows, concl_rows = [_exact_row(v) for _, v in hyp], [_exact_row(v) for _, v in concl]
@@ -895,8 +893,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     the counterexample suspects, and the witness tries are decided from the
     exact rows (``search_campaign`` confirms the witness it reports)."""
     values_exact = [as_fraction(v) for v in value_set]
-    value_scale = math.lcm(*(v.denominator for v in values_exact))
-    value_ints = [int(v * value_scale) for v in values_exact]
+    value_ints, value_scale = cleared(values_exact)
     exact_ints = np.array(value_ints, dtype=object)
     value_floats = np.array([FLOATING.scalar(v) for v in values_exact])
     hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
@@ -930,7 +927,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
 
     def exact_case(idx_row):
         combo = tuple(values_exact[i] for i in idx_row)
-        return make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
+        return make_case(theorem_id, combo, order, anchor, k_cap)
 
     def result(d: int) -> SearchResult:
         counterexamples = [case for case in map(exact_case, suspects[d])
@@ -1029,8 +1026,7 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
                 res.witness, res.witness_margin = shorter.witness, shorter.witness_margin
         if res.witness is not None:
             # the witness was decided from the exact rows; confirm it on its case
-            verdict = evaluate_theorem(make_case(theorem_id, res.witness, order, anchor,
-                                                 k_cap, RATIONAL))
+            verdict = evaluate_theorem(make_case(theorem_id, res.witness, order, anchor, k_cap))
             if not (verdict.hypothesis_holds and res.witness_margin == min(
                     v for _, v in verdict.hypothesis_margins)):
                 raise AssertionError(f"{theorem_id}: the rows and evaluate_theorem disagree "

@@ -30,13 +30,18 @@ In storage space every pipeline is direction-free: sums are lower
 triangular convolutions against the binomial kernel, differences are
 iterated storage diffs (see grids module), and only origins differ.
 
-On the exact backend a grid of Fractions arrives cleared (integer
-numerators over one denominator, ``GridFunction.cleared``) and every
-operator returns one: ``_pipeline`` differences and convolves the
-numerators in Python ints against the cleared kernel, and the
+Every operator reads its input as the grid's ``(nums, den)`` view
+(``GridFunction.parts``) and builds its output from one (``with_parts``):
+cleared integer numerators over one denominator on the exact backend,
+floats over 1 on the floating one.  The code is the same for both: the
+kernel comes in the same form (``kernel(..., as_integers=True)``), the
 Riemann-to-Caputo correction and the Caputo inversion residual subtract
-their sums in integers over one common denominator.  No exact operator
-clears its input again or builds a Fraction per output point.
+their sums over one common denominator (``_correction``), and the only
+choice by value type is the convolution loop of ``_pipeline``: Python ints
+for exact values, ``_convolve`` for floats, and integer arrays for the
+coefficient vectors of the symbolic row pass, which ``_pipeline`` clears
+on the way in and wraps on the way out.  No exact operator clears its
+input again or builds a Fraction per output point.
 """
 
 from __future__ import annotations
@@ -166,19 +171,15 @@ class CoefficientVector:
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _cleared(f: GridFunction):
-    """``(nums, e)`` with ``f.values[i] == CoefficientVector(nums[i], e)``,
-    or None unless ``f`` is on the exact backend and holds a
-    ``CoefficientVector``: the vectors of the symbolic row pass clear to
-    integer arrays over the LCM e of their denominators, and the only
-    scalar allowed beside them is the exact zero that ``prepend_zero``
-    stores, a zero array."""
-    if not f.backend.exact:  # floats: no vector to look for
+def _vector_parts(values):
+    """``(arrays, e)`` with ``values[i] == CoefficientVector(arrays[i], e)``,
+    or None unless a value is a ``CoefficientVector``: the vectors of the
+    symbolic row pass clear to integer arrays over the LCM e of their
+    denominators, and the only scalar allowed beside them is the exact zero
+    that ``prepend_zero`` stores, a zero array."""
+    if CoefficientVector not in {*map(type, values)}:
         return None
-    values = f.values
     vectors = [v for v in values if isinstance(v, CoefficientVector)]
-    if not vectors:
-        return None
     if any(not isinstance(v, CoefficientVector) and v != 0 for v in values):
         raise TypeError("a nonzero constant among coefficient vectors")
     e = math.lcm(*(v.den for v in vectors))
@@ -193,33 +194,32 @@ def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
     w(beta, .) (none when beta is 0) and a ``post``-th storage difference,
     as a grid at ``origin`` (f's own by default).
 
-    Exact values run in integers over one denominator: a cleared grid's
-    numerators over its denominator E, or the coefficient vectors of the
-    symbolic row pass as integer arrays over one LCM E (``_cleared``).  The
-    kernel is cleared over D, and every step runs in Python ints, or in
-    integer arrays for vectors; the output is a cleared grid over D*E, or
-    one CoefficientVector per point.  Only floats run through
-    ``_convolve``.
+    Every step runs on ``f.parts``, numerators over E, with coefficient
+    vectors as integer arrays over one LCM E (``_vector_parts``).  The
+    kernel comes over its own denominator D (1 for floats), and the output
+    is the grid of the resulting numerators over D*E, or one
+    CoefficientVector per point.  Exact values convolve in Python ints, or
+    integer arrays for vectors; floats run through ``_convolve``.
     """
-    exact = f.cleared or _cleared(f)
-    if exact is None:
-        vals = storage_difference(f.values, pre)
-        if beta != 0:
-            vals = _convolve(kernel(beta, len(vals), f.backend), list(vals), skip_first)
-        return f.with_values(storage_difference(vals, post), origin)
-    vals, den = exact
+    vals, den = f.parts
+    vectors = _vector_parts(vals)
+    if vectors is not None:
+        vals, den = vectors
     vals = storage_difference(vals, pre)
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend, as_integers=True)
-        if skip_first and vals:
-            vals = (vals[0] * 0,) + vals[1:]
-        fold = sum if f.cleared is not None else _folded  # ints keep sum's fast path
-        vals = [fold(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
+        if f.backend.exact:
+            if skip_first and vals:
+                vals = (vals[0] * 0,) + vals[1:]
+            fold = sum if vectors is None else _folded  # ints keep sum's fast path
+            vals = [fold(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
+        else:
+            vals = _convolve(w, vals, skip_first)
         den *= d
     vals = storage_difference(vals, post)
-    if f.cleared is not None:
-        return f.with_cleared(vals, den, origin)
-    return f.with_values([CoefficientVector(x, den) for x in vals], origin)
+    if vectors is not None:
+        vals, den = [CoefficientVector(x, den) for x in vals], 1
+    return f.with_parts(vals, den, origin)
 
 
 def _folded(terms):
@@ -317,11 +317,9 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     _require_direction(spec, f)
     n = spec.n
     alpha = spec.order
-    backend = f.backend
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
-    exact = f.cleared
-    data = f.values if exact is None else exact[0]
+    data, e = f.parts
     if spec.kind is Kind.DELTA:
         riem = riemann_difference(
             OperatorSpec(spec.kind, spec.side, Family.RIEMANN, alpha), f
@@ -340,38 +338,31 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         anchors = [storage_difference(data[n - 1 - k:n], k)[0] for k in range(n)]
         first_lags = [0] * n
     # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
-    if exact is not None:
-        rows = []
-        for k, lag in enumerate(first_lags):
-            w, d = kernel(k + 1 - alpha, lag + riem.length, backend, as_integers=True)
-            rows.append((w[lag:], d))
-        return riem.with_cleared(*_exact_correction(riem.cleared, anchors, exact[1], rows))
-    weights = [kernel(k + 1 - alpha, lag + riem.length, backend)[lag:]
-               for k, lag in enumerate(first_lags)]
-    out = []
-    for m, r in enumerate(riem.values):
-        corr = None
-        for k in range(n):
-            c = weights[k][m] * anchors[k]
-            corr = c if corr is None else corr + c
-        out.append(r - corr)
-    return riem.with_values(out)
+    rows = []
+    for k, lag in enumerate(first_lags):
+        w, d = kernel(k + 1 - alpha, lag + riem.length, f.backend, as_integers=True)
+        rows.append((w[lag:], d))
+    return riem.with_parts(*_correction(riem.parts, anchors, e, rows))
 
 
-def _exact_correction(base: tuple, coefficients: list, e: int, rows: list) -> tuple:
-    """``base``, a cleared ``(nums, den)``, minus the correction sum
-    ``sum_k rows[k][m] * coefficients[k]`` at each output m, fraction-free:
-    the coefficients are integers over e, each row ``(ints, d_k)`` a
-    cleared kernel over d_k.  The result is ``(nums, den)`` over the LCM of
-    the base's denominator and D*e, D the LCM of the d_k."""
+def _correction(base: tuple, coefficients: list, e: int, rows: list) -> tuple:
+    """``base``, a ``(nums, den)``, minus the correction sum
+    ``sum_k rows[k][m] * coefficients[k]`` at each output m: the
+    coefficients are numerators over e, each row ``(nums, d_k)`` a kernel
+    over d_k.  The result is ``(nums, den)`` over the LCM of the base's
+    denominator and D*e, D the LCM of the d_k; on floats every denominator
+    is 1.  The terms are summed first, from the first, and then
+    subtracted, so floats round ``r - (c_0 + c_1)``."""
     nums, den = base
     d = math.lcm(*(dk for _, dk in rows))
     common = math.lcm(den, d * e)
-    acc = [x * (common // den) for x in nums]
+    total = None
     for c, (w, dk) in zip(coefficients, rows):
-        s = c * (d // dk) * (common // (d * e))
-        acc = [x - wm * s for x, wm in zip(acc, w)]
-    return acc, common
+        s = c * (d // dk)
+        terms = [wm * s for wm in w[:len(nums)]]
+        total = terms if total is None else list(map(operator.add, total, terms))
+    scale, unit = common // den, common // (d * e)
+    return [x * scale - t * unit for x, t in zip(nums, total)], common
 
 
 def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunction:
@@ -385,40 +376,24 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     if isinstance(side, str):
         side = Side(side)
     n = order_ceiling(alpha)
-    backend = f.backend
     spec = OperatorSpec(Kind.NABLA, side, Family.CAPUTO, alpha)
     _require_direction(spec, f)
     cap = caputo_difference(spec, f)
     # anchored sum of the Caputo output: full convolution, origin kept,
     # plus the conventional zero at the anchor point itself
     summed = _pipeline(cap, alpha).prepend_zero()
-    exact = f.cleared
-    stored = f.values if exact is None else exact[0]
+    stored, e = f.parts
     taylor_coeffs = [storage_difference(stored[n - 1 - k:n], k)[0] for k in range(n)]
     data = stored[n - 1:]  # f from the anchor on
-    origin = f.shift_origin(n - 1)
     # Taylor weight rising(m, k)/k! = C(m+k-1, k) at the point m steps inward
     # of the anchor: w(k+1, m-1) for m >= 1, and at m = 0 it is 1 for k = 0
     # and 0 otherwise
-    if exact is not None:
-        (s, sden), e = summed.cleared, exact[1]
-        den = math.lcm(sden, e)
-        base = [x * (den // sden) - y * (den // e) for x, y in zip(s, data)], den
-        rows = [((0 if k else d,) + w, d) for k, (w, d) in enumerate(
-            kernel(Fraction(k + 1), summed.length - 1, backend, as_integers=True)
-            for k in range(n))]
-        negated = [-c for c in taylor_coeffs]  # the residual adds T back
-        return f.with_cleared(*_exact_correction(base, negated, e, rows), origin)
-    weights = [[backend.zero if k else backend.one]
-               + kernel(Fraction(k + 1), summed.length - 1, backend) for k in range(n)]
-    out = []
-    for m, s in enumerate(summed.values):
-        t_val = None
-        for k in range(n):
-            c = weights[k][m] * taylor_coeffs[k]
-            t_val = c if t_val is None else t_val + c
-        out.append(s - (data[m] - t_val))
-    return f.with_values(out, origin)
+    rows = [([0 if k else d, *w], d) for k, (w, d) in enumerate(
+        kernel(Fraction(k + 1), summed.length - 1, f.backend, as_integers=True)
+        for k in range(n))]
+    f_minus_taylor = _correction((data, e), taylor_coeffs, e, rows)
+    residual = _correction(summed.parts, [1], 1, [f_minus_taylor])
+    return f.with_parts(*residual, f.shift_origin(n - 1))
 
 
 def apply_operator(spec: OperatorSpec, f: GridFunction, *, extended: bool = False) -> GridFunction:

@@ -356,7 +356,7 @@ def test_criterion_8_proof_route_coherence():
         order = Fraction(rng.randint(13, 23), 12)
         if order == 1:
             order += Fraction(1, 24)
-        case = make_case("T_JEPP", vals, order, backend=RATIONAL)
+        case = make_case("T_JEPP", vals, order)
         direct = evaluate_theorem(case)
         routed = jepp_via_dual_transport(case)
         ok &= [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
@@ -367,7 +367,7 @@ def test_criterion_8_proof_route_coherence():
         order = Fraction(rng.randint(13, 23), 12)
         if order == 1:
             order += Fraction(1, 24)
-        case = make_case("T_D1", vals, order, anchor=rng.randint(4, 12), backend=RATIONAL)
+        case = make_case("T_D1", vals, order, anchor=rng.randint(4, 12))
         direct = evaluate_theorem(case)
         routed = d1_via_q_reflection(case)
         ok &= [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]

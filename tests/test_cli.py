@@ -361,6 +361,20 @@ class TestTheorems:
                      "--report", str(tmp_path / "t.jsonl")])
         assert code == 0
 
+    @pytest.mark.parametrize("mode", ["--exhaustive", "--random"])
+    def test_a_range_reports_as_its_comma_list(self, tmp_path, capsys, mode):
+        # a range cannot repeat a value, so it skips the repeat check
+        texts = []
+        for values in ("1..4", "1,2,3,4"):
+            report = tmp_path / "t.jsonl"
+            assert main(["theorems", "--id", "T_U1", mode, "--values", values, "--length", "2",
+                         "--budget", "200", "--report", str(report)]) == 0
+            texts.append((report.read_bytes(), capsys.readouterr()))
+        assert texts[0] == texts[1]
+        assert main(["theorems", "--id", "T_U1", mode, "--values", "1,2,3,2", "--length", "2",
+                     "--budget", "200"]) == 2
+        assert capsys.readouterr().err == "usage error: --values repeats 2\n"
+
     @pytest.mark.parametrize("length", ["6000", "7000"])
     def test_long_grid_budget_error_names_its_factors(self, capsys, length):
         # 5**7000 * 3 has more digits than int-to-str conversion allows

@@ -1,12 +1,15 @@
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discfrac.backends import RATIONAL
+from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.errors import DomainError, EmptyValues, GridTooShort
 from discfrac.grids import Direction, make_grid_function, integer_difference, q_reflect
+from discfrac.operators import CoefficientVector
 
 import oracles
 
@@ -143,3 +146,68 @@ class TestQReflect:
         assert r.direction is Direction.BACKWARD
         assert r.origin == 4
         assert all(r.value_at(p) == g.value_at(p) for p in g.points())
+
+
+class TestBackendEquality:
+    @pytest.mark.parametrize("backend", [FLOATING, RATIONAL])
+    def test_pickle_round_trip(self, backend):
+        g = fwd(["1/2", -3, "7/4"], origin="1/3", backend=backend)
+        back = pickle.loads(pickle.dumps(g))
+        assert back.backend is not backend
+        assert back == g and hash(back) == hash(g)
+
+    @pytest.mark.parametrize("backend", [FLOATING, RATIONAL])
+    def test_run_scoped_twin_is_equal(self, backend):
+        run = backend.run_scoped(8)
+        g, twin = fwd([1, "1/3", 2], backend=run), fwd([1, "1/3", 2], backend=backend)
+        assert run.kernels == {} and run == backend
+        assert g == twin and hash(g) == hash(twin)
+
+    @pytest.mark.parametrize("backend", [FLOATING, RATIONAL, RATIONAL.run_scoped(8)])
+    def test_faulty_twin_differs(self, backend):
+        values = [1, "1/3", 2]
+        assert fwd(values, backend=backend.with_fault()) != fwd(values, backend=backend)
+
+    def test_bit_cap_and_class_count(self):
+        values = [1, 2]
+        assert fwd(values, backend=RationalBackend(bit_cap=64)) != fwd(values)
+        assert fwd(values, backend=RationalBackend()) == fwd(values)
+        assert fwd(values, backend=FLOATING) != fwd(values)
+
+
+class TestParts:
+    def test_cleared_grid_round_trips(self):
+        g = bwd(["1/2", "-2/3", 0, 5], origin=4)
+        nums, den = g.parts
+        assert den == 6 and nums == (3, -4, 0, 30)
+        assert g.with_parts(nums, den) == g
+        assert g.with_parts([2 * x for x in nums], 2 * den) == g
+        moved = g.with_parts(nums, den, origin=1, direction=Direction.FORWARD)
+        assert moved.values == g.values and moved.points() == [1, 2, 3, 4]
+
+    def test_float_grid_round_trips_over_one(self):
+        g = fwd([0.5, -0.0, 3.25], backend=FLOATING)
+        nums, den = g.parts
+        assert den == 1 and nums is g.values
+        back = g.with_parts(nums, den)
+        assert back == g and list(map(repr, back.values)) == ["0.5", "-0.0", "3.25"]
+        assert list(map(repr, g.prepend_zero().values)) == ["0.0", "0.5", "-0.0", "3.25"]
+
+    def test_coefficient_vectors_round_trip_over_one(self):
+        vectors = [CoefficientVector(np.array([1, j, 0], dtype=object), j + 1)
+                   for j in range(3)]
+        g = fwd([0, 0, 0]).with_values(vectors)
+        nums, den = g.parts
+        assert den == 1 and nums == tuple(vectors)
+        back = g.with_parts(nums, den)
+        assert back == g and all(a is b for a, b in zip(back.values, vectors))
+        assert g.prepend_zero().values[0] is RATIONAL.zero
+
+    @given(values_strategy, st.integers(0, 3))
+    def test_transforms_keep_the_values(self, values, n):
+        g = fwd(values, origin=2)
+        n = min(n, g.length - 1)
+        assert g.drop_leading(n).values == tuple(values[n:])
+        assert g.prepend_zero().values == (0,) + tuple(values)
+        assert g.reflected(5).values == tuple(values[::-1])
+        assert g.reversed_view().mapping() == g.mapping()

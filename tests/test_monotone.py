@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discfrac import monotone
-from discfrac.backends import RATIONAL
+from discfrac.backends import FLOATING, RATIONAL
 from discfrac.cli import main
 from discfrac.errors import BudgetExceeded, DomainError, GridTooShort
 from discfrac.grids import Direction, make_grid_function
@@ -92,6 +92,14 @@ class TestRayDecision:
         ok, witness = poly_nonneg_on_integer_ray([Fraction(1), Fraction(-6), Fraction(8)], 0)
         assert not ok and witness in (2, 3, 4)
 
+    def test_a_tiny_leading_coefficient_still_decides_the_tail(self):
+        # -k/10^15 + 1 turns negative past k = 10^15; no tolerance drops its
+        # leading coefficient
+        ok, witness = poly_nonneg_on_integer_ray([Fraction(-1, 10**15), Fraction(1)], 0)
+        assert not ok and witness > 10**15
+        assert poly_nonneg_on_integer_ray([Fraction(0), Fraction(0), Fraction(1)], 0) == (
+            True, None)
+
     def test_tangent_double_root_passes(self):
         ok, _ = poly_nonneg_on_integer_ray([Fraction(1), Fraction(-5), Fraction(25, 4)], 0)
         assert ok
@@ -150,10 +158,6 @@ class TestRayDecision:
                     rows = _ray_rows(ray, k_cap)
                     assert rows == literal + [("start k->inf", bound)]
                     assert all(type(v) is Fraction for _, v in rows)
-                floats = replace(ray, r_coeffs=tuple(map(float, ray.r_coeffs)))
-                assert _ray_rows(floats, 9)[:-1] == [
-                    (f"start k={k}", _poly_eval(floats.r_coeffs, k)
-                     / _poly_eval(ray.q_coeffs, k)) for k in range(ray.start, 10)]
 
     def test_one_term_reduction_matches_supremum(self):
         # F >= nu*f0/(k+1) for all k >= 0 reduces to F >= nu*f0 when f0 >= 0
@@ -210,6 +214,16 @@ class TestCaputoBoundWeights:
 
 
 class TestEvaluate:
+    def test_cases_are_exact(self):
+        # floats convert to their exact binary values; a floating grid is refused
+        case = make_case("T_U1", [0.1, 0.5, 1], Fraction(1, 2))
+        assert case.f.backend is RATIONAL
+        assert case.f.values == (Fraction(0.1), Fraction(1, 2), Fraction(1))
+        floating = replace(case, f=make_grid_function(0, Direction.FORWARD, [0.1, 0.5, 1],
+                                                      FLOATING))
+        with pytest.raises(DomainError, match="exact grids only"):
+            evaluate_theorem(floating)
+
     def test_registry_size_and_ranges(self):
         assert len(THEOREMS) == 28
         for stmt in THEOREMS.values():
@@ -226,13 +240,12 @@ class TestEvaluate:
     def test_zero_function_consistent_everywhere(self):
         for tid, stmt in THEOREMS.items():
             order = Fraction(1, 2) if stmt.order_range == (0, 1) else Fraction(3, 2)
-            case = make_case(tid, [0] * max(5, min_live_length(tid)), order,
-                             backend=RATIONAL)
+            case = make_case(tid, [0] * max(5, min_live_length(tid)), order)
             v = evaluate_theorem(case)
             assert v.hypothesis_holds and v.conclusion_holds and v.consistent
 
     def test_constant_one_fails_high_order_hypothesis(self):
-        case = make_case("T_JEP1", [1] * 6, Fraction(3, 2), backend=RATIONAL)
+        case = make_case("T_JEP1", [1] * 6, Fraction(3, 2))
         v = evaluate_theorem(case)
         assert not v.hypothesis_holds
         assert v.consistent
@@ -240,33 +253,30 @@ class TestEvaluate:
         assert frac0 == [Fraction(-1, 8)]
 
     def test_ramp_satisfies_low_order_hypothesis(self):
-        case = make_case("T_U1", list(range(6)), Fraction(1, 2), backend=RATIONAL)
+        case = make_case("T_U1", list(range(6)), Fraction(1, 2))
         v = evaluate_theorem(case)
         assert v.hypothesis_holds and v.conclusion_holds
 
     def test_order_out_of_range_rejected(self):
-        case = make_case("T_JEP1", [0] * 5, Fraction(1, 2), backend=RATIONAL)
+        case = make_case("T_JEP1", [0] * 5, Fraction(1, 2))
         with pytest.raises(DomainError):
             evaluate_theorem(case)
 
     def test_short_grid_rejected(self):
         stmt_min = min_live_length("T_SLOV3")
-        case = make_case("T_SLOV3", [0] * (stmt_min - 1), Fraction(3, 2), backend=RATIONAL)
+        case = make_case("T_SLOV3", [0] * (stmt_min - 1), Fraction(3, 2))
         with pytest.raises(GridTooShort):
             evaluate_theorem(case)
 
     def test_anchor_is_translation_invariant(self):
         vals = [Fraction(1, 2), 1, 1, 0, 1]
-        a = evaluate_theorem(make_case("T_JEP1", vals, Fraction(5, 4), anchor=0,
-                                       backend=RATIONAL))
-        b = evaluate_theorem(make_case("T_JEP1", vals, Fraction(5, 4), anchor=-3,
-                                       backend=RATIONAL))
+        a = evaluate_theorem(make_case("T_JEP1", vals, Fraction(5, 4), anchor=0))
+        b = evaluate_theorem(make_case("T_JEP1", vals, Fraction(5, 4), anchor=-3))
         assert [m for _, m in a.hypothesis_margins] == [m for _, m in b.hypothesis_margins]
         assert a.consistent == b.consistent
 
     def test_k_family_literal_guard_rows_present(self):
-        case = make_case("T_SLOV1", [1, "3/2", 2, 2, 2], Fraction(3, 2),
-                         k_cap=10, backend=RATIONAL)
+        case = make_case("T_SLOV1", [1, "3/2", 2, 2, 2], Fraction(3, 2), k_cap=10)
         v = evaluate_theorem(case)
         k_rows = [label for label, _ in v.hypothesis_margins if label.startswith("start k=")]
         assert len(k_rows) == 11
@@ -279,7 +289,7 @@ class TestTransports:
         rng = random.Random(seed)
         vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rng.randint(4, 9))]
         order = Fraction(rng.randint(5, 7), 4)
-        case = make_case("T_JEPP", vals, order, backend=RATIONAL)
+        case = make_case("T_JEPP", vals, order)
         direct = evaluate_theorem(case)
         routed = jepp_via_dual_transport(case)
         assert [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
@@ -291,7 +301,7 @@ class TestTransports:
         rng = random.Random(100 + seed)
         vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rng.randint(4, 9))]
         order = Fraction(rng.randint(5, 7), 4)
-        case = make_case("T_D1", vals, order, anchor=5, backend=RATIONAL)
+        case = make_case("T_D1", vals, order, anchor=5)
         direct = evaluate_theorem(case)
         routed = d1_via_q_reflection(case)
         assert [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
@@ -375,7 +385,7 @@ class TestTwoTermStartBound:
     ])
     def test_hypothesis_fails_and_no_counterexample_is_reported(self, tmp_path, tid, live,
                                                                  values, pair, start):
-        verdict = evaluate_theorem(make_case(tid, live, Fraction(3, 2), backend=RATIONAL))
+        verdict = evaluate_theorem(make_case(tid, live, Fraction(3, 2)))
         assert not verdict.hypothesis_holds and not verdict.conclusion_holds
         assert verdict.conclusion_margins == [pair]
         assert ("start k=0", start) in verdict.hypothesis_margins
@@ -539,7 +549,7 @@ class TestExactPrefilter:
         hyp_count = 0
         for combo in itertools.product(range(3), repeat=6):
             live = [values[i] for i in combo]
-            verdict = evaluate_theorem(make_case(tid, live, order, backend=RATIONAL))
+            verdict = evaluate_theorem(make_case(tid, live, order))
             row = ints[list(combo)]
             assert [_sign(x) for x in row @ h_int.T] == [
                 _sign(m) for _, m in verdict.hypothesis_margins]
@@ -578,7 +588,7 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
 
     def case(j):
         combo = tuple(values[i] for i in idx[j])
-        return combo, make_case(theorem_id, combo, order, anchor, k_cap, RATIONAL)
+        return combo, make_case(theorem_id, combo, order, anchor, k_cap)
 
     counterexamples = []
     for j in passing:
@@ -752,7 +762,7 @@ def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
     integer rows and the correctly rounded float rows."""
 
     def rows_at(live):
-        case = make_case(tid, live, order, anchor, k_cap, RATIONAL)
+        case = make_case(tid, live, order, anchor, k_cap)
         hyp, rays, concl = THEOREMS[tid].builder(case)
         return ([v for _, v in expanded_hypothesis_rows(case, hyp, rays)],
                 [v for _, v in concl])
@@ -795,7 +805,7 @@ class TestOnePassRows:
         (h_int, c_int), ints = _integer_operands((hyp, concl), [int(2 * v) for v in values])
         for combo in itertools.product(range(len(values)), repeat=length):
             live = [values[i] for i in combo]
-            verdict = evaluate_theorem(make_case(tid, live, order, 0, k_cap, RATIONAL))
+            verdict = evaluate_theorem(make_case(tid, live, order, 0, k_cap))
             explicit = verdict.hypothesis_margins[:len(hyp.scaled)]
             # a ray decided false past k_cap appends its witness row
             for label, _ in verdict.hypothesis_margins[len(hyp.scaled):]:
@@ -900,7 +910,7 @@ def _tried_verdicts(monkeypatch, tid, values, order, anchor, k_cap, length):
 
 def _assert_verdicts_match(tid, order, anchor, k_cap, tried):
     for live, margin in tried:
-        verdict = evaluate_theorem(make_case(tid, live, order, anchor, k_cap, RATIONAL))
+        verdict = evaluate_theorem(make_case(tid, live, order, anchor, k_cap))
         assert verdict.hypothesis_holds == (margin is not None), live
         if margin is not None:
             assert margin == min(m for _, m in verdict.hypothesis_margins), live
@@ -952,7 +962,7 @@ class TestRowVerdict:
             return [("start", start)], [], [("start", v[0])]
 
         monkeypatch.setitem(THEOREMS, "T_TWO_FACED", _statement("T_TWO_FACED", builder))
-        witness = make_case("T_TWO_FACED", [1, 0], Fraction(1, 2), backend=RATIONAL)
+        witness = make_case("T_TWO_FACED", [1, 0], Fraction(1, 2))
         assert evaluate_theorem(witness).hypothesis_holds is holds
         with pytest.raises(AssertionError, match="T_TWO_FACED: the rows and "
                                                  "evaluate_theorem disagree"):

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.errors import BackendOverflow, DirectFormIntegerOrder, DomainError, GridTooShort
 from discfrac.dualities import run_identity_suite
 from discfrac.grids import Direction, integer_difference, make_grid_function
+from discfrac.kernels import kernel_vector
 from discfrac.operators import (
     CoefficientVector,
     Family,
@@ -372,6 +374,41 @@ class TestInversionResidual:
         for m in range(cap.length):
             summed = sum(w[m - j] * cap.values[j] for j in range(m + 1))
             assert summed == f.values[m + 1] - f.values[0]
+
+
+class TestFloatAssociation:
+    """Floats run the exact operators' code over denominator 1, so their
+    rounding follows the order in which that code adds: correction terms
+    are summed first, from the first, and then subtracted."""
+
+    def test_correction_sums_its_terms_before_subtracting(self):
+        r, c = 1.0, 4e-17
+        assert (r - c) - c != r - (c + c)
+        rows = [([1.0], 1), ([1.0], 1)]
+        assert operators._correction(([r], 1), [c, c], 1, rows) == ([r - (c + c)], 1)
+
+    @pytest.mark.parametrize("alpha", ["3/10", "3/2", "7/4"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_float_inversion_residual_is_s_minus_f_minus_taylor(self, alpha, direction):
+        alpha = Fraction(alpha)
+        n = order_ceiling(alpha)
+        side = Side.LEFT if direction is Direction.FORWARD else Side.RIGHT
+        rng = random.Random(45)
+        f = make_grid_function(3, direction, [rng.uniform(-9, 9) for _ in range(9)], FLOATING)
+        cap = caputo_difference(spec(Kind.NABLA, side, Family.CAPUTO, alpha), f).values
+        w = kernel_vector(alpha, len(cap), FLOATING)
+        s = [0.0] + [functools.reduce(operator.add, [w[m - j] * cap[j] for j in range(m + 1)])
+                     for m in range(len(cap))]
+        v = f.values
+        coeffs = [v[n - 1], v[n - 1] - v[n - 2]][:n]  # the k-th difference at the anchor
+        taylor = [[1.0, *kernel_vector(1, len(s) - 1, FLOATING)],
+                  [0.0, *kernel_vector(2, len(s) - 1, FLOATING)]][:n]
+        t = [functools.reduce(operator.add, [row[m] * c for row, c in zip(taylor, coeffs)])
+             for m in range(len(s))]
+        expected = [sm - (fm - tm) for sm, fm, tm in zip(s, v[n - 1:], t)]
+        res = caputo_inversion_residual(f, alpha, side)
+        assert res.origin == f.shift_origin(n - 1)
+        assert list(map(repr, res.values)) == list(map(repr, expected))
 
 
 class TestAlgebraicProperties:

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discfrac import monotone, operators
-from discfrac.backends import RATIONAL
 from discfrac.grids import Direction
 from discfrac.monotone import (
     THEOREMS,
@@ -37,7 +36,7 @@ import oracles
 
 def build_case(tid, rng, order, length=6, anchor=3):
     live = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(length)]
-    return make_case(tid, live, order, anchor=anchor, backend=RATIONAL)
+    return make_case(tid, live, order, anchor=anchor)
 
 
 def frac_rows(verdict):
