@@ -1,9 +1,11 @@
 """Executable checkers for the dual, reflection and relation identities.
 
-Each checker evaluates both sides of one identity on the identity's
-stated index set, asserts that both computations land on exactly that
-index set (an off-by-one in a domain is reported as a failure, never
-absorbed into a tolerance), and reports pointwise residuals.
+``check_identity`` is the one checker: it evaluates both sides of one
+row of the identity table ``IDENTITIES`` on the identity's stated index
+set, asserts that both computations land on exactly that index set (an
+off-by-one in a domain is reported as a failure, never absorbed into a
+tolerance), and reports pointwise residuals.  The one identity without a
+row, CAPUTO_INVERSION, compares the inversion residual with zero.
 
 The pairing works in storage index space.  Once both output origins
 have been checked exactly, the stated index set is a range of storage
@@ -50,6 +52,8 @@ from .operators import (
 )
 
 DEFAULT_TOLERANCE = 1e-10
+# the stored lengths random_instance draws
+MIN_LENGTH, MAX_LENGTH = 4, 12
 
 
 class IdentityId(enum.Enum):
@@ -299,6 +303,8 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     alpha = as_fraction(order)
     n = order_ceiling(alpha)
     reflect = row.family == "q"
+    if reflect and f.direction is not Direction.FORWARD:  # reflected about a + b
+        raise DomainError("Q identities take the data as a forward grid on {a..b}")
     lhs = _apply(row.lhs, alpha, row.lhs_input(f))
     rhs_input = row.rhs_input(f)
     rhs = _apply(row.rhs, alpha, rhs_input, riemann_form=row.family == "relation")
@@ -320,38 +326,12 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     return _build_report(which, alpha, f, stated, start, lhs_values, rhs_values, tolerance)
 
 
-def check_delta_nabla_dual(f: GridFunction, order, which: IdentityId,
-                           tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    """Dual transport between delta and nabla operators at shifted arguments.
-
-    LEFT_* expect f on N_a (the nabla side is anchored at a-1);
-    RIGHT_DUAL_* expect f on the backward grid from b+1;
-    CAPUTO_DUAL_* compare both Caputo forms on the same data.
-    """
-    if which not in DUAL_IDS:
-        raise DomainError(f"{which} is not a delta/nabla dual identity")
-    return _check_row(f, order, which, tolerance)
-
-
-def check_q_identity(f: GridFunction, order, which: IdentityId,
-                     tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    """Reflection identities exchanging left and right operators.
-
-    ``f`` must be a forward grid covering {a..b}; the reflection center
-    a+b is taken from the grid endpoints.
-    """
-    if which not in Q_IDS:
-        raise DomainError(f"{which} is not a Q identity")
-    if f.direction is not Direction.FORWARD:
-        raise DomainError("Q identities take the data as a forward grid on {a..b}")
-    return _check_row(f, order, which, tolerance)
-
-
-def check_relation(f: GridFunction, order, which: IdentityId,
+def check_identity(f: GridFunction, order, which: IdentityId,
                    tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    """Riemann-to-Caputo relations and the sum-after-Caputo inversion."""
-    if which not in RELATION_IDS:
-        raise DomainError(f"{which} is not a relation identity")
+    """Check identity ``which`` on the data ``f`` at ``order``: its table row,
+    or for CAPUTO_INVERSION, which has none, the inversion residual."""
+    if which not in IDENTITIES:
+        raise DomainError(f"{which} is not an identity")
     if which is not IdentityId.CAPUTO_INVERSION:
         return _check_row(f, order, which, tolerance)
     alpha = as_fraction(order)
@@ -359,17 +339,6 @@ def check_relation(f: GridFunction, order, which: IdentityId,
     res = caputo_inversion_residual(f, alpha, side)
     return _build_report(which, alpha, f, res, 0, _part(res, _ALL), ((0,) * res.length, 1),
                          tolerance)
-
-
-_FAMILY_CHECKS = {"dual": check_delta_nabla_dual, "q": check_q_identity,
-                  "relation": check_relation}
-
-
-def check_identity(f: GridFunction, order, which: IdentityId,
-                   tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    if which not in IDENTITIES:
-        raise DomainError(f"{which} is not an identity")
-    return _FAMILY_CHECKS[IDENTITIES[which].family](f, order, which, tolerance)
 
 
 # the values p/q (|p| <= 8, 1 <= q <= 4) random_instance draws, at [p + 8][q - 1]
@@ -381,15 +350,14 @@ def _drawn_values(backend) -> tuple:
     return tuple(tuple(map(backend.scalar, row)) for row in _DRAWN)
 
 
-def random_instance(which: IdentityId, rng: random.Random, backend,
-                    min_length: int = 4, max_length: int = 12, drawn=None):
+def random_instance(which: IdentityId, rng: random.Random, backend, drawn=None):
     """Seeded (grid, order) instance admissible for the given identity.
 
     Values are read from ``drawn``, ``_drawn_values(backend)``, which a run
     of many instances validates once.  Choosing a row of 17 and then one of
     its 4 values draws what ``randint(-8, 8)`` and ``randint(1, 4)`` would.
     """
-    length = rng.randint(min_length, max_length)
+    length = rng.randint(MIN_LENGTH, MAX_LENGTH)
     den = rng.randint(2, 12)
     num = rng.randrange(1, 2 * den)
     if num == den:
@@ -423,19 +391,18 @@ class SuiteResult:
         }
 
 
-def run_identity_suite(ids=None, instances: int = 200, seed: int = 0,
-                       backend=FLOATING, tolerance: float = DEFAULT_TOLERANCE,
-                       min_length: int = 4, max_length: int = 12) -> list[SuiteResult]:
+def run_identity_suite(ids=None, instances: int = 200, seed: int = 0, backend=FLOATING,
+                       tolerance: float = DEFAULT_TOLERANCE) -> list[SuiteResult]:
     """Randomized identity campaign; deterministic for a fixed seed.
 
     The run's grids carry a ``run_scoped()`` copy of ``backend``, so each
     kernel is built once per call, long enough for the longest operand (a
-    grid of ``max_length`` with a zero prepended), and dropped when it
+    grid of ``MAX_LENGTH`` with a zero prepended), and dropped when it
     returns.
     """
     if ids is None:
         ids = list(IdentityId)
-    backend = backend.run_scoped(max_length + 1)
+    backend = backend.run_scoped(MAX_LENGTH + 1)
     drawn = _drawn_values(backend)
     results = []
     for which in ids:
@@ -443,7 +410,7 @@ def run_identity_suite(ids=None, instances: int = 200, seed: int = 0,
         worst = backend.zero
         failures = 0
         for _ in range(instances):
-            f, alpha = random_instance(which, rng, backend, min_length, max_length, drawn)
+            f, alpha = random_instance(which, rng, backend, drawn)
             report = check_identity(f, alpha, which, tolerance)
             failures += not report.passed
             # max_abs_residual is never negative

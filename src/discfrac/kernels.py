@@ -202,9 +202,9 @@ def cleared(values):
     the LCM of the denominators, or None unless every value is a Fraction."""
     if not {*map(type, values)} <= {Fraction}:
         return None
-    pairs = list(map(Fraction.as_integer_ratio, values))
-    d = math.lcm(*[q for _, q in pairs])
-    return tuple([p * (d // q) for p, q in pairs]), d
+    # two passes, so no list of (numerator, denominator) pairs is held
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
 def _build(beta: Fraction, count: int, backend) -> list:

@@ -254,6 +254,7 @@ class TheoremStatement:
     min_length: int  # minimum stored grid length
     builder: Callable  # case -> (hyp_rows, ray_conditions, concl_rows)
     note: str = ""  # statement quirks kept literal, surfaced in reports
+    has_ray: bool = False  # a k-family start, expanded into a row per k up to k_cap
 
 
 def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdict:
@@ -408,7 +409,7 @@ def _register(theorem_id, description, order_range, direction, origin_offset,
               leading_inert, min_length, hyp, concl, start=None, note=""):
     THEOREMS[theorem_id] = TheoremStatement(
         theorem_id, description, order_range, direction, origin_offset,
-        leading_inert, min_length, declare(hyp, concl, start), note,
+        leading_inert, min_length, declare(hyp, concl, start), note, start is not None,
     )
 
 
@@ -880,16 +881,18 @@ def _row_verdict(hyp: _RowBlock, levels, rays: list, d: int, value_scale: int) -
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
                      mode: str, samples: int | None, seed: int, k_cap: int,
                      anchor) -> Callable[[int], SearchResult]:
-    """Search at ``live_length``; return d -> the length-d result, for
-    d = ``live_length`` and, in exhaustive mode, every shorter length.
+    """Build the rows at ``live_length`` once; return d -> the length-d
+    result, for every d from ``min_live_length`` on.
 
     The length-d rows are, as a set, the length-``live_length`` rows of
-    level < d cut to d coefficients (``test_rows_nest_across_lengths``), so
-    the depth-d survivors of the prefix search are the length-d survivors
-    in enumeration order.  Each length keeps its survivor count, smallest
-    float conclusion margin, survivors with a negative conclusion row and
-    witness pool (enumeration position, float margin, exact positivity,
-    indices).  When a result is asked for, ``evaluate_theorem`` confirms
+    level < d cut to d coefficients (``test_rows_nest_across_lengths``),
+    that is ``levels[:d]``.  ``scan`` keeps each length's survivor count,
+    smallest float conclusion margin, survivors with a negative conclusion
+    row and witness pool (enumeration position, float margin, exact
+    positivity, indices).  Exhaustive mode scans the one prefix tree up
+    front, its depth-d survivors being the length-d survivors in
+    enumeration order; random mode scans length d's own sample stream the
+    first time its result is asked for.  Then ``evaluate_theorem`` confirms
     the counterexample suspects, and the witness tries are decided from the
     exact rows (``search_campaign`` confirms the witness it reports)."""
     values_exact = [as_fraction(v) for v in value_set]
@@ -898,7 +901,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     value_floats = np.array([FLOATING.scalar(v) for v in values_exact])
     hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     k = len(values_exact)
-    shallowest = min_live_length(theorem_id) if mode == "exhaustive" else live_length
+    shallowest = min_live_length(theorem_id)
     if any(level >= shallowest for *_, level in rays):
         raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
     (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
@@ -911,25 +914,34 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
                  np.empty((0, d), np.intp)) for d in rows}
     rng_key = (seed, theorem_id, str(order)).__repr__()
     levels = _row_levels(hyp_int, live_length)
-    for idx, positions in _survivors(k, levels, ints, mode, samples, rng_key, shallowest):
-        d = idx.shape[1]
-        hyp_d, hyp_f, concl_d, concl_f = rows[d]
-        F, Fp = ints[idx], value_floats[idx]
-        suspects[d].extend(idx[((F @ concl_d.T) < 0).any(axis=1)])
-        min_concl[d] = min(min_concl[d], float((Fp @ concl_f.T).min(initial=np.inf)))
-        pool = tuple(np.concatenate(pair) for pair in zip(pools[d], (
-            positions, (Fp @ hyp_f.T).min(axis=1, initial=np.inf),
-            ((F @ hyp_d.T) > 0).all(axis=1), idx,
-        )))
-        top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
-        pools[d] = tuple(a[top] for a in pool)
-        counts[d] += len(idx)
+    unscanned = set(rows) if mode == "random" else set()
+
+    def scan(survivors):
+        for idx, positions in survivors:
+            d = idx.shape[1]
+            hyp_d, hyp_f, concl_d, concl_f = rows[d]
+            F, Fp = ints[idx], value_floats[idx]
+            suspects[d].extend(idx[((F @ concl_d.T) < 0).any(axis=1)])
+            min_concl[d] = min(min_concl[d], float((Fp @ concl_f.T).min(initial=np.inf)))
+            pool = tuple(np.concatenate(pair) for pair in zip(pools[d], (
+                positions, (Fp @ hyp_f.T).min(axis=1, initial=np.inf),
+                ((F @ hyp_d.T) > 0).all(axis=1), idx,
+            )))
+            top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
+            pools[d] = tuple(a[top] for a in pool)
+            counts[d] += len(idx)
+
+    if mode == "exhaustive":
+        scan(_survivors(k, levels, ints, mode, samples, rng_key, shallowest))
 
     def exact_case(idx_row):
         combo = tuple(values_exact[i] for i in idx_row)
         return make_case(theorem_id, combo, order, anchor, k_cap)
 
     def result(d: int) -> SearchResult:
+        if d in unscanned:
+            unscanned.discard(d)
+            scan(_survivors(k, levels[:d], ints, mode, samples, rng_key))
         counterexamples = [case for case in map(exact_case, suspects[d])
                            if not evaluate_theorem(case).consistent]
         # nonvacuity witness: the hypothesis-true nonzero function with the best
@@ -991,6 +1003,9 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     orders = [as_fraction(x) for x in (nu_samples or default_orders(theorem_id))]
     for order in orders:
         _check_order(theorem_id, order)
+    if THEOREMS[theorem_id].has_ray and k_cap + 1 > budget:
+        raise BudgetExceeded(f"k_cap {k_cap} expands the {theorem_id} start ray into up to "
+                             f"{k_cap + 1} rows, more than the budget of {budget}")
     if mode == "exhaustive":
         k, n = len(value_set), len(orders)
         # k**L * n, with L cut where k**L (k >= 2) already passes the budget,
@@ -1006,19 +1021,17 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
         raise DomainError(f"unknown search mode {mode!r}")
     results = []
     for order in orders:
-        args = (value_set, order, mode, samples, seed, k_cap, anchor)
-        result = _search_instance(theorem_id, grid_length, *args)
+        result = _search_instance(theorem_id, grid_length, value_set, order, mode, samples,
+                                  seed, k_cap, anchor)
         res = result(grid_length)
         # nonvacuity fallback: shorter grids often admit a strictly positive
         # margin that the capped value set rules out at full length.  The
-        # exhaustive tree already holds every shorter length; random mode
-        # draws each one from its own stream.  Each length visited also
-        # reports its own counterexamples.
+        # rows built at full length hold every shorter length's rows; random
+        # mode draws each length from its own stream.  Each length visited
+        # also reports its own counterexamples.
         length = grid_length
         while (res.witness is None or res.witness_margin <= 0) and length > shortest:
             length -= 1
-            if mode == "random":
-                result = _search_instance(theorem_id, length, *args)
             shorter = result(length)
             res.counterexamples += shorter.counterexamples
             if shorter.witness is not None and (res.witness is None or

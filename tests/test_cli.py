@@ -14,8 +14,8 @@ from discfrac.operators import Family, Formulation, Kind, OperatorSpec, Side
 # sha256 of the acceptance campaign's report lines without min_conclusion_margin
 CAMPAIGN_DIGEST = "7c1f09b53e9615536e9b58c09b4ea13f92bf512b3c234c8e0c05c19cb43c3d88"
 # the same digest of `theorems --all --random --budget 5000 --seed 3 --length 7
-# --values -2,-1,0,1/3,1,2`, which re-runs the symbolic row pass at every
-# fallback length
+# --values -2,-1,0,1/3,1,2`, which draws every fallback length from its own
+# sample stream
 RANDOM_DIGEST = "d2670270fcdef83c84afb09c66226491aae941d042163c9b0a093d1d5632727e"
 # sha256 of `check --all --instances 200 --seed 0 --backend rational`: every
 # residual is exact, so the whole report is machine-independent
@@ -355,6 +355,22 @@ class TestTheorems:
         assert main(["theorems", "--id", "T_U1", "--values", "1..11", "--budget", "10"]) == 4
         assert _parse_values("1..10", 10) == [Fraction(k) for k in range(1, 11)]
 
+    def test_k_cap_past_the_budget_is_refused_unbuilt(self, tmp_path, capsys):
+        # a start ray makes one hypothesis row per k up to --k-cap: at 1,000,000
+        # the 16 vectors below took 17 s and 860 MB
+        report = tmp_path / "t.jsonl"
+        args = ["theorems", "--values", "0,1", "--length", "4", "--budget", "100",
+                "--report", str(report)]
+        for k_cap in ("1000000", "100"):
+            assert main(args + ["--id", "T_SLOV1", "--nu", "3/2", "--k-cap", k_cap]) == 4
+            assert capsys.readouterr().err == (
+                f"budget error: k_cap {k_cap} expands the T_SLOV1 start ray into up to "
+                f"{int(k_cap) + 1} rows, more than the budget of 100\n")
+            assert not report.exists()
+        assert main(args + ["--id", "T_SLOV1", "--nu", "3/2", "--k-cap", "99"]) == 0
+        # a theorem without a start ray reads no k_cap
+        assert main(args + ["--id", "T_U1", "--nu", "1/2", "--k-cap", "1000000"]) == 0
+
     def test_random_mode_builds_any_range(self, tmp_path):
         code = main(["theorems", "--id", "T_U1", "--random", "--values", "0..20",
                      "--budget", "10", "--length", "2", "--nu", "1/2",
@@ -506,8 +522,9 @@ class TestTheorems:
         text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
         assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGEST
         assert len(records) == 84
-        # every fallback length draws its own vectors and builds its own rows
-        assert calls == {"_row_matrices": 311, "evaluate_theorem": 84}
+        # every fallback length draws its own vectors from the one row build
+        # per (theorem, order)
+        assert calls == {"_row_matrices": 84, "evaluate_theorem": 84}
 
     def test_reports_are_deterministic(self, tmp_path):
         r1, r2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

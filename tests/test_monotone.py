@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discfrac import monotone
@@ -118,6 +118,34 @@ class TestRayDecision:
             for k in range(start, start + 500):
                 value = sum(c * k ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
                 assert value >= 0
+
+    @given(
+        factors=st.lists(st.tuples(st.integers(-3, 8), st.integers(1, 3)), min_size=1,
+                         max_size=3),
+        shift=st.sampled_from([-1, 0, 1]),
+        start=st.integers(min_value=0, max_value=6),
+    )
+    @example(factors=[(3, 3)], shift=0, start=0)
+    @example(factors=[(3, 3)], shift=1, start=0)
+    @example(factors=[(3, 4)], shift=0, start=0)
+    @example(factors=[(3, 4)], shift=1, start=0)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_critical_points_agree_with_brute_force(self, factors, shift, start):
+        # prod (k - r)^m + shift, expanded: its derivatives vanish exactly at
+        # the integer roots r, which the root brackets then start or end at
+        coeffs = [1]
+        for r, m in factors:
+            for _ in range(m):
+                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[-1] += shift
+
+        def value(k):
+            return math.prod((k - r) ** m for r, m in factors) + shift
+
+        # every factor is at least 1 past k = 9, so k <= 100 decides the ray
+        ok, witness = poly_nonneg_on_integer_ray([Fraction(c) for c in coeffs], start)
+        assert ok == all(value(k) >= 0 for k in range(start, 101))
+        assert ok or (witness >= start and value(witness) < 0)
 
     # the registry's families (one-term from M = 1 and M = 2, the others from
     # M = j + 1, the three-term one counting k from 2), then four terms and a
@@ -735,9 +763,8 @@ class TestPrefixSearch:
         assert [r.as_record() for r in results] == [
             r.as_record() for r in _reference_campaign("T_U3", 5, values, [Fraction(1, 2)])]
 
-    @pytest.mark.parametrize("mode,lengths", [("exhaustive", [4, 4]),
-                                              ("random", [4, 3, 2, 4, 3, 2])])
-    def test_one_row_build_per_order_in_exhaustive_mode(self, monkeypatch, mode, lengths):
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_one_row_build_per_order_in_both_modes(self, monkeypatch, mode):
         monkeypatch.setitem(THEOREMS, "T_SHORT", _statement("T_SHORT", _short_false_builder))
         built = []
         row_matrices = monotone._row_matrices
@@ -749,8 +776,8 @@ class TestPrefixSearch:
         monkeypatch.setattr(monotone, "_row_matrices", counting)
         results = search_campaign("T_SHORT", 4, [-1, 0, 1], [Fraction(1, 4), Fraction(1, 2)],
                                   mode=mode, budget=400, seed=2)
-        # both modes visit lengths 3 and 2; only random mode rebuilds them
-        assert built == lengths
+        # both modes visit lengths 3 and 2 and read their rows off the length-4 build
+        assert built == [4, 4]
         assert all(len(c.f.values) == 2 for r in results for c in r.counterexamples)
         assert all(r.counterexamples for r in results)
 

@@ -265,6 +265,14 @@ class TestRowsNest:
         assert nesting_mismatches(tid, order, data.draw(st.sampled_from(ANCHORS))) == []
 
 
+def test_has_ray_names_the_theorems_with_a_start_ray():
+    # search_campaign bounds k_cap by the budget for exactly these theorems
+    for tid, stmt in THEOREMS.items():
+        case = make_case(tid, [1] * min_live_length(tid), default_orders(tid)[0])
+        assert bool(stmt.builder(case)[1]) == stmt.has_ray, tid
+    assert sum(stmt.has_ray for stmt in THEOREMS.values()) == 12
+
+
 def test_row_pass_runs_in_integers(monkeypatch):
     """Every row build of every theorem, default order and length up to 7,
     the two ``_nabla_riemann(prepend=...)`` kinds included, reaches the
