@@ -16,21 +16,33 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from fractions import Fraction
 
 from .errors import BackendOverflow, DomainError, UnitMismatch
 
 DEFAULT_BIT_CAP = 4096
+# Fraction expands a decimal exponent to a power of ten: minutes for 1e99999999
+MAX_DECIMAL_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def as_fraction(x) -> Fraction:
     """Exact Fraction from int, Fraction, str ("3/4", "0.75") or float.
 
     Floats convert to their exact binary value, never to a decimal guess.
+    A decimal exponent past ``MAX_DECIMAL_EXPONENT`` raises ``DomainError``.
     """
     # the builtin types first: an isinstance check against Fraction, an
     # abstract base class, is slow for anything but a Fraction
-    if isinstance(x, (int, str, float)):
+    if isinstance(x, (int, float)):
+        return Fraction(x)
+    if isinstance(x, str):
+        exponent = ("e" in x or "E" in x) and _EXPONENT.search(x)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 5 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise DomainError(f"value {x.strip()} has a decimal exponent past "
+                              f"{MAX_DECIMAL_EXPONENT} in magnitude")
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
@@ -213,7 +225,7 @@ class FloatBackend(_Backend):
     exact = False
 
     def scalar(self, x) -> float:
-        exact = Fraction(x) if isinstance(x, str) else x
+        exact = as_fraction(x) if isinstance(x, str) else x
         try:
             return float(exact)
         except OverflowError:

@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .backends import get_backend
+from .backends import as_fraction, get_backend
 from .dualities import (
     DEFAULT_TOLERANCE,
     IdentityId,
@@ -56,7 +56,7 @@ def _scalar_str(x) -> str:
 
 def _parse_number(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return as_fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse number {text!r}") from exc
 

@@ -7,20 +7,18 @@ off-by-one in a domain is reported as a failure, never absorbed into a
 tolerance), and reports pointwise residuals.  The one identity without a
 row, CAPUTO_INVERSION, compares the inversion residual with zero.
 
-The pairing works in storage index space.  Once both output origins
-have been checked exactly, the stated index set is a range of storage
-indices, and both sides are read by slicing; a Q identity reads its
-right-hand side at a fixed integer index shift instead of reflecting it
-point by point.  Each expected origin is one ``Fraction`` formed from the
-table's integer offsets.  The points themselves, and a report's grid
-string, are formed only when read.  Both sides are read as their
-``(nums, den)`` parts (integer numerators over one denominator each, or
-floats over 1) and compared by one cross-multiplication on both
-backends, the numerators of each side times the other side's
-denominator; exact residual ``Fraction``s are formed only when the sides
-differ, and equal sides record zero residuals.  ``run_identity_suite``
-puts its grids on a ``run_scoped()`` copy of the backend, whose table
-builds each kernel once per call; nothing of it outlives the call.
+Each step of a check runs in integers.  ``random_instance`` holds the
+drawn values as integer numerators over 12.  Each operator's spec is
+built once per (operator, order).  Every output origin is compared with
+the table's integer offsets by cross-multiplication; then the stated
+index set is a range of storage indices, and a Q identity reads its
+right-hand side at a fixed integer index shift instead of reflecting it.
+Both sides are read as their ``(nums, den)`` parts (floats over 1) and
+compared by cross-multiplication, x * dy == y * dx; residual
+``Fraction``s, and expected origins for an error message, are formed
+only on a mismatch.  ``run_identity_suite`` puts its grids on a
+``run_scoped()`` copy of the backend, whose table builds each kernel
+once per call; nothing of it outlives the call.
 
 Tolerance policy: the rational backend must produce residuals that are
 exactly zero; the floating backend uses an absolute tolerance for values
@@ -30,6 +28,7 @@ of magnitude up to one and a relative tolerance above that.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +46,6 @@ from .operators import (
     caputo_from_riemann,
     caputo_inversion_residual,
     fractional_sum,
-    order_ceiling,
     riemann_difference,
 )
 
@@ -247,11 +245,16 @@ def _build_report(identity, alpha, f, stated, start, lhs, rhs, tolerance) -> Che
                        backend.name)
 
 
-def _expect_origin(grid: GridFunction, expected, what: str) -> None:
-    if grid.origin != as_fraction(expected):
-        raise DomainError(
-            f"{what}: produced origin {grid.origin}, stated index set starts at {expected}"
-        )
+def _expect_origin(grid, base, inward: int, den: int, which: IdentityId, side: str) -> None:
+    """Raise unless ``grid``'s origin o is ``base``'s origin a moved
+    ``inward / den`` steps inward, compared by cross-multiplication."""
+    a, o = base.origin, grid.origin
+    if base.direction is Direction.BACKWARD:
+        inward = -inward
+    num = a.numerator * den + inward * a.denominator
+    if o.numerator * a.denominator * den != num * o.denominator:
+        raise DomainError(f"{which.value} {side}-hand side: produced origin {o}, stated "
+                          f"index set starts at {Fraction(num, a.denominator * den)}")
 
 
 def _paired(points, lhs_values, rhs_values) -> None:
@@ -262,7 +265,7 @@ def _paired(points, lhs_values, rhs_values) -> None:
         )
 
 
-def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: Fraction, start: int) -> slice:
+def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: int, den: int, start: int) -> slice:
     """The storage of ``rhs`` that pairs with the lhs storage from ``start``
     on, the stated index set of a Q identity, through the reflection
     s -> a + b - s of the forward data grid {a..b}.
@@ -271,25 +274,22 @@ def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: Fraction, start: in
     the lhs point ``o_L + i`` reflects to the rhs point ``o_R - (i + k)``
     with ``k = o_L + o_R - (a + b)``: the pairs are read by slicing.  With
     both origins checked, ``o_L = a + d_L`` and ``o_R = b - d_R`` for the
-    stated offsets, so ``k = d_L - d_R``.
+    stated offsets, so ``k = d_L - d_R``, given here as ``k / den``.
     """
-    shift = k.numerator  # k itself, once its denominator is 1
-    if k.denominator != 1 or not (0 <= start + shift and lhs.length + shift <= rhs.length):
+    shift, off = divmod(k, den)
+    if off or not (0 <= start + shift and lhs.length + shift <= rhs.length):
         raise DomainError(f"the reflected right-hand side misses the stated index set "
-                          f"(index shift {k})")
+                          f"(index shift {Fraction(k, den)})")
     return slice(start + shift, lhs.length + shift)
 
 
-def _inward(g: GridFunction, inward: int, den: int) -> Fraction:
-    """g's origin moved ``inward / den`` steps into the grid's own direction."""
-    a = g.origin
-    if g.direction is Direction.BACKWARD:
-        inward = -inward
-    return Fraction(a.numerator * den + inward * a.denominator, a.denominator * den)
+@functools.lru_cache(maxsize=4096)
+def _spec(op: tuple, num: int, den: int) -> OperatorSpec:
+    """The one frozen spec of ``op``, a (kind, side, family), at order num/den."""
+    return OperatorSpec(*op, Fraction(num, den))
 
 
-def _apply(op: tuple, alpha: Fraction, g: GridFunction, riemann_form: bool = False):
-    spec = OperatorSpec(*op, alpha)
+def _apply(spec: OperatorSpec, g: GridFunction, riemann_form: bool = False):
     if spec.family is Family.SUM:
         return fractional_sum(spec, g)
     if spec.family is Family.RIEMANN:
@@ -301,24 +301,23 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     """Evaluate one table row on its stated index set."""
     row = IDENTITIES[which]
     alpha = as_fraction(order)
-    n = order_ceiling(alpha)
     reflect = row.family == "q"
     if reflect and f.direction is not Direction.FORWARD:  # reflected about a + b
         raise DomainError("Q identities take the data as a forward grid on {a..b}")
-    lhs = _apply(row.lhs, alpha, row.lhs_input(f))
+    num, den = alpha.numerator, alpha.denominator
+    lhs_spec, rhs_spec = _spec(row.lhs, num, den), _spec(row.rhs, num, den)
+    lhs = _apply(lhs_spec, row.lhs_input(f))
     rhs_input = row.rhs_input(f)
-    rhs = _apply(row.rhs, alpha, rhs_input, riemann_form=row.family == "relation")
+    rhs = _apply(rhs_spec, rhs_input, riemann_form=row.family == "relation")
     # each stated origin offset (steps, n_times, alpha_times), times alpha's denominator
-    den = alpha.denominator
-    at_lhs, at_rhs = ((steps + n_times * n) * den + alpha_times * alpha.numerator
-                      for steps, n_times, alpha_times in row.origins)
-    _expect_origin(rhs, _inward(rhs_input if reflect else f, at_rhs, den),
-                   f"{which.value} right-hand side")
-    _expect_origin(lhs, _inward(f, at_lhs, den), f"{which.value} left-hand side")
+    at_lhs, at_rhs = [(steps + n_times * lhs_spec.n) * den + alpha_times * num
+                      for steps, n_times, alpha_times in row.origins]
+    _expect_origin(rhs, rhs_input if reflect else f, at_rhs, den, which, "right")
+    _expect_origin(lhs, f, at_lhs, den, which, "left")
     start = row.points
     if reflect:
-        k = Fraction(at_lhs - at_rhs, den)
-        stated, lhs_part, rhs_part = lhs, slice(start, None), _reflected_part(lhs, rhs, k, start)
+        rhs_part = _reflected_part(lhs, rhs, at_lhs - at_rhs, den, start)
+        stated, lhs_part = lhs, slice(start, None)
     else:
         stated, lhs_part, rhs_part = rhs, _ALL, slice(start, None)
     lhs_values, rhs_values = _part(lhs, lhs_part), _part(rhs, rhs_part)
@@ -343,19 +342,24 @@ def check_identity(f: GridFunction, order, which: IdentityId,
 
 # the values p/q (|p| <= 8, 1 <= q <= 4) random_instance draws, at [p + 8][q - 1]
 _DRAWN = tuple(tuple(Fraction(p, q) for q in range(1, 5)) for p in range(-8, 9))
+_DRAWN_DEN = 12  # the LCM of their denominators
 
 
 def _drawn_values(backend) -> tuple:
-    """``_DRAWN`` with every value through ``backend.scalar``."""
-    return tuple(tuple(map(backend.scalar, row)) for row in _DRAWN)
+    """``(table, den)``: ``_DRAWN`` with every value through ``backend.scalar``,
+    held as given (den None) or on an exact backend cleared over ``_DRAWN_DEN``."""
+    den = _DRAWN_DEN if backend.exact else None
+    table = [[int(v * den) if den else v for v in map(backend.scalar, row)] for row in _DRAWN]
+    return tuple(map(tuple, table)), den
 
 
 def random_instance(which: IdentityId, rng: random.Random, backend, drawn=None):
     """Seeded (grid, order) instance admissible for the given identity.
 
     Values are read from ``drawn``, ``_drawn_values(backend)``, which a run
-    of many instances validates once.  Choosing a row of 17 and then one of
-    its 4 values draws what ``randint(-8, 8)`` and ``randint(1, 4)`` would.
+    of many instances validates once, and held as drawn.  Choosing a row of
+    17 and then one of its 4 values draws what ``randint(-8, 8)`` and
+    ``randint(1, 4)`` would.
     """
     length = rng.randint(MIN_LENGTH, MAX_LENGTH)
     den = rng.randint(2, 12)
@@ -364,13 +368,13 @@ def random_instance(which: IdentityId, rng: random.Random, backend, drawn=None):
         num += 1
     alpha = Fraction(num, den)
     anchor = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
-    drawn = drawn or _drawn_values(backend)
+    drawn, held_den = drawn or _drawn_values(backend)
     choice = rng.choice
     values = tuple([choice(choice(drawn)) for _ in range(length)])
     direction = IDENTITIES[which].direction
     if direction is None:
         direction = Direction.BACKWARD if rng.random() < 0.5 else Direction.FORWARD
-    return GridFunction(anchor, direction, values, backend), alpha
+    return GridFunction.from_parts(anchor, direction, values, held_den, backend), alpha
 
 
 @dataclass

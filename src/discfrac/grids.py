@@ -24,14 +24,14 @@ Every grid exposes its values as one ``(nums, den)`` view, ``parts``,
 and every operator reads that view and builds its output from one
 (``with_parts``), so the exact and the floating operators run the same
 code.  Only this module knows how a grid stores it.  On the exact backend
-a grid of ``Fraction`` values is held cleared: one tuple of integer
-numerators over one positive denominator (not reduced), and ``values``
-builds the normalized ``Fraction``s when first read, so a grid whose
-values nobody reads never builds one.  Floats, and the coefficient
-vectors of the theorem search's symbolic row pass, are held as given
-and read over 1.  ``drop_leading``, ``prepend_zero``, ``reflected`` and
-``reversed_view`` slice, extend or reverse the parts and keep the
-denominator.
+a grid of ``Fraction`` values is held cleared: integer numerators over
+one positive denominator (not reduced), whose normalized ``Fraction``s
+``values`` builds when first read.  Floats, and the coefficient vectors
+of the symbolic row pass, are held as given and read over 1.  The
+constructor, ``with_parts`` and ``from_parts`` (parts already in that
+form) end in one function that sets the slots.  ``drop_leading``,
+``prepend_zero``, ``reflected`` and ``reversed_view`` keep the
+denominator, and ``shift_origin`` forms one ``Fraction`` from integers.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ class GridFunction:
     def __init__(self, origin, direction, values, backend=FLOATING):
         values = tuple(values)
         nums, den = (_clear(values) if backend.exact else None) or (values, None)
-        _set_origin(self, origin)
-        _set_direction(self, direction)
-        _set_backend(self, backend)
-        _set_nums(self, nums)
-        _set_den(self, den)
-        _set_values(self, values)
+        _fill(self, origin, direction, nums, den, backend, values)
+
+    @classmethod
+    def from_parts(cls, origin: Fraction, direction, nums: tuple, den, backend=FLOATING):
+        """The grid of ``nums`` over an int ``den`` > 0, or held as given if ``den`` is None."""
+        return _fill(_blank(cls), origin, direction, nums, den, backend)
 
     @property
     def values(self) -> tuple:
@@ -146,26 +146,19 @@ class GridFunction:
         """The grid of values ``nums[i] / den`` (``den > 0``) at ``origin`` and
         in ``direction`` (this grid's own by default), in this grid's form."""
         nums = tuple(nums)
-        if self._den is not None:
-            values = None
-        else:  # values held as given, read over 1
-            values = nums if den == 1 else tuple([x * Fraction(1, den) for x in nums])
-            nums, den = values, None
-        grid = _blank(GridFunction)
-        _set_origin(grid, self.origin if origin is None else as_fraction(origin))
-        _set_direction(grid, direction or self.direction)
-        _set_backend(grid, self.backend)
-        _set_nums(grid, nums)
-        _set_den(grid, den)
-        _set_values(grid, values)
-        return grid
+        if self._den is None:  # values held as given, read over 1
+            nums = nums if den == 1 else tuple([x * Fraction(1, den) for x in nums])
+            den = None
+        return GridFunction.from_parts(self.origin if origin is None else as_fraction(origin),
+                                       direction or self.direction, nums, den, self.backend)
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
-        amount = inward if isinstance(inward, int) else as_fraction(inward)
-        if self.direction is Direction.FORWARD:
-            return self.origin + amount
-        return self.origin - amount
+        step = inward if isinstance(inward, int) else as_fraction(inward)
+        num, den, a = step.numerator, step.denominator, self.origin
+        if self.direction is Direction.BACKWARD:
+            num = -num
+        return Fraction(a.numerator * den + num * a.denominator, a.denominator * den)
 
     def drop_leading(self, n: int) -> "GridFunction":
         if n >= self.length:
@@ -198,6 +191,17 @@ class GridFunction:
 _set_origin, _set_direction, _set_backend, _set_nums, _set_den, _set_values = (
     GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__)
 _blank = object.__new__
+
+
+def _fill(grid, origin, direction, nums, den, backend, values=None) -> GridFunction:
+    """Set every slot of ``grid``, the one path by which a grid is built."""
+    _set_origin(grid, origin)
+    _set_direction(grid, direction)
+    _set_backend(grid, backend)
+    _set_nums(grid, nums)
+    _set_den(grid, den)
+    _set_values(grid, nums if den is None else values)
+    return grid
 
 
 def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunction:

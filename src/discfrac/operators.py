@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .backends import as_fraction
@@ -94,6 +94,7 @@ class OperatorSpec:
     family: Family
     order: Fraction
     formulation: Formulation = Formulation.COMPOSED
+    n: int = field(init=False, repr=False, compare=False)  # order_ceiling(order)
 
     def __post_init__(self):
         object.__setattr__(self, "order", as_fraction(self.order))
@@ -106,10 +107,7 @@ class OperatorSpec:
                 raise DirectFormIntegerOrder(
                     "the single-sum difference form needs a non-integer order"
                 )
-
-    @property
-    def n(self) -> int:
-        return order_ceiling(self.order)
+        object.__setattr__(self, "n", order_ceiling(self.order))
 
 
 def _require_direction(spec: OperatorSpec, f: GridFunction) -> None:
@@ -205,7 +203,7 @@ def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
     vectors = _vector_parts(vals)
     if vectors is not None:
         vals, den = vectors
-    vals = storage_difference(vals, pre)
+    vals = storage_difference(vals, pre) if pre else tuple(vals)
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend, as_integers=True)
         if f.backend.exact:
@@ -216,7 +214,7 @@ def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
         else:
             vals = _convolve(w, vals, skip_first)
         den *= d
-    vals = storage_difference(vals, post)
+    vals = storage_difference(vals, post) if post else vals
     if vectors is not None:
         vals, den = [CoefficientVector(x, den) for x in vals], 1
     return f.with_parts(vals, den, origin)
@@ -255,7 +253,7 @@ def riemann_difference(
         return _riemann_direct(spec, f, extended)
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
-    beta = Fraction(n) - alpha
+    beta = Fraction(n * alpha.denominator - alpha.numerator, alpha.denominator)
     delta = spec.kind is Kind.DELTA
     return _pipeline(f, beta, f.shift_origin(beta if delta else n), skip_first=not delta,
                      post=n)
@@ -299,7 +297,7 @@ def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     alpha = spec.order
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
-    beta = Fraction(n) - alpha
+    beta = Fraction(n * alpha.denominator - alpha.numerator, alpha.denominator)
     # the nabla inner sum is anchored one step before the differenced grid
     return _pipeline(f, beta, f.shift_origin(beta if spec.kind is Kind.DELTA else n), pre=n)
 
@@ -340,7 +338,8 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
     rows = []
     for k, lag in enumerate(first_lags):
-        w, d = kernel(k + 1 - alpha, lag + riem.length, f.backend, as_integers=True)
+        order = Fraction((k + 1) * alpha.denominator - alpha.numerator, alpha.denominator)
+        w, d = kernel(order, lag + riem.length, f.backend, as_integers=True)
         rows.append((w[lag:], d))
     return riem.with_parts(*_correction(riem.parts, anchors, e, rows))
 
@@ -375,8 +374,8 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     alpha = as_fraction(order)
     if isinstance(side, str):
         side = Side(side)
-    n = order_ceiling(alpha)
     spec = OperatorSpec(Kind.NABLA, side, Family.CAPUTO, alpha)
+    n = spec.n
     _require_direction(spec, f)
     cap = caputo_difference(spec, f)
     # anchored sum of the Caputo output: full convolution, origin kept,

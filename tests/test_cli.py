@@ -233,6 +233,44 @@ class TestInputContract:
         assert err.startswith("domain error: rational magnitude exceeds 4096-bit cap")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["apply", "--input", "VALUE", "--kind", "delta", "--family", "sum", "--order", "1/2"],
+        ["apply", "--input", "VALUE", "--kind", "delta", "--family", "sum", "--order", "1/2",
+         "--backend", "rational"],
+        ["apply", "--input", "ORIGIN", "--kind", "nabla", "--family", "caputo", "--order", "1/2"],
+        ["apply", "--input", "ONES", "--kind", "delta", "--family", "sum",
+         "--order", "1e99999999"],
+        ["theorems", "--id", "T_U1", "--length", "3", "--values", "0,1e99999999"],
+        ["theorems", "--id", "T_U1", "--length", "3", "--nu", "1e-99999999"],
+    ])
+    def test_a_huge_decimal_exponent_is_refused_unexpanded(self, tmp_path, capsys, command):
+        """Fraction would expand 10**99999999 for minutes; the exponent is
+        refused before any of it is built."""
+        value = write(tmp_path, "value.json", json.dumps(
+            {"origin": "0", "direction": "forward", "values": ["1", "-1e99999999", "2"]}))
+        origin = write(tmp_path, "origin.json", json.dumps(
+            {"origin": "1e99999999", "direction": "forward", "values": ["1", "2", "3"]}))
+        files = {"VALUE": value, "ORIGIN": origin, "ONES": ones_json(tmp_path)}
+        assert main([files.get(arg, arg) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: value ")
+        assert err.endswith("99999999 has a decimal exponent past 10000 in magnitude\n")
+
+    @pytest.mark.parametrize("value, backend, message", [
+        ("1e5000", "floating", "value 1e5000 lies outside the double range"),
+        ("-1e10000", "floating", "value -1e10000 lies outside the double range"),
+        ("1e10000", "rational", "rational magnitude exceeds 4096-bit cap"),
+        ("1e-10000", "rational", "rational magnitude exceeds 4096-bit cap"),
+    ])
+    def test_an_exponent_up_to_the_limit_is_parsed(self, tmp_path, capsys, value, backend,
+                                                   message):
+        big = write(tmp_path, "big.json", json.dumps(
+            {"origin": "0", "direction": "forward", "values": ["1", value, "2"]}))
+        code = main(["apply", "--input", big, "--kind", "delta", "--family", "sum",
+                     "--order", "1/2", "--backend", backend])
+        assert code == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
+
 
 class TestCheck:
     def test_single_identity_passes(self, tmp_path):

@@ -20,7 +20,7 @@ from discfrac.dualities import (
 )
 from discfrac.errors import BackendOverflow, DomainError
 from discfrac.grids import Direction, make_grid_function
-from discfrac.operators import Kind, Side
+from discfrac.operators import Kind, OperatorSpec, Side, order_ceiling
 
 
 def test_identity_id_is_complete():
@@ -152,10 +152,66 @@ def test_domain_contract_rejects_off_by_one():
     from discfrac.dualities import _expect_origin, _paired
 
     f = make_grid_function(0, Direction.FORWARD, [1, 2, 3], RATIONAL)
-    with pytest.raises(DomainError):
-        _expect_origin(f, 1, "shifted output")
+    with pytest.raises(DomainError, match="LEFT_DUAL_SUM left-hand side: produced origin 0, "
+                                          "stated index set starts at 1$"):
+        _expect_origin(f, f, 1, 1, IdentityId.LEFT_DUAL_SUM, "left")
     with pytest.raises(DomainError):
         _paired([0, 1, 2], [1, 2, 3], [1, 2])
+
+
+# one row of each family, a side of it, the operator function that computes
+# that side, and which of that function's calls in the row is that side's
+_SIDE_OPERATORS = [
+    (IdentityId.LEFT_DUAL_DIFF, "left", "riemann_difference", lambda s: s.kind is Kind.DELTA),
+    (IdentityId.LEFT_DUAL_DIFF, "right", "riemann_difference", lambda s: s.kind is Kind.NABLA),
+    (IdentityId.Q_CAPUTO_NABLA, "left", "caputo_difference", lambda s: s.side is Side.LEFT),
+    (IdentityId.Q_CAPUTO_NABLA, "right", "caputo_difference", lambda s: s.side is Side.RIGHT),
+    (IdentityId.RELATE_DELTA_RIGHT, "left", "caputo_difference", lambda s: True),
+    (IdentityId.RELATE_DELTA_RIGHT, "right", "caputo_from_riemann", lambda s: True),
+]
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+@pytest.mark.parametrize("which, side, name, picked", _SIDE_OPERATORS)
+def test_an_origin_off_by_a_fraction_of_a_step_is_refused(monkeypatch, backend, which, side,
+                                                          name, picked):
+    """An output origin moved by 1/q, q the order's denominator, is refused
+    with the same text on either side: the produced origin, then the stated
+    one, which is where the unchanged operator puts its output."""
+    real = getattr(dualities, name)
+    origins = []
+
+    def shifted(spec, g):
+        out = real(spec, g)
+        if not picked(spec):
+            return out
+        origins.append(out.origin)
+        return out.with_parts(*out.parts, origin=out.origin + Fraction(1, spec.order.denominator))
+
+    monkeypatch.setattr(dualities, name, shifted)
+    rng = random.Random(which.value)
+    for _ in range(4):
+        f, alpha = random_instance(which, rng, backend)
+        with pytest.raises(DomainError) as refused:
+            check_identity(f, alpha, which)
+        stated = origins[-1]
+        assert str(refused.value) == (
+            f"{which.value} {side}-hand side: produced origin "
+            f"{stated + Fraction(1, alpha.denominator)}, stated index set starts at {stated}")
+
+
+@pytest.mark.parametrize("which", [which for which in IdentityId if IDENTITIES[which].lhs])
+def test_a_cached_spec_is_the_fresh_spec(which):
+    row = IDENTITIES[which]
+    for order in (Fraction(1, 12), Fraction(1, 2), Fraction(1), Fraction(13, 12), Fraction(2),
+                  Fraction(23, 12)):
+        for op in (row.lhs, row.rhs):
+            spec = dualities._spec(op, order.numerator, order.denominator)
+            fresh = OperatorSpec(*op, order)
+            assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+            assert spec is dualities._spec(op, order.numerator, order.denominator)
+            assert spec.n == fresh.n == order_ceiling(order)
+    assert dualities._spec.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])

@@ -1,3 +1,4 @@
+import math
 import pickle
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.errors import DomainError, EmptyValues, GridTooShort
-from discfrac.grids import Direction, make_grid_function, integer_difference, q_reflect
+from discfrac.grids import (
+    Direction,
+    GridFunction,
+    integer_difference,
+    make_grid_function,
+    q_reflect,
+)
 from discfrac.operators import CoefficientVector
 
 import oracles
@@ -202,6 +209,39 @@ class TestParts:
         back = g.with_parts(nums, den)
         assert back == g and all(a is b for a, b in zip(back.values, vectors))
         assert g.prepend_zero().values[0] is RATIONAL.zero
+
+    @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+    @given(values=values_strategy, origin=st.fractions(-12, 12, max_denominator=3),
+           direction=st.sampled_from(Direction), den=st.sampled_from([6, 12, 60]))
+    @settings(max_examples=40, deadline=None)
+    def test_grids_from_parts_equal_constructed_grids(self, backend, values, origin,
+                                                      direction, den):
+        """A grid built from its parts, numerators over a multiple of the
+        denominators or floats as held, is the grid the constructor builds."""
+        if backend.exact:
+            g = GridFunction.from_parts(origin, direction, tuple(int(v * den) for v in values),
+                                        den, backend)
+        else:
+            g = GridFunction.from_parts(origin, direction, tuple(map(float, values)), None,
+                                        backend)
+        ref = GridFunction(origin, direction, [backend.scalar(v) for v in values], backend)
+        assert g == ref and hash(g) == hash(ref)
+        assert [type(v) for v in g.values] == [type(v) for v in ref.values]
+        nums, got = g.parts
+        assert got == (den if backend.exact else 1)
+        over = Fraction if backend.exact else float.__truediv__
+        assert [over(x, got) for x in nums] == list(g.values) == list(ref.values)
+        assert (g.origin, g.direction, g.length) == (origin, direction, len(values))
+
+    @given(origin=st.fractions(-50, 50, max_denominator=12),
+           inward=st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12)),
+           direction=st.sampled_from(Direction))
+    @settings(max_examples=80, deadline=None)
+    def test_shift_origin_moves_into_the_grid_direction(self, origin, inward, direction):
+        moved = make_grid_function(origin, direction, [1], RATIONAL).shift_origin(inward)
+        expected = origin + inward if direction is Direction.FORWARD else origin - inward
+        assert type(moved) is Fraction and moved == expected
+        assert moved.denominator > 0 and math.gcd(moved.numerator, moved.denominator) == 1
 
     @given(values_strategy, st.integers(0, 3))
     def test_transforms_keep_the_values(self, values, n):
