@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .backends import as_fraction, get_backend
+from .backends import DEFAULT_BIT_CAP, as_fraction, get_backend
 from .dualities import (
     DEFAULT_TOLERANCE,
     IdentityId,
@@ -61,6 +61,14 @@ def _parse_number(text: str) -> Fraction:
         raise ValueError(f"cannot parse number {text!r}") from exc
 
 
+def _parse_origin(text: str) -> Fraction:
+    """A grid origin, refused past ``DEFAULT_BIT_CAP`` bits before any work."""
+    origin = _parse_number(text)
+    if max(origin.numerator.bit_length(), origin.denominator.bit_length()) > DEFAULT_BIT_CAP:
+        raise DomainError(f"origin {text.strip()} has more than {DEFAULT_BIT_CAP} bits")
+    return origin
+
+
 def _read_grid(path: str, backend) -> GridFunction:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -69,7 +77,7 @@ def _read_grid(path: str, backend) -> GridFunction:
         rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
         if not rows or any(len(r) != 2 for r in rows):
             raise ValueError("CSV input needs one or more t,value rows")
-        points = [_parse_number(r[0]) for r in rows]
+        points = [_parse_origin(rows[0][0])] + [_parse_number(r[0]) for r in rows[1:]]
         values = [_parse_number(r[1]) for r in rows]
         if any(p.denominator != 1 for p in points):
             raise DomainError("CSV input requires integer grid points")
@@ -81,7 +89,7 @@ def _read_grid(path: str, backend) -> GridFunction:
     if not isinstance(record, dict) or not isinstance(record.get("values"), list):
         raise ValueError('JSON input must be an object whose "values" is a list')
     return make_grid_function(
-        _parse_number(str(record["origin"])),
+        _parse_origin(str(record["origin"])),
         Direction(record["direction"]),
         [_parse_number(str(v)) for v in record["values"]],
         backend,

@@ -72,6 +72,7 @@ class IdentityId(enum.Enum):
     RELATE_NABLA_LEFT = "RELATE_NABLA_LEFT"
     RELATE_NABLA_RIGHT = "RELATE_NABLA_RIGHT"
     CAPUTO_INVERSION = "CAPUTO_INVERSION"
+    __hash__ = object.__hash__  # as operators.Kind's: a table lookup hashes in C
 
 
 # The identity table.  Each row applies a left- and a right-hand operator,

@@ -44,6 +44,10 @@ result reports is confirmed with ``evaluate_theorem``.  Witness order and
 the conclusion margin come from float rows rounded from the exact ones.
 Enumeration and candidate ordering are canonical, so results are
 deterministic for a fixed seed.
+
+``transport`` derives the rows of the 16 nabla and right-hand mirrors from
+their delta twins, as the paper proves them: the Q images by ``Q_TWINS``, the
+dual images each ``_NablaRiemann`` row read as its ``dual``; no search runs it.
 """
 
 from __future__ import annotations
@@ -291,7 +295,7 @@ def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdic
 #   _pair(offset, at)           nondecreasing pairs from storage index offset on
 #   _nu_step                    f(t+1) - nu*f(t) at every step
 #   _delta_riemann              delta Riemann difference on its domain
-#   _nabla_riemann(prepend, drop)  direct nabla Riemann difference, extended
+#   _NablaRiemann(prepend, drop)  direct nabla Riemann difference, extended
 #   _caputo_bound(n)            delta Caputo difference plus its anchor bound
 #   _ray(terms, base)           k-family start from the kernel's partial sums
 
@@ -341,17 +345,29 @@ def _delta_riemann(case: TheoremCase) -> list:
     return _op_rows(riemann_difference(spec, case.f))
 
 
-def _nabla_riemann(prepend: bool = False, drop: int = 0) -> Callable:
-    """``prepend`` anchors the operator one step before the data; ``drop``
-    skips leading output points."""
+@dataclass(frozen=True)
+class _NablaRiemann:
+    """Direct nabla Riemann difference on its extended domain; ``prepend``
+    anchors the operator one step before the data, ``drop`` skips leading
+    output points.  ``dual`` reads the same rows, nu steps behind, off the
+    dual identity: the composed delta difference, same side, of the operand
+    with its first value (never read) zeroed and n - 1 zeros before it."""
 
-    def rows(case):
-        spec = OperatorSpec(Kind.NABLA, _side(case), Family.RIEMANN, case.order,
-                            Formulation.DIRECT)
-        f = case.f.prepend_zero() if prepend else case.f
-        return _op_rows(riemann_difference(spec, f, extended=True).drop_leading(drop))
+    prepend: bool = False
+    drop: int = 0
+    dual: bool = False
 
-    return rows
+    def __call__(self, case):
+        f = case.f.prepend_zero() if self.prepend else case.f
+        if self.dual:
+            spec = OperatorSpec(Kind.DELTA, _side(case), Family.RIEMANN, case.order)
+            nums, den = f.parts
+            f = f.with_parts((0,) * spec.n + nums[1:], den, f.shift_origin(1 - spec.n))
+        else:
+            spec = OperatorSpec(Kind.NABLA, _side(case), Family.RIEMANN, case.order,
+                                Formulation.DIRECT)
+        return _op_rows(riemann_difference(spec, f, extended=not self.dual)
+                        .drop_leading(self.drop))
 
 
 def _caputo_bound(n: int) -> Callable:
@@ -385,16 +401,19 @@ def _ray(terms: int, base: int) -> Callable:
     return ray
 
 
-def declare(hyp: list, concl: list, start: Callable | None = None) -> Callable:
+@dataclass(frozen=True)
+class Declared:
     """Builder of a theorem declared by its row kinds: case ->
     (hypothesis rows, k-family start rays, conclusion rows)."""
 
-    def builder(case):
-        return ([row for kind in hyp for row in kind(case)],
-                [] if start is None else [start(case)],
-                [row for kind in concl for row in kind(case)])
+    hyp: list
+    concl: list
+    start: Callable | None = None
 
-    return builder
+    def __call__(self, case):
+        return ([row for kind in self.hyp for row in kind(case)],
+                [] if self.start is None else [self.start(case)],
+                [row for kind in self.concl for row in kind(case)])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +428,7 @@ def _register(theorem_id, description, order_range, direction, origin_offset,
               leading_inert, min_length, hyp, concl, start=None, note=""):
     THEOREMS[theorem_id] = TheoremStatement(
         theorem_id, description, order_range, direction, origin_offset,
-        leading_inert, min_length, declare(hyp, concl, start), note, start is not None,
+        leading_inert, min_length, Declared(hyp, concl, start), note, start is not None,
     )
 
 
@@ -417,35 +436,35 @@ _register("T_JEP1", "forward Riemann positivity with nonnegative nondecreasing s
           "forces nondecreasing", (1, 2), _FWD, 0, False, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_JEP", "nabla Riemann positivity from the anchor forces nondecreasing "
-          "one step in", (1, 2), _FWD, 0, False, 3, [_nabla_riemann()], [_pair(1)])
+          "one step in", (1, 2), _FWD, 0, False, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_JEPP", "nabla Riemann positivity anchored one step before the data "
-          "forces nondecreasing", (1, 2), _FWD, -1, True, 3, [_nabla_riemann()], [_pair(1)])
+          "forces nondecreasing", (1, 2), _FWD, -1, True, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_SLOV1", "Riemann positivity with the one-term k-family start",
           (1, 2), _FWD, 0, False, 3, [_delta_riemann], [_pair(1, at=0)], _ray(1, 0))
 _register("T_SLOV11", "nabla mirror of the one-term k-family start",
-          (1, 2), _FWD, -1, True, 4, [_nabla_riemann(drop=2)], [_pair(2)], _ray(1, 1),
+          (1, 2), _FWD, -1, True, 4, [_NablaRiemann(drop=2)], [_pair(2)], _ray(1, 1),
           note="hypothesis index set starts two steps past the anchor, one "
                "later than the plain nabla statement; kept literal")
 _register("T_SLOV2", "Riemann positivity with the two-term k-family start",
           (1, 2), _FWD, 0, False, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
 _register("T_SLOV22", "nabla mirror of the two-term k-family start",
-          (1, 2), _FWD, -1, True, 5, [_nabla_riemann(drop=3)], [_pair(3)], _ray(2, 1))
+          (1, 2), _FWD, -1, True, 5, [_NablaRiemann(drop=3)], [_pair(3)], _ray(2, 1))
 _register("T_SLOV3", "Riemann positivity with the three-term k-family start",
           (1, 2), _FWD, 0, False, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
 _register("T_SLOV33", "nabla mirror of the three-term k-family start",
-          (1, 2), _FWD, -1, True, 6, [_nabla_riemann(drop=4)], [_pair(4)], _ray(3, 1))
+          (1, 2), _FWD, -1, True, 6, [_NablaRiemann(drop=4)], [_pair(4)], _ray(3, 1))
 _register("T_U1", "low-order Riemann positivity forces nu-increasing",
           (0, 1), _FWD, 0, False, 2, [_start, _delta_riemann], [_start, _nu_step])
 _register("T_UU1", "low-order nabla positivity anchored one step back forces "
           "nu-increasing", (0, 1), _FWD, 0, False, 2,
-          [_nabla_riemann(prepend=True)], [_start, _nu_step],
+          [_NablaRiemann(prepend=True)], [_start, _nu_step],
           note="no separate nonnegative-start hypothesis; the first operator "
                "row already equals the starting value")
 _register("T_U3", "nondecreasing with nonnegative start forces Riemann positivity",
           (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_delta_riemann])
 _register("T_UU2", "nondecreasing with nonnegative start forces anchored nabla "
           "positivity", (0, 1), _FWD, 0, False, 2,
-          [_start, _pair(0, at=0)], [_nabla_riemann(prepend=True)])
+          [_start, _pair(0, at=0)], [_NablaRiemann(prepend=True)])
 _register("T_C1", "Caputo lower bound with nonnegative nondecreasing start",
           (1, 2), _FWD, 0, False, 3, [_start_pair, _caputo_bound(2)], [_pair(0, at=0)])
 _register("T_C2", "Caputo lower bound with the one-term k-family start",
@@ -462,7 +481,7 @@ _register("T_D1", "backward Riemann positivity with nonnegative start pair force
           "nonincreasing", (1, 2), _BWD, 0, False, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_N1", "backward nabla positivity anchored one step out forces "
-          "nonincreasing", (1, 2), _BWD, 1, True, 3, [_nabla_riemann()], [_pair(1)])
+          "nonincreasing", (1, 2), _BWD, 1, True, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_D2", "backward mirror of the one-term k-family start",
           (1, 2), _BWD, 0, False, 3, [_start, _delta_riemann], [_pair(1, at=0)], _ray(1, 0),
           note="conclusion index set starts one step inward of the plain "
@@ -525,9 +544,10 @@ def _check_order(theorem_id: str, order) -> None:
         raise DomainError(f"{theorem_id} needs an order strictly between {lo} and {hi}")
 
 
-def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
+def evaluate_theorem(case: TheoremCase, builder: Callable | None = None) -> TheoremVerdict:
     """Evaluate hypothesis and conclusion predicates on the case's grid,
-    which must be on the exact backend (``make_case`` puts it there)."""
+    which must be on the exact backend (``make_case`` puts it there), from
+    the rows of ``builder``, the statement's own by default."""
     stmt = THEOREMS[case.theorem_id]
     _check_order(case.theorem_id, case.order)
     if not case.f.backend.exact:
@@ -542,7 +562,7 @@ def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
         raise GridTooShort(
             f"{case.theorem_id} needs at least {stmt.min_length} stored values"
         )
-    hyp_rows, rays, concl_rows = stmt.builder(case)
+    hyp_rows, rays, concl_rows = (builder or stmt.builder)(case)
     margins = [(_label(label), v) for label, v in expanded_hypothesis_rows(case, hyp_rows, rays)]
     hyp_ok = all(v >= 0 for _, v in margins)
     for ray in rays:
@@ -564,54 +584,34 @@ def evaluate_theorem(case: TheoremCase) -> TheoremVerdict:
 
 
 # ---------------------------------------------------------------------------
-# proof-route transports
+# proof routes: each nabla and right-hand theorem through its delta twin
+
+# Q images: backward storage is reflection-ordered, so a backward theorem is its
+# forward twin on the same stored values read forward.  mirror -> (twin, extra
+# leading hypothesis kinds, how many leading twin conclusion rows to drop)
+Q_TWINS = {"T_D1": ("T_JEP1", [], 0), "T_D2": ("T_SLOV1", [_start], 0),
+           "T_D3": ("T_SLOV2", [], 0), "T_D4": ("T_SLOV3", [], 0),
+           "T_D5": ("T_U1", [], 1), "T_D6": ("T_U3", [], 0),
+           "T_CD1": ("T_C1", [], 0), "T_CD5": ("T_C5", [], 1)}
 
 
-def jepp_via_dual_transport(case: TheoremCase) -> TheoremVerdict:
-    """Evaluate the anchored-nabla statement through its dual forward route.
-
-    The first two hypothesis points are read off directly (they reduce to
-    the starting pair), the rest are computed with the forward-difference
-    operator at the dual-shifted argument, and the conclusion is the
-    forward statement's conclusion on the trimmed grid.  The verdict must
-    match ``evaluate_theorem`` row for row.
-    """
-    if case.theorem_id != "T_JEPP":
-        raise DomainError("transport route is defined for T_JEPP")
-    g = case.f.drop_leading(1)  # live data from the anchor on
-    v = g.values
-    pts = g.points()
-    nu = g.backend.scalar(case.order)
-    hyp = [
-        (f"frac t={pts[0]}", v[0]),
-        (f"frac t={pts[1]}", v[1] - nu * v[0]),
-    ]
-    delta = riemann_difference(
-        OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, case.order), g
-    )
-    hyp += [(f"frac t={pts[2] + m}", val) for m, val in enumerate(delta.values)]
-    concl = [(_label(label), x) for label, x in _pair(1)(case)]
-    hyp_ok = all(x >= 0 for _, x in hyp)
-    concl_ok = all(x >= 0 for _, x in concl)
-    return TheoremVerdict(hyp_ok, concl_ok, hyp, concl)
-
-
-def d1_via_q_reflection(case: TheoremCase) -> TheoremVerdict:
-    """Evaluate the backward statement by reflecting onto the forward one.
-
-    Backward storage is already reflection-ordered, so the reflected
-    function is the same value tuple read as a forward grid; the verdict
-    must match ``evaluate_theorem`` row for row.
-    """
-    if case.theorem_id != "T_D1":
-        raise DomainError("reflection route is defined for T_D1")
-    b = case.f.origin
-    a = b - (case.f.length - 1)
-    g = GridFunction(
-        origin=a, direction=Direction.FORWARD, values=case.f.values, backend=case.f.backend
-    )
-    forward_case = TheoremCase("T_JEP1", a, case.order, g, case.k_cap)
-    return evaluate_theorem(forward_case)
+def transport(case: TheoremCase):
+    """A mirror theorem's rows, as its builder returns them, derived from its
+    delta twin: a Q image's from its ``Q_TWINS`` twin, a dual image's from
+    its own row kinds with each ``_NablaRiemann`` read as its ``dual``.
+    ``evaluate_theorem(case, transport)`` gives the route's verdict."""
+    if case.theorem_id in Q_TWINS:
+        twin, extra, dropped = Q_TWINS[case.theorem_id]
+        g = case.f.with_parts(*case.f.parts, case.f.far_point, Direction.FORWARD)
+        twin_case = TheoremCase(twin, g.origin, case.order, g, case.k_cap)
+        hyp, rays, concl = THEOREMS[twin].builder(twin_case)
+        return [row for kind in extra for row in kind(case)] + hyp, rays, concl[dropped:]
+    own = THEOREMS[case.theorem_id].builder
+    hyp, concl = ([replace(k, dual=True) if isinstance(k, _NablaRiemann) else k for k in kinds]
+                  for kinds in (own.hyp, own.concl))
+    if (hyp, concl) == (own.hyp, own.concl):
+        raise DomainError(f"{case.theorem_id} is not the mirror of a delta theorem")
+    return Declared(hyp, concl, own.start)(case)
 
 
 # ---------------------------------------------------------------------------

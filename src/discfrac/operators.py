@@ -61,17 +61,20 @@ from .kernels import kernel
 class Kind(enum.Enum):
     DELTA = "delta"
     NABLA = "nabla"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
+    __hash__ = object.__hash__  # as Kind's
 
 
 class Family(enum.Enum):
     SUM = "sum"
     RIEMANN = "riemann"
     CAPUTO = "caputo"
+    __hash__ = object.__hash__  # as Kind's
 
 
 class Formulation(enum.Enum):

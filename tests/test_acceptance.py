@@ -14,12 +14,11 @@ from discfrac.grids import Direction, integer_difference, make_grid_function, q_
 from discfrac.kernels import falling, rising
 from discfrac.monotone import (
     THEOREMS,
-    d1_via_q_reflection,
     evaluate_theorem,
-    jepp_via_dual_transport,
     make_case,
     min_live_length,
     search_campaign,
+    transport,
 )
 from discfrac.operators import (
     Family,
@@ -358,7 +357,7 @@ def test_criterion_8_proof_route_coherence():
             order += Fraction(1, 24)
         case = make_case("T_JEPP", vals, order)
         direct = evaluate_theorem(case)
-        routed = jepp_via_dual_transport(case)
+        routed = evaluate_theorem(case, transport)
         ok &= [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
         ok &= [m for _, m in direct.conclusion_margins] == [m for _, m in routed.conclusion_margins]
         ok &= direct.consistent == routed.consistent
@@ -369,7 +368,7 @@ def test_criterion_8_proof_route_coherence():
             order += Fraction(1, 24)
         case = make_case("T_D1", vals, order, anchor=rng.randint(4, 12))
         direct = evaluate_theorem(case)
-        routed = d1_via_q_reflection(case)
+        routed = evaluate_theorem(case, transport)
         ok &= [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
         ok &= [m for _, m in direct.conclusion_margins] == [m for _, m in routed.conclusion_margins]
         ok &= direct.consistent == routed.consistent

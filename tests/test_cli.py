@@ -271,6 +271,32 @@ class TestInputContract:
         assert code == 3
         assert capsys.readouterr().err == f"domain error: {message}\n"
 
+    @pytest.mark.parametrize("backend", ["floating", "rational"])
+    @pytest.mark.parametrize("name, text, origin", [
+        ("huge.json", json.dumps({"origin": "1e5000", "direction": "forward",
+                                  "values": ["1", "1/2", "-2"]}), "1e5000"),
+        ("tiny.json", json.dumps({"origin": "1e-5000", "direction": "forward",
+                                  "values": ["1", "1/2", "-2"]}), "1e-5000"),
+        ("huge.csv", "1e5000,1\n", "1e5000"),
+    ])
+    def test_an_origin_past_the_bit_cap_is_refused_before_the_operator(
+            self, tmp_path, capsys, monkeypatch, backend, name, text, origin):
+        """Formatting a 5001-digit origin fails past Python's 4300-digit limit;
+        it is refused where it is parsed, so no operator runs."""
+
+        def no_operator(*args, **kwargs):
+            raise AssertionError("the operator ran")
+
+        monkeypatch.setattr("discfrac.cli.apply_operator", no_operator)
+        output = tmp_path / "out.json"
+        code = main(["apply", "--input", write(tmp_path, name, text), "--kind", "delta",
+                     "--family", "sum", "--order", "1/2", "--backend", backend,
+                     "--output", str(output)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"domain error: origin {origin} has more than 4096 bits\n"
+        assert not output.exists()
+
 
 class TestCheck:
     def test_single_identity_passes(self, tmp_path):

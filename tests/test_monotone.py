@@ -18,7 +18,9 @@ from discfrac.errors import BudgetExceeded, DomainError, GridTooShort
 from discfrac.grids import Direction, make_grid_function
 from discfrac.kernels import kernel
 from discfrac.monotone import (
+    Q_TWINS,
     THEOREMS,
+    Declared,
     TheoremStatement,
     _index_chunks,
     _integer_operands,
@@ -28,19 +30,17 @@ from discfrac.monotone import (
     _ray_rows,
     _row_matrices,
     _sign,
-    d1_via_q_reflection,
-    declare,
     default_orders,
     evaluate_theorem,
     expanded_hypothesis_rows,
     is_nu_monotone,
-    jepp_via_dual_transport,
     make_case,
     min_live_length,
     poly_nonneg_on_integer_ray,
     search_campaign,
     search_counterexamples,
     theorem_report,
+    transport,
 )
 from discfrac.operators import (
     CoefficientVector,
@@ -311,7 +311,64 @@ class TestEvaluate:
         assert any(label == "start k->inf" for label, _ in v.hypothesis_margins)
 
 
+# the nabla and right-hand theorems the paper derives from delta ones: Q
+# images of forward theorems, then images under the dual identity
+MIRRORS = ["T_D1", "T_D2", "T_D3", "T_D4", "T_D5", "T_D6", "T_CD1", "T_CD5",
+           "T_JEP", "T_JEPP", "T_SLOV11", "T_SLOV22", "T_SLOV33", "T_UU1", "T_UU2", "T_N1"]
+
+
+def _basis_case(tid, live_length, order):
+    """A case whose stored value i is the coefficient vector e_i, with one
+    more coordinate for constants, as ``_row_matrices`` builds it."""
+    inert = int(THEOREMS[tid].leading_inert)
+    basis = np.eye(live_length + inert, live_length + 1, -inert, dtype=int).astype(object)
+    case = make_case(tid, [0] * live_length, order)
+    return replace(case, f=case.f.with_values(map(CoefficientVector, basis)))
+
+
+def _linear_forms(builder, case):
+    """Hypothesis rows, conclusion rows and rays of one builder run on a
+    ``_basis_case``, each row, ray coefficient and bound as its linear form
+    in lowest terms (the constant coordinate included)."""
+
+    def form(v):
+        g = math.gcd(*v.nums, v.den)
+        return [x // g for x in v.nums], v.den // g
+
+    hyp, rays, concl = builder(case)
+    return ([form(v) for _, v in hyp], [form(v) for _, v in concl],
+            [([form(c) for c in r.r_coeffs], r.q_coeffs, r.start, form(r.bound)) for r in rays])
+
+
+def _operator_points(verdict):
+    return [Fraction(label.split("t=")[1]) for label, _ in verdict.hypothesis_margins
+            if label.startswith("frac")]
+
+
 class TestTransports:
+    def test_transport_gives_each_mirror_its_registered_rows(self):
+        # every mirror x default order x live length up to 8, as linear forms
+        cases = 0
+        for tid in MIRRORS:
+            for order in default_orders(tid):
+                for live_length in range(min_live_length(tid), 9):
+                    case = _basis_case(tid, live_length, order)
+                    transported = _linear_forms(transport, case)
+                    assert transported == _linear_forms(THEOREMS[tid].builder, case), (
+                        tid, order, live_length)
+                    cases += 1
+        assert cases == 291
+
+    def test_the_q_table_names_the_backward_delta_mirrors(self):
+        assert sorted(Q_TWINS) == sorted(MIRRORS[:8])
+        assert all(THEOREMS[twin].direction is Direction.FORWARD for twin, *_ in Q_TWINS.values())
+
+    @pytest.mark.parametrize("tid", [t for t in THEOREMS if t not in MIRRORS])
+    def test_a_theorem_that_is_no_mirror_has_no_route(self, tid):
+        case = make_case(tid, [1] * min_live_length(tid), default_orders(tid)[0])
+        with pytest.raises(DomainError, match="not the mirror"):
+            transport(case)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_jepp_dual_route_matches(self, seed):
         rng = random.Random(seed)
@@ -319,10 +376,12 @@ class TestTransports:
         order = Fraction(rng.randint(5, 7), 4)
         case = make_case("T_JEPP", vals, order)
         direct = evaluate_theorem(case)
-        routed = jepp_via_dual_transport(case)
+        routed = evaluate_theorem(case, transport)
         assert [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
         assert [m for _, m in direct.conclusion_margins] == [m for _, m in routed.conclusion_margins]
         assert direct.consistent == routed.consistent
+        # the route reads the delta difference, nu steps behind the nabla one
+        assert _operator_points(routed) == [t - order for t in _operator_points(direct)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_d1_reflection_route_matches(self, seed):
@@ -331,10 +390,13 @@ class TestTransports:
         order = Fraction(rng.randint(5, 7), 4)
         case = make_case("T_D1", vals, order, anchor=5)
         direct = evaluate_theorem(case)
-        routed = d1_via_q_reflection(case)
+        routed = evaluate_theorem(case, transport)
         assert [m for _, m in direct.hypothesis_margins] == [m for _, m in routed.hypothesis_margins]
         assert [m for _, m in direct.conclusion_margins] == [m for _, m in routed.conclusion_margins]
         assert direct.consistent == routed.consistent
+        # the route reads the forward twin, at the points reflected about a + b
+        a, b = case.f.far_point, case.f.origin
+        assert _operator_points(routed) == [a + b - t for t in _operator_points(direct)]
 
 
 class TestSearch:
@@ -847,7 +909,7 @@ class TestOnePassRows:
         ([monotone._start], _shifted_ray),
     ])
     def test_constant_term_is_rejected(self, monkeypatch, hyp, start):
-        builder = declare(hyp, [monotone._pair(0)], start)
+        builder = Declared(hyp, [monotone._pair(0)], start)
         monkeypatch.setitem(THEOREMS, "T_AFFINE", _statement("T_AFFINE", builder))
         with pytest.raises(AssertionError, match="T_AFFINE: rows are not linear"):
             _row_matrices("T_AFFINE", 3, Fraction(1, 2), 64, 0)
@@ -883,13 +945,13 @@ class TestOnePassRows:
         assert all(isinstance(v, CoefficientVector) for v in cases[0].f.values)
 
     @pytest.mark.parametrize("kind", [monotone._delta_riemann,
-                                      monotone._nabla_riemann(prepend=True),
+                                      monotone._NablaRiemann(prepend=True),
                                       monotone._caputo_bound(1)])
     def test_a_constant_after_an_operator_is_rejected(self, monkeypatch, kind):
         def shifted(case):
             return [(label, v + Fraction(1, 3)) for label, v in kind(case)]
 
-        builder = declare([monotone._start, shifted], [monotone._pair(0)])
+        builder = Declared([monotone._start, shifted], [monotone._pair(0)])
         monkeypatch.setitem(THEOREMS, "T_AFFINE", _statement("T_AFFINE", builder))
         with pytest.raises(AssertionError, match="T_AFFINE: rows are not linear"):
             _row_matrices("T_AFFINE", 3, Fraction(1, 2), 64, 0)
@@ -970,7 +1032,7 @@ class TestRowVerdict:
             nu = case.f.backend.scalar(case.order)
             return monotone._partial_sum_ray(v[-2:], nu, 1, 0)
 
-        builder = declare([monotone._start], [monotone._pair(0)], last_value_ray)
+        builder = Declared([monotone._start], [monotone._pair(0)], last_value_ray)
         monkeypatch.setitem(THEOREMS, "T_LAST_RAY", _statement("T_LAST_RAY", builder))
         values, order = [-1, 0, Fraction(1, 2), 1], Fraction(1, 2)
         tried = _tried_verdicts(monkeypatch, "T_LAST_RAY", values, order, 0, 64, 2)

@@ -22,9 +22,9 @@ from discfrac import monotone, operators
 from discfrac.grids import Direction
 from discfrac.monotone import (
     THEOREMS,
+    Declared,
     TheoremStatement,
     _row_matrices,
-    declare,
     default_orders,
     evaluate_theorem,
     make_case,
@@ -275,7 +275,7 @@ def test_has_ray_names_the_theorems_with_a_start_ray():
 
 def test_row_pass_runs_in_integers(monkeypatch):
     """Every row build of every theorem, default order and length up to 7,
-    the two ``_nabla_riemann(prepend=...)`` kinds included, reaches the
+    the two ``_NablaRiemann(prepend=...)`` kinds included, reaches the
     generic convolution loop with floats only."""
     float_loop = operators._convolve
 
@@ -336,6 +336,6 @@ def _running_mean(case):
 ])
 def test_a_row_kind_that_does_not_nest_is_caught(monkeypatch, hyp, concl):
     stmt = TheoremStatement("T_LOOSE", "test statement", (0, 1), Direction.FORWARD, 0,
-                            False, 2, declare(hyp, concl))
+                            False, 2, Declared(hyp, concl))
     monkeypatch.setitem(THEOREMS, "T_LOOSE", stmt)
     assert nesting_mismatches("T_LOOSE", Fraction(1, 2), 0)
