@@ -208,9 +208,10 @@ def _reject_repeats(flag: str, items) -> None:
         raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}")
 
 
-def _parse_values(text: str, cap: int | None = None) -> list[Fraction]:
-    """The ``--values`` set; a ``lo..hi`` range of more than ``cap`` values
-    is refused before it is built, and cannot repeat a value."""
+def _parse_values(text: str, cap: int | None = None):
+    """The ``--values`` set: a list of exact values, or for ``lo..hi`` a
+    ``range``, which a search reads by index and never builds.  A range of
+    more than ``cap`` values is refused, and cannot repeat a value."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -218,7 +219,9 @@ def _parse_values(text: str, cap: int | None = None) -> list[Fraction]:
         if cap is not None and hi - lo + 1 > cap:
             raise BudgetExceeded(f"--values {text} names more values than the budget of "
                                  f"{cap} evaluations")
-        values = [Fraction(k) for k in range(lo, hi + 1)]
+        if hi - lo + 1 > sys.maxsize:  # past what a search can index
+            raise DomainError(f"--values {text} names more than {sys.maxsize} values")
+        values = range(lo, hi + 1)
     else:
         values = [_parse_number(part) for part in text.split(",") if part.strip()]
         _reject_repeats("--values", values)
@@ -228,7 +231,7 @@ def _parse_values(text: str, cap: int | None = None) -> list[Fraction]:
 
 
 def cmd_theorems(args) -> int:
-    from .monotone import THEOREMS, min_live_length, search_campaign  # loads numpy
+    from .monotone import THEOREMS, search_theorems  # loads numpy
 
     _reject_repeats("--id", args.id)
     if not args.id:
@@ -244,22 +247,16 @@ def cmd_theorems(args) -> int:
     values = _parse_values(args.values, None if args.random else args.budget)
     orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
     _reject_repeats("--nu", orders or [])
+    # one config for every record: a long --values range is listed once
+    config = {"mode": mode, "seed": args.seed, "k_cap": args.k_cap, "budget": args.budget,
+              "values": [str(v) for v in values]}
     records = []
     any_counterexample = False
-    for tid in ids:
-        length = max(args.length, min_live_length(tid))
-        results = search_campaign(
-            tid, length, values, orders, mode, args.budget, args.seed, args.k_cap
-        )
+    for tid, results in search_theorems(ids, args.length, values, orders, mode, args.budget,
+                                        args.seed, args.k_cap):
         for r in results:
             rec = r.as_record()
-            rec["config"] = {
-                "mode": mode,
-                "seed": args.seed,
-                "k_cap": args.k_cap,
-                "budget": args.budget,
-                "values": [str(v) for v in values],
-            }
+            rec["config"] = config
             if THEOREMS[tid].note:
                 rec["note"] = THEOREMS[tid].note
             records.append(rec)

@@ -43,7 +43,9 @@ exact coefficients as ``evaluate_theorem`` settles it; only the witness a
 result reports is confirmed with ``evaluate_theorem``.  Witness order and
 the conclusion margin come from float rows rounded from the exact ones.
 Enumeration and candidate ordering are canonical, so results are
-deterministic for a fixed seed.
+deterministic for a fixed seed.  Within one ``search_theorems`` run,
+theorems whose exact rows are equal share one search; each still confirms
+its own counterexamples and witness.
 
 ``transport`` derives the rows of the 16 nabla and right-hand mirrors from
 their delta twins, as the paper proves them: the Q images by ``Q_TWINS``, the
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -662,29 +665,31 @@ EXACT_FLOAT_LIMIT = 2 ** 53
 class _RowBlock:
     """Linear rows in the live values: exact, primitive integer and float.
 
+    ``exact`` holds each row as (integer numerators, positive denominator).
     ``scaled[r]`` is exact row r times the positive factor that makes it a
     primitive integer vector, so its dot product with integer values has
-    the row's sign.  ``floats`` rounds each exact coefficient once; it
-    orders witnesses and reports margins.
+    the row's sign.  ``floats`` rounds each exact coefficient once (the
+    correctly rounded ``n / d``); it orders witnesses and reports margins.
+    Both are built on first use, so a search that finds its exact rows
+    already searched builds neither.
     """
 
-    scaled: list
-    floats: np.ndarray
-    l1: int  # largest ||scaled row||_1
-    exact: list  # the unscaled rows, (integer numerators, positive denominator)
+    exact: list
+    length: int
 
-    @staticmethod
-    def of(rows: list, length: int) -> "_RowBlock":
-        """Block of exact rows, each given as (integer numerators, positive
-        denominator); the float of ``n / d`` is the correctly rounded quotient."""
-        scaled, floats = [], []
-        for nums, den in rows:
-            g = math.gcd(*nums) or 1
-            scaled.append([x // g for x in nums])
-            floats.append([x / den for x in nums])
-        floats = np.array(floats, dtype=float).reshape(len(rows), length)
-        l1 = max((sum(map(abs, row)) for row in scaled), default=0)
-        return _RowBlock(scaled, floats, l1, rows)
+    @cached_property
+    def scaled(self) -> list:
+        return [[x // g for x in nums] for nums, _ in self.exact
+                for g in [math.gcd(*nums) or 1]]
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        return np.array([[x / den for x in nums] for nums, den in self.exact],
+                        dtype=float).reshape(len(self.exact), self.length)
+
+    @cached_property
+    def l1(self) -> int:  # largest ||scaled row||_1
+        return max((sum(map(abs, row)) for row in self.scaled), default=0)
 
 
 def _exact_row(value) -> tuple:
@@ -738,19 +743,61 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     values = [v for _, v in hyp + concl] + [x for ray in rays for x in (*ray.r_coeffs, ray.bound)]
     if any(v.nums[-1] for v in values):
         raise AssertionError(f"{theorem_id}: rows are not linear in the data")
-    return _RowBlock.of(hyp_rows, live_length), _RowBlock.of(concl_rows, live_length), ray_rows
+    return _RowBlock(hyp_rows, live_length), _RowBlock(concl_rows, live_length), ray_rows
 
 
-def _integer_operands(blocks, value_ints: list):
+def _ends(values: range) -> list:
+    """The first and last value of a range; the larger magnitude bounds
+    every value in it."""
+    return [*values[:1], *values[-1:]]
+
+
+class _Arange:
+    """``np.array(values, dtype)`` for a ``range`` of integers, read by
+    index arrays and never built: a ``lo..hi`` range costs nothing per value
+    that no search draws."""
+
+    def __init__(self, values: range, dtype):
+        self.values, self.dtype = values, dtype
+        # int64 holds every value and offset when both ends lie below 2**62
+        small = max(map(abs, _ends(values)), default=0) < 2 ** 62
+        self.wide = np.int64 if small else object
+
+    def __getitem__(self, idx):
+        offsets = np.multiply(idx, self.values.step, dtype=self.wide)
+        return np.add(offsets, self.values.start, dtype=self.wide).astype(self.dtype)
+
+
+def _table(values, dtype):
+    """``values`` as an array in ``dtype``, a ``range`` as an ``_Arange``."""
+    return _Arange(values, dtype) if isinstance(values, range) else np.array(values, dtype=dtype)
+
+
+def _value_tables(values):
+    """(integer numerators, their positive common denominator, float table)
+    of exact values read by index.  A ``range`` is its own numerators over 1,
+    and only its two ends are checked to lie in the double range, which
+    bounds every value between them."""
+    if isinstance(values, range):
+        for end in _ends(values):
+            FLOATING.scalar(end)
+        return values, 1, _Arange(values, float)
+    nums, scale = cleared(values)
+    return nums, scale, np.array([FLOATING.scalar(v) for v in values])
+
+
+def _integer_operands(blocks, value_ints):
     """Integer row matrices and value table for an exact sign test.
 
     float64 when every partial sum is an integer below 2**53 in magnitude,
-    so BLAS computes it exactly; Python integers otherwise.
+    so BLAS computes it exactly; Python integers otherwise.  A ``range`` of
+    values is read from its ends and tabled by ``_table``.
     """
-    bound = max(b.l1 for b in blocks) * max((abs(v) for v in value_ints), default=0)
+    ends = _ends(value_ints) if isinstance(value_ints, range) else value_ints
+    bound = max(b.l1 for b in blocks) * max(map(abs, ends), default=0)
     dtype = np.float64 if bound < EXACT_FLOAT_LIMIT else object
-    mats = [np.array(b.scaled, dtype=dtype).reshape(b.floats.shape) for b in blocks]
-    return mats, np.array(value_ints, dtype=dtype)
+    mats = [np.array(b.scaled, dtype=dtype).reshape(len(b.exact), b.length) for b in blocks]
+    return mats, _table(value_ints, dtype)
 
 
 def _last_read(mat) -> np.ndarray:
@@ -878,11 +925,18 @@ def _row_verdict(hyp: _RowBlock, levels, rays: list, d: int, value_scale: int) -
     return margin
 
 
-def _search_instance(theorem_id: str, live_length: int, value_set, order,
-                     mode: str, samples: int | None, seed: int, k_cap: int,
-                     anchor) -> Callable[[int], SearchResult]:
-    """Build the rows at ``live_length`` once; return d -> the length-d
-    result, for every d from ``min_live_length`` on.
+def _row_key(rows: list) -> tuple:
+    """Exact rows, each (integer numerators, denominator), as a dict key."""
+    return tuple((tuple(nums), den) for nums, den in rows)
+
+
+def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_length: int,
+                shallowest: int, mode: str, samples: int | None,
+                rng_key: str | None) -> Callable[[int], tuple]:
+    """The search of one exact row set: d -> (survivor count, smallest float
+    conclusion margin or None, survivors with a negative conclusion row,
+    witness, witness margin) at length d, for every d from ``shallowest``
+    on, each computed once.
 
     The length-d rows are, as a set, the length-``live_length`` rows of
     level < d cut to d coefficients (``test_rows_nest_across_lengths``),
@@ -892,18 +946,11 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     positivity, indices).  Exhaustive mode scans the one prefix tree up
     front, its depth-d survivors being the length-d survivors in
     enumeration order; random mode scans length d's own sample stream the
-    first time its result is asked for.  Then ``evaluate_theorem`` confirms
-    the counterexample suspects, and the witness tries are decided from the
-    exact rows (``search_campaign`` confirms the witness it reports)."""
-    values_exact = [as_fraction(v) for v in value_set]
-    value_ints, value_scale = cleared(values_exact)
-    exact_ints = np.array(value_ints, dtype=object)
-    value_floats = np.array([FLOATING.scalar(v) for v in values_exact])
-    hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
-    k = len(values_exact)
-    shallowest = min_live_length(theorem_id)
-    if any(level >= shallowest for *_, level in rays):
-        raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
+    first time its result is asked for.  The witness tries are decided from
+    the exact rows."""
+    value_ints, value_scale, value_floats = _value_tables(values)
+    exact_ints = _table(value_ints, object)
+    k = len(values)
     (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
     h, c = _last_read(hyp_int), _last_read(concl_int)
     rows = {d: (hyp_int[h < d, :d], hyp.floats[h < d, :d], concl_int[c < d, :d],
@@ -912,9 +959,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     min_concl = dict.fromkeys(rows, math.inf)
     pools = {d: (np.empty(0, np.int64), np.empty(0), np.empty(0, bool),
                  np.empty((0, d), np.intp)) for d in rows}
-    rng_key = (seed, theorem_id, str(order)).__repr__()
     levels = _row_levels(hyp_int, live_length)
-    unscanned = set(rows) if mode == "random" else set()
 
     def scan(survivors):
         for idx, positions in survivors:
@@ -934,16 +979,10 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     if mode == "exhaustive":
         scan(_survivors(k, levels, ints, mode, samples, rng_key, shallowest))
 
-    def exact_case(idx_row):
-        combo = tuple(values_exact[i] for i in idx_row)
-        return make_case(theorem_id, combo, order, anchor, k_cap)
-
-    def result(d: int) -> SearchResult:
-        if d in unscanned:
-            unscanned.discard(d)
+    @cache
+    def found(d: int) -> tuple:
+        if mode == "random":
             scan(_survivors(k, levels[:d], ints, mode, samples, rng_key))
-        counterexamples = [case for case in map(exact_case, suspects[d])
-                           if not evaluate_theorem(case).consistent]
         # nonvacuity witness: the hypothesis-true nonzero function with the best
         # margin, strictly positive when the value set admits one at all.  Once
         # a witness (margin >= 0) is found, only exactly positive rows beat it.
@@ -956,13 +995,55 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
             margin = margin_of(exact_ints[pool_idx[j]])
             if margin is None:
                 continue
-            witness, witness_margin = tuple(values_exact[i] for i in pool_idx[j]), margin
+            witness, witness_margin = tuple(as_fraction(values[i]) for i in pool_idx[j]), margin
             if margin > 0:
                 break
-        instances = k ** d if mode == "exhaustive" else samples
-        return SearchResult(theorem_id, as_fraction(order), d, instances, counts[d],
-                            min_concl[d] if counts[d] else None, counterexamples,
-                            witness, witness_margin)
+        return (counts[d], min_concl[d] if counts[d] else None, suspects[d],
+                witness, witness_margin)
+
+    return found
+
+
+def _search_instance(theorem_id: str, live_length: int, value_set, order,
+                     mode: str, samples: int | None, seed: int, k_cap: int,
+                     anchor, searches: dict | None = None) -> Callable[[int], SearchResult]:
+    """Build the rows at ``live_length`` once; return d -> the length-d
+    result, for every d from ``min_live_length`` on.
+
+    The search itself (``_row_search``) is kept in ``searches`` under all it
+    reads: the exact hypothesis, conclusion and ray rows with their starts,
+    the two lengths, the value set, the mode, and in random mode the sample
+    count and this theorem's own stream.  A theorem whose key an earlier
+    search holds reads that search's survivors and witnesses, and builds no
+    integer or float row.  ``evaluate_theorem`` confirms the counterexample
+    suspects on this theorem's own cases, and every result is a new
+    ``SearchResult`` (``search_campaign`` confirms the witness it reports)."""
+    hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
+    shallowest = min_live_length(theorem_id)
+    if any(level >= shallowest for *_, level in rays):
+        raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
+    values = value_set if isinstance(value_set, range) else tuple(map(as_fraction, value_set))
+    rng_key = repr((seed, theorem_id, str(order))) if mode == "random" else None
+    key = (_row_key(hyp.exact), _row_key(concl.exact),
+           tuple((_row_key(coeffs), start) for coeffs, start, _ in rays), live_length,
+           shallowest, values, mode, samples, rng_key)
+    searches = {} if searches is None else searches
+    if key not in searches:
+        searches[key] = _row_search(hyp, concl, rays, values, live_length, shallowest, mode,
+                                    samples, rng_key)
+    search = searches[key]
+
+    def exact_case(idx_row):
+        combo = tuple(as_fraction(values[i]) for i in idx_row)
+        return make_case(theorem_id, combo, order, anchor, k_cap)
+
+    def result(d: int) -> SearchResult:
+        count, min_concl, suspects, witness, witness_margin = search(d)
+        counterexamples = [case for case in map(exact_case, suspects)
+                           if not evaluate_theorem(case).consistent]
+        instances = len(values) ** d if mode == "exhaustive" else samples
+        return SearchResult(theorem_id, as_fraction(order), d, instances, count, min_concl,
+                            counterexamples, witness, witness_margin)
 
     return result
 
@@ -993,8 +1074,10 @@ def search_counterexamples(theorem_id: str, grid_length: int, value_set,
 def search_campaign(theorem_id: str, grid_length: int, value_set,
                     nu_samples=None, mode: str = "exhaustive",
                     budget: int = 500_000, seed: int = 0, k_cap: int = 64,
-                    anchor=0) -> list[SearchResult]:
-    """Per-order search results, including witness and statistics."""
+                    anchor=0, searches: dict | None = None) -> list[SearchResult]:
+    """Per-order search results, including witness and statistics.
+    ``searches`` holds the searches to share with other theorems of one run
+    (``search_theorems``); by default each order searches on its own."""
     if theorem_id not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
     shortest = min_live_length(theorem_id)
@@ -1022,7 +1105,7 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     results = []
     for order in orders:
         result = _search_instance(theorem_id, grid_length, value_set, order, mode, samples,
-                                  seed, k_cap, anchor)
+                                  seed, k_cap, anchor, searches)
         res = result(grid_length)
         # nonvacuity fallback: shorter grids often admit a strictly positive
         # margin that the capped value set rules out at full length.  The
@@ -1048,6 +1131,19 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     return results
 
 
+def search_theorems(theorem_ids, grid_length: int, value_set, nu_samples=None,
+                    mode: str = "exhaustive", budget: int = 500_000, seed: int = 0,
+                    k_cap: int = 64) -> list[tuple[str, list[SearchResult]]]:
+    """(theorem id, ``search_campaign`` results) for each theorem, in order,
+    each at ``grid_length`` or its own minimum length if longer.  Theorems
+    whose rows are equal once built share one search (``_search_instance``);
+    the searches are dropped when the call returns."""
+    searches = {}
+    return [(tid, search_campaign(tid, max(grid_length, min_live_length(tid)), value_set,
+                                  nu_samples, mode, budget, seed, k_cap, searches=searches))
+            for tid in theorem_ids]
+
+
 def theorem_report(theorem_ids=None, grid_length: int = 6, value_set=None,
                    mode: str = "exhaustive", budget: int = 500_000, seed: int = 0,
                    k_cap: int = 64) -> list[dict]:
@@ -1055,9 +1151,8 @@ def theorem_report(theorem_ids=None, grid_length: int = 6, value_set=None,
     ids = list(theorem_ids or THEOREMS)
     values = value_set or [Fraction(k, 2) for k in range(-2, 3)]
     report = []
-    for tid in ids:
-        length = max(grid_length, min_live_length(tid))
-        per_order = search_campaign(tid, length, values, None, mode, budget, seed, k_cap)
+    for tid, per_order in search_theorems(ids, grid_length, values, None, mode, budget,
+                                          seed, k_cap):
         entry = {
             "id": tid,
             "description": THEOREMS[tid].description,

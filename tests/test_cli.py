@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -415,9 +416,9 @@ class TestTheorems:
         assert not report.exists()
         with pytest.raises(BudgetExceeded):
             _parse_values("0..3000000", 500_000)
-        # one value past the budget; a range within it is built as before
+        # one value past the budget; a range within it stays a range, never built
         assert main(["theorems", "--id", "T_U1", "--values", "1..11", "--budget", "10"]) == 4
-        assert _parse_values("1..10", 10) == [Fraction(k) for k in range(1, 11)]
+        assert _parse_values("1..10", 10) == range(1, 11)
 
     def test_k_cap_past_the_budget_is_refused_unbuilt(self, tmp_path, capsys):
         # a start ray makes one hypothesis row per k up to --k-cap: at 1,000,000
@@ -440,6 +441,13 @@ class TestTheorems:
                      "--budget", "10", "--length", "2", "--nu", "1/2",
                      "--report", str(tmp_path / "t.jsonl")])
         assert code == 0
+
+    def test_a_range_past_what_a_search_can_index_is_a_domain_error(self, capsys):
+        code = main(["theorems", "--id", "T_U1", "--random", "--values", f"0..{2 ** 63}",
+                     "--length", "2"])
+        assert code == 3
+        assert capsys.readouterr().err == (f"domain error: --values 0..{2 ** 63} names more "
+                                           f"than {sys.maxsize} values\n")
 
     @pytest.mark.parametrize("mode", ["--exhaustive", "--random"])
     def test_a_range_reports_as_its_comma_list(self, tmp_path, capsys, mode):

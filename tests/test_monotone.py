@@ -39,6 +39,7 @@ from discfrac.monotone import (
     poly_nonneg_on_integer_ray,
     search_campaign,
     search_counterexamples,
+    search_theorems,
     theorem_report,
     transport,
 )
@@ -1056,3 +1057,112 @@ class TestRowVerdict:
         with pytest.raises(AssertionError, match="T_TWO_FACED: the rows and "
                                                  "evaluate_theorem disagree"):
             search_campaign("T_TWO_FACED", 2, [0, 1], [Fraction(1, 2)])
+
+
+def _records(pairs) -> dict:
+    return {tid: [r.as_record() for r in results] for tid, results in pairs}
+
+
+def _alone(ids, length, values, **kwargs) -> dict:
+    """Each theorem's records from a ``search_campaign`` of its own."""
+    return {tid: [r.as_record() for r in search_campaign(
+        tid, max(length, min_live_length(tid)), values, **kwargs)] for tid in ids}
+
+
+def _count_scans(monkeypatch) -> list:
+    scans = []
+    survivors = monotone._survivors
+
+    def counting(*args):
+        scans.append(args)
+        return survivors(*args)
+
+    monkeypatch.setattr(monotone, "_survivors", counting)
+    return scans
+
+
+class TestSharedSearches:
+    """A ``search_theorems`` run searches each distinct row set once; every
+    (theorem, order) still gets the record it gets searched on its own."""
+
+    @pytest.mark.parametrize("length", [4, 5, 6])
+    @pytest.mark.parametrize("values", [CAMPAIGN_VALUES, [-2, -1, 0, Fraction(1, 3), 1, 2]],
+                             ids=["halves", "thirds"])
+    def test_one_run_equals_each_theorem_alone(self, monkeypatch, values, length):
+        scans = _count_scans(monkeypatch)
+        shared = _records(search_theorems(list(THEOREMS), length, values))
+        searched = len(scans)
+        assert shared == _alone(THEOREMS, length, values)
+        # exhaustive mode scans once per search: 84 alone, fewer shared
+        assert len(scans) - searched == 84
+        assert searched < 84
+        if values is CAMPAIGN_VALUES and length == 6:
+            assert searched == 42
+
+    def test_random_mode_shares_nothing(self, monkeypatch):
+        scans = _count_scans(monkeypatch)
+        kwargs = dict(mode="random", budget=900, seed=5)
+        shared = _records(search_theorems(list(THEOREMS), 6, CAMPAIGN_VALUES, **kwargs))
+        searched = len(scans)
+        assert shared == _alone(THEOREMS, 6, CAMPAIGN_VALUES, **kwargs)
+        # each (theorem, order) draws from its own stream, so each length it
+        # visits is scanned in the run as on its own
+        assert searched == len(scans) - searched >= 84
+
+    def test_a_row_set_one_row_short_is_searched_on_its_own(self, monkeypatch):
+        # T_C1 builds T_JEP1's rows, so T_D1 and T_CD1 do too; without its
+        # second start row, f(1) >= f(0), T_C1 is false
+        ids = ["T_JEP1", "T_C1", "T_D1", "T_CD1"]
+        scans = _count_scans(monkeypatch)
+        before = _records(search_theorems(ids, 5, CAMPAIGN_VALUES))
+        assert len(scans) == 3  # one search per order
+        stmt = THEOREMS["T_C1"]
+        monkeypatch.setitem(THEOREMS, "T_C1", replace(stmt, builder=Declared(
+            [monotone._start, monotone._caputo_bound(2)], stmt.builder.concl)))
+        pairs = search_theorems(ids, 5, CAMPAIGN_VALUES)
+        assert len(scans) == 3 + 6  # and one more per order for T_C1
+        after = _records(pairs)
+        assert after["T_C1"] == _alone(["T_C1"], 5, CAMPAIGN_VALUES)["T_C1"]
+        for tid in ("T_JEP1", "T_D1", "T_CD1"):
+            assert after[tid] == before[tid]
+        results = dict(pairs)["T_C1"]
+        assert all(r.counterexamples for r in results)
+        for case in (case for r in results for case in r.counterexamples):
+            assert case.theorem_id == "T_C1"
+            assert not evaluate_theorem(case).consistent
+
+    def test_a_search_is_keyed_by_its_value_set(self):
+        searches = {}
+        for values, length in (([-1, 0, 1], 4), ([0, 1, 2], 4), ([0, 1, 2], 3)):
+            got = search_campaign("T_UU1", length, values, searches=searches)
+            assert [r.as_record() for r in got] == _alone(["T_UU1"], length, values)["T_UU1"]
+        assert len(searches) == 9
+
+    def test_results_are_never_shared_objects(self):
+        # the nonvacuity fallback appends to a result's counterexamples
+        pairs = search_theorems(["T_U1", "T_UU1", "T_C5"], 4, [-1, 0, 1])
+        results = [r for _, per_order in pairs for r in per_order]
+        assert len({id(r) for r in results}) == len({id(r.counterexamples) for r in results}) == 9
+
+
+class TestValueRanges:
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("start", [-2, 2 ** 40, 10 ** 20])
+    def test_a_range_searches_as_its_list(self, mode, start):
+        # int64 values in a float64 table, in an object table, and past int64
+        values = range(start, start + 4)
+        for tid in ("T_U1", "T_SLOV1"):
+            kwargs = dict(mode=mode, budget=1000, seed=3)
+            assert _alone([tid], 4, values, **kwargs) == _alone([tid], 4, list(values), **kwargs)
+
+    def test_a_long_range_is_never_built(self):
+        # 10**15 values: built, they would not fit in memory
+        result, = search_campaign("T_U1", 2, range(10 ** 15), [Fraction(1, 2)], mode="random",
+                                  budget=10)
+        assert result.instances == 10
+        assert all(0 <= x < 10 ** 15 and isinstance(x, Fraction) for x in result.witness)
+
+    def test_a_range_past_the_double_range_is_refused(self):
+        with pytest.raises(DomainError, match="outside the double range"):
+            search_campaign("T_U1", 2, range(10 ** 400), [Fraction(1, 2)], mode="random",
+                            budget=10)
