@@ -43,9 +43,9 @@ exact coefficients as ``evaluate_theorem`` settles it; only the witness a
 result reports is confirmed with ``evaluate_theorem``.  Witness order and
 the conclusion margin come from float rows rounded from the exact ones.
 Enumeration and candidate ordering are canonical, so results are
-deterministic for a fixed seed.  Within one ``search_theorems`` run,
-theorems whose exact rows are equal share one search; each still confirms
-its own counterexamples and witness.
+deterministic for a fixed seed.  Within one exhaustive ``search_theorems``
+run, theorems whose exact rows are equal share one search; each still
+confirms its own counterexamples and witness.
 
 ``transport`` derives the rows of the 16 nabla and right-hand mirrors from
 their delta twins, as the paper proves them: the Q images by ``Q_TWINS``, the
@@ -746,58 +746,50 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     return _RowBlock(hyp_rows, live_length), _RowBlock(concl_rows, live_length), ray_rows
 
 
-def _ends(values: range) -> list:
-    """The first and last value of a range; the larger magnitude bounds
-    every value in it."""
-    return [*values[:1], *values[-1:]]
-
-
 class _Arange:
     """``np.array(values, dtype)`` for a ``range`` of integers, read by
     index arrays and never built: a ``lo..hi`` range costs nothing per value
-    that no search draws."""
+    that no search draws.  Values are computed as Python integers, so no
+    range overflows."""
 
-    def __init__(self, values: range, dtype):
+    def __init__(self, values: range, dtype=object):
         self.values, self.dtype = values, dtype
-        # int64 holds every value and offset when both ends lie below 2**62
-        small = max(map(abs, _ends(values)), default=0) < 2 ** 62
-        self.wide = np.int64 if small else object
 
     def __getitem__(self, idx):
-        offsets = np.multiply(idx, self.values.step, dtype=self.wide)
-        return np.add(offsets, self.values.start, dtype=self.wide).astype(self.dtype)
+        offsets = np.multiply(idx, self.values.step, dtype=object)
+        return np.add(offsets, self.values.start, dtype=object).astype(self.dtype)
 
-
-def _table(values, dtype):
-    """``values`` as an array in ``dtype``, a ``range`` as an ``_Arange``."""
-    return _Arange(values, dtype) if isinstance(values, range) else np.array(values, dtype=dtype)
+    def astype(self, dtype):
+        return _Arange(self.values, dtype)
 
 
 def _value_tables(values):
-    """(integer numerators, their positive common denominator, float table)
-    of exact values read by index.  A ``range`` is its own numerators over 1,
-    and only its two ends are checked to lie in the double range, which
-    bounds every value between them."""
+    """(integer numerators as an object table read by index, their positive
+    common denominator, float table, largest numerator magnitude) of exact
+    values.  A ``range`` is its own numerators over 1, tabled by
+    ``_Arange``; only its two ends are checked to lie in the double range,
+    and the larger of them bounds every value between them."""
     if isinstance(values, range):
-        for end in _ends(values):
+        ends = [*values[:1], *values[-1:]]
+        for end in ends:
             FLOATING.scalar(end)
-        return values, 1, _Arange(values, float)
+        return _Arange(values), 1, _Arange(values, float), max(map(abs, ends), default=0)
     nums, scale = cleared(values)
-    return nums, scale, np.array([FLOATING.scalar(v) for v in values])
+    return (np.array(nums, dtype=object), scale, np.array([FLOATING.scalar(v) for v in values]),
+            max(map(abs, nums), default=0))
 
 
-def _integer_operands(blocks, value_ints):
-    """Integer row matrices and value table for an exact sign test.
+def _integer_operands(blocks, value_ints, largest: int):
+    """Integer row matrices and value table for an exact sign test, from
+    the object table ``value_ints`` whose magnitudes are at most ``largest``.
 
     float64 when every partial sum is an integer below 2**53 in magnitude,
-    so BLAS computes it exactly; Python integers otherwise.  A ``range`` of
-    values is read from its ends and tabled by ``_table``.
+    so BLAS computes it exactly; Python integers otherwise.
     """
-    ends = _ends(value_ints) if isinstance(value_ints, range) else value_ints
-    bound = max(b.l1 for b in blocks) * max(map(abs, ends), default=0)
+    bound = max(b.l1 for b in blocks) * largest
     dtype = np.float64 if bound < EXACT_FLOAT_LIMIT else object
     mats = [np.array(b.scaled, dtype=dtype).reshape(len(b.exact), b.length) for b in blocks]
-    return mats, _table(value_ints, dtype)
+    return mats, value_ints.astype(dtype)
 
 
 def _last_read(mat) -> np.ndarray:
@@ -948,10 +940,9 @@ def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_lengt
     enumeration order; random mode scans length d's own sample stream the
     first time its result is asked for.  The witness tries are decided from
     the exact rows."""
-    value_ints, value_scale, value_floats = _value_tables(values)
-    exact_ints = _table(value_ints, object)
+    exact_ints, value_scale, value_floats, largest = _value_tables(values)
     k = len(values)
-    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), value_ints)
+    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), exact_ints, largest)
     h, c = _last_read(hyp_int), _last_read(concl_int)
     rows = {d: (hyp_int[h < d, :d], hyp.floats[h < d, :d], concl_int[c < d, :d],
                 concl.floats[c < d, :d]) for d in range(shallowest, live_length + 1)}
@@ -1010,12 +1001,12 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     """Build the rows at ``live_length`` once; return d -> the length-d
     result, for every d from ``min_live_length`` on.
 
-    The search itself (``_row_search``) is kept in ``searches`` under all it
-    reads: the exact hypothesis, conclusion and ray rows with their starts,
-    the two lengths, the value set, the mode, and in random mode the sample
-    count and this theorem's own stream.  A theorem whose key an earlier
-    search holds reads that search's survivors and witnesses, and builds no
-    integer or float row.  ``evaluate_theorem`` confirms the counterexample
+    An exhaustive search (``_row_search``) is kept in ``searches`` under all
+    it reads: the exact hypothesis, conclusion and ray rows with their
+    starts, the two lengths and the value set.  A theorem whose key an
+    earlier search holds reads that search's survivors and witnesses, and
+    builds no integer or float row.  A random search draws from this
+    theorem's own stream, so none repeats and none is kept.  ``evaluate_theorem`` confirms the counterexample
     suspects on this theorem's own cases, and every result is a new
     ``SearchResult`` (``search_campaign`` confirms the witness it reports)."""
     hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
@@ -1026,8 +1017,8 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     rng_key = repr((seed, theorem_id, str(order))) if mode == "random" else None
     key = (_row_key(hyp.exact), _row_key(concl.exact),
            tuple((_row_key(coeffs), start) for coeffs, start, _ in rays), live_length,
-           shallowest, values, mode, samples, rng_key)
-    searches = {} if searches is None else searches
+           shallowest, values)
+    searches = {} if searches is None or mode == "random" else searches
     if key not in searches:
         searches[key] = _row_search(hyp, concl, rays, values, live_length, shallowest, mode,
                                     samples, rng_key)

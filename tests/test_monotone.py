@@ -635,7 +635,7 @@ class TestExactPrefilter:
     def test_huge_values_use_exact_integers(self, tid, order):
         values = [-2 ** 40, 0, 2 ** 40]
         hyp, concl, _ = _row_matrices(tid, 6, order, 64, 0)
-        (h_int, c_int), ints = _integer_operands((hyp, concl), values)
+        (h_int, c_int), ints = _operands((hyp, concl), values)
         assert h_int.dtype == c_int.dtype == ints.dtype == object
         hyp_count = 0
         for combo in itertools.product(range(3), repeat=6):
@@ -650,6 +650,11 @@ class TestExactPrefilter:
         (result,) = search_campaign(tid, 6, values, [order])
         assert result.hypothesis_count == hyp_count
         assert result.counterexamples == []
+
+
+def _operands(blocks, nums):
+    """``_integer_operands`` on a list of integer numerators."""
+    return _integer_operands(blocks, np.array(nums, dtype=object), max(map(abs, nums)))
 
 
 def _reference_vectors(theorem_id, length, values, order, mode, samples, seed):
@@ -671,7 +676,7 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
     values = [Fraction(v) for v in value_set]
     scale = math.lcm(*(v.denominator for v in values))
     hyp, concl, _ = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
-    (h_int, c_int), ints = _integer_operands((hyp, concl), [int(v * scale) for v in values])
+    (h_int, c_int), ints = _operands((hyp, concl), [int(v * scale) for v in values])
     idx = _reference_vectors(theorem_id, live_length, values, order, mode, samples, seed)
     F = ints[idx]
     hyp_min = (F @ h_int.T).min(axis=1)
@@ -761,7 +766,7 @@ class TestPrefixSearch:
         order = default_orders(tid)[0]
         hyp, concl, _ = _row_matrices(tid, length, order, 64, 0)
         scale = math.lcm(*(Fraction(v).denominator for v in values))
-        (h_int, _), ints = _integer_operands((hyp, concl), [int(v * scale) for v in values])
+        (h_int, _), ints = _operands((hyp, concl), [int(v * scale) for v in values])
         if values is _HUGE:
             assert h_int.dtype == object
 
@@ -892,7 +897,7 @@ class TestOnePassRows:
         values = [-1, 0, Fraction(1, 2), 1]
         length, order, k_cap = min_live_length(tid), default_orders(tid)[1], 12
         hyp, concl, _ = _row_matrices(tid, length, order, k_cap, 0)
-        (h_int, c_int), ints = _integer_operands((hyp, concl), [int(2 * v) for v in values])
+        (h_int, c_int), ints = _operands((hyp, concl), [int(2 * v) for v in values])
         for combo in itertools.product(range(len(values)), repeat=length):
             live = [values[i] for i in combo]
             verdict = evaluate_theorem(make_case(tid, live, order, 0, k_cap))
