@@ -13,11 +13,12 @@ with ``beta = alpha`` for sums and ``beta = -alpha`` for direct
 differences; the normalizing ``1/Gamma(beta)`` is always fused into the
 product so the exact backend never evaluates a transcendental gamma.
 
-Exact weights come from one integer recurrence in ``kernel_vector``,
-which ``binomial_weight`` reads to its lag.  Floating weights and
-``gamma_ratio`` products come from one log-gamma helper with explicit
-sign tracking (``_float_rising``; never a direct gamma of a large
-argument), so kernels stay finite at large lags.
+Every weight comes from one recurrence in ``kernel_vector``,
+``w(beta, lag) = w(beta, lag-1) * (beta+lag-1) / lag``, formed in integers
+on the exact backend and in floats on the floating one; ``binomial_weight``
+reads it to its lag.  ``gamma_ratio`` is the same product, unnormalized,
+on both backends.  Log-gamma serves only ``falling`` and ``rising`` at
+non-integer exponents.
 
 ``kernel(..., as_integers=True)`` hands the operators a kernel in the
 ``(nums, den)`` form of ``GridFunction.parts``: exact weights cleared to
@@ -141,60 +142,49 @@ def gamma_ratio(x, k: int, backend=FLOATING):
     if k < 0:
         raise DomainError("gamma_ratio needs k >= 0")
     xf = as_fraction(x)
-    if backend.exact:
-        prod = Fraction(1)
-        for j in range(k):
-            prod *= xf + j
-        return backend.guard(prod)
-    return _float_rising(float(xf), k)
-
-
-def _float_rising(x: float, k: int, per_factorial: bool = False) -> float:
-    """``x(x+1)...(x+k-1)``, over ``k!`` with ``per_factorial``, via log-gamma:
-    a zero factor gives 0, a negative head of factors is an explicit short
-    product and the positive tail a log-gamma quotient."""
+    start = xf if backend.exact else float(xf)
+    prod = backend.one
     for j in range(k):
-        if x + j == 0.0:
-            return 0.0
-    log_factorial = math.lgamma(k + 1) if per_factorial else 0.0
-    if x > 0:
-        return math.exp(math.lgamma(x + k) - math.lgamma(x) - log_factorial)
-    j0 = 0
-    while j0 < k and x + j0 < 0:
-        j0 += 1
-    head = 1.0
-    for j in range(j0):
-        head *= x + j
-    if j0 >= k:
-        return head / math.factorial(k) if per_factorial else head
-    return head * math.exp(math.lgamma(x + k) - math.lgamma(x + j0) - log_factorial)
+        prod *= start + j
+    # ``or`` turns a float -0.0 into +0.0
+    return backend.guard(prod or backend.zero)
 
 
 def binomial_weight(beta, lag: int, backend=FLOATING):
     """Kernel weight ``w(beta, lag) = Gamma(beta+lag)/(Gamma(beta) lag!)``."""
     if lag < 0:
         raise DomainError("kernel lag must be nonnegative")
-    if backend.exact:
-        return kernel_vector(beta, lag + 1, backend)[lag]
-    return _float_rising(float(beta), lag, per_factorial=True)
+    return kernel_vector(beta, lag + 1, backend)[lag]
 
 
 def kernel_vector(beta, count: int, backend=FLOATING) -> list:
-    """Weights ``[w(beta, 0), ..., w(beta, count-1)]``; for exact beta = p/q each
-    weight is the last times (p + q*(lag-1)) / (q*lag), formed in integers."""
+    """Weights ``[w(beta, 0), ..., w(beta, count-1)]``, each the last times
+    (beta + lag - 1) / lag.
+
+    On the exact backend, beta = p/q takes the step in integers,
+    (p + q*(lag-1)) / (q*lag), and each weight is guarded.  On the floating
+    one the step multiplies before it divides, so an integer beta gives
+    exact binomials, and once a factor is zero every later weight is +0.0
+    (``or`` turns -0.0 into +0.0).
+    """
     if count < 0:
         raise DomainError("kernel count must be nonnegative")
+    bf = as_fraction(beta)
     if backend.exact:
-        bf = as_fraction(beta)
         p, q = bf.numerator, bf.denominator
-        out = [Fraction(1)][:count]
-        for lag in range(1, count):
-            w = out[-1]
-            out.append(backend.guard(Fraction(w.numerator * (p + q * (lag - 1)),
-                                              w.denominator * q * lag)))
-        return out
-    b = float(beta)
-    return [_float_rising(b, lag, True) for lag in range(count)]
+
+        def step(w, lag):
+            return backend.guard(Fraction(w.numerator * (p + q * (lag - 1)),
+                                          w.denominator * q * lag))
+    else:
+        b = float(bf)
+
+        def step(w, lag):
+            return (w * (b + (lag - 1))) / lag or 0.0
+    out = [backend.one][:count]
+    for lag in range(1, count):
+        out.append(step(out[-1], lag))
+    return out
 
 
 def cleared(values):

@@ -21,6 +21,10 @@ RANDOM_DIGEST = "d2670270fcdef83c84afb09c66226491aae941d042163c9b0a093d1d5632727
 # sha256 of `check --all --instances 200 --seed 0 --backend rational`: every
 # residual is exact, so the whole report is machine-independent
 RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e0892288fec1375"
+# the same run on the floating backend: its kernels come from one recurrence
+# of IEEE additions, products and quotients and it calls no libm function, so
+# its residuals depend on no platform's math library
+FLOATING_CHECK_DIGEST = "5522ec46dde3a7b8bb57166586d8ce06fd6849fcbfe00426ac9512a4a07ede14"
 
 
 def write(tmp_path, name, text):
@@ -342,6 +346,12 @@ class TestCheck:
         assert main(["check", "--all", "--instances", "200", "--seed", "0",
                      "--backend", "rational", "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == RATIONAL_CHECK_DIGEST
+
+    def test_floating_report_is_pinned(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        assert main(["check", "--all", "--instances", "200", "--seed", "0",
+                     "--backend", "floating", "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == FLOATING_CHECK_DIGEST
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_is_usage_error(self, tmp_path, capsys, instances):
