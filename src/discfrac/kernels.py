@@ -17,12 +17,13 @@ Every weight comes from one recurrence in ``kernel_vector``,
 ``w(beta, lag) = w(beta, lag-1) * (beta+lag-1) / lag``, formed in integers
 on the exact backend and in floats on the floating one; ``binomial_weight``
 reads it to its lag.  ``gamma_ratio`` is the same product, unnormalized,
-on both backends.  Log-gamma serves only ``falling`` and ``rising`` at
-non-integer exponents.
+on both backends; ``falling`` and ``rising`` take it whenever their two
+gamma arguments differ by an integer, so log-gamma serves only the other
+exponents on the floating backend.
 
-``kernel(..., as_integers=True)`` hands the operators a kernel in the
-``(nums, den)`` form of ``GridFunction.parts``: exact weights cleared to
-integers over their LCM, floats as they are over 1.
+``kernel`` hands the operators a kernel in the ``(nums, den)`` form of
+``GridFunction.parts``: exact weights cleared to integers over their LCM,
+floats as they are over 1.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ def _exact_gamma_quotient(x: Fraction, y: Fraction):
     return GammaValue.make(coef, units)
 
 
+def _gamma_quotient(x: Fraction, y: Fraction, backend):
+    """Gamma(x)/Gamma(y): the finite product ``gamma_ratio(y, x - y)`` when
+    x - y is a natural number (which is also the limit when both sit at
+    poles), its reciprocal ``1/gamma_ratio(x, y - x)`` when y - x is, and
+    otherwise, away from poles, the exact reduced quotient or log-gamma."""
+    gap = x - y
+    if gap.denominator == 1:
+        if gap >= 0:
+            return gamma_ratio(y, int(gap), backend)
+        return backend.one / gamma_ratio(x, int(-gap), backend)
+    if backend.exact:
+        return backend.guard(_exact_gamma_quotient(x, y))
+    return _float_gamma_quotient(float(x), float(y))
+
+
 def falling(t, alpha, backend=FLOATING):
     """Falling factorial ``t^(alpha)``.
 
@@ -100,21 +116,15 @@ def falling(t, alpha, backend=FLOATING):
     x = tf + 1
     y = tf + 1 - af
     if _is_nonpositive_integer(y):
-        if _is_nonpositive_integer(x):
-            if af.denominator == 1 and af >= 0:
-                prod = backend.scalar(1)
-                for j in range(int(af)):
-                    prod = prod * backend.scalar(tf - j)
-                return backend.guard(prod)
+        if not _is_nonpositive_integer(x):
+            return backend.zero
+        if af.denominator != 1 or af < 0:
             raise PoleAmbiguous(
                 f"falling({t}, {alpha}): both gamma arguments at poles"
             )
-        return backend.zero
-    if _is_nonpositive_integer(x):
+    elif _is_nonpositive_integer(x):
         raise DomainError(f"falling({t}, {alpha}): numerator gamma pole")
-    if backend.exact:
-        return backend.guard(_exact_gamma_quotient(x, y))
-    return _float_gamma_quotient(float(x), float(y))
+    return _gamma_quotient(x, y, backend)
 
 
 def rising(t, alpha, backend=FLOATING):
@@ -129,9 +139,7 @@ def rising(t, alpha, backend=FLOATING):
     x = tf + af
     if _is_nonpositive_integer(x):
         raise DomainError(f"rising({t}, {alpha}): numerator gamma pole")
-    if backend.exact:
-        return backend.guard(_exact_gamma_quotient(x, tf))
-    return _float_gamma_quotient(float(x), float(tf))
+    return _gamma_quotient(x, tf, backend)
 
 
 def gamma_ratio(x, k: int, backend=FLOATING):
@@ -197,44 +205,39 @@ def cleared(values):
     return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
-def _build(beta: Fraction, count: int, backend) -> list:
-    """``kernel_vector`` with the lag-1 weight scaled by the backend's fault,
-    if it carries one (``with_fault``)."""
+def _build(beta: Fraction, count: int, backend) -> tuple:
+    """``kernel_vector`` in ``(nums, den)`` form, with the lag-1 weight scaled
+    by the backend's fault, if it carries one (``with_fault``)."""
     weights = kernel_vector(backend.scalar(beta), count, backend)
     if backend.fault is not None and count > 1:
         weights[1] = backend.guard(weights[1] * backend.scalar(backend.fault))
-    return weights
+    return cleared(weights) if backend.exact else (weights, 1)
 
 
-def kernel(beta: Fraction, count: int, backend, as_integers: bool = False):
-    """``kernel_vector(beta, count, backend)``, or with ``as_integers`` its
-    ``(nums, den)`` form: exact weights ``cleared``, floats as they are over
-    1.  Either may hold more than ``count`` weights.  On a backend from
-    ``with_fault`` the lag-1 weight carries the fault.
+def kernel(beta: Fraction, count: int, backend) -> tuple:
+    """``kernel_vector(beta, count, backend)`` in its ``(nums, den)`` form:
+    exact weights ``cleared``, floats as they are over 1.  It may hold more
+    than ``count`` weights.  On a backend from ``with_fault`` the lag-1
+    weight carries the fault.
 
     A backend from ``run_scoped(length)`` keeps each kernel in its table,
-    built at ``length`` weights (more if a call asks for more) and exact
-    ones already cleared, and serves every later call a prefix.  A build
-    that overflows the bit cap at ``length`` is retried at ``count``, so
-    ``BackendOverflow`` fires on the same calls as without a table.
+    built at ``length`` weights (more if a call asks for more), and serves
+    every later call a prefix.  A build that overflows the bit cap at
+    ``length`` is retried at ``count``, so ``BackendOverflow`` fires on the
+    same calls as without a table.
     """
     table = backend.kernels
     if table is None:
-        weights = _build(beta, count, backend)
-        return _as_integers(weights, backend) if as_integers else weights
+        return _build(beta, count, backend)
     key = (beta.numerator, beta.denominator)  # a Fraction hashes slowly
     entry = table.get(key)
     if entry is None or len(entry[0]) < count:
         try:
-            weights = _build(beta, max(count, backend.kernel_length), backend)
+            entry = _build(beta, max(count, backend.kernel_length), backend)
         except BackendOverflow:
-            weights = _build(beta, count, backend)
-        entry = table[key] = (weights, _as_integers(weights, backend))
-    return entry[1] if as_integers else entry[0]
-
-
-def _as_integers(weights: list, backend) -> tuple:
-    return cleared(weights) if backend.exact else (weights, 1)
+            entry = _build(beta, count, backend)
+        table[key] = entry
+    return entry
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ import numpy as np
 from .backends import FLOATING, RATIONAL, as_fraction
 from .errors import BudgetExceeded, DomainError, GridTooShort
 from .grids import Direction, GridFunction, make_grid_function
-from .kernels import cleared, kernel
+from .kernels import cleared
 from .operators import (
     CoefficientVector,
     Family,
@@ -74,6 +74,8 @@ from .operators import (
     Kind,
     OperatorSpec,
     Side,
+    _correction,
+    _correction_terms,
     caputo_difference,
     riemann_difference,
 )
@@ -299,7 +301,7 @@ def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdic
 #   _nu_step                    f(t+1) - nu*f(t) at every step
 #   _delta_riemann              delta Riemann difference on its domain
 #   _NablaRiemann(prepend, drop)  direct nabla Riemann difference, extended
-#   _caputo_bound(n)            delta Caputo difference plus its anchor bound
+#   _caputo_bound               delta Caputo difference plus its anchor correction
 #   _ray(terms, base)           k-family start from the kernel's partial sums
 
 
@@ -373,21 +375,14 @@ class _NablaRiemann:
                         .drop_leading(self.drop))
 
 
-def _caputo_bound(n: int) -> Callable:
-    """Delta Caputo difference plus the order-n anchor-correction lower bound."""
-
-    def rows(case):
-        alpha, backend, v = case.order, case.f.backend, case.f.values
-        spec = OperatorSpec(Kind.DELTA, _side(case), Family.CAPUTO, alpha)
-        cap = caputo_difference(spec, case.f)
-        # the bound at output m reads w(1 - alpha, n + m) and w(2 - alpha, m + 1)
-        bounds = [w * v[0] for w in kernel(Fraction(1) - alpha, n + cap.length, backend)[n:]]
-        if n == 2:
-            second = kernel(Fraction(2) - alpha, cap.length + 1, backend)[1:]
-            bounds = [b + w * (v[1] - v[0]) for b, w in zip(bounds, second)]
-        return [(("frac t={}", cap, m), c + b) for m, (c, b) in enumerate(zip(cap.values, bounds))]
-
-    return rows
+def _caputo_bound(case: TheoremCase) -> list:
+    """Delta Caputo difference plus its anchor-correction sum, the bound the
+    Caputo theorems state (by the Riemann-Caputo relation, the delta Riemann
+    difference)."""
+    spec = OperatorSpec(Kind.DELTA, _side(case), Family.CAPUTO, case.order)
+    cap = caputo_difference(spec, case.f)
+    anchors, e, rows = _correction_terms(spec, case.f, cap.length)
+    return _op_rows(cap.with_parts(*_correction(cap.parts, [-c for c in anchors], e, rows)))
 
 
 def _ray(terms: int, base: int) -> Callable:
@@ -469,17 +464,17 @@ _register("T_UU2", "nondecreasing with nonnegative start forces anchored nabla "
           "positivity", (0, 1), _FWD, 0, False, 2,
           [_start, _pair(0, at=0)], [_NablaRiemann(prepend=True)])
 _register("T_C1", "Caputo lower bound with nonnegative nondecreasing start",
-          (1, 2), _FWD, 0, False, 3, [_start_pair, _caputo_bound(2)], [_pair(0, at=0)])
+          (1, 2), _FWD, 0, False, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
 _register("T_C2", "Caputo lower bound with the one-term k-family start",
-          (1, 2), _FWD, 0, False, 3, [_caputo_bound(2)], [_pair(1, at=0)], _ray(1, 0))
+          (1, 2), _FWD, 0, False, 3, [_caputo_bound], [_pair(1, at=0)], _ray(1, 0))
 _register("T_C3", "Caputo lower bound with the two-term k-family start",
-          (1, 2), _FWD, 0, False, 4, [_caputo_bound(2)], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _FWD, 0, False, 4, [_caputo_bound], [_pair(2, at=0)], _ray(2, 0))
 _register("T_C4", "Caputo lower bound with the three-term k-family start",
-          (1, 2), _FWD, 0, False, 5, [_caputo_bound(2)], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _FWD, 0, False, 5, [_caputo_bound], [_pair(3, at=0)], _ray(3, 0))
 _register("T_C5", "low-order Caputo lower bound forces nu-increasing",
-          (0, 1), _FWD, 0, False, 2, [_start, _caputo_bound(1)], [_start, _nu_step])
+          (0, 1), _FWD, 0, False, 2, [_start, _caputo_bound], [_start, _nu_step])
 _register("T_C6", "nondecreasing with nonnegative start forces the Caputo lower "
-          "bound", (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_caputo_bound(1)])
+          "bound", (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_caputo_bound])
 _register("T_D1", "backward Riemann positivity with nonnegative start pair forces "
           "nonincreasing", (1, 2), _BWD, 0, False, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
@@ -498,9 +493,9 @@ _register("T_D5", "low-order backward Riemann positivity forces alpha-decreasing
 _register("T_D6", "decreasing with nonnegative end forces backward Riemann "
           "positivity", (0, 1), _BWD, 0, False, 2, [_start, _pair(0)], [_delta_riemann])
 _register("T_CD1", "backward Caputo lower bound with nonnegative start pair",
-          (1, 2), _BWD, 0, False, 3, [_start_pair, _caputo_bound(2)], [_pair(0, at=0)])
+          (1, 2), _BWD, 0, False, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
 _register("T_CD5", "low-order backward Caputo lower bound forces alpha-decreasing",
-          (0, 1), _BWD, 0, False, 2, [_start, _caputo_bound(1)], [_nu_step])
+          (0, 1), _BWD, 0, False, 2, [_start, _caputo_bound], [_nu_step])
 
 
 # ---------------------------------------------------------------------------
@@ -855,29 +850,20 @@ def _index_chunks(k: int, length: int, samples: int, rng_key: str):
         yield np.array(draws, dtype=np.intp).reshape(n, length)
 
 
-def _survivors(k: int, levels: list, ints, mode: str, samples: int | None, rng_key: str,
+def _survivors(k: int, levels: list, ints, samples: int | None, rng_key: str | None,
                shallowest: int | None = None):
-    """(index vectors, enumeration positions) of the vectors that pass every
-    row of ``levels``, in enumeration order; in exhaustive mode also the
-    surviving prefixes of each length from ``shallowest`` on."""
-    length = len(levels)
-    if mode == "exhaustive":
-        # a vector's position is its digits read in base k
-        dtype = np.int64 if k ** length < 2 ** 63 else object
-        weights = np.array([k ** (length - 1 - j) for j in range(length)], dtype=dtype)
-        for idx in _prefix_search(k, levels, ints, shallowest):
-            yield idx, idx @ weights[length - idx.shape[1]:]
+    """Index vectors that pass every row of ``levels``, in enumeration order:
+    all of them when ``samples`` is None, with the surviving prefixes of
+    each length from ``shallowest`` on; else those of ``samples`` draws."""
+    if samples is None:
+        yield from _prefix_search(k, levels, ints, shallowest)
         return
-    offset = 0
-    for idx in _index_chunks(k, length, samples, rng_key):
-        positions = np.arange(offset, offset + len(idx))
-        offset += len(idx)
+    for idx in _index_chunks(k, len(levels), samples, rng_key):
         for depth, rows in enumerate(levels, 1):
             if len(rows) and len(idx):
-                keep = _passes(ints, idx[:, :depth], rows)
-                idx, positions = idx[keep], positions[keep]
+                idx = idx[_passes(ints, idx[:, :depth], rows)]
         if len(idx):
-            yield idx, positions
+            yield idx
 
 
 def _min_quotient(dots, dens, scale: int) -> Fraction:
@@ -923,7 +909,7 @@ def _row_key(rows: list) -> tuple:
 
 
 def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_length: int,
-                shallowest: int, mode: str, samples: int | None,
+                shallowest: int, samples: int | None,
                 rng_key: str | None) -> Callable[[int], tuple]:
     """The search of one exact row set: d -> (survivor count, smallest float
     conclusion margin or None, survivors with a negative conclusion row,
@@ -934,12 +920,13 @@ def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_lengt
     level < d cut to d coefficients (``test_rows_nest_across_lengths``),
     that is ``levels[:d]``.  ``scan`` keeps each length's survivor count,
     smallest float conclusion margin, survivors with a negative conclusion
-    row and witness pool (enumeration position, float margin, exact
-    positivity, indices).  Exhaustive mode scans the one prefix tree up
-    front, its depth-d survivors being the length-d survivors in
-    enumeration order; random mode scans length d's own sample stream the
-    first time its result is asked for.  The witness tries are decided from
-    the exact rows."""
+    row and witness pool (float margin, exact positivity, indices): the
+    ``WITNESS_WINDOW`` best margins, ties in the order survivors arrive,
+    which a stable sort keeps.  An exhaustive search (``samples`` None)
+    scans the one prefix tree up front, its depth-d survivors being the
+    length-d survivors in enumeration order; a random one scans length d's
+    own sample stream the first time its result is asked for.  The witness
+    tries are decided from the exact rows."""
     exact_ints, value_scale, value_floats, largest = _value_tables(values)
     k = len(values)
     (hyp_int, concl_int), ints = _integer_operands((hyp, concl), exact_ints, largest)
@@ -948,37 +935,36 @@ def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_lengt
                 concl.floats[c < d, :d]) for d in range(shallowest, live_length + 1)}
     counts, suspects = dict.fromkeys(rows, 0), {d: [] for d in rows}
     min_concl = dict.fromkeys(rows, math.inf)
-    pools = {d: (np.empty(0, np.int64), np.empty(0), np.empty(0, bool),
-                 np.empty((0, d), np.intp)) for d in rows}
+    pools = {d: (np.empty(0), np.empty(0, bool), np.empty((0, d), np.intp)) for d in rows}
     levels = _row_levels(hyp_int, live_length)
 
     def scan(survivors):
-        for idx, positions in survivors:
+        for idx in survivors:
             d = idx.shape[1]
             hyp_d, hyp_f, concl_d, concl_f = rows[d]
             F, Fp = ints[idx], value_floats[idx]
             suspects[d].extend(idx[((F @ concl_d.T) < 0).any(axis=1)])
             min_concl[d] = min(min_concl[d], float((Fp @ concl_f.T).min(initial=np.inf)))
             pool = tuple(np.concatenate(pair) for pair in zip(pools[d], (
-                positions, (Fp @ hyp_f.T).min(axis=1, initial=np.inf),
-                ((F @ hyp_d.T) > 0).all(axis=1), idx,
+                (Fp @ hyp_f.T).min(axis=1, initial=np.inf), ((F @ hyp_d.T) > 0).all(axis=1),
+                idx,
             )))
-            top = np.lexsort((pool[0], -pool[1]))[:WITNESS_WINDOW]
+            top = np.argsort(-pool[0], kind="stable")[:WITNESS_WINDOW]
             pools[d] = tuple(a[top] for a in pool)
             counts[d] += len(idx)
 
-    if mode == "exhaustive":
-        scan(_survivors(k, levels, ints, mode, samples, rng_key, shallowest))
+    if samples is None:
+        scan(_survivors(k, levels, ints, samples, rng_key, shallowest))
 
     @cache
     def found(d: int) -> tuple:
-        if mode == "random":
-            scan(_survivors(k, levels[:d], ints, mode, samples, rng_key))
+        if samples is not None:
+            scan(_survivors(k, levels[:d], ints, samples, rng_key))
         # nonvacuity witness: the hypothesis-true nonzero function with the best
         # margin, strictly positive when the value set admits one at all.  Once
         # a witness (margin >= 0) is found, only exactly positive rows beat it.
         witness = witness_margin = None
-        _, _, positive, pool_idx = pools[d]
+        _, positive, pool_idx = pools[d]
         margin_of = _row_verdict(hyp, h, rays, d, value_scale)
         for j in np.nonzero((ints[pool_idx] != 0).any(axis=1))[0]:
             if witness is not None and not positive[j]:
@@ -996,31 +982,33 @@ def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_lengt
 
 
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
-                     mode: str, samples: int | None, seed: int, k_cap: int,
+                     samples: int | None, seed: int, k_cap: int,
                      anchor, searches: dict | None = None) -> Callable[[int], SearchResult]:
     """Build the rows at ``live_length`` once; return d -> the length-d
-    result, for every d from ``min_live_length`` on.
+    result, for every d from ``min_live_length`` on.  The search is exhaustive
+    when ``samples`` is None, else ``samples`` random draws per length.
 
     An exhaustive search (``_row_search``) is kept in ``searches`` under all
     it reads: the exact hypothesis, conclusion and ray rows with their
     starts, the two lengths and the value set.  A theorem whose key an
     earlier search holds reads that search's survivors and witnesses, and
     builds no integer or float row.  A random search draws from this
-    theorem's own stream, so none repeats and none is kept.  ``evaluate_theorem`` confirms the counterexample
-    suspects on this theorem's own cases, and every result is a new
-    ``SearchResult`` (``search_campaign`` confirms the witness it reports)."""
+    theorem's own stream, so none repeats and none is kept.
+    ``evaluate_theorem`` confirms the counterexample suspects on this
+    theorem's own cases, and every result is a new ``SearchResult``
+    (``search_campaign`` confirms the witness it reports)."""
     hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
     shallowest = min_live_length(theorem_id)
     if any(level >= shallowest for *_, level in rays):
         raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
     values = value_set if isinstance(value_set, range) else tuple(map(as_fraction, value_set))
-    rng_key = repr((seed, theorem_id, str(order))) if mode == "random" else None
+    rng_key = None if samples is None else repr((seed, theorem_id, str(order)))
     key = (_row_key(hyp.exact), _row_key(concl.exact),
            tuple((_row_key(coeffs), start) for coeffs, start, _ in rays), live_length,
            shallowest, values)
-    searches = {} if searches is None or mode == "random" else searches
+    searches = {} if searches is None or samples is not None else searches
     if key not in searches:
-        searches[key] = _row_search(hyp, concl, rays, values, live_length, shallowest, mode,
+        searches[key] = _row_search(hyp, concl, rays, values, live_length, shallowest,
                                     samples, rng_key)
     search = searches[key]
 
@@ -1032,7 +1020,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
         count, min_concl, suspects, witness, witness_margin = search(d)
         counterexamples = [case for case in map(exact_case, suspects)
                            if not evaluate_theorem(case).consistent]
-        instances = len(values) ** d if mode == "exhaustive" else samples
+        instances = len(values) ** d if samples is None else samples
         return SearchResult(theorem_id, as_fraction(order), d, instances, count, min_concl,
                             counterexamples, witness, witness_margin)
 
@@ -1095,8 +1083,8 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
         raise DomainError(f"unknown search mode {mode!r}")
     results = []
     for order in orders:
-        result = _search_instance(theorem_id, grid_length, value_set, order, mode, samples,
-                                  seed, k_cap, anchor, searches)
+        result = _search_instance(theorem_id, grid_length, value_set, order, samples, seed,
+                                  k_cap, anchor, searches)
         res = result(grid_length)
         # nonvacuity fallback: shorter grids often admit a strictly positive
         # margin that the capped value set rules out at full length.  The

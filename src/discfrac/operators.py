@@ -34,9 +34,10 @@ Every operator reads its input as the grid's ``(nums, den)`` view
 (``GridFunction.parts``) and builds its output from one (``with_parts``):
 cleared integer numerators over one denominator on the exact backend,
 floats over 1 on the floating one.  The code is the same for both: the
-kernel comes in the same form (``kernel(..., as_integers=True)``), the
-Riemann-to-Caputo correction and the Caputo inversion residual subtract
-their sums over one common denominator (``_correction``), and the only
+kernel comes in the same form (``kernel``), the Riemann-to-Caputo
+correction (``_correction_terms``, which the theorem engine's Caputo bound
+adds back) and the Caputo inversion residual subtract their sums over
+one common denominator (``_correction``), and the only
 choice by value type is the convolution loop of ``_pipeline``: Python ints
 for exact values, ``_convolve`` for floats, and integer arrays for the
 coefficient vectors of the symbolic row pass, which ``_pipeline`` clears
@@ -208,7 +209,7 @@ def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
         vals, den = vectors
     vals = storage_difference(vals, pre) if pre else tuple(vals)
     if beta != 0:
-        w, d = kernel(beta, len(vals), f.backend, as_integers=True)
+        w, d = kernel(beta, len(vals), f.backend)
         if f.backend.exact:
             if skip_first and vals:
                 vals = (vals[0] * 0,) + vals[1:]
@@ -320,31 +321,37 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     alpha = spec.order
     if f.length < n + 1:
         raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
-    data, e = f.parts
     if spec.kind is Kind.DELTA:
         riem = riemann_difference(
             OperatorSpec(spec.kind, spec.side, Family.RIEMANN, alpha), f
         )
-        # k-th storage difference at the first point: the forward difference
-        # at the origin, or on backward grids the signed one
-        anchors = [storage_difference(data[:k + 1], k)[0] for k in range(n)]
-        first_lags = [n - k for k in range(n)]
     else:
         # nabla: Riemann side anchored n-1 steps inward, on its extended
         # domain.  The single-sum form is used for every order: at integer
         # orders the stated correction terms are pole-over-pole and this
         # together with the fused correction weights realizes their limits.
-        trimmed = f.drop_leading(n - 1) if n > 1 else f
-        riem = _nabla_single_sum(trimmed, alpha)
-        anchors = [storage_difference(data[n - 1 - k:n], k)[0] for k in range(n)]
-        first_lags = [0] * n
-    # the k-th correction weight at output m is w(k+1-alpha, first_lags[k]+m)
-    rows = []
-    for k, lag in enumerate(first_lags):
+        riem = _nabla_single_sum(f.drop_leading(n - 1) if n > 1 else f, alpha)
+    return riem.with_parts(*_correction(riem.parts, *_correction_terms(spec, f, riem.length)))
+
+
+def _correction_terms(spec: OperatorSpec, f: GridFunction, length: int) -> tuple:
+    """``(anchors, e, rows)``, the Riemann-to-Caputo correction sum of f for
+    ``spec`` at ``length`` outputs as ``_correction`` reads it.  Term k < n is
+    w(k+1-alpha, lag_k + m) at output m times the k-th storage difference of
+    f at the anchor: from the first point (delta, lag_k = n - k) or up to
+    storage index n - 1, where the Caputo inner sum is anchored (nabla,
+    lag_k = 0)."""
+    n, alpha = spec.n, spec.order
+    data, e = f.parts
+    delta = spec.kind is Kind.DELTA
+    anchors, rows = [], []
+    for k in range(n):
+        anchors.append(storage_difference(data[:k + 1] if delta else data[n - 1 - k:n], k)[0])
+        lag = n - k if delta else 0
         order = Fraction((k + 1) * alpha.denominator - alpha.numerator, alpha.denominator)
-        w, d = kernel(order, lag + riem.length, f.backend, as_integers=True)
+        w, d = kernel(order, lag + length, f.backend)
         rows.append((w[lag:], d))
-    return riem.with_parts(*_correction(riem.parts, anchors, e, rows))
+    return anchors, e, rows
 
 
 def _correction(base: tuple, coefficients: list, e: int, rows: list) -> tuple:
@@ -391,7 +398,7 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     # of the anchor: w(k+1, m-1) for m >= 1, and at m = 0 it is 1 for k = 0
     # and 0 otherwise
     rows = [([0 if k else d, *w], d) for k, (w, d) in enumerate(
-        kernel(Fraction(k + 1), summed.length - 1, f.backend, as_integers=True)
+        kernel(Fraction(k + 1), summed.length - 1, f.backend)
         for k in range(n))]
     f_minus_taylor = _correction((data, e), taylor_coeffs, e, rows)
     residual = _correction(summed.parts, [1], 1, [f_minus_taylor])

@@ -26,6 +26,13 @@ def relerr(x, y):
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
+def weights(parts):
+    """The weights of a kernel's ``(nums, den)`` form: exact numerators over
+    den, floats as they are."""
+    nums, den = parts
+    return [Fraction(x, den) if isinstance(x, int) else x for x in nums]
+
+
 class TestFalling:
     def test_natural_exponent_product(self):
         assert falling(5, 2, RATIONAL) == 20
@@ -49,6 +56,18 @@ class TestFalling:
 
     def test_both_poles_natural_order_uses_product(self):
         assert falling(-3, 2, RATIONAL) == 12  # (-3)(-4)
+
+    def test_integer_exponents_take_the_finite_product(self):
+        # an integer gap between the gamma arguments makes the quotient a
+        # product of floats, exact here; log-gamma gave 20.000000000000007,
+        # 657720.0000000009, 1.8749999999999987 and 0.04999999999999998
+        assert repr(falling(5, 2, FLOATING)) == "20.0"
+        assert repr(falling(30, 4, FLOATING)) == "657720.0"
+        assert repr(rising("1/2", 3, FLOATING)) == "1.875"
+        assert repr(falling(3, -2, FLOATING)) == "0.05"
+        assert repr(falling(-3, 2, FLOATING)) == "12.0"  # both poles, the same product
+        assert falling(3, -2, RATIONAL) == Fraction(1, 20)
+        assert rising("1/2", 3, RATIONAL) == Fraction(15, 8)
 
     def test_both_poles_other_order_raises(self):
         with pytest.raises(PoleAmbiguous):
@@ -296,7 +315,7 @@ class TestBackends:
         run = RationalBackend(bit_cap=64).run_scoped(first + 8)
         # the build at first + 8 weights overflows; the table falls back to
         # the requested count, which a cold build also serves
-        assert kernel(beta, first, run) == kernel_vector(beta, first, RATIONAL)
+        assert weights(kernel(beta, first, run)) == kernel_vector(beta, first, RATIONAL)
         with pytest.raises(BackendOverflow):
             kernel(beta, first + 1, run)
 
@@ -304,14 +323,14 @@ class TestBackends:
         run = RATIONAL.run_scoped(12)
         beta = Fraction(-5, 12)
         key = (beta.numerator, beta.denominator)
-        nums, d = kernel(beta, 3, run, as_integers=True)
-        assert len(nums) == 12 and run.kernels[key][0] == kernel_vector(beta, 12, RATIONAL)
+        nums, d = kernel(beta, 3, run)
+        assert len(nums) == 12 and weights(run.kernels[key]) == kernel_vector(beta, 12, RATIONAL)
         assert [Fraction(x, d) for x in nums] == kernel_vector(beta, 12, RATIONAL)
-        assert kernel(beta, 7, run) is run.kernels[key][0]
-        dirty = kernel(beta, 4, run.with_fault())
-        assert dirty[1] == beta * Fraction(1 + 1e-6) and dirty[2:] == run.kernels[key][0][2:]
-        assert kernel(beta, 13, run) == kernel_vector(beta, 13, RATIONAL)
-        assert RATIONAL.kernels is None and kernel(beta, 2, RATIONAL) == [1, beta]
+        assert kernel(beta, 7, run) is run.kernels[key]
+        dirty = weights(kernel(beta, 4, run.with_fault()))
+        assert dirty[1] == beta * Fraction(1 + 1e-6) and dirty[2:] == weights(run.kernels[key])[2:]
+        assert weights(kernel(beta, 13, run)) == kernel_vector(beta, 13, RATIONAL)
+        assert RATIONAL.kernels is None and weights(kernel(beta, 2, RATIONAL)) == [1, beta]
 
     def test_faulty_backend_owns_its_table(self):
         run = RATIONAL.run_scoped(12)
@@ -319,21 +338,22 @@ class TestBackends:
         clean = kernel(beta, 12, run)
         bad = run.with_fault()
         assert bad.kernels == {} and bad.kernel_length == 12
-        assert kernel(beta, 12, bad) != clean
-        assert kernel(beta, 12, run) is clean and clean == kernel_vector(beta, 12, RATIONAL)
+        assert weights(kernel(beta, 12, bad)) != weights(clean)
+        assert kernel(beta, 12, run) is clean
+        assert weights(clean) == kernel_vector(beta, 12, RATIONAL)
         assert run.fault is None and RATIONAL.fault is None and RATIONAL.kernels is None
 
     @pytest.mark.parametrize("backend", [RATIONAL, FLOATING, RATIONAL.run_scoped(9),
                                          FLOATING.run_scoped(9)])
     def test_fault_changes_the_lag_one_weight_only(self, backend):
         for beta in (Fraction(1, 2), Fraction(-7, 12), Fraction(2)):
-            clean = kernel(beta, 9, backend)
-            dirty = kernel(beta, 9, backend.with_fault())
+            clean = weights(kernel(beta, 9, backend))
+            dirty = weights(kernel(beta, 9, backend.with_fault()))
             assert [lag for lag in range(9) if dirty[lag] != clean[lag]] == [1]
             assert dirty[1] == clean[1] * backend.scalar(1 + 1e-6)
-            nums, den = kernel(beta, 9, backend.with_fault(), as_integers=True)
+            nums, den = kernel(beta, 9, backend.with_fault())
             if backend.exact:
-                assert [Fraction(x, den) for x in nums][:9] == dirty[:9]
+                assert all(isinstance(x, int) for x in nums)
             else:
-                assert den == 1 and nums[:9] == dirty[:9]
-            assert kernel(beta, 9, backend) == clean
+                assert den == 1 and list(nums[:9]) == dirty[:9]
+            assert weights(kernel(beta, 9, backend)) == clean

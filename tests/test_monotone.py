@@ -16,7 +16,7 @@ from discfrac.backends import FLOATING, RATIONAL
 from discfrac.cli import main
 from discfrac.errors import BudgetExceeded, DomainError, GridTooShort
 from discfrac.grids import Direction, make_grid_function
-from discfrac.kernels import kernel
+from discfrac.kernels import kernel_vector
 from discfrac.monotone import (
     Q_TWINS,
     THEOREMS,
@@ -159,7 +159,7 @@ class TestRayDecision:
         # sums S_r of the order-nu difference kernel, against R(k)/Q(k)
         rng = random.Random(terms * first)
         for nu in (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)):
-            weights = kernel(-nu, 70, RATIONAL)
+            weights = kernel_vector(-nu, 70, RATIONAL)
             sums = [abs(sum(weights[:r + 1])) for r in range(len(weights))]
             f = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(terms + 1)]
             ray = _partial_sum_ray(f, nu, first, start)
@@ -209,7 +209,7 @@ def test_delta_difference_sums_by_parts(values, nu):
     order-nu kernel: the step every k-family start ray encodes."""
     f = make_grid_function(0, Direction.FORWARD, values, RATIONAL)
     out = riemann_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, nu), f)
-    weights = kernel(-nu, len(values), RATIONAL)
+    weights = kernel_vector(-nu, len(values), RATIONAL)
     sums = [sum(weights[:r + 1]) for r in range(len(values))]
     v = f.values
     assert len(out.values) == len(values) - 2
@@ -770,16 +770,16 @@ class TestPrefixSearch:
         if values is _HUGE:
             assert h_int.dtype == object
 
-        # survivors and their enumeration positions
+        # survivors, in enumeration order
         idx = _reference_vectors(tid, length, [Fraction(v) for v in values], order,
                                    mode, 200, 5)
         expected = np.nonzero((ints[idx] @ h_int.T).min(axis=1) >= 0)[0]
         monkeypatch.setattr(monotone, "CHUNK", chunk)
+        samples = 200 if mode == "random" else None
         got = list(monotone._survivors(len(values), monotone._row_levels(h_int, length),
-                                       ints, mode, 200, (5, tid, str(order)).__repr__()))
-        assert all(len(s) <= chunk for s, _ in got)
-        assert [int(p) for _, pos in got for p in pos] == expected.tolist()
-        assert np.concatenate([s for s, _ in got]).tolist() == idx[expected].tolist()
+                                       ints, samples, (5, tid, str(order)).__repr__()))
+        assert all(len(s) <= chunk for s in got)
+        assert np.concatenate(got).tolist() == idx[expected].tolist()
 
         # every record field, fallback lengths included
         prefix = [r.as_record() for r in search_campaign(tid, length, values, **kwargs)]
@@ -952,7 +952,7 @@ class TestOnePassRows:
 
     @pytest.mark.parametrize("kind", [monotone._delta_riemann,
                                       monotone._NablaRiemann(prepend=True),
-                                      monotone._caputo_bound(1)])
+                                      monotone._caputo_bound])
     def test_a_constant_after_an_operator_is_rejected(self, monkeypatch, kind):
         def shifted(case):
             return [(label, v + Fraction(1, 3)) for label, v in kind(case)]
@@ -996,8 +996,7 @@ def _tried_verdicts(monkeypatch, tid, values, order, anchor, k_cap, length):
 
     with monkeypatch.context() as patch:
         patch.setattr(monotone, "_row_verdict", recording)
-        result = monotone._search_instance(tid, length, values, order, "exhaustive", None, 0,
-                                           k_cap, anchor)
+        result = monotone._search_instance(tid, length, values, order, None, 0, k_cap, anchor)
         for d in range(min_live_length(tid), length + 1):
             result(d)
     return tried
@@ -1123,7 +1122,7 @@ class TestSharedSearches:
         assert len(scans) == 3  # one search per order
         stmt = THEOREMS["T_C1"]
         monkeypatch.setitem(THEOREMS, "T_C1", replace(stmt, builder=Declared(
-            [monotone._start, monotone._caputo_bound(2)], stmt.builder.concl)))
+            [monotone._start, monotone._caputo_bound], stmt.builder.concl)))
         pairs = search_theorems(ids, 5, CAMPAIGN_VALUES)
         assert len(scans) == 3 + 6  # and one more per order for T_C1
         after = _records(pairs)

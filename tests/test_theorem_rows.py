@@ -166,6 +166,33 @@ class TestForwardRows:
             assert val == cap + bound
 
 
+CAPUTO_THEOREMS = ["T_C1", "T_C2", "T_C3", "T_C4", "T_C5", "T_C6", "T_CD1", "T_CD5"]
+
+
+@pytest.mark.parametrize("tid", CAPUTO_THEOREMS)
+def test_caputo_bound_rows_are_the_riemann_rows(tid):
+    # the Riemann-Caputo relation: the delta Caputo difference plus its
+    # anchor correction is the delta Riemann difference, so each Caputo-bound
+    # row of a verdict (T_C6 states it as its conclusion) is the Riemann row
+    # at the same point, in label and value
+    rng = random.Random(tid)
+    lo, _ = THEOREMS[tid].order_range
+    drawn = [lo + Fraction(rng.randint(1, den - 1), den)
+             for den in (rng.randint(2, 12) for _ in range(2))]
+    for order in default_orders(tid) + drawn:
+        for length in range(min_live_length(tid), 9):
+            for anchor in (Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(2)):
+                case = build_case(tid, rng, order, length, anchor)
+                verdict = evaluate_theorem(case)
+                rows = (verdict.conclusion_margins if tid == "T_C6"
+                        else frac_rows(verdict))
+                side = (operators.Side.LEFT if case.f.direction is Direction.FORWARD
+                        else operators.Side.RIGHT)
+                riem = operators.riemann_difference(operators.OperatorSpec(
+                    operators.Kind.DELTA, side, operators.Family.RIEMANN, order), case.f)
+                assert rows == [(f"frac t={t}", v) for t, v in zip(riem.points(), riem.values)]
+
+
 @pytest.mark.parametrize("seed", range(4))
 class TestBackwardRows:
     def test_d1_rows_match_right_riemann(self, seed):
