@@ -42,11 +42,9 @@ from .operators import (
     Kind,
     OperatorSpec,
     Side,
-    caputo_difference,
+    apply_operator,
     caputo_from_riemann,
     caputo_inversion_residual,
-    fractional_sum,
-    riemann_difference,
 )
 
 DEFAULT_TOLERANCE = 1e-10
@@ -290,14 +288,6 @@ def _spec(op: tuple, num: int, den: int) -> OperatorSpec:
     return OperatorSpec(*op, Fraction(num, den))
 
 
-def _apply(spec: OperatorSpec, g: GridFunction, riemann_form: bool = False):
-    if spec.family is Family.SUM:
-        return fractional_sum(spec, g)
-    if spec.family is Family.RIEMANN:
-        return riemann_difference(spec, g)
-    return caputo_from_riemann(spec, g) if riemann_form else caputo_difference(spec, g)
-
-
 def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckReport:
     """Evaluate one table row on its stated index set."""
     row = IDENTITIES[which]
@@ -307,9 +297,11 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
         raise DomainError("Q identities take the data as a forward grid on {a..b}")
     num, den = alpha.numerator, alpha.denominator
     lhs_spec, rhs_spec = _spec(row.lhs, num, den), _spec(row.rhs, num, den)
-    lhs = _apply(lhs_spec, row.lhs_input(f))
+    lhs = apply_operator(lhs_spec, row.lhs_input(f))
     rhs_input = row.rhs_input(f)
-    rhs = _apply(rhs_spec, rhs_input, riemann_form=row.family == "relation")
+    # a relation row's right-hand side is the Caputo difference in Riemann form
+    rhs = (caputo_from_riemann if row.family == "relation" else apply_operator)(
+        rhs_spec, rhs_input)
     # each stated origin offset (steps, n_times, alpha_times), times alpha's denominator
     at_lhs, at_rhs = [(steps + n_times * lhs_spec.n) * den + alpha_times * num
                       for steps, n_times, alpha_times in row.origins]

@@ -24,9 +24,10 @@ margins.
 Searches run an exact integer prefilter: every row is linear in f with
 rational coefficients, read once per search from one run of the
 theorem's builder on coefficient vectors, with the k-family rays
-expanded in integers.  Clearing each row's denominators and the
-value set's keeps every sign, so integer dot products of the rows with
-the scaled values decide the explicit rows exactly (in float64 BLAS while
+expanded in integers.  Each row is kept as integer numerators over a
+positive denominator, and the values as integer numerators over theirs,
+so the dot product of a row's numerators with a value vector's has the
+row's sign and decides the explicit rows exactly (in float64 BLAS while
 the partial sums stay below 2**53, in Python integers otherwise).  A
 hypothesis row reads the values up to its last nonzero coefficient, its
 level, so the search grows value-index prefixes one coordinate at a time
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from typing import Callable
 
@@ -656,37 +657,6 @@ WITNESS_WINDOW = 400
 EXACT_FLOAT_LIMIT = 2 ** 53
 
 
-@dataclass(frozen=True)
-class _RowBlock:
-    """Linear rows in the live values: exact, primitive integer and float.
-
-    ``exact`` holds each row as (integer numerators, positive denominator).
-    ``scaled[r]`` is exact row r times the positive factor that makes it a
-    primitive integer vector, so its dot product with integer values has
-    the row's sign.  ``floats`` rounds each exact coefficient once (the
-    correctly rounded ``n / d``); it orders witnesses and reports margins.
-    Both are built on first use, so a search that finds its exact rows
-    already searched builds neither.
-    """
-
-    exact: list
-    length: int
-
-    @cached_property
-    def scaled(self) -> list:
-        return [[x // g for x in nums] for nums, _ in self.exact
-                for g in [math.gcd(*nums) or 1]]
-
-    @cached_property
-    def floats(self) -> np.ndarray:
-        return np.array([[x / den for x in nums] for nums, den in self.exact],
-                        dtype=float).reshape(len(self.exact), self.length)
-
-    @cached_property
-    def l1(self) -> int:  # largest ||scaled row||_1
-        return max((sum(map(abs, row)) for row in self.scaled), default=0)
-
-
 def _exact_row(value) -> tuple:
     """(integer numerators, positive denominator) of a coefficient vector's
     coordinates but the last, constant one, in lowest terms by one gcd.  A
@@ -711,9 +681,10 @@ def _integer_horner(coeffs: list, q_coeffs, ks) -> list:
 
 
 def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
-    """Exact hypothesis and conclusion row blocks from one symbolic builder
-    run, and each ray as (exact coefficient rows of R, start, level), its
-    level being the last value any of those rows reads (``_last_read``).
+    """Exact hypothesis and conclusion rows, each (integer numerators,
+    positive denominator), from one symbolic builder run, and each ray as
+    (exact coefficient rows of R, start, level), its level being the last
+    value any of those rows reads (``_last_read``).
 
     The builder runs once, on the identity basis plus a coordinate that no
     stored value reads: stored value i is the ``CoefficientVector`` e_i, so
@@ -738,7 +709,7 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     values = [v for _, v in hyp + concl] + [x for ray in rays for x in (*ray.r_coeffs, ray.bound)]
     if any(v.nums[-1] for v in values):
         raise AssertionError(f"{theorem_id}: rows are not linear in the data")
-    return _RowBlock(hyp_rows, live_length), _RowBlock(concl_rows, live_length), ray_rows
+    return hyp_rows, concl_rows, ray_rows
 
 
 class _Arange:
@@ -774,17 +745,27 @@ def _value_tables(values):
             max(map(abs, nums), default=0))
 
 
-def _integer_operands(blocks, value_ints, largest: int):
-    """Integer row matrices and value table for an exact sign test, from
-    the object table ``value_ints`` whose magnitudes are at most ``largest``.
+def _integer_operands(row_sets, length: int, value_ints, largest: int):
+    """Matrices of the exact rows' numerators, each row set's ``length``
+    columns wide, and the value table for an exact sign test, from the
+    object table ``value_ints`` whose magnitudes are at most ``largest``.
+    A row's denominator is positive, so its numerators give it its sign.
 
     float64 when every partial sum is an integer below 2**53 in magnitude,
     so BLAS computes it exactly; Python integers otherwise.
     """
-    bound = max(b.l1 for b in blocks) * largest
-    dtype = np.float64 if bound < EXACT_FLOAT_LIMIT else object
-    mats = [np.array(b.scaled, dtype=dtype).reshape(len(b.exact), b.length) for b in blocks]
+    l1 = max((sum(map(abs, nums)) for rows in row_sets for nums, _ in rows), default=0)
+    dtype = np.float64 if l1 * largest < EXACT_FLOAT_LIMIT else object
+    mats = [np.array([nums for nums, _ in rows], dtype=dtype).reshape(len(rows), length)
+            for rows in row_sets]
     return mats, value_ints.astype(dtype)
+
+
+def _float_rows(rows: list, length: int) -> np.ndarray:
+    """Exact rows with each coefficient correctly rounded (``n / d``); they
+    order witnesses and report margins."""
+    return np.array([[x / den for x in nums] for nums, den in rows],
+                    dtype=float).reshape(len(rows), length)
 
 
 def _last_read(mat) -> np.ndarray:
@@ -876,7 +857,7 @@ def _min_quotient(dots, dens, scale: int) -> Fraction:
     return Fraction(dots[best], dens[best] * scale)
 
 
-def _row_verdict(hyp: _RowBlock, levels, rays: list, d: int, value_scale: int) -> Callable:
+def _row_verdict(hyp: list, levels, rays: list, d: int, value_scale: int) -> Callable:
     """Values of a length-d pool candidate, as integers over ``value_scale``
     -> its smallest hypothesis margin, or None when a ray fails it.
 
@@ -888,8 +869,8 @@ def _row_verdict(hyp: _RowBlock, levels, rays: list, d: int, value_scale: int) -
     (``_search_instance`` checks its level), so its rows cut to d are whole.
     """
     keep = np.nonzero(levels < d)[0]
-    nums = np.array([hyp.exact[r][0][:d] for r in keep], dtype=object).reshape(len(keep), d)
-    dens = [hyp.exact[r][1] for r in keep]
+    nums = np.array([hyp[r][0][:d] for r in keep], dtype=object).reshape(len(keep), d)
+    dens = [hyp[r][1] for r in keep]
     polys = [([(np.array(row[:d], dtype=object), den * value_scale) for row, den in coeffs],
               start) for coeffs, start, _ in rays]
 
@@ -908,7 +889,7 @@ def _row_key(rows: list) -> tuple:
     return tuple((tuple(nums), den) for nums, den in rows)
 
 
-def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_length: int,
+def _row_search(hyp: list, concl: list, rays: list, values, live_length: int,
                 shallowest: int, samples: int | None,
                 rng_key: str | None) -> Callable[[int], tuple]:
     """The search of one exact row set: d -> (survivor count, smallest float
@@ -929,10 +910,12 @@ def _row_search(hyp: _RowBlock, concl: _RowBlock, rays: list, values, live_lengt
     tries are decided from the exact rows."""
     exact_ints, value_scale, value_floats, largest = _value_tables(values)
     k = len(values)
-    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), exact_ints, largest)
+    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), live_length, exact_ints,
+                                                    largest)
+    hyp_float, concl_float = _float_rows(hyp, live_length), _float_rows(concl, live_length)
     h, c = _last_read(hyp_int), _last_read(concl_int)
-    rows = {d: (hyp_int[h < d, :d], hyp.floats[h < d, :d], concl_int[c < d, :d],
-                concl.floats[c < d, :d]) for d in range(shallowest, live_length + 1)}
+    rows = {d: (hyp_int[h < d, :d], hyp_float[h < d, :d], concl_int[c < d, :d],
+                concl_float[c < d, :d]) for d in range(shallowest, live_length + 1)}
     counts, suspects = dict.fromkeys(rows, 0), {d: [] for d in rows}
     min_concl = dict.fromkeys(rows, math.inf)
     pools = {d: (np.empty(0), np.empty(0, bool), np.empty((0, d), np.intp)) for d in rows}
@@ -1003,7 +986,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
         raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
     values = value_set if isinstance(value_set, range) else tuple(map(as_fraction, value_set))
     rng_key = None if samples is None else repr((seed, theorem_id, str(order)))
-    key = (_row_key(hyp.exact), _row_key(concl.exact),
+    key = (_row_key(hyp), _row_key(concl),
            tuple((_row_key(coeffs), start) for coeffs, start, _ in rays), live_length,
            shallowest, values)
     searches = {} if searches is None or samples is not None else searches

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from discfrac import dualities, kernels
+from discfrac import dualities, kernels, operators
 from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.cli import main
 from discfrac.dualities import (
@@ -159,6 +159,14 @@ def test_domain_contract_rejects_off_by_one():
         _paired([0, 1, 2], [1, 2, 3], [1, 2])
 
 
+def _replace_operator(monkeypatch, name, replacement):
+    """Route every call of operator function ``name`` that a check makes,
+    through ``apply_operator`` or directly, to ``replacement``."""
+    for module in (operators, dualities):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
 # one row of each family, a side of it, the operator function that computes
 # that side, and which of that function's calls in the row is that side's
 _SIDE_OPERATORS = [
@@ -178,17 +186,17 @@ def test_an_origin_off_by_a_fraction_of_a_step_is_refused(monkeypatch, backend, 
     """An output origin moved by 1/q, q the order's denominator, is refused
     with the same text on either side: the produced origin, then the stated
     one, which is where the unchanged operator puts its output."""
-    real = getattr(dualities, name)
+    real = getattr(operators, name)
     origins = []
 
-    def shifted(spec, g):
-        out = real(spec, g)
+    def shifted(spec, g, **kwargs):
+        out = real(spec, g, **kwargs)
         if not picked(spec):
             return out
         origins.append(out.origin)
         return out.with_parts(*out.parts, origin=out.origin + Fraction(1, spec.order.denominator))
 
-    monkeypatch.setattr(dualities, name, shifted)
+    _replace_operator(monkeypatch, name, shifted)
     rng = random.Random(which.value)
     for _ in range(4):
         f, alpha = random_instance(which, rng, backend)
@@ -278,7 +286,7 @@ _SHIFTED = [
 @pytest.mark.parametrize("step", [1, -1])
 @pytest.mark.parametrize("which,name,picked", _SHIFTED)
 def test_an_operator_off_by_one_never_passes(monkeypatch, backend, step, which, name, picked):
-    real = getattr(dualities, name)
+    real = getattr(operators, name)
 
     def shifted(spec, g, *args, **kwargs):
         out = real(spec, g, *args, **kwargs)
@@ -286,7 +294,7 @@ def test_an_operator_off_by_one_never_passes(monkeypatch, backend, step, which, 
 
     rng = random.Random(which.value)
     instances = [random_instance(which, rng, backend) for _ in range(12)]
-    monkeypatch.setattr(dualities, name, shifted)
+    _replace_operator(monkeypatch, name, shifted)
     refused = 0
     for f, alpha in instances:
         try:
@@ -465,7 +473,7 @@ def test_an_exact_residual_below_the_tolerance_fails(monkeypatch, kind, change, 
     """The exact backend passes only zero residuals, however small the
     tolerance would make a floating one, and compares sides cleared over
     different denominators exactly."""
-    real = dualities.fractional_sum
+    real = operators.fractional_sum
     dens = {}
 
     def changed(spec, g):
@@ -476,7 +484,7 @@ def test_an_exact_residual_below_the_tolerance_fails(monkeypatch, kind, change, 
         return out
 
     f, alpha = random_instance(IdentityId.LEFT_DUAL_SUM, random.Random(1), RATIONAL)
-    monkeypatch.setattr(dualities, "fractional_sum", changed)
+    _replace_operator(monkeypatch, "fractional_sum", changed)
     report = check_identity(f, alpha, IdentityId.LEFT_DUAL_SUM)
     if index is None:
         assert dens[Kind.NABLA] != dens[Kind.DELTA]

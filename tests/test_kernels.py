@@ -130,6 +130,23 @@ class TestGammaRatio:
         # (-1)(0)(1) is a positive zero, not -0.0
         assert repr(gamma_ratio(-1, 3, FLOATING)) == "0.0"
 
+    @pytest.mark.parametrize("x,k", [(-171, 172), (-200, 300)])
+    def test_zero_factor_after_an_overflowing_head(self, x, k):
+        # the float product of the negative head overflows before it reaches
+        # the zero factor: still exactly zero, never inf * 0 = nan
+        assert gamma_ratio(x, k, RATIONAL) == 0
+        assert repr(gamma_ratio(x, k, FLOATING)) == "0.0"
+
+    @pytest.mark.parametrize("x,k,expected", [
+        (Fraction(-601, 2), 400, -math.inf),  # 301 negative factors
+        (Fraction(-7, 2), 400, math.inf),  # 4 negative factors
+        (Fraction(3, 2), 10 ** 5, math.inf),
+    ])
+    def test_overflow_is_signed_by_every_factor(self, x, k, expected):
+        assert gamma_ratio(x, k, FLOATING) == expected
+        if k < 1000:
+            assert (gamma_ratio(x, k, RATIONAL) > 0) == (expected > 0)
+
     def test_negative_noninteger_start(self):
         want = Fraction(-5, 2) * Fraction(-3, 2) * Fraction(-1, 2) * Fraction(1, 2)
         assert gamma_ratio("-5/2", 4, RATIONAL) == want

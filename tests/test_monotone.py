@@ -635,7 +635,7 @@ class TestExactPrefilter:
     def test_huge_values_use_exact_integers(self, tid, order):
         values = [-2 ** 40, 0, 2 ** 40]
         hyp, concl, _ = _row_matrices(tid, 6, order, 64, 0)
-        (h_int, c_int), ints = _operands((hyp, concl), values)
+        (h_int, c_int), ints = _operands((hyp, concl), 6, values)
         assert h_int.dtype == c_int.dtype == ints.dtype == object
         hyp_count = 0
         for combo in itertools.product(range(3), repeat=6):
@@ -651,10 +651,36 @@ class TestExactPrefilter:
         assert result.hypothesis_count == hyp_count
         assert result.counterexamples == []
 
+    def test_campaign_rows_multiply_in_float64(self):
+        # every (theorem, default order) row set of the length-6 campaign on
+        # the halves, ray rows up to k_cap 64 included, stays exact in BLAS
+        exact_ints, _, _, largest = monotone._value_tables(tuple(map(Fraction, CAMPAIGN_VALUES)))
+        for tid in THEOREMS:
+            for order in default_orders(tid):
+                hyp, concl, _ = _row_matrices(tid, 6, order, 64, 0)
+                mats, ints = _integer_operands((hyp, concl), 6, exact_ints, largest)
+                assert [a.dtype for a in (*mats, ints)] == [np.float64] * 3, (tid, order)
 
-def _operands(blocks, nums):
-    """``_integer_operands`` on a list of integer numerators."""
-    return _integer_operands(blocks, np.array(nums, dtype=object), max(map(abs, nums)))
+    @pytest.mark.parametrize("rows,largest,dtype", [
+        # ||numerators||_1 = 8: the bound lands just below 2**53, then on it
+        ([([3, -5, 0], 7), ([1, 1, 1], 1)], 2 ** 50 - 1, np.float64),
+        ([([3, -5, 0], 7), ([1, 1, 1], 1)], 2 ** 50, object),
+        # the bound reads the numerators the matrix holds, not their gcd-reduced
+        # row: 16 * 2**49 lands on 2**53 although 8 * 2**49 would not
+        ([([6, -10, 0], 7)], 2 ** 49, object),
+    ])
+    def test_float64_needs_the_bound_below_2_53(self, rows, largest, dtype):
+        values = np.array([largest, -largest, 0], dtype=object)
+        (mat,), ints = _integer_operands([rows], 3, values, largest)
+        assert mat.dtype == ints.dtype == dtype
+        assert mat.tolist() == [nums for nums, _ in rows]
+
+
+def _operands(row_sets, length, nums):
+    """``_integer_operands`` on exact rows of ``length`` coefficients and a
+    list of integer numerators."""
+    return _integer_operands(row_sets, length, np.array(nums, dtype=object),
+                             max(map(abs, nums)))
 
 
 def _reference_vectors(theorem_id, length, values, order, mode, samples, seed):
@@ -676,7 +702,8 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
     values = [Fraction(v) for v in value_set]
     scale = math.lcm(*(v.denominator for v in values))
     hyp, concl, _ = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
-    (h_int, c_int), ints = _operands((hyp, concl), [int(v * scale) for v in values])
+    (h_int, c_int), ints = _operands((hyp, concl), live_length,
+                                     [int(v * scale) for v in values])
     idx = _reference_vectors(theorem_id, live_length, values, order, mode, samples, seed)
     F = ints[idx]
     hyp_min = (F @ h_int.T).min(axis=1)
@@ -693,8 +720,9 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
             if not evaluate_theorem(c).consistent:
                 counterexamples.append(c)
     floats = np.array([float(v) for v in values])[idx[passing]]
-    min_concl = float((floats @ concl.floats.T).min()) if len(passing) else None
-    margins = (floats @ hyp.floats.T).min(axis=1)
+    hyp_float, concl_float = (monotone._float_rows(rows, live_length) for rows in (hyp, concl))
+    min_concl = float((floats @ concl_float.T).min()) if len(passing) else None
+    margins = (floats @ hyp_float.T).min(axis=1)
     witness = witness_margin = None
     for j in passing[np.lexsort((passing, -margins))[:monotone.WITNESS_WINDOW]]:
         if not F[j].any() or (witness is not None and not hyp_min[j] > 0):
@@ -766,7 +794,7 @@ class TestPrefixSearch:
         order = default_orders(tid)[0]
         hyp, concl, _ = _row_matrices(tid, length, order, 64, 0)
         scale = math.lcm(*(Fraction(v).denominator for v in values))
-        (h_int, _), ints = _operands((hyp, concl), [int(v * scale) for v in values])
+        (h_int, _), ints = _operands((hyp, concl), length, [int(v * scale) for v in values])
         if values is _HUGE:
             assert h_int.dtype == object
 
@@ -853,8 +881,8 @@ class TestPrefixSearch:
 def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
     """Reference rows read off unit vectors, one rational builder run per
     live value, with the rays expanded by ``expanded_hypothesis_rows`` (see
-    ``test_ray_rows_match_fraction_quotients``): per block, the primitive
-    integer rows and the correctly rounded float rows."""
+    ``test_ray_rows_match_fraction_quotients``): per block, the exact rows
+    as Fractions and the correctly rounded float rows."""
 
     def rows_at(live):
         case = make_case(tid, live, order, anchor, k_cap)
@@ -866,10 +894,14 @@ def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
     blocks = []
     for part in (0, 1):
         exact = [[Fraction(x) for x in row] for row in zip(*(col[part] for col in columns))]
-        scaled = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row]
-                  for row in exact]
-        blocks.append((scaled, [[float(x) for x in row] for row in exact]))
+        blocks.append((exact, [[float(x) for x in row] for row in exact]))
     return blocks
+
+
+def _sign_dtype(row_sets, length, largest):
+    """The dtype ``_integer_operands`` picks for values up to ``largest``."""
+    _, ints = _integer_operands(row_sets, length, np.array([largest], dtype=object), largest)
+    return ints.dtype
 
 
 def _shifted_start(case):
@@ -886,24 +918,29 @@ class TestOnePassRows:
     def test_rows_match_unit_vector_oracle(self, tid):
         for order in default_orders(tid):
             for length in range(min_live_length(tid), 7):
-                blocks = _row_matrices(tid, length, order, 64, 0)
-                for block, (scaled, floats) in zip(blocks, _unit_vector_rows(tid, length, order)):
-                    assert block.scaled == scaled
-                    assert block.floats.tolist() == floats
-                    assert block.l1 == max(sum(map(abs, row)) for row in scaled)
+                *blocks, _ = _row_matrices(tid, length, order, 64, 0)
+                for rows, (exact, floats) in zip(blocks, _unit_vector_rows(tid, length, order)):
+                    assert all(den > 0 for _, den in rows)
+                    assert [[Fraction(x, den) for x in nums] for nums, den in rows] == exact
+                    assert monotone._float_rows(rows, length).tolist() == floats
+                    # the float64 bound is read from these numerators
+                    l1 = max(sum(map(abs, nums)) for nums, _ in rows)
+                    largest = (monotone.EXACT_FLOAT_LIMIT - 1) // l1
+                    assert _sign_dtype([rows], length, largest) == np.float64
+                    assert _sign_dtype([rows], length, largest + 1) == object
 
     @pytest.mark.parametrize("tid", list(THEOREMS))
     def test_prefilter_signs_match_explicit_rows(self, tid):
         values = [-1, 0, Fraction(1, 2), 1]
         length, order, k_cap = min_live_length(tid), default_orders(tid)[1], 12
         hyp, concl, _ = _row_matrices(tid, length, order, k_cap, 0)
-        (h_int, c_int), ints = _operands((hyp, concl), [int(2 * v) for v in values])
+        (h_int, c_int), ints = _operands((hyp, concl), length, [int(2 * v) for v in values])
         for combo in itertools.product(range(len(values)), repeat=length):
             live = [values[i] for i in combo]
             verdict = evaluate_theorem(make_case(tid, live, order, 0, k_cap))
-            explicit = verdict.hypothesis_margins[:len(hyp.scaled)]
+            explicit = verdict.hypothesis_margins[:len(hyp)]
             # a ray decided false past k_cap appends its witness row
-            for label, _ in verdict.hypothesis_margins[len(hyp.scaled):]:
+            for label, _ in verdict.hypothesis_margins[len(hyp):]:
                 assert int(label.rsplit("k=", 1)[1]) > k_cap
             row = ints[list(combo)]
             assert [_sign(x) for x in row @ h_int.T] == [_sign(m) for _, m in explicit]

@@ -260,18 +260,24 @@ NEST_LENGTH = 8
 ANCHORS = [0, 3, Fraction(1, 2)]
 
 
+def _row_set(rows, length):
+    """Exact rows of ``length`` coefficients as a set of (numerators,
+    denominator, float row) triples."""
+    floats = monotone._float_rows(rows, length).tolist()
+    return {(tuple(nums), den, tuple(f)) for (nums, den), f in zip(rows, floats)}
+
+
 def nesting_mismatches(tid, order, anchor):
-    """(length, block) pairs whose length-d rows differ, as a set of (primitive
-    integer row, float row) pairs, from the length-8 rows of level < d (no
-    nonzero coefficient at d or past it) cut to their first d coefficients."""
+    """(length, block) pairs whose length-d rows differ, as a set of exact
+    and float rows, from the length-8 rows of level < d (no nonzero
+    numerator at d or past it) cut to their first d coefficients."""
     full = _row_matrices(tid, NEST_LENGTH, order, 64, anchor)
     bad = []
     for d in range(min_live_length(tid), NEST_LENGTH):
         short = _row_matrices(tid, d, order, 64, anchor)
         for name, big, small in zip(("hypothesis", "conclusion"), full, short):
-            cut = {(tuple(s[:d]), tuple(f[:d]))
-                   for s, f in zip(big.scaled, big.floats.tolist()) if not any(s[d:])}
-            if cut != {(tuple(s), tuple(f)) for s, f in zip(small.scaled, small.floats.tolist())}:
+            cut = [(nums[:d], den) for nums, den in big if not any(nums[d:])]
+            if _row_set(cut, d) != _row_set(small, d):
                 bad.append((d, name))
     return bad
 
@@ -318,7 +324,7 @@ def test_row_pass_runs_in_integers(monkeypatch):
                 _row_matrices(tid, length, order, 64, 0)
 
 
-# sha256 of every row block: each theorem x default order x anchor
+# sha256 of every row build: each theorem x default order x anchor
 # {0, 7/2, -3} x live length min..7, in that order, 1,251 builds
 ROW_BLOCK_DIGEST = "919eee6ce54fb5869ae844c77695c1cf4178e3eb1ffa8dc5305f4f07f459655f"
 
@@ -332,16 +338,25 @@ def _canonical(x):
     return int(x)
 
 
+def _pinned_fields(rows, length):
+    """[primitive integer rows, float rows, largest primitive ||row||_1,
+    exact rows] of a block: the first three derived from the exact rows,
+    each primitive row being its numerators divided by their gcd."""
+    primitive = [[x // g for x in nums] for nums, _ in rows for g in [math.gcd(*nums) or 1]]
+    l1 = max((sum(map(abs, row)) for row in primitive), default=0)
+    return [primitive, monotone._float_rows(rows, length), l1, rows]
+
+
 def test_row_blocks_are_pinned():
-    """The scaled, float, l1 and exact rows of both blocks and the exact
-    ray rows, starts and levels of every default row build."""
+    """The exact rows of both blocks, with the fields of ``_pinned_fields``,
+    and the exact ray rows, starts and levels of every default row build."""
     digest = hashlib.sha256()
     for tid in THEOREMS:
         for order in default_orders(tid):
             for anchor in (0, Fraction(7, 2), -3):
                 for length in range(min_live_length(tid), 8):
                     hyp, concl, rays = _row_matrices(tid, length, order, 64, anchor)
-                    blocks = [[b.scaled, b.floats, b.l1, b.exact] for b in (hyp, concl)]
+                    blocks = [_pinned_fields(rows, length) for rows in (hyp, concl)]
                     digest.update(json.dumps(_canonical([blocks, rays])).encode())
     assert digest.hexdigest() == ROW_BLOCK_DIGEST
 
