@@ -5,9 +5,9 @@ rational number, because the two gamma arguments inside one coefficient
 always differ by a nonnegative integer.  Standalone factorial-function
 values (``falling``, ``rising`` at non-integer exponents) are not
 rational; the exact backend represents them as a rational coefficient
-times a monomial in gamma values at arguments in (0, 1).  Identities
-between such values stay exactly checkable because both sides of every
-identity in scope reduce to the same monomial, and a monomial of gamma
+times a monomial in gamma values at arguments in (0, 1).  No operator or
+identity checked here computes such a value.  Sums and orderings of them
+are exact between values of the same monomial, and a monomial of gamma
 values on (0, 1) is strictly positive, so ordering and equality are
 decided by the rational coefficient alone.
 """
@@ -15,6 +15,7 @@ decided by the rational coefficient alone.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from fractions import Fraction
@@ -53,6 +54,7 @@ def _normalize_units(units: dict) -> tuple:
     return tuple(sorted((r, e) for r, e in units.items() if e != 0))
 
 
+@functools.total_ordering
 class GammaValue:
     """Exact value of the form ``coef * prod Gamma(r_i)**e_i`` with r_i in (0, 1).
 
@@ -159,18 +161,6 @@ class GammaValue:
     def __lt__(self, other):
         a, b = self._cmp_coef(other)
         return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_coef(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_coef(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_coef(other)
-        return a >= b
 
 
 class _Backend:

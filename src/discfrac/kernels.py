@@ -146,9 +146,9 @@ def gamma_ratio(x, k: int, backend=FLOATING):
     """Finite product ``Gamma(x+k)/Gamma(x) = x(x+1)...(x+k-1)``.
 
     Defined for every x: a factor is zero exactly when x is an integer
-    <= 0 and x + k > 0, and then the product is zero.  A float product
-    stops once it overflows, signed by its remaining factors, of which
-    x + j is negative exactly when j < -x.
+    <= 0 and x + k > 0, and then the product is zero.  Each exact partial
+    product is guarded; a float one stops once it overflows, signed by its
+    remaining factors, of which x + j is negative exactly when j < -x.
     """
     if k < 0:
         raise DomainError("gamma_ratio needs k >= 0")
@@ -158,12 +158,12 @@ def gamma_ratio(x, k: int, backend=FLOATING):
         return backend.zero
     prod = backend.one
     for j in range(k):
-        prod *= start + j
+        prod = backend.guard(prod * (start + j))
         if prod in (math.inf, -math.inf):
             negatives = max(0, min(k, math.ceil(-start)) - j - 1)
             return -prod if negatives % 2 else prod
     # ``or`` turns a float -0.0 into +0.0
-    return backend.guard(prod or backend.zero)
+    return prod or backend.zero
 
 
 def binomial_weight(beta, lag: int, backend=FLOATING):

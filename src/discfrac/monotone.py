@@ -14,12 +14,11 @@ any other grid, so no margin or ray coefficient is ever rounded.
 "For all k" starting conditions (value bounded below by a rational
 function of k on an integer ray) are decided completely: after clearing
 the positive denominator they become "polynomial R(k) >= 0 for every
-integer k >= j", which is settled exactly by locating the monotonicity
-breakpoints of R (integer brackets of the roots of R', found
-recursively) and testing R at those integers plus the leading
-coefficient for the tail, all in exact arithmetic.  The literal
-inequalities for k up to k_cap are checked as well and feed the reported
-margins.
+integer k >= j", which is settled exactly by locating where the integer
+sequence R(k) turns (sign changes of R(k+1) - R(k), found recursively)
+and testing R at those integers plus the leading coefficient for the
+tail, all in exact arithmetic.  The literal inequalities for k up to
+k_cap are checked as well and feed the reported margins.
 
 Searches run an exact integer prefilter: every row is linear in f with
 rational coefficients, read once per search from one run of the
@@ -42,7 +41,7 @@ witness tries are decided from the exact rows themselves: a survivor's
 exact margin is its smallest row value, and each ray is settled on its
 exact coefficients as ``evaluate_theorem`` settles it; only the witness a
 result reports is confirmed with ``evaluate_theorem``.  Witness order and
-the conclusion margin come from float rows rounded from the exact ones.
+the conclusion margin are exact row values, each rounded once.
 Enumeration and candidate ordering are canonical, so results are
 deterministic for a fixed seed.  Within one exhaustive ``search_theorems``
 run, theorems whose exact rows are equal share one search; each still
@@ -92,9 +91,11 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def _poly_deriv(coeffs):
+def _poly_step(coeffs):
+    """p(x+1) - p(x) by the binomial theorem, coefficients highest first."""
     d = len(coeffs) - 1
-    return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
+    return [sum(c * math.comb(d - i, e) for i, c in enumerate(coeffs[:d - e]))
+            for e in range(d - 1, -1, -1)]
 
 
 def _strip(coeffs):
@@ -123,7 +124,8 @@ def _bisect_bracket(coeffs, lo, hi, sign_lo):
 
 
 def _root_brackets(coeffs, lo: int) -> list[int]:
-    """Integers u >= lo with a real root of the polynomial in [u, u+1]."""
+    """Integers u >= lo, one in [k1, k2) wherever p(k1) p(k2) < 0 and
+    lo <= k1 < k2: p(k) is monotone between its forward difference's."""
     coeffs = _strip(coeffs)
     if len(coeffs) <= 1:
         return []
@@ -132,7 +134,7 @@ def _root_brackets(coeffs, lo: int) -> list[int]:
         if r < lo:
             return []
         return [math.floor(r)]
-    crit = _root_brackets(_poly_deriv(coeffs), lo)
+    crit = _root_brackets(_poly_step(coeffs), lo)
     pts = sorted({lo} | set(crit) | {u + 1 for u in crit})
     out = set()
     for s, e in zip(pts, pts[1:]):
@@ -172,12 +174,10 @@ def poly_nonneg_on_integer_ray(coeffs, start: int):
             step *= 2
             k += step
         return False, k
-    candidates = {start}
-    for u in _root_brackets(_poly_deriv(c), start):
-        candidates.add(u)
-        candidates.add(u + 1)
-    for k in sorted(candidates):
-        if k >= start and _poly_eval(c, k) < 0:
+    # R is monotone between its turns, so its minimum is at one of them
+    for k in sorted({start} | {k for u in _root_brackets(_poly_step(c), start)
+                               for k in (u, u + 1)}):
+        if _poly_eval(c, k) < 0:
             return False, k
     return True, None
 
@@ -731,18 +731,16 @@ class _Arange:
 
 def _value_tables(values):
     """(integer numerators as an object table read by index, their positive
-    common denominator, float table, largest numerator magnitude) of exact
-    values.  A ``range`` is its own numerators over 1, tabled by
-    ``_Arange``; only its two ends are checked to lie in the double range,
-    and the larger of them bounds every value between them."""
+    common denominator, largest numerator magnitude) of exact values in the
+    double range.  A ``range`` is its own numerators over 1 (``_Arange``);
+    only its two ends are checked, and they bound every value between."""
+    checked = [*values[:1], *values[-1:]] if isinstance(values, range) else values
+    for v in checked:
+        FLOATING.scalar(v)
     if isinstance(values, range):
-        ends = [*values[:1], *values[-1:]]
-        for end in ends:
-            FLOATING.scalar(end)
-        return _Arange(values), 1, _Arange(values, float), max(map(abs, ends), default=0)
+        return _Arange(values), 1, max(map(abs, checked), default=0)
     nums, scale = cleared(values)
-    return (np.array(nums, dtype=object), scale, np.array([FLOATING.scalar(v) for v in values]),
-            max(map(abs, nums), default=0))
+    return np.array(nums, dtype=object), scale, max(map(abs, nums), default=0)
 
 
 def _integer_operands(row_sets, length: int, value_ints, largest: int):
@@ -761,11 +759,21 @@ def _integer_operands(row_sets, length: int, value_ints, largest: int):
     return mats, value_ints.astype(dtype)
 
 
-def _float_rows(rows: list, length: int) -> np.ndarray:
-    """Exact rows with each coefficient correctly rounded (``n / d``); they
-    order witnesses and report margins."""
-    return np.array([[x / den for x in nums] for nums, den in rows],
-                    dtype=float).reshape(len(rows), length)
+def _quotient(num, den: int) -> float:
+    """Integer ``num / den`` (den > 0) rounded once, or an infinity of num's sign."""
+    try:
+        return int(num) / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _margins(dots, divisors) -> np.ndarray:
+    """Row values ``dots / divisors`` (Python integers) by column, each exact
+    quotient rounded once: by IEEE division of float64 integers below 2**53,
+    else by ``_quotient``."""
+    if dots.dtype == np.float64 and divisors.max(initial=0) < EXACT_FLOAT_LIMIT:
+        return dots / divisors.astype(np.float64)
+    return np.frompyfunc(_quotient, 2, 1)(dots, divisors).astype(float)
 
 
 def _last_read(mat) -> np.ndarray:
@@ -903,19 +911,20 @@ def _row_search(hyp: list, concl: list, rays: list, values, live_length: int,
     smallest float conclusion margin, survivors with a negative conclusion
     row and witness pool (float margin, exact positivity, indices): the
     ``WITNESS_WINDOW`` best margins, ties in the order survivors arrive,
-    which a stable sort keeps.  An exhaustive search (``samples`` None)
+    which a stable sort keeps, all read off two integer products per chunk
+    (``_margins``).  An exhaustive search (``samples`` None)
     scans the one prefix tree up front, its depth-d survivors being the
     length-d survivors in enumeration order; a random one scans length d's
     own sample stream the first time its result is asked for.  The witness
     tries are decided from the exact rows."""
-    exact_ints, value_scale, value_floats, largest = _value_tables(values)
+    exact_ints, value_scale, largest = _value_tables(values)
     k = len(values)
-    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), live_length, exact_ints,
-                                                    largest)
-    hyp_float, concl_float = _float_rows(hyp, live_length), _float_rows(concl, live_length)
+    (hyp_int, concl_int), ints = _integer_operands((hyp, concl), live_length, exact_ints, largest)
+    hyp_div, concl_div = (np.array([den * value_scale for _, den in rows], dtype=object)
+                          for rows in (hyp, concl))
     h, c = _last_read(hyp_int), _last_read(concl_int)
-    rows = {d: (hyp_int[h < d, :d], hyp_float[h < d, :d], concl_int[c < d, :d],
-                concl_float[c < d, :d]) for d in range(shallowest, live_length + 1)}
+    rows = {d: (hyp_int[h < d, :d], hyp_div[h < d], concl_int[c < d, :d], concl_div[c < d])
+            for d in range(shallowest, live_length + 1)}
     counts, suspects = dict.fromkeys(rows, 0), {d: [] for d in rows}
     min_concl = dict.fromkeys(rows, math.inf)
     pools = {d: (np.empty(0), np.empty(0, bool), np.empty((0, d), np.intp)) for d in rows}
@@ -924,13 +933,14 @@ def _row_search(hyp: list, concl: list, rays: list, values, live_length: int,
     def scan(survivors):
         for idx in survivors:
             d = idx.shape[1]
-            hyp_d, hyp_f, concl_d, concl_f = rows[d]
-            F, Fp = ints[idx], value_floats[idx]
-            suspects[d].extend(idx[((F @ concl_d.T) < 0).any(axis=1)])
-            min_concl[d] = min(min_concl[d], float((Fp @ concl_f.T).min(initial=np.inf)))
+            hyp_d, hyp_dv, concl_d, concl_dv = rows[d]
+            F = ints[idx]
+            hyp_dots, concl_dots = F @ hyp_d.T, F @ concl_d.T
+            suspects[d].extend(idx[(concl_dots < 0).any(axis=1)])
+            min_concl[d] = min(min_concl[d], _margins(concl_dots, concl_dv).min(initial=np.inf))
             pool = tuple(np.concatenate(pair) for pair in zip(pools[d], (
-                (Fp @ hyp_f.T).min(axis=1, initial=np.inf), ((F @ hyp_d.T) > 0).all(axis=1),
-                idx,
+                _margins(hyp_dots, hyp_dv).min(axis=1, initial=np.inf),
+                (hyp_dots > 0).all(axis=1), idx,
             )))
             top = np.argsort(-pool[0], kind="stable")[:WITNESS_WINDOW]
             pools[d] = tuple(a[top] for a in pool)
@@ -958,7 +968,7 @@ def _row_search(hyp: list, concl: list, rays: list, values, live_length: int,
             witness, witness_margin = tuple(as_fraction(values[i]) for i in pool_idx[j]), margin
             if margin > 0:
                 break
-        return (counts[d], min_concl[d] if counts[d] else None, suspects[d],
+        return (counts[d], float(min_concl[d]) if counts[d] else None, suspects[d],
                 witness, witness_margin)
 
     return found
@@ -975,7 +985,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     it reads: the exact hypothesis, conclusion and ray rows with their
     starts, the two lengths and the value set.  A theorem whose key an
     earlier search holds reads that search's survivors and witnesses, and
-    builds no integer or float row.  A random search draws from this
+    builds no row matrix.  A random search draws from this
     theorem's own stream, so none repeats and none is kept.
     ``evaluate_theorem`` confirms the counterexample suspects on this
     theorem's own cases, and every result is a new ``SearchResult``

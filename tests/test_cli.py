@@ -12,12 +12,14 @@ from discfrac.cli import _parse_values, main
 from discfrac.errors import BudgetExceeded, DomainError
 from discfrac.operators import Family, Formulation, Kind, OperatorSpec, Side
 
-# sha256 of the acceptance campaign's report lines without min_conclusion_margin
-CAMPAIGN_DIGEST = "7c1f09b53e9615536e9b58c09b4ea13f92bf512b3c234c8e0c05c19cb43c3d88"
+# sha256 of the acceptance campaign's report: every margin in it, the float
+# min_conclusion_margin too, is an exact value rounded once, so the whole report
+# is machine-independent
+CAMPAIGN_DIGEST = "8a52160e4cdef702398190a684de504e367d0b8ce1c30193732ac7c8f1aac8df"
 # the same digest of `theorems --all --random --budget 5000 --seed 3 --length 7
 # --values -2,-1,0,1/3,1,2`, which draws every fallback length from its own
 # sample stream
-RANDOM_DIGEST = "d2670270fcdef83c84afb09c66226491aae941d042163c9b0a093d1d5632727e"
+RANDOM_DIGEST = "21bd2cb94beb118c352c539e737a89e8d21333e08e6fb0a0bc4cd4a4ee06ddef"
 # sha256 of `check --all --instances 200 --seed 0 --backend rational`: every
 # residual is exact, so the whole report is machine-independent
 RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e0892288fec1375"
@@ -561,8 +563,7 @@ class TestTheorems:
         assert not report.exists()
 
     def test_campaign_report_is_pinned(self, tmp_path, monkeypatch):
-        # witnesses, exact margins and counts of the 28-theorem campaign; the
-        # float min_conclusion_margin is dropped, as its last bit depends on BLAS
+        # witnesses, margins and counts of the 28-theorem campaign, byte for byte
         calls = dict.fromkeys(["_row_matrices", "evaluate_theorem"], 0)
         for name in calls:
             def counting(*args, inner=getattr(monotone, name), name=name):
@@ -573,11 +574,8 @@ class TestTheorems:
         report = tmp_path / "t.jsonl"
         assert main(["theorems", "--all", "--length", "6", "--values", "-1,-1/2,0,1/2,1",
                      "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == CAMPAIGN_DIGEST
         records = [json.loads(line) for line in report.read_text().splitlines()]
-        for rec in records:
-            del rec["min_conclusion_margin"]
-        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        assert hashlib.sha256(text.encode()).hexdigest() == CAMPAIGN_DIGEST
         assert len(records) == 84
         assert sum(rec["instances"] for rec in records) == 1_312_500
         assert sum(rec["hypothesis_count"] for rec in records) == 1_851
@@ -598,11 +596,8 @@ class TestTheorems:
         assert main(["theorems", "--all", "--random", "--budget", "5000", "--seed", "3",
                      "--length", "7", "--values", "-2,-1,0,1/3,1,2",
                      "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == RANDOM_DIGEST
         records = [json.loads(line) for line in report.read_text().splitlines()]
-        for rec in records:
-            del rec["min_conclusion_margin"]
-        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DIGEST
         assert len(records) == 84
         # every fallback length draws its own vectors from the one row build
         # per (theorem, order)

@@ -159,6 +159,19 @@ def test_domain_contract_rejects_off_by_one():
         _paired([0, 1, 2], [1, 2, 3], [1, 2])
 
 
+def test_a_reflected_part_off_the_stated_index_set_is_refused():
+    from discfrac.dualities import _reflected_part
+
+    lhs = make_grid_function(0, Direction.FORWARD, [1, 2, 3], RATIONAL)
+    rhs = make_grid_function(4, Direction.BACKWARD, [1, 2, 3, 4], RATIONAL)
+    assert _reflected_part(lhs, rhs, 2, 2, 1) == slice(2, 4)
+    # a shift of half a step, and shifts that run off either end of rhs
+    for k, den, start, shift in [(1, 2, 0, "1/2"), (4, 2, 0, "2"), (-2, 1, 1, "-2")]:
+        with pytest.raises(DomainError, match=r"^the reflected right-hand side misses the "
+                                              rf"stated index set \(index shift {shift}\)$"):
+            _reflected_part(lhs, rhs, k, den, start)
+
+
 def _replace_operator(monkeypatch, name, replacement):
     """Route every call of operator function ``name`` that a check makes,
     through ``apply_operator`` or directly, to ``replacement``."""

@@ -316,6 +316,18 @@ class TestBackends:
         assert (-a) < 0
         assert float(abs(-a)) == pytest.approx(float(a))
 
+    def test_gamma_ratio_guard_fires_at_the_first_factor_past_the_cap(self):
+        tight = RationalBackend(bit_cap=64)
+        seen, guard = [], tight.guard
+        tight.guard = lambda value: guard(seen.append(value) or value)
+        with pytest.raises(BackendOverflow):
+            gamma_ratio(Fraction(1, 2), 10 ** 4, tight)
+        # every partial product is guarded, and the first past the cap raises
+        assert len(seen) > 1 and seen == [math.prod(Fraction(1, 2) + j for j in range(n))
+                        for n in range(1, len(seen) + 1)]
+        assert [max(x.numerator.bit_length(), x.denominator.bit_length()) > 64
+                for x in seen[-2:]] == [False, True]
+
     def test_kernel_guard_fires_at_the_first_weight_past_the_cap(self):
         beta = Fraction(1, 7)
         tight = RationalBackend(bit_cap=64)
@@ -374,3 +386,48 @@ class TestBackends:
             else:
                 assert den == 1 and list(nums[:9]) == dirty[:9]
             assert weights(kernel(beta, 9, backend)) == clean
+
+
+class TestGammaValue:
+    """Field arithmetic and ordering of ``coef * prod Gamma(r)**e`` values."""
+
+    g = GammaValue.make(Fraction(3, 2), {Fraction(1, 2): 1})
+    h = GammaValue.make(Fraction(-1, 4), {Fraction(1, 2): 1})
+    u = GammaValue.make(Fraction(1), {Fraction(1, 3): 2})
+
+    def test_division_subtracts_monomials(self):
+        g, h, u = self.g, self.h, self.u
+        assert type(g / h) is Fraction and g / h == -6
+        assert g / g == 1
+        quotient = g / u
+        assert (quotient.coef, quotient.units) == (
+            Fraction(3, 2), ((Fraction(1, 3), -2), (Fraction(1, 2), 1)))
+        assert (g / 3).coef == Fraction(1, 2) and (g / 3).units == g.units
+        inverse = 3 / g
+        assert (inverse.coef, inverse.units) == (2, ((Fraction(1, 2), -1),))
+        assert float(inverse) == pytest.approx(3 / float(g))
+
+    def test_ordering_within_one_monomial_and_against_zero(self):
+        g, h = self.g, self.h
+        assert h < g and h <= g and g <= g and g >= g and g > h and g >= h
+        assert not (g < h or g <= h or h >= g or h > g or g < g or g > g)
+        assert g > 0 and g >= 0 and h < 0 and h <= 0 and 0 < g and 0 >= h
+        assert not (g <= 0 or h >= 0 or g < 0 or h > 0)
+
+    @pytest.mark.parametrize("compare", [
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b])
+    def test_ordering_across_monomials_is_refused(self, compare):
+        with pytest.raises(UnitMismatch, match=r"cannot order .* against 1\*G"):
+            compare(self.g, self.u)
+        with pytest.raises(UnitMismatch, match="cannot order .* against rational 1$"):
+            compare(self.g, 1)
+
+    def test_equality_and_hash(self):
+        g, h, u = self.g, self.h, self.u
+        twin = GammaValue.make(Fraction(3, 2), {Fraction(1, 2): 1})
+        assert g == twin and hash(g) == hash(twin) and len({g, twin, h}) == 2
+        assert g != h and g != u
+        # a nonempty monomial is irrational: no rational equals it
+        assert not (g == 0 or g == Fraction(3, 2) or g == 1.5)
+        assert GammaValue(Fraction(0), g.units) == 0
+        assert (g == object()) is False

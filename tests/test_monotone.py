@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -109,6 +110,10 @@ class TestRayDecision:
         coeffs=st.lists(small_frac, min_size=1, max_size=4),
         start=st.integers(min_value=0, max_value=3),
     )
+    # R' has both roots, 1/10 and 9/10, inside [0, 1], and R(1) = -13/100
+    # between them; a test at the integers beside R''s roots misses it
+    @example(coeffs=[Fraction(1), Fraction(-3, 2), Fraction(27, 100), Fraction(1, 10)],
+             start=0)
     @settings(max_examples=120, deadline=None)
     def test_agrees_with_literal_scan(self, coeffs, start):
         ok, witness = poly_nonneg_on_integer_ray(list(coeffs), start)
@@ -130,10 +135,12 @@ class TestRayDecision:
     @example(factors=[(3, 3)], shift=1, start=0)
     @example(factors=[(3, 4)], shift=0, start=0)
     @example(factors=[(3, 4)], shift=1, start=0)
+    # R(4) = -1, at a dip the derivative's root brackets do not reach
+    @example(factors=[(1, 3), (2, 3), (4, 2)], shift=-1, start=3)
     @settings(max_examples=150, deadline=None)
     def test_integer_critical_points_agree_with_brute_force(self, factors, shift, start):
-        # prod (k - r)^m + shift, expanded: its derivatives vanish exactly at
-        # the integer roots r, which the root brackets then start or end at
+        # prod (k - r)^m + shift, expanded: its forward differences change
+        # sign next to the integer roots r, where the root brackets lie
         coeffs = [1]
         for r, m in factors:
             for _ in range(m):
@@ -286,6 +293,19 @@ class TestEvaluate:
         v = evaluate_theorem(case)
         assert v.hypothesis_holds and v.conclusion_holds
 
+    def test_wrong_direction_and_origin_are_refused(self):
+        case = make_case("T_JEPP", [0, 1, 2], Fraction(3, 2), anchor=2)
+        assert case.f.origin == 1
+        backward = replace(case, f=make_grid_function(1, Direction.BACKWARD, [0, 0, 1, 2],
+                                                      RATIONAL))
+        with pytest.raises(DomainError, match="^T_JEPP expects a forward grid$"):
+            evaluate_theorem(backward)
+        moved = replace(case, f=make_grid_function(2, Direction.FORWARD, [0, 0, 1, 2],
+                                                   RATIONAL))
+        with pytest.raises(DomainError, match="^T_JEPP expects the grid origin at anchor-1$"):
+            evaluate_theorem(moved)
+        assert evaluate_theorem(case).hypothesis_holds
+
     def test_order_out_of_range_rejected(self):
         case = make_case("T_JEP1", [0] * 5, Fraction(1, 2))
         with pytest.raises(DomainError):
@@ -426,6 +446,13 @@ class TestSearch:
         else:
             with pytest.raises(BudgetExceeded, match=f"{len(values)}\\^{length} x 1 "):
                 search_campaign(*args, budget=budget)
+
+    def test_short_grid_and_unknown_mode_are_refused(self):
+        shortest = min_live_length("T_SLOV33")
+        with pytest.raises(GridTooShort, match=f"^T_SLOV33 needs at least {shortest} live"):
+            search_campaign("T_SLOV33", shortest - 1, [0, 1])
+        with pytest.raises(DomainError, match="^unknown search mode 'sampled'$"):
+            search_campaign("T_U1", 3, [0, 1], mode="sampled")
 
     def test_random_mode_runs(self):
         results = search_campaign("T_UU1", 5, [Fraction(k, 2) for k in range(-2, 3)],
@@ -654,12 +681,15 @@ class TestExactPrefilter:
     def test_campaign_rows_multiply_in_float64(self):
         # every (theorem, default order) row set of the length-6 campaign on
         # the halves, ray rows up to k_cap 64 included, stays exact in BLAS
-        exact_ints, _, _, largest = monotone._value_tables(tuple(map(Fraction, CAMPAIGN_VALUES)))
+        # and so do the margins: every divisor is below 2**53
+        exact_ints, scale, largest = monotone._value_tables(tuple(map(Fraction, CAMPAIGN_VALUES)))
         for tid in THEOREMS:
             for order in default_orders(tid):
                 hyp, concl, _ = _row_matrices(tid, 6, order, 64, 0)
                 mats, ints = _integer_operands((hyp, concl), 6, exact_ints, largest)
                 assert [a.dtype for a in (*mats, ints)] == [np.float64] * 3, (tid, order)
+                assert max(den * scale for rows in (hyp, concl) for _, den in rows) < (
+                    monotone.EXACT_FLOAT_LIMIT), (tid, order)
 
     @pytest.mark.parametrize("rows,largest,dtype", [
         # ||numerators||_1 = 8: the bound lands just below 2**53, then on it
@@ -674,6 +704,43 @@ class TestExactPrefilter:
         (mat,), ints = _integer_operands([rows], 3, values, largest)
         assert mat.dtype == ints.dtype == dtype
         assert mat.tolist() == [nums for nums, _ in rows]
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_margins_are_exact_quotients_rounded_once(self, dtype):
+        # 5/96 and 1/12 are the margins a float row product got a bit low
+        dots = [[5, -1, 0, 2 ** 52 - 1], [-7, 1, 3, -(2 ** 52) + 3]]
+        divisors = (96, 12, 3 ** 30, 7)
+        got = monotone._margins(np.array(dots, dtype=dtype), np.array(divisors, dtype=object))
+        assert got.dtype == np.float64
+        assert got.tolist() == [[float(Fraction(n, d)) for n, d in zip(row, divisors)]
+                                for row in dots]
+        assert got[0, 0] == 0.052083333333333336 and got[0, 1] == -0.08333333333333333
+
+    def test_margins_past_the_double_range_are_signed_infinities(self):
+        divisors = np.array([3, 2 ** 53 + 1], dtype=object)
+        got = monotone._margins(np.array([[10 ** 400, 3], [-(10 ** 400), -1]], dtype=object),
+                                divisors)
+        assert got.tolist() == [[math.inf, 3 / (2 ** 53 + 1)], [-math.inf, -1 / (2 ** 53 + 1)]]
+        # float64 dots over a divisor past 2**53 divide as Python integers: a
+        # float divisor would round to 2**53 first
+        exact = float(Fraction(2 ** 52 + 1, 2 ** 53 + 1))
+        assert exact != (2 ** 52 + 1) / float(2 ** 53 + 1)
+        assert monotone._margins(np.array([[6.0, 2.0 ** 52 + 1]]), divisors).tolist() == [
+            [2.0, exact]]
+
+    def test_values_near_the_double_limit_search_without_overflow(self):
+        # T_SLOV1's rows of +-1.7e308 pass the double range: their margins
+        # are infinities read off the exact integer products, with no float
+        # product to overflow
+        values = [-1.7e308, -1, 0, 1, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = search_campaign("T_SLOV1", 4, values, [Fraction(3, 2)])
+        assert (result.hypothesis_count, result.counterexamples) == (5, [])
+        assert result.min_conclusion_margin == 0.0
+        assert result.witness == (Fraction(-1.7e308), 1, Fraction(1.7e308))
+        assert result.witness_margin == 1
 
 
 def _operands(row_sets, length, nums):
@@ -719,10 +786,14 @@ def _reference_instance(theorem_id, live_length, value_set, order, mode, samples
             _, c = case(j)
             if not evaluate_theorem(c).consistent:
                 counterexamples.append(c)
-    floats = np.array([float(v) for v in values])[idx[passing]]
-    hyp_float, concl_float = (monotone._float_rows(rows, live_length) for rows in (hyp, concl))
-    min_concl = float((floats @ concl_float.T).min()) if len(passing) else None
-    margins = (floats @ hyp_float.T).min(axis=1)
+    # float margins: the exact smallest row values, each rounded once
+    exact = np.array(values, dtype=object)[idx[passing]]
+    hyp_exact, concl_exact = (
+        exact @ np.array([[Fraction(x, den) for x in nums] for nums, den in rows],
+                         dtype=object).reshape(len(rows), live_length).T
+        for rows in (hyp, concl))
+    min_concl = float(concl_exact.min()) if len(passing) else None
+    margins = np.array([float(m) for m in hyp_exact.min(axis=1)])
     witness = witness_margin = None
     for j in passing[np.lexsort((passing, -margins))[:monotone.WITNESS_WINDOW]]:
         if not F[j].any() or (witness is not None and not hyp_min[j] > 0):
@@ -882,7 +953,7 @@ def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
     """Reference rows read off unit vectors, one rational builder run per
     live value, with the rays expanded by ``expanded_hypothesis_rows`` (see
     ``test_ray_rows_match_fraction_quotients``): per block, the exact rows
-    as Fractions and the correctly rounded float rows."""
+    as Fractions."""
 
     def rows_at(live):
         case = make_case(tid, live, order, anchor, k_cap)
@@ -891,11 +962,8 @@ def _unit_vector_rows(tid, length, order, k_cap=64, anchor=0):
                 [v for _, v in concl])
 
     columns = [rows_at([int(i == j) for j in range(length)]) for i in range(length)]
-    blocks = []
-    for part in (0, 1):
-        exact = [[Fraction(x) for x in row] for row in zip(*(col[part] for col in columns))]
-        blocks.append((exact, [[float(x) for x in row] for row in exact]))
-    return blocks
+    return [[[Fraction(x) for x in row] for row in zip(*(col[part] for col in columns))]
+            for part in (0, 1)]
 
 
 def _sign_dtype(row_sets, length, largest):
@@ -919,10 +987,9 @@ class TestOnePassRows:
         for order in default_orders(tid):
             for length in range(min_live_length(tid), 7):
                 *blocks, _ = _row_matrices(tid, length, order, 64, 0)
-                for rows, (exact, floats) in zip(blocks, _unit_vector_rows(tid, length, order)):
+                for rows, exact in zip(blocks, _unit_vector_rows(tid, length, order)):
                     assert all(den > 0 for _, den in rows)
                     assert [[Fraction(x, den) for x in nums] for nums, den in rows] == exact
-                    assert monotone._float_rows(rows, length).tolist() == floats
                     # the float64 bound is read from these numerators
                     l1 = max(sum(map(abs, nums)) for nums, _ in rows)
                     largest = (monotone.EXACT_FLOAT_LIMIT - 1) // l1

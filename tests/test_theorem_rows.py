@@ -260,24 +260,22 @@ NEST_LENGTH = 8
 ANCHORS = [0, 3, Fraction(1, 2)]
 
 
-def _row_set(rows, length):
-    """Exact rows of ``length`` coefficients as a set of (numerators,
-    denominator, float row) triples."""
-    floats = monotone._float_rows(rows, length).tolist()
-    return {(tuple(nums), den, tuple(f)) for (nums, den), f in zip(rows, floats)}
+def _row_set(rows):
+    """Exact rows as a set of (numerators, denominator) pairs."""
+    return {(tuple(nums), den) for nums, den in rows}
 
 
 def nesting_mismatches(tid, order, anchor):
     """(length, block) pairs whose length-d rows differ, as a set of exact
-    and float rows, from the length-8 rows of level < d (no nonzero
-    numerator at d or past it) cut to their first d coefficients."""
+    rows, from the length-8 rows of level < d (no nonzero numerator at d or
+    past it) cut to their first d coefficients."""
     full = _row_matrices(tid, NEST_LENGTH, order, 64, anchor)
     bad = []
     for d in range(min_live_length(tid), NEST_LENGTH):
         short = _row_matrices(tid, d, order, 64, anchor)
         for name, big, small in zip(("hypothesis", "conclusion"), full, short):
             cut = [(nums[:d], den) for nums, den in big if not any(nums[d:])]
-            if _row_set(cut, d) != _row_set(small, d):
+            if _row_set(cut) != _row_set(small):
                 bad.append((d, name))
     return bad
 
@@ -338,13 +336,14 @@ def _canonical(x):
     return int(x)
 
 
-def _pinned_fields(rows, length):
+def _pinned_fields(rows):
     """[primitive integer rows, float rows, largest primitive ||row||_1,
     exact rows] of a block: the first three derived from the exact rows,
-    each primitive row being its numerators divided by their gcd."""
+    each primitive row being its numerators divided by their gcd and each
+    float coefficient its exact value rounded once."""
     primitive = [[x // g for x in nums] for nums, _ in rows for g in [math.gcd(*nums) or 1]]
     l1 = max((sum(map(abs, row)) for row in primitive), default=0)
-    return [primitive, monotone._float_rows(rows, length), l1, rows]
+    return [primitive, [[x / den for x in nums] for nums, den in rows], l1, rows]
 
 
 def test_row_blocks_are_pinned():
@@ -356,7 +355,7 @@ def test_row_blocks_are_pinned():
             for anchor in (0, Fraction(7, 2), -3):
                 for length in range(min_live_length(tid), 8):
                     hyp, concl, rays = _row_matrices(tid, length, order, 64, anchor)
-                    blocks = [_pinned_fields(rows, length) for rows in (hyp, concl)]
+                    blocks = [_pinned_fields(rows) for rows in (hyp, concl)]
                     digest.update(json.dumps(_canonical([blocks, rays])).encode())
     assert digest.hexdigest() == ROW_BLOCK_DIGEST
 
