@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 import re
 from fractions import Fraction
 
@@ -148,12 +149,13 @@ class GammaValue:
         raise UnitMismatch(f"cannot order {self!r} against rational {other}")
 
     def __eq__(self, other):
+        """Equal to a ``GammaValue`` of the same value, or to a number only at
+        0; anything else, a string too, is left to ``other``."""
         if isinstance(other, GammaValue):
             return self.units == other.units and self.coef == other.coef
-        try:
-            return as_fraction(other) == 0 and self.coef == 0
-        except TypeError:
-            return NotImplemented
+        if isinstance(other, numbers.Number):
+            return other == 0 and self.coef == 0
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.coef, self.units))

@@ -247,9 +247,11 @@ def cmd_theorems(args) -> int:
     values = _parse_values(args.values, None if args.random else args.budget)
     orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
     _reject_repeats("--nu", orders or [])
-    # one config for every record: a long --values range is listed once
+    # one config for every record, where a --values range is its lo..hi text
+    shown = (f"{values.start}..{values.stop - 1}" if isinstance(values, range)
+             else [str(v) for v in values])
     config = {"mode": mode, "seed": args.seed, "k_cap": args.k_cap, "budget": args.budget,
-              "values": [str(v) for v in values]}
+              "values": shown}
     records = []
     any_counterexample = False
     for tid, results in search_theorems(ids, args.length, values, orders, mode, args.budget,

@@ -24,10 +24,13 @@ Every grid exposes its values as one ``(nums, den)`` view, ``parts``,
 and every operator reads that view and builds its output from one
 (``with_parts``), so the exact and the floating operators run the same
 code.  Only this module knows how a grid stores it.  On the exact backend
-a grid of ``Fraction`` values is held cleared: integer numerators over
-one positive denominator (not reduced), whose normalized ``Fraction``s
-``values`` builds when first read.  Floats, and the coefficient vectors
-of the symbolic row pass, are held as given and read over 1.  The
+a grid is held cleared, integer numerators over one positive denominator
+(not reduced): a grid of ``Fraction``s as ints, whose normalized
+``Fraction``s ``values`` builds when first read, and a grid of the
+symbolic row pass's ``CoefficientVector``s as integer arrays over the LCM
+of their denominators, whose vectors ``values`` builds the same way.  The
+exact zero beside vectors is a zero array, and any other constant among
+them a ``TypeError``.  Floats are held as given, over 1.  The
 constructor, ``with_parts`` and ``from_parts`` (parts already in that
 form) end in one function that sets the slots.  ``drop_leading``,
 ``prepend_zero``, ``reflected`` and ``reversed_view`` keep the
@@ -37,17 +40,53 @@ denominator, and ``shift_origin`` forms one ``Fraction`` from integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError
+import math
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .backends import FLOATING, as_fraction
 from .errors import DomainError, EmptyValues, GridTooShort
-from .kernels import cleared as _clear
+from .kernels import cleared
 
 
 class Direction(enum.Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
+
+
+@dataclass(slots=True, eq=False)
+class CoefficientVector:
+    """A value of the symbolic row pass: the linear form ``nums / den`` (ints
+    over one positive denominator) in the stored values and a last, constant
+    coordinate that no stored value reads, where an added scalar lands.  A
+    product of two vectors is not linear and raises ``TypeError``."""
+
+    nums: "numpy.ndarray"
+    den: int = 1
+
+    def __add__(self, other):
+        if not isinstance(other, CoefficientVector):  # a constant: the last coordinate
+            unit = self.nums * 0
+            unit[-1] = 1
+            other = CoefficientVector(unit) * as_fraction(other)
+        return CoefficientVector(self.nums * other.den + other.nums * self.den,
+                                 self.den * other.den)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, CoefficientVector):
+            raise TypeError("a product of two coefficient vectors is not linear")
+        return CoefficientVector(self.nums * scalar.numerator, self.den * scalar.denominator)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 class GridFunction:
@@ -58,13 +97,13 @@ class GridFunction:
     ``(origin, direction, values, backend)``.
     """
 
-    # _nums and _den: the cleared numerators and denominator, or the values
-    # as held and None
+    # _nums and _den: the cleared numerators (ints or integer arrays) and
+    # denominator, or the values as held and None
     __slots__ = ("origin", "direction", "backend", "_nums", "_den", "_values")
 
     def __init__(self, origin, direction, values, backend=FLOATING):
         values = tuple(values)
-        nums, den = (_clear(values) if backend.exact else None) or (values, None)
+        nums, den = (_cleared(values) if backend.exact else None) or (values, None)
         _fill(self, origin, direction, nums, den, backend, values)
 
     @classmethod
@@ -75,8 +114,9 @@ class GridFunction:
     @property
     def values(self) -> tuple:
         if self._values is None:
-            den = self._den
-            _set_values(self, tuple([Fraction(x, den) for x in self._nums]))
+            nums, den = self._nums, self._den
+            form = Fraction if not nums or isinstance(nums[0], int) else CoefficientVector
+            _set_values(self, tuple([form(x, den) for x in nums]))
         return self._values
 
     @property
@@ -143,14 +183,12 @@ class GridFunction:
                             self.direction, values, self.backend)
 
     def with_parts(self, nums, den: int, origin=None, direction=None) -> "GridFunction":
-        """The grid of values ``nums[i] / den`` (``den > 0``) at ``origin`` and
-        in ``direction`` (this grid's own by default), in this grid's form."""
-        nums = tuple(nums)
-        if self._den is None:  # values held as given, read over 1
-            nums = nums if den == 1 else tuple([x * Fraction(1, den) for x in nums])
-            den = None
+        """The grid of values ``nums[i] / den`` (``den > 0``, 1 on a grid held
+        as given) at ``origin`` and in ``direction`` (this grid's own by
+        default), in this grid's form."""
         return GridFunction.from_parts(self.origin if origin is None else as_fraction(origin),
-                                       direction or self.direction, nums, den, self.backend)
+                                       direction or self.direction, tuple(nums),
+                                       None if self._den is None else den, self.backend)
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
@@ -169,7 +207,10 @@ class GridFunction:
     def prepend_zero(self) -> "GridFunction":
         """Extend one step toward the anchor side with a zero value."""
         nums, den = self.parts
-        zero = self.backend.zero if self._den is None else 0
+        if self._den is None:
+            zero = self.backend.zero
+        else:  # the int 0, or a zero array beside coefficient vectors
+            zero = nums[0] * 0 if nums else 0
         return self.with_parts((zero,) + nums, den, self.shift_origin(-1))
 
     def reflected(self, origin=None) -> "GridFunction":
@@ -202,6 +243,22 @@ def _fill(grid, origin, direction, nums, den, backend, values=None) -> GridFunct
     _set_den(grid, den)
     _set_values(grid, nums if den is None else values)
     return grid
+
+
+def _cleared(values):
+    """``(nums, den)`` with ``values[i] == nums[i] / den``, or None for values
+    held as given: ``cleared`` for exact scalars, and coefficient vectors as
+    integer arrays over the LCM of their denominators, the exact zero beside
+    them as a zero array."""
+    if CoefficientVector not in {*map(type, values)}:
+        return cleared(values)
+    vectors = [v for v in values if isinstance(v, CoefficientVector)]
+    if any(not isinstance(v, CoefficientVector) and v != 0 for v in values):
+        raise TypeError("a nonzero constant among coefficient vectors")
+    e = math.lcm(*(v.den for v in vectors))
+    zero = vectors[0].nums * 0
+    return tuple([v.nums * (e // v.den) if isinstance(v, CoefficientVector) else zero
+                  for v in values]), e
 
 
 def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunction:

@@ -205,8 +205,9 @@ def kernel_vector(beta, count: int, backend=FLOATING) -> list:
 
 def cleared(values):
     """``(nums, d)``, nums a tuple, with ``values[i] == nums[i] / d`` for d
-    the LCM of the denominators, or None unless every value is a Fraction."""
-    if not {*map(type, values)} <= {Fraction}:
+    the LCM of the denominators, or None unless every value is a Fraction or
+    an int."""
+    if not {*map(type, values)} <= {Fraction, int}:
         return None
     # two passes, so no list of (numerator, denominator) pairs is held
     d = math.lcm(*[v.denominator for v in values])

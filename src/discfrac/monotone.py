@@ -65,10 +65,9 @@ import numpy as np
 
 from .backends import FLOATING, RATIONAL, as_fraction
 from .errors import BudgetExceeded, DomainError, GridTooShort
-from .grids import Direction, GridFunction, make_grid_function
+from .grids import CoefficientVector, Direction, GridFunction, make_grid_function
 from .kernels import cleared
 from .operators import (
-    CoefficientVector,
     Family,
     Formulation,
     Kind,
@@ -368,7 +367,7 @@ class _NablaRiemann:
         if self.dual:
             spec = OperatorSpec(Kind.DELTA, _side(case), Family.RIEMANN, case.order)
             nums, den = f.parts
-            f = f.with_parts((0,) * spec.n + nums[1:], den, f.shift_origin(1 - spec.n))
+            f = f.with_parts((nums[0] * 0,) * spec.n + nums[1:], den, f.shift_origin(1 - spec.n))
         else:
             spec = OperatorSpec(Kind.NABLA, _side(case), Family.RIEMANN, case.order,
                                 Formulation.DIRECT)

@@ -32,17 +32,15 @@ iterated storage diffs (see grids module), and only origins differ.
 
 Every operator reads its input as the grid's ``(nums, den)`` view
 (``GridFunction.parts``) and builds its output from one (``with_parts``):
-cleared integer numerators over one denominator on the exact backend,
-floats over 1 on the floating one.  The code is the same for both: the
-kernel comes in the same form (``kernel``), the Riemann-to-Caputo
-correction (``_correction_terms``, which the theorem engine's Caputo bound
-adds back) and the Caputo inversion residual subtract their sums over
-one common denominator (``_correction``), and the only
-choice by value type is the convolution loop of ``_pipeline``: Python ints
-for exact values, ``_convolve`` for floats, and integer arrays for the
-coefficient vectors of the symbolic row pass, which ``_pipeline`` clears
-on the way in and wraps on the way out.  No exact operator clears its
-input again or builds a Fraction per output point.
+integer numerators over one denominator on the exact backend (integer
+arrays for the coefficient vectors of the symbolic row pass), floats over
+1 on the floating one.  The code is the same for all of them: the kernel
+comes in the same form (``kernel``), every convolution runs through the
+one loop of ``_convolve``, and the Riemann-to-Caputo correction
+(``_correction_terms``, which the theorem engine's Caputo bound adds back)
+and the Caputo inversion residual subtract their sums over one common
+denominator (``_correction``).  No operator clears its input again, knows
+how a grid stores its values or builds a Fraction per output point.
 """
 
 from __future__ import annotations
@@ -124,7 +122,10 @@ def _require_direction(spec: OperatorSpec, f: GridFunction) -> None:
 
 def _convolve(weights, values, skip_first: bool) -> list:
     """out[m] = sum of weights[m-j] * values[j] over j <= m (j >= 1 with
-    skip_first).  Only floats come here; exact values run in integers."""
+    skip_first), for ints, integer arrays and floats alike.  Each sum is
+    added from its first term on, so floats round in one order on every
+    Python version and an array never meets a plain 0; an empty sum is the
+    values' own zero (+0.0 on floats)."""
     lo = 1 if skip_first else 0
     out = []
     for m in range(len(values)):
@@ -132,62 +133,8 @@ def _convolve(weights, values, skip_first: bool) -> list:
         for j in range(lo, m + 1):
             term = weights[m - j] * values[j]
             acc = term if acc is None else acc + term
-        if acc is None:
-            acc = 0 * weights[0]
-        out.append(acc)
+        out.append(values[0] - values[0] if acc is None else acc)
     return out
-
-
-@dataclass(slots=True, eq=False)
-class CoefficientVector:
-    """A value of the symbolic row pass: the linear form ``nums / den`` (ints
-    over one positive denominator) in the stored values and a last, constant
-    coordinate that no stored value reads, where an added scalar lands.  A
-    product of two vectors is not linear and raises ``TypeError``."""
-
-    nums: "numpy.ndarray"
-    den: int = 1
-
-    def __add__(self, other):
-        if not isinstance(other, CoefficientVector):  # a constant: the last coordinate
-            unit = self.nums * 0
-            unit[-1] = 1
-            other = CoefficientVector(unit) * as_fraction(other)
-        return CoefficientVector(self.nums * other.den + other.nums * self.den,
-                                 self.den * other.den)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, CoefficientVector):
-            raise TypeError("a product of two coefficient vectors is not linear")
-        return CoefficientVector(self.nums * scalar.numerator, self.den * scalar.denominator)
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-def _vector_parts(values):
-    """``(arrays, e)`` with ``values[i] == CoefficientVector(arrays[i], e)``,
-    or None unless a value is a ``CoefficientVector``: the vectors of the
-    symbolic row pass clear to integer arrays over the LCM e of their
-    denominators, and the only scalar allowed beside them is the exact zero
-    that ``prepend_zero`` stores, a zero array."""
-    if CoefficientVector not in {*map(type, values)}:
-        return None
-    vectors = [v for v in values if isinstance(v, CoefficientVector)]
-    if any(not isinstance(v, CoefficientVector) and v != 0 for v in values):
-        raise TypeError("a nonzero constant among coefficient vectors")
-    e = math.lcm(*(v.den for v in vectors))
-    zero = vectors[0].nums * 0
-    return ([v.nums * (e // v.den) if isinstance(v, CoefficientVector) else zero
-             for v in values], e)
 
 
 def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
@@ -196,38 +143,16 @@ def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
     w(beta, .) (none when beta is 0) and a ``post``-th storage difference,
     as a grid at ``origin`` (f's own by default).
 
-    Every step runs on ``f.parts``, numerators over E, with coefficient
-    vectors as integer arrays over one LCM E (``_vector_parts``).  The
+    Every step runs on ``f.parts``, numerators over E (floats over 1).  The
     kernel comes over its own denominator D (1 for floats), and the output
-    is the grid of the resulting numerators over D*E, or one
-    CoefficientVector per point.  Exact values convolve in Python ints, or
-    integer arrays for vectors; floats run through ``_convolve``.
+    is the grid of the resulting numerators over D*E.
     """
     vals, den = f.parts
-    vectors = _vector_parts(vals)
-    if vectors is not None:
-        vals, den = vectors
-    vals = storage_difference(vals, pre) if pre else tuple(vals)
+    vals = storage_difference(vals, pre)
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend)
-        if f.backend.exact:
-            if skip_first and vals:
-                vals = (vals[0] * 0,) + vals[1:]
-            fold = sum if vectors is None else _folded  # ints keep sum's fast path
-            vals = [fold(map(operator.mul, w[m::-1], vals)) for m in range(len(vals))]
-        else:
-            vals = _convolve(w, vals, skip_first)
-        den *= d
-    vals = storage_difference(vals, post) if post else vals
-    if vectors is not None:
-        vals, den = [CoefficientVector(x, den) for x in vals], 1
-    return f.with_parts(vals, den, origin)
-
-
-def _folded(terms):
-    """The sum of a nonempty iterator, folded from its first term: a
-    coefficient vector never pays for ``0 + array``."""
-    return sum(terms, next(terms))
+        vals, den = _convolve(w, vals, skip_first), den * d
+    return f.with_parts(storage_difference(vals, post), den, origin)
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:

@@ -462,18 +462,38 @@ class TestTheorems:
                                            f"than {sys.maxsize} values\n")
 
     @pytest.mark.parametrize("mode", ["--exhaustive", "--random"])
-    def test_a_range_reports_as_its_comma_list(self, tmp_path, capsys, mode):
-        # a range cannot repeat a value, so it skips the repeat check
-        texts = []
-        for values in ("1..4", "1,2,3,4"):
+    def test_a_range_reports_as_its_text(self, tmp_path, capsys, mode):
+        """A range searches what its comma list does; its report names it by
+        its lo..hi text, where the list's names every value, and every other
+        field is the list's."""
+        runs = []
+        for values in (" 01..4", "1,2,3,4"):
             report = tmp_path / "t.jsonl"
             assert main(["theorems", "--id", "T_U1", mode, "--values", values, "--length", "2",
                          "--budget", "200", "--report", str(report)]) == 0
-            texts.append((report.read_bytes(), capsys.readouterr()))
-        assert texts[0] == texts[1]
+            runs.append(([json.loads(line) for line in report.read_text().splitlines()],
+                         capsys.readouterr()))
+        (ranged, ranged_out), (listed, listed_out) = runs
+        assert ranged_out == listed_out and len(ranged) == len(listed) == 3
+        for a, b in zip(ranged, listed):
+            assert (a["config"].pop("values"), b["config"].pop("values")) == (
+                "1..4", ["1", "2", "3", "4"])
+            assert a == b
+        # a range cannot repeat a value, so it skips the repeat check
         assert main(["theorems", "--id", "T_U1", mode, "--values", "1,2,3,2", "--length", "2",
                      "--budget", "200"]) == 2
         assert capsys.readouterr().err == "usage error: --values repeats 2\n"
+
+    def test_a_long_range_keeps_the_report_small(self, tmp_path):
+        """The report of a range does not grow with its length: 300,001 values
+        write what 4 do, but for the wider witnesses a wider range draws."""
+        sizes = []
+        for values in ("0..3", "0..300000"):
+            report = tmp_path / "t.jsonl"
+            assert main(["theorems", "--id", "T_U1", "--random", "--values", values,
+                         "--budget", "100", "--k-cap", "3", "--report", str(report)]) == 0
+            sizes.append(report.stat().st_size)
+        assert sizes[1] < sizes[0] + 200 and sizes[1] < 2000
 
     @pytest.mark.parametrize("length", ["6000", "7000"])
     def test_long_grid_budget_error_names_its_factors(self, capsys, length):

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.errors import DomainError, EmptyValues, GridTooShort
 from discfrac.grids import (
+    CoefficientVector,
     Direction,
     GridFunction,
     integer_difference,
     make_grid_function,
     q_reflect,
 )
-from discfrac.operators import CoefficientVector
 
 import oracles
 
@@ -192,6 +192,14 @@ class TestParts:
         moved = g.with_parts(nums, den, origin=1, direction=Direction.FORWARD)
         assert moved.values == g.values and moved.points() == [1, 2, 3, 4]
 
+    def test_an_int_grid_is_held_cleared(self):
+        """Ints on the exact backend are held as Fractions are, so parts over
+        a denominator read back as those values."""
+        g = GridFunction(Fraction(2), Direction.FORWARD, [1, -2, 3], RATIONAL)
+        assert g.parts == fwd([1, -2, 3], origin=2).parts == ((1, -2, 3), 1)
+        assert g.with_parts(*g.parts) == g
+        assert g.with_parts((1, -2, 3), 2).values == (Fraction(1, 2), -1, Fraction(3, 2))
+
     def test_float_grid_round_trips_over_one(self):
         g = fwd([0.5, -0.0, 3.25], backend=FLOATING)
         nums, den = g.parts
@@ -200,15 +208,39 @@ class TestParts:
         assert back == g and list(map(repr, back.values)) == ["0.5", "-0.0", "3.25"]
         assert list(map(repr, g.prepend_zero().values)) == ["0.0", "0.5", "-0.0", "3.25"]
 
-    def test_coefficient_vectors_round_trip_over_one(self):
+    def test_coefficient_vectors_clear_over_their_lcm(self):
+        """A grid of coefficient vectors is held as a grid of Fractions is:
+        integer arrays over the LCM of the vectors' denominators.  Its values
+        are the same linear forms, and ``prepend_zero`` stores the zero
+        array."""
         vectors = [CoefficientVector(np.array([1, j, 0], dtype=object), j + 1)
                    for j in range(3)]
+
+        def forms(values):
+            return [[Fraction(x, v.den) for x in v.nums] for v in values]
+
         g = fwd([0, 0, 0]).with_values(vectors)
         nums, den = g.parts
-        assert den == 1 and nums == tuple(vectors)
-        back = g.with_parts(nums, den)
-        assert back == g and all(a is b for a, b in zip(back.values, vectors))
-        assert g.prepend_zero().values[0] is RATIONAL.zero
+        assert den == 6 and [list(x) for x in nums] == [[6, 0, 0], [3, 3, 0], [2, 4, 0]]
+        assert all(type(x) is int for x in np.concatenate(nums))
+        assert all(isinstance(v, CoefficientVector) for v in g.values)
+        assert forms(g.values) == forms(vectors)
+        for back in g.with_parts(nums, den), g.with_parts([2 * x for x in nums], 2 * den):
+            assert back.points() == g.points() and forms(back.values) == forms(vectors)
+        zero, *rest = g.prepend_zero().parts[0]
+        assert list(zero) == [0, 0, 0] and all(type(x) is int for x in zero)
+        assert [list(x) for x in rest] == [list(x) for x in nums]
+
+    @pytest.mark.parametrize("constant", [RATIONAL.one, 2, Fraction(-1, 2)])
+    def test_a_nonzero_constant_among_coefficient_vectors_is_refused(self, constant):
+        """Only the exact zero may stand beside coefficient vectors, as the
+        zero array; any other constant has no linear form and fails when the
+        grid is built."""
+        vector = CoefficientVector(np.array([1, 2], dtype=object), 3)
+        held = fwd([0, 0]).with_values([RATIONAL.zero, vector]).parts
+        assert [list(x) for x in held[0]] == [[0, 0], [1, 2]] and held[1] == 3
+        with pytest.raises(TypeError, match="nonzero constant among coefficient vectors"):
+            fwd([0, 0]).with_values([constant, vector])
 
     @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
     @given(values=values_strategy, origin=st.fractions(-12, 12, max_denominator=3),

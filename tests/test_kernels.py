@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discfrac.backends import FLOATING, RATIONAL, GammaValue, RationalBackend, as_fraction
+from discfrac import kernels
 from discfrac.errors import BackendOverflow, DomainError, PoleAmbiguous, UnitMismatch
 from discfrac.kernels import (
     binomial_weight,
@@ -316,6 +317,21 @@ class TestBackends:
         assert (-a) < 0
         assert float(abs(-a)) == pytest.approx(float(a))
 
+    def test_exact_gamma_quotient_caps_only_its_final_coefficient(self):
+        """At a non-integer gap ``falling`` guards the reduced quotient once,
+        not the products that reduce each gamma: at t = 901/2, alpha = 1/3
+        the coefficient of Gamma(t + 1 - alpha) passes the 4,096-bit cap,
+        and the quotient, far inside it, is returned."""
+        t, alpha = Fraction(901, 2), Fraction(1, 3)
+        capped, seen = RationalBackend(), []
+        guard = capped.guard
+        capped.guard = lambda value: guard(seen.append(value) or value)
+        value = falling(t, alpha, capped)
+        assert isinstance(value, GammaValue) and seen == [value]
+        assert max(value.coef.numerator.bit_length(), value.coef.denominator.bit_length()) < 1500
+        assert kernels._reduce_gamma(t + 1 - alpha)[0].numerator.bit_length() > capped.bit_cap
+        assert float(value) == pytest.approx(falling(t, alpha, FLOATING), rel=1e-9)
+
     def test_gamma_ratio_guard_fires_at_the_first_factor_past_the_cap(self):
         tight = RationalBackend(bit_cap=64)
         seen, guard = [], tight.guard
@@ -431,3 +447,13 @@ class TestGammaValue:
         assert not (g == 0 or g == Fraction(3, 2) or g == 1.5)
         assert GammaValue(Fraction(0), g.units) == 0
         assert (g == object()) is False
+
+    def test_equality_with_a_string_is_left_to_the_string(self):
+        """A string is neither a number nor a ``GammaValue``: it compares
+        unequal, and is never parsed, however it reads."""
+        a = falling(Fraction(1, 2), Fraction(1, 3), RATIONAL)
+        assert isinstance(a, GammaValue)
+        for text in ("abc", "inf", "1/0", "0", ""):
+            assert a.__eq__(text) is NotImplemented
+            assert not (a == text or text == a) and a != text
+        assert a == a and a != 0 and a != 0.0 and a != float("nan") and a != Fraction(1, 2)

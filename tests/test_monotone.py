@@ -16,7 +16,7 @@ from discfrac import monotone
 from discfrac.backends import FLOATING, RATIONAL
 from discfrac.cli import main
 from discfrac.errors import BudgetExceeded, DomainError, GridTooShort
-from discfrac.grids import Direction, make_grid_function
+from discfrac.grids import CoefficientVector, Direction, make_grid_function
 from discfrac.kernels import kernel_vector
 from discfrac.monotone import (
     Q_TWINS,
@@ -45,7 +45,6 @@ from discfrac.monotone import (
     transport,
 )
 from discfrac.operators import (
-    CoefficientVector,
     Family,
     Kind,
     OperatorSpec,

@@ -13,10 +13,9 @@ from discfrac import operators
 from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.errors import BackendOverflow, DirectFormIntegerOrder, DomainError, GridTooShort
 from discfrac.dualities import run_identity_suite
-from discfrac.grids import Direction, integer_difference, make_grid_function
+from discfrac.grids import CoefficientVector, Direction, integer_difference, make_grid_function
 from discfrac.kernels import kernel_vector
 from discfrac.operators import (
-    CoefficientVector,
     Family,
     Formulation,
     Kind,
@@ -611,15 +610,25 @@ class TestIntegerPath:
             assert second.values == tuple(oracles.nabla_left_sum(inner, first.origin, alpha, p)
                                           for p in second.points())
 
-    def test_exact_scalars_skip_the_generic_loop(self, monkeypatch):
-        def generic_loop(*args):
-            raise AssertionError("an exact operator reached the Fraction loop")
+    def test_no_fraction_or_vector_reaches_the_loop(self, monkeypatch):
+        """Every convolution runs through ``_convolve`` on a grid's cleared
+        parts: ints on the rational backend and floats on the floating one,
+        never a ``Fraction`` or a ``CoefficientVector``.  Both identity suites
+        still pass through it."""
+        loop, seen = operators._convolve, set()
 
-        monkeypatch.setattr(operators, "_convolve", generic_loop)
-        results = run_identity_suite(instances=3, seed=4, backend=RATIONAL)
-        assert all(r.passed for r in results)
-        with pytest.raises(AssertionError, match="Fraction loop"):
-            run_identity_suite(instances=1, backend=FLOATING)
+        def parts_only(weights, values, skip_first):
+            kinds = {*map(type, weights), *map(type, values)}
+            if kinds & {Fraction, CoefficientVector}:
+                raise AssertionError(f"{kinds} reached _convolve")
+            seen.update(kinds)
+            return loop(weights, values, skip_first)
+
+        monkeypatch.setattr(operators, "_convolve", parts_only)
+        for backend, kind in ((RATIONAL, int), (FLOATING, float)):
+            seen.clear()
+            results = run_identity_suite(instances=3, seed=4, backend=backend)
+            assert all(r.passed for r in results) and seen == {kind}
 
     @given(length=st.integers(1, 10),
            beta=st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12)),

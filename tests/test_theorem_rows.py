@@ -306,20 +306,25 @@ def test_has_ray_names_the_theorems_with_a_start_ray():
 
 def test_row_pass_runs_in_integers(monkeypatch):
     """Every row build of every theorem, default order and length up to 7,
-    the two ``_NablaRiemann(prepend=...)`` kinds included, reaches the
-    generic convolution loop with floats only."""
-    float_loop = operators._convolve
+    the two ``_NablaRiemann(prepend=...)`` kinds included, hands the one
+    convolution loop int weights and integer arrays, the cleared
+    coefficient vectors, and nothing else."""
+    loop, calls = operators._convolve, []
 
-    def floats_only(weights, values, skip_first):
-        if any(type(x) is not float for x in (*weights, *values)):
-            raise AssertionError("a non-float value reached _convolve")
-        return float_loop(weights, values, skip_first)
+    def integers_only(weights, values, skip_first):
+        if not all(isinstance(v, np.ndarray) for v in values) or any(
+                type(x) is not int for x in [*weights, *(x for v in values for x in v)]):
+            raise AssertionError("a value other than an int or an integer array reached "
+                                 "_convolve")
+        calls.append(len(values))
+        return loop(weights, values, skip_first)
 
-    monkeypatch.setattr(operators, "_convolve", floats_only)
+    monkeypatch.setattr(operators, "_convolve", integers_only)
     for tid in THEOREMS:
         for order in default_orders(tid):
             for length in range(min_live_length(tid), 8):
                 _row_matrices(tid, length, order, 64, 0)
+    assert calls
 
 
 # sha256 of every row build: each theorem x default order x anchor
