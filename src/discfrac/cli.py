@@ -61,12 +61,13 @@ def _parse_number(text: str) -> Fraction:
         raise ValueError(f"cannot parse number {text!r}") from exc
 
 
-def _parse_origin(text: str) -> Fraction:
-    """A grid origin, refused past ``DEFAULT_BIT_CAP`` bits before any work."""
-    origin = _parse_number(text)
-    if max(origin.numerator.bit_length(), origin.denominator.bit_length()) > DEFAULT_BIT_CAP:
-        raise DomainError(f"origin {text.strip()} has more than {DEFAULT_BIT_CAP} bits")
-    return origin
+def _parse_capped(text: str, what: str, parse=_parse_number):
+    """An exact number given as ``what`` (a grid origin, an order or a
+    searched value), refused past ``DEFAULT_BIT_CAP`` bits before any work."""
+    x = parse(text)
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > DEFAULT_BIT_CAP:
+        raise DomainError(f"{what} {text.strip()} has more than {DEFAULT_BIT_CAP} bits")
+    return x
 
 
 def _read_grid(path: str, backend) -> GridFunction:
@@ -77,7 +78,7 @@ def _read_grid(path: str, backend) -> GridFunction:
         rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
         if not rows or any(len(r) != 2 for r in rows):
             raise ValueError("CSV input needs one or more t,value rows")
-        points = [_parse_origin(rows[0][0])] + [_parse_number(r[0]) for r in rows[1:]]
+        points = [_parse_capped(rows[0][0], "origin")] + [_parse_number(r[0]) for r in rows[1:]]
         values = [_parse_number(r[1]) for r in rows]
         if any(p.denominator != 1 for p in points):
             raise DomainError("CSV input requires integer grid points")
@@ -89,7 +90,7 @@ def _read_grid(path: str, backend) -> GridFunction:
     if not isinstance(record, dict) or not isinstance(record.get("values"), list):
         raise ValueError('JSON input must be an object whose "values" is a list')
     return make_grid_function(
-        _parse_origin(str(record["origin"])),
+        _parse_capped(str(record["origin"]), "origin"),
         Direction(record["direction"]),
         [_parse_number(str(v)) for v in record["values"]],
         backend,
@@ -143,7 +144,7 @@ def cmd_apply(args) -> int:
         Kind(args.kind),
         Side(args.side),
         Family(args.family),
-        _parse_number(args.order),
+        _parse_capped(args.order, "--order"),
         Formulation(args.form),
     )
     grid = _read_grid(args.input, backend)
@@ -210,12 +211,13 @@ def _reject_repeats(flag: str, items) -> None:
 
 def _parse_values(text: str, cap: int | None = None):
     """The ``--values`` set: a list of exact values, or for ``lo..hi`` a
-    ``range``, which a search reads by index and never builds.  A range of
-    more than ``cap`` values is refused, and cannot repeat a value."""
+    ``range``, which a search reads by index, never builds and cannot repeat
+    a value.  A range of more than ``cap`` values, or a value past the bit
+    cap, is refused."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = (_parse_capped(x, "--values", int) for x in (lo_s, hi_s))
         if cap is not None and hi - lo + 1 > cap:
             raise BudgetExceeded(f"--values {text} names more values than the budget of "
                                  f"{cap} evaluations")
@@ -223,7 +225,7 @@ def _parse_values(text: str, cap: int | None = None):
             raise DomainError(f"--values {text} names more than {sys.maxsize} values")
         values = range(lo, hi + 1)
     else:
-        values = [_parse_number(part) for part in text.split(",") if part.strip()]
+        values = [_parse_capped(part, "--values") for part in text.split(",") if part.strip()]
         _reject_repeats("--values", values)
     if not values:
         raise ValueError(f"--values {text!r} names no value")
@@ -245,7 +247,7 @@ def cmd_theorems(args) -> int:
         raise DomainError("budget must be positive")
     mode = "random" if args.random else "exhaustive"
     values = _parse_values(args.values, None if args.random else args.budget)
-    orders = [_parse_number(x) for x in args.nu.split(",")] if args.nu else None
+    orders = [_parse_capped(x, "--nu") for x in args.nu.split(",")] if args.nu else None
     _reject_repeats("--nu", orders or [])
     # one config for every record, where a --values range is its lo..hi text
     shown = (f"{values.start}..{values.stop - 1}" if isinstance(values, range)

@@ -259,11 +259,14 @@ class TheoremStatement:
     order_range: tuple
     direction: Direction
     origin_offset: int  # grid origin = anchor + offset
-    leading_inert: bool  # first stored value is never read
     min_length: int  # minimum stored grid length
     builder: Callable  # case -> (hyp_rows, ray_conditions, concl_rows)
     note: str = ""  # statement quirks kept literal, surfaced in reports
     has_ray: bool = False  # a k-family start, expanded into a row per k up to k_cap
+
+    @property
+    def leading_inert(self) -> bool:  # first stored value is never read
+        return self.origin_offset != 0
 
 
 def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdict:
@@ -423,79 +426,79 @@ THEOREMS: dict[str, TheoremStatement] = {}
 
 
 def _register(theorem_id, description, order_range, direction, origin_offset,
-              leading_inert, min_length, hyp, concl, start=None, note=""):
+              min_length, hyp, concl, start=None, note=""):
     THEOREMS[theorem_id] = TheoremStatement(
         theorem_id, description, order_range, direction, origin_offset,
-        leading_inert, min_length, Declared(hyp, concl, start), note, start is not None,
+        min_length, Declared(hyp, concl, start), note, start is not None,
     )
 
 
 _register("T_JEP1", "forward Riemann positivity with nonnegative nondecreasing start "
-          "forces nondecreasing", (1, 2), _FWD, 0, False, 3,
+          "forces nondecreasing", (1, 2), _FWD, 0, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_JEP", "nabla Riemann positivity from the anchor forces nondecreasing "
-          "one step in", (1, 2), _FWD, 0, False, 3, [_NablaRiemann()], [_pair(1)])
+          "one step in", (1, 2), _FWD, 0, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_JEPP", "nabla Riemann positivity anchored one step before the data "
-          "forces nondecreasing", (1, 2), _FWD, -1, True, 3, [_NablaRiemann()], [_pair(1)])
+          "forces nondecreasing", (1, 2), _FWD, -1, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_SLOV1", "Riemann positivity with the one-term k-family start",
-          (1, 2), _FWD, 0, False, 3, [_delta_riemann], [_pair(1, at=0)], _ray(1, 0))
+          (1, 2), _FWD, 0, 3, [_delta_riemann], [_pair(1, at=0)], _ray(1, 0))
 _register("T_SLOV11", "nabla mirror of the one-term k-family start",
-          (1, 2), _FWD, -1, True, 4, [_NablaRiemann(drop=2)], [_pair(2)], _ray(1, 1),
+          (1, 2), _FWD, -1, 4, [_NablaRiemann(drop=2)], [_pair(2)], _ray(1, 1),
           note="hypothesis index set starts two steps past the anchor, one "
                "later than the plain nabla statement; kept literal")
 _register("T_SLOV2", "Riemann positivity with the two-term k-family start",
-          (1, 2), _FWD, 0, False, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _FWD, 0, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
 _register("T_SLOV22", "nabla mirror of the two-term k-family start",
-          (1, 2), _FWD, -1, True, 5, [_NablaRiemann(drop=3)], [_pair(3)], _ray(2, 1))
+          (1, 2), _FWD, -1, 5, [_NablaRiemann(drop=3)], [_pair(3)], _ray(2, 1))
 _register("T_SLOV3", "Riemann positivity with the three-term k-family start",
-          (1, 2), _FWD, 0, False, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _FWD, 0, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
 _register("T_SLOV33", "nabla mirror of the three-term k-family start",
-          (1, 2), _FWD, -1, True, 6, [_NablaRiemann(drop=4)], [_pair(4)], _ray(3, 1))
+          (1, 2), _FWD, -1, 6, [_NablaRiemann(drop=4)], [_pair(4)], _ray(3, 1))
 _register("T_U1", "low-order Riemann positivity forces nu-increasing",
-          (0, 1), _FWD, 0, False, 2, [_start, _delta_riemann], [_start, _nu_step])
+          (0, 1), _FWD, 0, 2, [_start, _delta_riemann], [_start, _nu_step])
 _register("T_UU1", "low-order nabla positivity anchored one step back forces "
-          "nu-increasing", (0, 1), _FWD, 0, False, 2,
+          "nu-increasing", (0, 1), _FWD, 0, 2,
           [_NablaRiemann(prepend=True)], [_start, _nu_step],
           note="no separate nonnegative-start hypothesis; the first operator "
                "row already equals the starting value")
 _register("T_U3", "nondecreasing with nonnegative start forces Riemann positivity",
-          (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_delta_riemann])
+          (0, 1), _FWD, 0, 2, [_start, _pair(0, at=0)], [_delta_riemann])
 _register("T_UU2", "nondecreasing with nonnegative start forces anchored nabla "
-          "positivity", (0, 1), _FWD, 0, False, 2,
+          "positivity", (0, 1), _FWD, 0, 2,
           [_start, _pair(0, at=0)], [_NablaRiemann(prepend=True)])
 _register("T_C1", "Caputo lower bound with nonnegative nondecreasing start",
-          (1, 2), _FWD, 0, False, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
+          (1, 2), _FWD, 0, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
 _register("T_C2", "Caputo lower bound with the one-term k-family start",
-          (1, 2), _FWD, 0, False, 3, [_caputo_bound], [_pair(1, at=0)], _ray(1, 0))
+          (1, 2), _FWD, 0, 3, [_caputo_bound], [_pair(1, at=0)], _ray(1, 0))
 _register("T_C3", "Caputo lower bound with the two-term k-family start",
-          (1, 2), _FWD, 0, False, 4, [_caputo_bound], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _FWD, 0, 4, [_caputo_bound], [_pair(2, at=0)], _ray(2, 0))
 _register("T_C4", "Caputo lower bound with the three-term k-family start",
-          (1, 2), _FWD, 0, False, 5, [_caputo_bound], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _FWD, 0, 5, [_caputo_bound], [_pair(3, at=0)], _ray(3, 0))
 _register("T_C5", "low-order Caputo lower bound forces nu-increasing",
-          (0, 1), _FWD, 0, False, 2, [_start, _caputo_bound], [_start, _nu_step])
+          (0, 1), _FWD, 0, 2, [_start, _caputo_bound], [_start, _nu_step])
 _register("T_C6", "nondecreasing with nonnegative start forces the Caputo lower "
-          "bound", (0, 1), _FWD, 0, False, 2, [_start, _pair(0, at=0)], [_caputo_bound])
+          "bound", (0, 1), _FWD, 0, 2, [_start, _pair(0, at=0)], [_caputo_bound])
 _register("T_D1", "backward Riemann positivity with nonnegative start pair forces "
-          "nonincreasing", (1, 2), _BWD, 0, False, 3,
+          "nonincreasing", (1, 2), _BWD, 0, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_N1", "backward nabla positivity anchored one step out forces "
-          "nonincreasing", (1, 2), _BWD, 1, True, 3, [_NablaRiemann()], [_pair(1)])
+          "nonincreasing", (1, 2), _BWD, 1, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_D2", "backward mirror of the one-term k-family start",
-          (1, 2), _BWD, 0, False, 3, [_start, _delta_riemann], [_pair(1, at=0)], _ray(1, 0),
+          (1, 2), _BWD, 0, 3, [_start, _delta_riemann], [_pair(1, at=0)], _ray(1, 0),
           note="conclusion index set starts one step inward of the plain "
                "backward statement; kept literal")
 _register("T_D3", "backward mirror of the two-term k-family start",
-          (1, 2), _BWD, 0, False, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _BWD, 0, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
 _register("T_D4", "backward mirror of the three-term k-family start",
-          (1, 2), _BWD, 0, False, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _BWD, 0, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
 _register("T_D5", "low-order backward Riemann positivity forces alpha-decreasing",
-          (0, 1), _BWD, 0, False, 2, [_start, _delta_riemann], [_nu_step])
+          (0, 1), _BWD, 0, 2, [_start, _delta_riemann], [_nu_step])
 _register("T_D6", "decreasing with nonnegative end forces backward Riemann "
-          "positivity", (0, 1), _BWD, 0, False, 2, [_start, _pair(0)], [_delta_riemann])
+          "positivity", (0, 1), _BWD, 0, 2, [_start, _pair(0)], [_delta_riemann])
 _register("T_CD1", "backward Caputo lower bound with nonnegative start pair",
-          (1, 2), _BWD, 0, False, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
+          (1, 2), _BWD, 0, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
 _register("T_CD5", "low-order backward Caputo lower bound forces alpha-decreasing",
-          (0, 1), _BWD, 0, False, 2, [_start, _caputo_bound], [_nu_step])
+          (0, 1), _BWD, 0, 2, [_start, _caputo_bound], [_nu_step])
 
 
 # ---------------------------------------------------------------------------

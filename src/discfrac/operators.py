@@ -1,34 +1,37 @@
 """Fractional sums and differences on shifted integer grids.
 
-Conventions shared by all operators (f of length L, order alpha > 0,
-n = smallest integer >= alpha, beta = n - alpha):
+Every operator is one row of this table (f of length L, order alpha > 0,
+n = smallest integer >= alpha): f's ``pre``-th storage difference (see
+the grids module), its convolution with the binomial kernel w(beta, .),
+the ``post``-th storage difference of that, less its first ``drop``
+outputs.  ``OperatorSpec`` derives the row when it is built.
 
-    operator                input grid   output origin        length
-    ----------------------  -----------  -------------------  ------
-    delta-left sum          N_a          a + alpha            L
-    delta-right sum         bN           b - alpha            L
-    nabla-left sum          N_a          a        (0 at a)    L
-    nabla-right sum         bN           b        (0 at b)    L
-    delta-left difference   N_a          a + beta             L - n
-    delta-right difference  bN           b - beta             L - n
-    nabla-left difference   N_a          a + n                L - n
-    nabla-right difference  bN           b - n                L - n
-    delta-left Caputo       N_a          a + beta             L - n
-    delta-right Caputo      bN           b - beta             L - n
-    nabla-left Caputo       N_a          a + n                L - n
-    nabla-right Caputo      bN           b - n                L - n
+    operator         beta       pre  post  drop  inward shift  length
+    ---------------  ---------  ---  ----  ----  ------------  ------
+    delta sum        alpha      0    0     0     alpha         L
+    nabla sum        alpha      0    0     0     0             L
+    delta Riemann    n - alpha  0    n     0     n - alpha     L - n
+    nabla Riemann    n - alpha  0    n     0     n             L - n
+    delta Caputo     n - alpha  n    0     0     n - alpha     L - n
+    nabla Caputo     n - alpha  n    0     0     n             L - n
+    delta direct     -alpha     0    0     n     n - alpha     L - n
+    nabla direct     -alpha     0    0     n     n             L - n
 
-The nabla sums carry a conventional zero at their anchor (empty sum).
-The single-sum (direct) Riemann forms reproduce the composed values and
-extend the nabla differences to anchor+1 (n-1 extra points toward the
-anchor); ``extended=True`` exposes the analogous extra points of the
-delta differences as well.  The nabla Caputo differences anchor their
-inner sum one step before the first value of the n-th difference
-(anchor + n - 1 on the left, anchor - n + 1 on the right).
+Left operators take a forward grid N_a and right ones a backward grid bN,
+and in storage space the row is the same for both: only the output
+origin differs, the input's moved the shift inward (a + shift on the
+left, b - shift on the right).  A delta row shifts by beta + drop,
+a nabla row by pre + post + drop, and the nabla rows with pre = 0 leave
+the value at the anchor out of the convolution, so the nabla sums carry a
+conventional zero there (empty sum).  A grid of at most pre + post + drop
+values raises ``GridTooShort``.
 
-In storage space every pipeline is direction-free: sums are lower
-triangular convolutions against the binomial kernel, differences are
-iterated storage diffs (see grids module), and only origins differ.
+The single-sum (direct) Riemann forms reproduce the composed values;
+``extended=True`` drops 1 output instead of n, which extends them by the
+n-1 points between anchor+1 and the composed domain.  The nabla Caputo
+differences anchor their inner sum one step before the first value of
+the n-th difference (anchor + n - 1 on the left, anchor - n + 1 on the
+right).
 
 Every operator reads its input as the grid's ``(nums, den)`` view
 (``GridFunction.parts``) and builds its output from one (``with_parts``):
@@ -96,12 +99,20 @@ class OperatorSpec:
     family: Family
     order: Fraction
     formulation: Formulation = Formulation.COMPOSED
-    n: int = field(init=False, repr=False, compare=False)  # order_ceiling(order)
+    # the row, derived once (see the module table): n = order_ceiling(order),
+    # the kernel order beta, the storage differences taken before (pre) and
+    # after (post) the convolution, and the outputs dropped after it
+    n: int = field(init=False, repr=False, compare=False)
+    beta: Fraction = field(init=False, repr=False, compare=False)
+    pre: int = field(init=False, repr=False, compare=False)
+    post: int = field(init=False, repr=False, compare=False)
+    drop: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order", as_fraction(self.order))
         if self.order.numerator <= 0:
             raise DomainError("operator order must be positive")
+        n = order_ceiling(self.order)
         if self.formulation is Formulation.DIRECT:
             if self.family is not Family.RIEMANN:
                 raise DomainError("direct formulation applies to Riemann differences only")
@@ -109,15 +120,28 @@ class OperatorSpec:
                 raise DirectFormIntegerOrder(
                     "the single-sum difference form needs a non-integer order"
                 )
-        object.__setattr__(self, "n", order_ceiling(self.order))
+            row = -self.order, 0, 0, n
+        elif self.family is Family.SUM:
+            row = self.order, 0, 0, 0
+        elif self.family is Family.RIEMANN:
+            row = n - self.order, 0, n, 0
+        else:
+            row = n - self.order, n, 0, 0
+        for name, value in zip(("n", "beta", "pre", "post", "drop"), (n, *row)):
+            object.__setattr__(self, name, value)
 
 
-def _require_direction(spec: OperatorSpec, f: GridFunction) -> None:
+def _require_grid(spec: OperatorSpec, f: GridFunction, drop: int) -> None:
+    """Refuse f unless it lies on the spec's side and holds more than the
+    ``pre + post + drop`` values the row takes away."""
     want = Direction.FORWARD if spec.side is Side.LEFT else Direction.BACKWARD
     if f.direction is not want:
         raise DomainError(
             f"{spec.side.value} operators require a {want.value} grid, got {f.direction.value}"
         )
+    if f.length <= spec.pre + spec.post + drop:
+        raise GridTooShort(f"a grid of length {f.length} cannot support this "
+                           f"order-{spec.order} {spec.family.value}")
 
 
 def _convolve(weights, values, skip_first: bool) -> list:
@@ -137,11 +161,12 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
-def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
-              post=0) -> GridFunction:
+def _pipeline(f: GridFunction, beta, shift=0, *, skip_first=False, pre=0, post=0,
+              drop=0) -> GridFunction:
     """f through its ``pre``-th storage difference, the convolution with
     w(beta, .) (none when beta is 0) and a ``post``-th storage difference,
-    as a grid at ``origin`` (f's own by default).
+    less its first ``drop`` outputs, as a grid whose origin is f's moved
+    ``shift + drop`` steps inward.
 
     Every step runs on ``f.parts``, numerators over E (floats over 1).  The
     kernel comes over its own denominator D (1 for floats), and the output
@@ -152,17 +177,26 @@ def _pipeline(f: GridFunction, beta, origin=None, *, skip_first=False, pre=0,
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend)
         vals, den = _convolve(w, vals, skip_first), den * d
-    return f.with_parts(storage_difference(vals, post), den, origin)
+    inward = shift + drop if drop else shift
+    return f.with_parts(storage_difference(vals, post)[drop:], den,
+                        f.shift_origin(inward) if inward else None)
+
+
+def _apply(spec: OperatorSpec, f: GridFunction, extended: bool = False) -> GridFunction:
+    """The spec's row run on f: see the module table."""
+    drop = 1 if extended and spec.drop else spec.drop
+    _require_grid(spec, f, drop)
+    delta = spec.kind is Kind.DELTA
+    return _pipeline(f, spec.beta, spec.beta if delta else spec.pre + spec.post,
+                     skip_first=not (delta or spec.pre), pre=spec.pre, post=spec.post,
+                     drop=drop)
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """Fractional sum of order alpha; see the module table for domains."""
     if spec.family is not Family.SUM:
         raise DomainError("fractional_sum needs a spec with family=sum")
-    _require_direction(spec, f)
-    alpha = spec.order
-    delta = spec.kind is Kind.DELTA
-    return _pipeline(f, alpha, f.shift_origin(alpha) if delta else None, skip_first=not delta)
+    return _apply(spec, f)
 
 
 def riemann_difference(
@@ -175,42 +209,7 @@ def riemann_difference(
     """
     if spec.family is not Family.RIEMANN:
         raise DomainError("riemann_difference needs a spec with family=riemann")
-    _require_direction(spec, f)
-    n = spec.n
-    alpha = spec.order
-    if spec.formulation is Formulation.DIRECT:
-        return _riemann_direct(spec, f, extended)
-    if f.length < n + 1:
-        raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
-    beta = Fraction(n * alpha.denominator - alpha.numerator, alpha.denominator)
-    delta = spec.kind is Kind.DELTA
-    return _pipeline(f, beta, f.shift_origin(beta if delta else n), skip_first=not delta,
-                     post=n)
-
-
-def _nabla_single_sum(f: GridFunction, alpha) -> GridFunction:
-    """Single-sum nabla difference on its full domain, one step past the
-    anchor.  Also meaningful at integer orders, where the kernel truncates
-    to the signed binomial row (the limit of the non-integer form)."""
-    if f.length < 2:
-        raise GridTooShort("grid too short for the single-sum difference form")
-    return _pipeline(f, -as_fraction(alpha), skip_first=True).drop_leading(1)
-
-
-def _riemann_direct(spec: OperatorSpec, f: GridFunction, extended: bool) -> GridFunction:
-    n = spec.n
-    alpha = spec.order
-    if spec.kind is Kind.DELTA:
-        q = 1 if extended else n
-        if f.length <= q:
-            raise GridTooShort("grid too short for the direct difference form")
-        return _pipeline(f, -alpha, f.shift_origin(-alpha)).drop_leading(q)
-    grid = _nabla_single_sum(f, alpha)
-    if extended:
-        return grid
-    if grid.length < n:
-        raise GridTooShort("grid too short for the composed difference domain")
-    return grid.drop_leading(n - 1)
+    return _apply(spec, f, extended)
 
 
 def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -221,14 +220,7 @@ def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """
     if spec.family is not Family.CAPUTO:
         raise DomainError("caputo_difference needs a spec with family=caputo")
-    _require_direction(spec, f)
-    n = spec.n
-    alpha = spec.order
-    if f.length < n + 1:
-        raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
-    beta = Fraction(n * alpha.denominator - alpha.numerator, alpha.denominator)
-    # the nabla inner sum is anchored one step before the differenced grid
-    return _pipeline(f, beta, f.shift_origin(beta if spec.kind is Kind.DELTA else n), pre=n)
+    return _apply(spec, f)
 
 
 def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -241,21 +233,21 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """
     if spec.family is not Family.CAPUTO:
         raise DomainError("caputo_from_riemann needs a spec with family=caputo")
-    _require_direction(spec, f)
+    _require_grid(spec, f, 0)
     n = spec.n
     alpha = spec.order
-    if f.length < n + 1:
-        raise GridTooShort(f"length {f.length} cannot support an order-{alpha} difference")
     if spec.kind is Kind.DELTA:
         riem = riemann_difference(
             OperatorSpec(spec.kind, spec.side, Family.RIEMANN, alpha), f
         )
     else:
-        # nabla: Riemann side anchored n-1 steps inward, on its extended
-        # domain.  The single-sum form is used for every order: at integer
-        # orders the stated correction terms are pole-over-pole and this
-        # together with the fused correction weights realizes their limits.
-        riem = _nabla_single_sum(f.drop_leading(n - 1) if n > 1 else f, alpha)
+        # nabla: the extended direct row anchored n-1 steps inward.  It runs
+        # at every order: at integer orders the stated correction terms are
+        # pole-over-pole, and the kernel w(-alpha, .), which truncates to the
+        # signed binomial row, together with the fused correction weights
+        # realizes their limits.
+        riem = _pipeline(f.drop_leading(n - 1) if n > 1 else f, -alpha, skip_first=True,
+                         drop=1)
     return riem.with_parts(*_correction(riem.parts, *_correction_terms(spec, f, riem.length)))
 
 
@@ -311,7 +303,6 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
         side = Side(side)
     spec = OperatorSpec(Kind.NABLA, side, Family.CAPUTO, alpha)
     n = spec.n
-    _require_direction(spec, f)
     cap = caputo_difference(spec, f)
     # anchored sum of the Caputo output: full convolution, origin kept,
     # plus the conventional zero at the anchor point itself

@@ -304,6 +304,29 @@ class TestInputContract:
         assert err == f"domain error: origin {origin} has more than 4096 bits\n"
         assert not output.exists()
 
+    @pytest.mark.parametrize("command, shown", [
+        *((["apply", "--input", "ONES", "--kind", "delta", "--family", "sum",
+            "--order", order, "--backend", backend], f"--order {order}")
+          for order in ("1e-5000", "1e-1300") for backend in ("floating", "rational")),
+        (["theorems", "--id", "T_U1", "--length", "3", "--values", "0,1e-5000"],
+         "--values 1e-5000"),
+        (["theorems", "--id", "T_U1", "--length", "3", "--values", "0,1e-1300,1"],
+         "--values 1e-1300"),
+        (["theorems", "--id", "T_U1", "--length", "2", "--values", "0,1e-1300"],
+         "--values 1e-1300"),
+        (["theorems", "--id", "T_U1", "--length", "3", "--values", f"{10**1300}..{10**1300}"],
+         f"--values {10**1300}"),
+        (["theorems", "--id", "T_U1", "--length", "3", "--nu", "1e-1300"], "--nu 1e-1300"),
+    ])
+    def test_a_number_past_the_bit_cap_is_refused_where_it_is_parsed(
+            self, tmp_path, capsys, command, shown):
+        """An order or a searched value past the bit cap exits 3 as an origin
+        does, whatever the backend and whichever witness a search would
+        report: formatting 1e-5000 would fail past Python's 4300-digit limit,
+        and no theorem case can hold 1e-1300."""
+        assert main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command]) == 3
+        assert capsys.readouterr().err == f"domain error: {shown} has more than 4096 bits\n"
+
 
 class TestCheck:
     def test_single_identity_passes(self, tmp_path):

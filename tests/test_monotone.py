@@ -531,7 +531,7 @@ class TestTwoTermStartBound:
 
 def _statement(theorem_id, builder, min_length=2):
     return TheoremStatement(theorem_id, "test statement", (0, 1), Direction.FORWARD,
-                            0, False, min_length, builder)
+                            0, min_length, builder)
 
 
 def _false_builder(case):

@@ -553,14 +553,20 @@ def memo_oracles(monkeypatch):
 
 
 def evaluate(op, grid, extended, relation=False):
-    """Output of one pipeline, or None when the grid is too short for it."""
+    """Output of one pipeline, or None when the grid is too short for it:
+    ``GridTooShort`` is raised exactly when ``expected_length`` is not
+    positive, and otherwise the output has that many points."""
+    expected = expected_length(op.family, op.formulation, extended, grid.length, op.n)
     try:
         if relation:
-            return caputo_from_riemann(op, grid)
-        return apply_operator(op, grid, extended=extended)
+            out = caputo_from_riemann(op, grid)
+        else:
+            out = apply_operator(op, grid, extended=extended)
     except GridTooShort:
-        assert grid.length < op.n + 1
+        assert expected <= 0, (op, grid.length, extended, relation)
         return None
+    assert out.length == expected > 0, (op, grid.length, extended, relation)
+    return out
 
 
 class TestIntegerPath:
@@ -584,7 +590,6 @@ class TestIntegerPath:
         builds from its values."""
         f, g, b = both_grids(values, Fraction(a))
         fmap = f.mapping()
-        n = order_ceiling(alpha)
         for kind, side, family, form, extended, oracle in PIPELINES:
             if form is Formulation.DIRECT and alpha.denominator == 1:
                 continue
@@ -596,7 +601,6 @@ class TestIntegerPath:
                 out = evaluate(op, grid, extended, relation)
                 if out is None:
                     continue
-                assert out.length == expected_length(family, form, extended, len(values), n)
                 assert out.values == tuple(oracle(fmap, anchor, alpha, p) for p in out.points())
                 assert all(type(v) is Fraction for v in out.values)
                 rebuilt = make_grid_function(out.origin, out.direction, out.values, RATIONAL)

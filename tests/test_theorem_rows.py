@@ -382,6 +382,6 @@ def _running_mean(case):
 ])
 def test_a_row_kind_that_does_not_nest_is_caught(monkeypatch, hyp, concl):
     stmt = TheoremStatement("T_LOOSE", "test statement", (0, 1), Direction.FORWARD, 0,
-                            False, 2, Declared(hyp, concl))
+                            2, Declared(hyp, concl))
     monkeypatch.setitem(THEOREMS, "T_LOOSE", stmt)
     assert nesting_mismatches("T_LOOSE", Fraction(1, 2), 0)
