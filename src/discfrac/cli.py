@@ -63,10 +63,20 @@ def _parse_number(text: str) -> Fraction:
 
 def _parse_capped(text: str, what: str, parse=_parse_number):
     """An exact number given as ``what`` (a grid origin, an order or a
-    searched value), refused past ``DEFAULT_BIT_CAP`` bits before any work."""
-    x = parse(text)
-    if max(x.numerator.bit_length(), x.denominator.bit_length()) > DEFAULT_BIT_CAP:
-        raise DomainError(f"{what} {text.strip()} has more than {DEFAULT_BIT_CAP} bits")
+    searched value), refused past ``DEFAULT_BIT_CAP`` bits before any work.
+    An integer numeral too long for Python's int conversion is refused the
+    same way: d significant digits are at least 10**(d-1), more than
+    2**(3*(d-1)), so its length tells that it is past the cap."""
+    shown = text.strip()
+    try:
+        x = parse(text)
+    except ValueError:
+        digits = shown[1:] if shown[:1] in ("+", "-") else shown
+        if not (digits.isdecimal() and 3 * (len(digits.lstrip("0")) - 1) >= DEFAULT_BIT_CAP):
+            raise
+        x = None
+    if x is None or max(x.numerator.bit_length(), x.denominator.bit_length()) > DEFAULT_BIT_CAP:
+        raise DomainError(f"{what} {shown} has more than {DEFAULT_BIT_CAP} bits")
     return x
 
 

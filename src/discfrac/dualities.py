@@ -346,28 +346,50 @@ def _drawn_values(backend) -> tuple:
     return tuple(map(tuple, table)), den
 
 
+def _below(bits, n: int) -> int:
+    """An int in [0, n) from ``bits``, a generator's ``getrandbits``, drawn as
+    CPython's ``Random._randbelow`` draws it: n.bit_length() bits, drawn
+    again while they read n or more."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_instance(which: IdentityId, rng: random.Random, backend, drawn=None):
     """Seeded (grid, order) instance admissible for the given identity.
 
     Values are read from ``drawn``, ``_drawn_values(backend)``, which a run
-    of many instances validates once, and held as drawn.  Choosing a row of
-    17 and then one of its 4 values draws what ``randint(-8, 8)`` and
-    ``randint(1, 4)`` would.
+    of many instances validates once, and held as drawn.  Every integer
+    comes straight from ``rng.getrandbits`` by ``_below``'s loop, the one
+    ``randint``, ``randrange`` and ``choice`` end in (the same source on
+    Python 3.10 to 3.13), so the stream and the generator's state after it
+    are those of ``randint``: per value ``randint(-8, 8)``, a row of the
+    table from 5 bits, and ``randint(1, 4)``, a column from 3 bits.
     """
-    length = rng.randint(MIN_LENGTH, MAX_LENGTH)
-    den = rng.randint(2, 12)
-    num = rng.randrange(1, 2 * den)
+    bits = rng.getrandbits
+    length = MIN_LENGTH + _below(bits, MAX_LENGTH - MIN_LENGTH + 1)
+    den = 2 + _below(bits, 11)
+    num = 1 + _below(bits, 2 * den - 1)
     if num == den:
         num += 1
     alpha = Fraction(num, den)
-    anchor = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+    anchor = Fraction(_below(bits, 25) - 12, 1 + _below(bits, 3))
     drawn, held_den = drawn or _drawn_values(backend)
-    choice = rng.choice
-    values = tuple([choice(choice(drawn)) for _ in range(length)])
+    values = []
+    for _ in range(length):
+        row = bits(5)
+        while row >= 17:
+            row = bits(5)
+        col = bits(3)
+        while col >= 4:
+            col = bits(3)
+        values.append(drawn[row][col])
     direction = IDENTITIES[which].direction
     if direction is None:
         direction = Direction.BACKWARD if rng.random() < 0.5 else Direction.FORWARD
-    return GridFunction.from_parts(anchor, direction, values, held_den, backend), alpha
+    return GridFunction.from_parts(anchor, direction, tuple(values), held_den, backend), alpha
 
 
 @dataclass

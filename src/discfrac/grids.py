@@ -273,9 +273,9 @@ def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunct
     )
 
 
-def storage_difference(values, n: int = 1) -> tuple:
-    """n-th storage-space difference, ``s[k] = v[k+1] - v[k]`` iterated."""
-    values = tuple(values)
+def storage_difference(values, n: int = 1):
+    """n-th storage-space difference, ``s[k] = v[k+1] - v[k]`` iterated, as a
+    tuple; at n = 0 the values themselves, not a copy."""
     for _ in range(n):
         values = tuple(values[k + 1] - values[k] for k in range(len(values) - 1))
     return values

@@ -177,8 +177,9 @@ def _pipeline(f: GridFunction, beta, shift=0, *, skip_first=False, pre=0, post=0
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend)
         vals, den = _convolve(w, vals, skip_first), den * d
+    vals = storage_difference(vals, post)
     inward = shift + drop if drop else shift
-    return f.with_parts(storage_difference(vals, post)[drop:], den,
+    return f.with_parts(vals[drop:] if drop else vals, den,
                         f.shift_origin(inward) if inward else None)
 
 

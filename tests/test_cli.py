@@ -27,6 +27,8 @@ RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e08922
 # of IEEE additions, products and quotients and it calls no libm function, so
 # its residuals depend on no platform's math library
 FLOATING_CHECK_DIGEST = "5522ec46dde3a7b8bb57166586d8ce06fd6849fcbfe00426ac9512a4a07ede14"
+# 10**5000 written out: past the 4,300 digits of Python's int conversion
+LONG = "1" + "0" * 5000
 
 
 def write(tmp_path, name, text):
@@ -317,15 +319,27 @@ class TestInputContract:
         (["theorems", "--id", "T_U1", "--length", "3", "--values", f"{10**1300}..{10**1300}"],
          f"--values {10**1300}"),
         (["theorems", "--id", "T_U1", "--length", "3", "--nu", "1e-1300"], "--nu 1e-1300"),
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values",
+                      f"{LONG}..{LONG}"], f"--values {LONG}", id="long-range"),
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values", f"0,{LONG}"],
+                     f"--values {LONG}", id="long-list"),
     ])
     def test_a_number_past_the_bit_cap_is_refused_where_it_is_parsed(
             self, tmp_path, capsys, command, shown):
         """An order or a searched value past the bit cap exits 3 as an origin
         does, whatever the backend and whichever witness a search would
         report: formatting 1e-5000 would fail past Python's 4300-digit limit,
-        and no theorem case can hold 1e-1300."""
+        no theorem case can hold 1e-1300, and 10**5000 written out is past
+        the limit of Python's int conversion."""
         assert main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command]) == 3
         assert capsys.readouterr().err == f"domain error: {shown} has more than 4096 bits\n"
+
+    def test_leading_zeros_do_not_count_toward_the_bit_cap(self, capsys):
+        """A numeral too long for int conversion only because of its leading
+        zeros is 1, not a number past the cap."""
+        assert main(["theorems", "--id", "T_U1", "--length", "3",
+                     "--values", "0," + "0" * 5000 + "1"]) != 3
+        assert "bits" not in capsys.readouterr().err
 
 
 class TestCheck:

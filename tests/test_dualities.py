@@ -444,15 +444,27 @@ def _reference_instance(which, rng, backend):
 
 @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
 def test_random_instance_matches_make_grid_function(backend):
+    """The drawn stream is randint's, from ``Random(which.value)`` and from
+    the generators ``run_identity_suite`` itself seeds, at seeds 0 and 1."""
     for which in IdentityId:
-        rng, ref = random.Random(which.value), random.Random(which.value)
-        for _ in range(25):
-            f, alpha = random_instance(which, rng, backend)
-            g, beta = _reference_instance(which, ref, backend)
-            assert (f, alpha) == (g, beta)
-            assert [type(v) for v in f.values] == [type(v) for v in g.values]
-            assert type(f.origin) is Fraction and f.backend is backend
-            assert rng.getstate() == ref.getstate()
+        keys = [(which.value, 25), *(((seed, which.value).__repr__(), 200) for seed in (0, 1))]
+        for key, count in keys:
+            rng, ref = random.Random(key), random.Random(key)
+            for _ in range(count):
+                f, alpha = random_instance(which, rng, backend)
+                g, beta = _reference_instance(which, ref, backend)
+                assert (f, alpha) == (g, beta)
+                assert [type(v) for v in f.values] == [type(v) for v in g.values]
+                assert type(f.origin) is Fraction and f.backend is backend
+                assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 2**40 + 1])
+def test_below_draws_what_randrange_draws(n):
+    rng, ref = random.Random(n), random.Random(n)
+    for _ in range(40):
+        assert dualities._below(rng.getrandbits, n) == ref.randrange(n)
+    assert rng.getstate() == ref.getstate()
 
 
 def test_drawn_values_go_through_the_backend():
