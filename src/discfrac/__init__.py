@@ -35,7 +35,6 @@ from .operators import (
     fractional_sum,
     order_ceiling,
     riemann_difference,
-    semigroup_diagnostic,
 )
 from .dualities import CheckReport, IdentityId, check_identity, run_identity_suite
 
@@ -96,7 +95,6 @@ __all__ = [
     "caputo_difference",
     "caputo_from_riemann",
     "caputo_inversion_residual",
-    "semigroup_diagnostic",
     "IdentityId",
     "CheckReport",
     "check_identity",

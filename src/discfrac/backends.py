@@ -29,11 +29,31 @@ MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
+def clipped(text: str) -> str:
+    """``text`` as an error message shows it: whole up to 40 characters, else
+    its first and last 18 around "..."."""
+    return text if len(text) <= 40 else f"{text[:18]}...{text[-18:]}"
+
+
+def strip_neutral_zeros(text: str) -> str:
+    """``text`` less the zeros that do not change a numeral's value: the
+    leading zeros of each digit run but a decimal fraction's (one digit is
+    kept) and the trailing zeros of a decimal fraction (one is kept).  A
+    numeral past Python's limit on int conversion (4,300 digits) only
+    through those zeros then parses."""
+    text = re.sub(r"(?<![\d_.])0+(?=\d)", "", text)
+    return re.sub(r"(\.\d+?)0+(?![\d_])", r"\1", text)
+
+
 def as_fraction(x) -> Fraction:
     """Exact Fraction from int, Fraction, str ("3/4", "0.75") or float.
 
     Floats convert to their exact binary value, never to a decimal guess.
     A decimal exponent past ``MAX_DECIMAL_EXPONENT`` raises ``DomainError``.
+    A string that ``Fraction`` refuses is read again less its value-neutral
+    zeros (``strip_neutral_zeros``), which may have taken it past Python's
+    limit on int conversion; every string it accepts has the value of its
+    stripped form, so the zeros are stripped only where they matter.
     """
     # the builtin types first: an isinstance check against Fraction, an
     # abstract base class, is slow for anything but a Fraction
@@ -43,9 +63,15 @@ def as_fraction(x) -> Fraction:
         exponent = ("e" in x or "E" in x) and _EXPONENT.search(x)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         if len(digits) > 5 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise DomainError(f"value {x.strip()} has a decimal exponent past "
+            raise DomainError(f"value {clipped(x.strip())} has a decimal exponent past "
                               f"{MAX_DECIMAL_EXPONENT} in magnitude")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ValueError:  # parsed again only if zeros were stripped: same value
+            stripped = strip_neutral_zeros(x)
+            if stripped == x:
+                raise
+        return Fraction(stripped)
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 
-from .backends import DEFAULT_BIT_CAP, as_fraction, get_backend
+from .backends import DEFAULT_BIT_CAP, as_fraction, clipped, get_backend, strip_neutral_zeros
 from .dualities import (
     DEFAULT_TOLERANCE,
     IdentityId,
@@ -58,25 +59,48 @@ def _parse_number(text: str) -> Fraction:
     try:
         return as_fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse number {text!r}") from exc
+        raise ValueError(f"cannot parse number {clipped(text)!r}") from exc
+
+
+def _parse_integer(text: str) -> int:
+    try:
+        return int(strip_neutral_zeros(text.strip()))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse integer {clipped(text)!r}") from exc
+
+
+def _past_the_cap(numeral: str) -> bool:
+    """Whether a decimal numeral is past ``DEFAULT_BIT_CAP`` bits, told from
+    its digits: with d significant digits (from the first nonzero digit to
+    the last) it is N * 10**E, N an integer of d digits that 10 does not
+    divide, and the larger of its reduced numerator and denominator has
+    at least d bits, at least -E when E < 0 and more than 3 * (d - 1 + E)
+    when E >= 0 (10**k > 2**(3*k))."""
+    m = re.fullmatch(r"[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{1,9}))?", numeral)
+    if m is None:
+        return False
+    whole, fraction = m[1], m[2] or ""
+    digits = (whole + fraction).lstrip("0")
+    d = len(digits.rstrip("0"))
+    e = int(m[3] or 0) - len(fraction) + len(digits) - d
+    return d > 0 and (d > DEFAULT_BIT_CAP or
+                      (-e >= DEFAULT_BIT_CAP if e < 0 else 3 * (d - 1 + e) >= DEFAULT_BIT_CAP))
 
 
 def _parse_capped(text: str, what: str, parse=_parse_number):
     """An exact number given as ``what`` (a grid origin, an order or a
     searched value), refused past ``DEFAULT_BIT_CAP`` bits before any work.
-    An integer numeral too long for Python's int conversion is refused the
-    same way: d significant digits are at least 10**(d-1), more than
-    2**(3*(d-1)), so its length tells that it is past the cap."""
+    A numeral too long for Python's int conversion is refused the same way
+    when its digits tell that it is past the cap (``_past_the_cap``)."""
     shown = text.strip()
     try:
         x = parse(text)
     except ValueError:
-        digits = shown[1:] if shown[:1] in ("+", "-") else shown
-        if not (digits.isdecimal() and 3 * (len(digits.lstrip("0")) - 1) >= DEFAULT_BIT_CAP):
+        if not _past_the_cap(shown):
             raise
         x = None
     if x is None or max(x.numerator.bit_length(), x.denominator.bit_length()) > DEFAULT_BIT_CAP:
-        raise DomainError(f"{what} {shown} has more than {DEFAULT_BIT_CAP} bits")
+        raise DomainError(f"{what} {clipped(shown)} has more than {DEFAULT_BIT_CAP} bits")
     return x
 
 
@@ -216,7 +240,7 @@ def cmd_check(args) -> int:
 def _reject_repeats(flag: str, items) -> None:
     repeated = sorted(x for x, n in Counter(items).items() if n > 1)
     if repeated:
-        raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}")
+        raise UsageError(f"{flag} repeats {', '.join(clipped(str(x)) for x in repeated)}")
 
 
 def _parse_values(text: str, cap: int | None = None):
@@ -227,12 +251,12 @@ def _parse_values(text: str, cap: int | None = None):
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = (_parse_capped(x, "--values", int) for x in (lo_s, hi_s))
+        lo, hi = (_parse_capped(x, "--values", _parse_integer) for x in (lo_s, hi_s))
         if cap is not None and hi - lo + 1 > cap:
-            raise BudgetExceeded(f"--values {text} names more values than the budget of "
-                                 f"{cap} evaluations")
+            raise BudgetExceeded(f"--values {clipped(text)} names more values than the budget "
+                                 f"of {cap} evaluations")
         if hi - lo + 1 > sys.maxsize:  # past what a search can index
-            raise DomainError(f"--values {text} names more than {sys.maxsize} values")
+            raise DomainError(f"--values {clipped(text)} names more than {sys.maxsize} values")
         values = range(lo, hi + 1)
     else:
         values = [_parse_capped(part, "--values") for part in text.split(",") if part.strip()]

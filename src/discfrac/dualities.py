@@ -8,8 +8,10 @@ tolerance), and reports pointwise residuals.  The one identity without a
 row, CAPUTO_INVERSION, compares the inversion residual with zero.
 
 Each step of a check runs in integers.  ``random_instance`` holds the
-drawn values as integer numerators over 12.  Each operator's spec is
-built once per (operator, order).  Every output origin is compared with
+drawn values as integer numerators over 12 and reads the order and the
+anchor from tables of ``Fraction``s built once per run.  Each
+operator's spec comes from ``operators.cached_spec``, built once per
+(operator, order).  Every output origin is compared with
 the table's integer offsets by cross-multiplication; then the stated
 index set is a range of storage indices, and a Q identity reads its
 right-hand side at a fixed integer index shift instead of reflecting it.
@@ -28,7 +30,6 @@ of magnitude up to one and a relative tolerance above that.
 from __future__ import annotations
 
 import enum
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +40,11 @@ from .errors import DomainError
 from .grids import Direction, GridFunction
 from .operators import (
     Family,
+    Formulation,
     Kind,
-    OperatorSpec,
     Side,
     apply_operator,
+    cached_spec,
     caputo_from_riemann,
     caputo_inversion_residual,
 )
@@ -118,6 +120,7 @@ _D, _N = Kind.DELTA, Kind.NABLA
 _L, _R = Side.LEFT, Side.RIGHT
 _SUM, _DIFF, _CAP = Family.SUM, Family.RIEMANN, Family.CAPUTO
 _BWD = Direction.BACKWARD
+_COMPOSED = Formulation.COMPOSED  # every row's form
 # a, a+alpha, a+n-alpha and a+n, inward of the data origin
 _AT_A, _AT_ALPHA, _AT_BETA, _AT_N = (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0)
 
@@ -282,12 +285,6 @@ def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: int, den: int, star
     return slice(start + shift, lhs.length + shift)
 
 
-@functools.lru_cache(maxsize=4096)
-def _spec(op: tuple, num: int, den: int) -> OperatorSpec:
-    """The one frozen spec of ``op``, a (kind, side, family), at order num/den."""
-    return OperatorSpec(*op, Fraction(num, den))
-
-
 def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckReport:
     """Evaluate one table row on its stated index set."""
     row = IDENTITIES[which]
@@ -296,7 +293,8 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     if reflect and f.direction is not Direction.FORWARD:  # reflected about a + b
         raise DomainError("Q identities take the data as a forward grid on {a..b}")
     num, den = alpha.numerator, alpha.denominator
-    lhs_spec, rhs_spec = _spec(row.lhs, num, den), _spec(row.rhs, num, den)
+    lhs_spec = cached_spec(*row.lhs, num, den, _COMPOSED)
+    rhs_spec = cached_spec(*row.rhs, num, den, _COMPOSED)
     lhs = apply_operator(lhs_spec, row.lhs_input(f))
     rhs_input = row.rhs_input(f)
     # a relation row's right-hand side is the Caputo difference in Riemann form
@@ -339,11 +337,19 @@ _DRAWN_DEN = 12  # the LCM of their denominators
 
 
 def _drawn_values(backend) -> tuple:
-    """``(table, den)``: ``_DRAWN`` with every value through ``backend.scalar``,
-    held as given (den None) or on an exact backend cleared over ``_DRAWN_DEN``."""
+    """``(table, den, orders, anchors)``, what ``random_instance`` reads its
+    draws from.  ``table`` is ``_DRAWN`` with every value through
+    ``backend.scalar``, held as given (den None) or on an exact backend
+    cleared over ``_DRAWN_DEN``.  ``orders[den - 2]`` holds the orders
+    num/den for 1 <= num < 2*den, at [num - 1], with den + 1 in place of
+    num = den, and ``anchors`` the anchors p/q (|p| <= 12, 1 <= q <= 3) at
+    [p + 12][q - 1], as ``Fraction``s."""
     den = _DRAWN_DEN if backend.exact else None
     table = [[int(v * den) if den else v for v in map(backend.scalar, row)] for row in _DRAWN]
-    return tuple(map(tuple, table)), den
+    orders = tuple(tuple(Fraction(num + (num == d), d) for num in range(1, 2 * d))
+                   for d in range(2, 13))
+    anchors = tuple(tuple(Fraction(p, q) for q in range(1, 4)) for p in range(-12, 13))
+    return tuple(map(tuple, table)), den, orders, anchors
 
 
 def _below(bits, n: int) -> int:
@@ -360,23 +366,24 @@ def _below(bits, n: int) -> int:
 def random_instance(which: IdentityId, rng: random.Random, backend, drawn=None):
     """Seeded (grid, order) instance admissible for the given identity.
 
-    Values are read from ``drawn``, ``_drawn_values(backend)``, which a run
-    of many instances validates once, and held as drawn.  Every integer
-    comes straight from ``rng.getrandbits`` by ``_below``'s loop, the one
-    ``randint``, ``randrange`` and ``choice`` end in (the same source on
-    Python 3.10 to 3.13), so the stream and the generator's state after it
-    are those of ``randint``: per value ``randint(-8, 8)``, a row of the
-    table from 5 bits, and ``randint(1, 4)``, a column from 3 bits.
+    Every draw is read from ``drawn``, ``_drawn_values(backend)``, which a
+    run of many instances builds, and validates, once: the values are held
+    as drawn and the order and the anchor are the table's ``Fraction``s.
+    Every integer comes straight from ``rng.getrandbits`` by ``_below``'s
+    loop, the one ``randint``, ``randrange`` and ``choice`` end in (the same
+    source on Python 3.10 to 3.13), so the stream and the generator's state
+    after it are those of ``randint``: a length, the order's denominator
+    ``randint(2, 12)`` and numerator ``randint(1, 2 * den - 1)``, the
+    anchor's numerator and denominator, and per value ``randint(-8, 8)``, a
+    row of the table from 5 bits, and ``randint(1, 4)``, a column from 3
+    bits.
     """
+    drawn, held_den, orders, anchors = drawn or _drawn_values(backend)
     bits = rng.getrandbits
     length = MIN_LENGTH + _below(bits, MAX_LENGTH - MIN_LENGTH + 1)
-    den = 2 + _below(bits, 11)
-    num = 1 + _below(bits, 2 * den - 1)
-    if num == den:
-        num += 1
-    alpha = Fraction(num, den)
-    anchor = Fraction(_below(bits, 25) - 12, 1 + _below(bits, 3))
-    drawn, held_den = drawn or _drawn_values(backend)
+    over_den = orders[_below(bits, len(orders))]
+    alpha = over_den[_below(bits, len(over_den))]
+    anchor = anchors[_below(bits, len(anchors))][_below(bits, len(anchors[0]))]
     values = []
     for _ in range(length):
         row = bits(5)

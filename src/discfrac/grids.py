@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -186,13 +187,16 @@ class GridFunction:
         """The grid of values ``nums[i] / den`` (``den > 0``, 1 on a grid held
         as given) at ``origin`` and in ``direction`` (this grid's own by
         default), in this grid's form."""
-        return GridFunction.from_parts(self.origin if origin is None else as_fraction(origin),
-                                       direction or self.direction, tuple(nums),
-                                       None if self._den is None else den, self.backend)
+        if origin is None:
+            origin = self.origin
+        elif origin.__class__ is not Fraction:
+            origin = as_fraction(origin)
+        return _fill(_blank(GridFunction), origin, direction or self.direction, tuple(nums),
+                     None if self._den is None else den, self.backend)
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
-        step = inward if isinstance(inward, int) else as_fraction(inward)
+        step = inward if isinstance(inward, (int, Fraction)) else as_fraction(inward)
         num, den, a = step.numerator, step.denominator, self.origin
         if self.direction is Direction.BACKWARD:
             num = -num
@@ -277,7 +281,7 @@ def storage_difference(values, n: int = 1):
     """n-th storage-space difference, ``s[k] = v[k+1] - v[k]`` iterated, as a
     tuple; at n = 0 the values themselves, not a copy."""
     for _ in range(n):
-        values = tuple(values[k + 1] - values[k] for k in range(len(values) - 1))
+        values = tuple(map(operator.sub, values[1:], values[:-1]))
     return values
 
 

@@ -75,6 +75,7 @@ from .operators import (
     Side,
     _correction,
     _correction_terms,
+    cached_spec,
     caputo_difference,
     riemann_difference,
 )
@@ -348,8 +349,16 @@ def _nu_step(case: TheoremCase) -> list:
     return [(("step t={}", f, j + 1), v[j + 1] - nu * v[j]) for j in range(f.length - 1)]
 
 
+def _spec(case: TheoremCase, kind: Kind, family: Family,
+          formulation: Formulation = Formulation.COMPOSED) -> OperatorSpec:
+    """The case's (kind, family) operator at its order, on its side."""
+    order = case.order
+    return cached_spec(kind, _side(case), family, order.numerator, order.denominator,
+                       formulation)
+
+
 def _delta_riemann(case: TheoremCase) -> list:
-    spec = OperatorSpec(Kind.DELTA, _side(case), Family.RIEMANN, case.order)
+    spec = _spec(case, Kind.DELTA, Family.RIEMANN)
     return _op_rows(riemann_difference(spec, case.f))
 
 
@@ -368,12 +377,11 @@ class _NablaRiemann:
     def __call__(self, case):
         f = case.f.prepend_zero() if self.prepend else case.f
         if self.dual:
-            spec = OperatorSpec(Kind.DELTA, _side(case), Family.RIEMANN, case.order)
+            spec = _spec(case, Kind.DELTA, Family.RIEMANN)
             nums, den = f.parts
             f = f.with_parts((nums[0] * 0,) * spec.n + nums[1:], den, f.shift_origin(1 - spec.n))
         else:
-            spec = OperatorSpec(Kind.NABLA, _side(case), Family.RIEMANN, case.order,
-                                Formulation.DIRECT)
+            spec = _spec(case, Kind.NABLA, Family.RIEMANN, Formulation.DIRECT)
         return _op_rows(riemann_difference(spec, f, extended=not self.dual)
                         .drop_leading(self.drop))
 
@@ -382,7 +390,7 @@ def _caputo_bound(case: TheoremCase) -> list:
     """Delta Caputo difference plus its anchor-correction sum, the bound the
     Caputo theorems state (by the Riemann-Caputo relation, the delta Riemann
     difference)."""
-    spec = OperatorSpec(Kind.DELTA, _side(case), Family.CAPUTO, case.order)
+    spec = _spec(case, Kind.DELTA, Family.CAPUTO)
     cap = caputo_difference(spec, case.f)
     anchors, e, rows = _correction_terms(spec, case.f, cap.length)
     return _op_rows(cap.with_parts(*_correction(cap.parts, [-c for c in anchors], e, rows)))

@@ -44,11 +44,17 @@ one loop of ``_convolve``, and the Riemann-to-Caputo correction
 and the Caputo inversion residual subtract their sums over one common
 denominator (``_correction``).  No operator clears its input again, knows
 how a grid stores its values or builds a Fraction per output point.
+
+``cached_spec`` is the one place a path that evaluates many operators
+takes its specs from (the identity rows, the two Caputo helpers and the
+theorem row kinds): each (kind, side, family, order, formulation) is
+built once, and ``OperatorSpec`` derives its row then.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -131,6 +137,15 @@ class OperatorSpec:
             object.__setattr__(self, name, value)
 
 
+@functools.lru_cache(maxsize=4096)
+def cached_spec(kind: Kind, side: Side, family: Family, num: int, den: int,
+                formulation: Formulation, /) -> OperatorSpec:
+    """The one frozen ``OperatorSpec`` of (kind, side, family, formulation) at
+    order num/den, built on the first call and shared by later ones.  Every
+    argument is positional and required, so one spec has one key."""
+    return OperatorSpec(kind, side, family, Fraction(num, den), formulation)
+
+
 def _require_grid(spec: OperatorSpec, f: GridFunction, drop: int) -> None:
     """Refuse f unless it lies on the spec's side and holds more than the
     ``pre + post + drop`` values the row takes away."""
@@ -173,11 +188,13 @@ def _pipeline(f: GridFunction, beta, shift=0, *, skip_first=False, pre=0, post=0
     is the grid of the resulting numerators over D*E.
     """
     vals, den = f.parts
-    vals = storage_difference(vals, pre)
+    if pre:
+        vals = storage_difference(vals, pre)
     if beta != 0:
         w, d = kernel(beta, len(vals), f.backend)
         vals, den = _convolve(w, vals, skip_first), den * d
-    vals = storage_difference(vals, post)
+    if post:
+        vals = storage_difference(vals, post)
     inward = shift + drop if drop else shift
     return f.with_parts(vals[drop:] if drop else vals, den,
                         f.shift_origin(inward) if inward else None)
@@ -239,8 +256,8 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     alpha = spec.order
     if spec.kind is Kind.DELTA:
         riem = riemann_difference(
-            OperatorSpec(spec.kind, spec.side, Family.RIEMANN, alpha), f
-        )
+            cached_spec(spec.kind, spec.side, Family.RIEMANN, alpha.numerator,
+                        alpha.denominator, Formulation.COMPOSED), f)
     else:
         # nabla: the extended direct row anchored n-1 steps inward.  It runs
         # at every order: at integer orders the stated correction terms are
@@ -302,7 +319,8 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     alpha = as_fraction(order)
     if isinstance(side, str):
         side = Side(side)
-    spec = OperatorSpec(Kind.NABLA, side, Family.CAPUTO, alpha)
+    spec = cached_spec(Kind.NABLA, side, Family.CAPUTO, alpha.numerator, alpha.denominator,
+                       Formulation.COMPOSED)
     n = spec.n
     cap = caputo_difference(spec, f)
     # anchored sum of the Caputo output: full convolution, origin kept,
@@ -330,15 +348,3 @@ def apply_operator(spec: OperatorSpec, f: GridFunction, *, extended: bool = Fals
         return riemann_difference(spec, f, extended=extended)
     return caputo_difference(spec, f)
 
-
-def semigroup_diagnostic(f: GridFunction, order_a, order_b) -> GridFunction:
-    """Residual of composing two delta-left sums against one combined sum.
-
-    Diagnostic only; not part of the verified identity set.
-    """
-    a, b = as_fraction(order_a), as_fraction(order_b)
-    inner = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, b), f)
-    two_step = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, a), inner)
-    combined = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, a + b), f)
-    vals = [x - y for x, y in zip(two_step.values, combined.values)]
-    return two_step.with_values(vals)

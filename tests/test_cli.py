@@ -29,6 +29,8 @@ RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e08922
 FLOATING_CHECK_DIGEST = "5522ec46dde3a7b8bb57166586d8ce06fd6849fcbfe00426ac9512a4a07ede14"
 # 10**5000 written out: past the 4,300 digits of Python's int conversion
 LONG = "1" + "0" * 5000
+# 5,000 zeros that do not change a numeral's value
+ZEROS = "0" * 5000
 
 
 def write(tmp_path, name, text):
@@ -251,6 +253,8 @@ class TestInputContract:
          "--order", "1e99999999"],
         ["theorems", "--id", "T_U1", "--length", "3", "--values", "0,1e99999999"],
         ["theorems", "--id", "T_U1", "--length", "3", "--nu", "1e-99999999"],
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values",
+                      f"0,{LONG}e99999999"], id="long-mantissa"),
     ])
     def test_a_huge_decimal_exponent_is_refused_unexpanded(self, tmp_path, capsys, command):
         """Fraction would expand 10**99999999 for minutes; the exponent is
@@ -264,6 +268,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("domain error: value ")
         assert err.endswith("99999999 has a decimal exponent past 10000 in magnitude\n")
+        assert len(err) < 120  # at most 40 characters of the numeral
 
     @pytest.mark.parametrize("value, backend, message", [
         ("1e5000", "floating", "value 1e5000 lies outside the double range"),
@@ -323,23 +328,66 @@ class TestInputContract:
                       f"{LONG}..{LONG}"], f"--values {LONG}", id="long-range"),
         pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values", f"0,{LONG}"],
                      f"--values {LONG}", id="long-list"),
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values",
+                      f"0,1.{'3' * 5000}"], f"--values 1.{'3' * 5000}", id="long-decimal"),
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values",
+                      f"0,0.{ZEROS}1"], f"--values 0.{ZEROS}1", id="long-fraction"),
+        pytest.param(["apply", "--input", "ONES", "--kind", "delta", "--family", "sum",
+                      "--order", f"1{ZEROS}.5{ZEROS}"], f"--order 1{ZEROS}.5{ZEROS}",
+                     id="long-order"),
     ])
     def test_a_number_past_the_bit_cap_is_refused_where_it_is_parsed(
             self, tmp_path, capsys, command, shown):
         """An order or a searched value past the bit cap exits 3 as an origin
         does, whatever the backend and whichever witness a search would
         report: formatting 1e-5000 would fail past Python's 4300-digit limit,
-        no theorem case can hold 1e-1300, and 10**5000 written out is past
-        the limit of Python's int conversion."""
+        no theorem case can hold 1e-1300, and 10**5000 written out, or a
+        decimal of 5,000 significant digits, is past the limit of Python's int
+        conversion.  The message shows at most 40 characters of the numeral."""
         assert main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command]) == 3
-        assert capsys.readouterr().err == f"domain error: {shown} has more than 4096 bits\n"
+        what, numeral = shown.split(" ", 1)
+        if len(numeral) > 40:
+            numeral = f"{numeral[:18]}...{numeral[-18:]}"
+        assert capsys.readouterr().err == (
+            f"domain error: {what} {numeral} has more than 4096 bits\n")
 
-    def test_leading_zeros_do_not_count_toward_the_bit_cap(self, capsys):
+    @pytest.mark.parametrize("values, parsed", [
+        pytest.param(f"0,{ZEROS}1", [0, 1], id="leading"),
+        pytest.param(f"1.5{ZEROS},0", [Fraction(3, 2), 0], id="trailing"),
+        pytest.param(f"-{ZEROS}2.5{ZEROS},{ZEROS}", [Fraction(-5, 2), 0], id="both"),
+        pytest.param(f"0..{ZEROS}1", range(0, 2), id="range"),
+    ])
+    def test_value_neutral_zeros_do_not_count_toward_the_bit_cap(self, capsys, values,
+                                                                 parsed):
         """A numeral too long for int conversion only because of its leading
-        zeros is 1, not a number past the cap."""
-        assert main(["theorems", "--id", "T_U1", "--length", "3",
-                     "--values", "0," + "0" * 5000 + "1"]) != 3
+        zeros, or of the trailing zeros of its decimal fraction, is the number
+        it names, not one past the cap."""
+        assert _parse_values(values) == parsed
+        assert main(["theorems", "--id", "T_U1", "--length", "3", "--values", values]) == 0
         assert "bits" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, numeral, message", [
+        pytest.param(f"0,x{LONG}", f"x{LONG}", "input error: cannot parse number 'N'", id="junk"),
+        pytest.param(f"0,0.{ZEROS}1e5001", f"0.{ZEROS}1e5001",
+                     "input error: cannot parse number 'N'", id="exponent-cancels-zeros"),
+        pytest.param(f"0..{LONG}x", f"{LONG}x", "input error: cannot parse integer 'N'",
+                     id="range-junk"),
+        pytest.param(f"{LONG}9e-5001..1", f"{LONG}9e-5001",
+                     "domain error: --values N has more than 4096 bits", id="range-past-the-cap"),
+        pytest.param(f"0,{'9' * 1000}, {'9' * 1000}", "9" * 1000,
+                     "usage error: --values repeats N", id="repeat"),
+        pytest.param(f"{'9' * 1000}..{'9' * 1001}", f"{'9' * 1000}..{'9' * 1001}",
+                     "budget error: --values N names more values than the budget of 500000 "
+                     "evaluations", id="budget"),
+    ])
+    def test_a_message_shows_at_most_40_characters_of_a_numeral(self, capsys, values, numeral,
+                                                                message):
+        """A numeral N that does not parse, or one named in a refusal, is shown
+        by its first and last 18 characters once it is longer than 40.  A
+        numeral whose exponent cancels its zeros is not read (exit 2)."""
+        assert main(["theorems", "--id", "T_U1", "--length", "3", "--values", values]) in (2, 3, 4)
+        shown = f"{numeral[:18]}...{numeral[-18:]}"
+        assert capsys.readouterr().err == message.replace("N", shown) + "\n"
 
 
 class TestCheck:

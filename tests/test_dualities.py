@@ -20,7 +20,17 @@ from discfrac.dualities import (
 )
 from discfrac.errors import BackendOverflow, DomainError
 from discfrac.grids import Direction, make_grid_function
-from discfrac.operators import Kind, OperatorSpec, Side, order_ceiling
+from discfrac.operators import (
+    Family,
+    Formulation,
+    Kind,
+    OperatorSpec,
+    Side,
+    cached_spec,
+    order_ceiling,
+)
+
+COMPOSED = Formulation.COMPOSED
 
 
 def test_identity_id_is_complete():
@@ -223,16 +233,48 @@ def test_an_origin_off_by_a_fraction_of_a_step_is_refused(monkeypatch, backend, 
 
 @pytest.mark.parametrize("which", [which for which in IdentityId if IDENTITIES[which].lhs])
 def test_a_cached_spec_is_the_fresh_spec(which):
+    """Every spec a check of the row reads: its two operators, for a Caputo
+    row also the Riemann spec of ``caputo_from_riemann``'s delta side and the
+    nabla Caputo spec of ``caputo_inversion_residual``, and for a Riemann
+    row the direct forms at non-integer orders."""
     row = IDENTITIES[which]
+    kind, side, family = row.lhs
+    ops = [(*row.lhs, COMPOSED), (*row.rhs, COMPOSED)]
+    if family is Family.CAPUTO:
+        ops += [(kind, side, Family.RIEMANN, COMPOSED), (Kind.NABLA, side, family, COMPOSED)]
+    if family is Family.RIEMANN:
+        ops += [(*row.lhs, Formulation.DIRECT), (*row.rhs, Formulation.DIRECT)]
     for order in (Fraction(1, 12), Fraction(1, 2), Fraction(1), Fraction(13, 12), Fraction(2),
                   Fraction(23, 12)):
-        for op in (row.lhs, row.rhs):
-            spec = dualities._spec(op, order.numerator, order.denominator)
-            fresh = OperatorSpec(*op, order)
+        for *op, form in ops:
+            if form is Formulation.DIRECT and order.denominator == 1:
+                continue  # the direct form needs a non-integer order
+            spec = cached_spec(*op, order.numerator, order.denominator, form)
+            fresh = OperatorSpec(*op, order, form)
             assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
-            assert spec is dualities._spec(op, order.numerator, order.denominator)
+            assert spec is cached_spec(*op, order.numerator, order.denominator, form)
             assert spec.n == fresh.n == order_ceiling(order)
-    assert dualities._spec.cache_info().maxsize is not None
+            assert (spec.beta, spec.pre, spec.post, spec.drop) == (
+                fresh.beta, fresh.pre, fresh.post, fresh.drop)
+    assert cached_spec.cache_info().maxsize is not None
+
+
+def test_a_suite_builds_each_spec_once(monkeypatch):
+    """Both 200-instance suites build at most one ``OperatorSpec`` per
+    (operator, order, formulation) they read, the Caputo helpers' specs
+    too: every path takes its spec from ``cached_spec``."""
+    built = []
+    post_init = OperatorSpec.__post_init__
+
+    def counted(spec):
+        post_init(spec)
+        built.append((spec.kind, spec.side, spec.family, spec.order, spec.formulation))
+
+    monkeypatch.setattr(OperatorSpec, "__post_init__", counted)
+    cached_spec.cache_clear()
+    for backend in (RATIONAL, FLOATING):
+        run_identity_suite(instances=200, seed=0, backend=backend)
+    assert built and len(built) == len(set(built))
 
 
 @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])

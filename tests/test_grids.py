@@ -16,6 +16,7 @@ from discfrac.grids import (
     integer_difference,
     make_grid_function,
     q_reflect,
+    storage_difference,
 )
 
 import oracles
@@ -55,6 +56,52 @@ class TestConstruction:
     def test_point_lookup_off_grid(self):
         with pytest.raises(DomainError):
             fwd([1, 2, 3]).value_at("1/2")
+
+
+def _difference_by_index(values, n):
+    """The per-index definition: ``s[k] = v[k+1] - v[k]``, n times, as a tuple."""
+    for _ in range(n):
+        values = tuple(values[k + 1] - values[k] for k in range(len(values) - 1))
+    return values
+
+
+def _same(xs, ys) -> bool:
+    """Equal element by element and of one type: floats by repr, so -0.0 is
+    not 0.0 and nan is nan, and arrays by dtype and entries."""
+    if type(xs) is not type(ys) or len(xs) != len(ys):
+        return False
+    for x, y in zip(xs, ys):
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, np.ndarray):
+            if x.dtype != y.dtype or not np.array_equal(x, y):
+                return False
+        elif (repr(x) != repr(y)) if isinstance(x, float) else x != y:
+            return False
+    return True
+
+
+storage_values = st.one_of(
+    st.lists(st.integers(), max_size=8),
+    st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
+             max_size=8),
+    st.lists(st.fractions(), max_size=8),
+    st.lists(st.lists(st.integers(), min_size=3, max_size=3)
+             .map(lambda row: np.array(row, dtype=object)), max_size=8),
+)
+
+
+@given(values=storage_values, n=st.integers(0, 4), form=st.sampled_from([tuple, list]))
+def test_storage_difference_is_the_per_index_difference(values, n, form):
+    """Ints, floats (-0.0 and the infinities too), Fractions and the integer
+    object arrays of the symbolic row pass, at every order up to 4, past
+    the length too; at n = 0 the input itself comes back."""
+    values = form(values)
+    out = storage_difference(values, n)
+    if n == 0:
+        assert out is values
+    else:
+        assert _same(out, _difference_by_index(values, n))
 
 
 class TestIntegerDifference:

@@ -28,7 +28,6 @@ from discfrac.operators import (
     fractional_sum,
     order_ceiling,
     riemann_difference,
-    semigroup_diagnostic,
 )
 
 import oracles
@@ -440,11 +439,6 @@ class TestAlgebraicProperties:
             out_f = apply_operator(op_exact, ff)
             for e, x in zip(out_e.values, out_f.values):
                 assert abs(float(e) - x) <= 1e-9 * max(1.0, abs(float(e)))
-
-    def test_semigroup_diagnostic_runs(self):
-        f = forward([1, 2, 0, 3, 1, 2])
-        res = semigroup_diagnostic(f, Fraction(1, 2), Fraction(1, 3))
-        assert max(abs(v) for v in res.values) == 0
 
 
 # the 16 operators of `apply`: 12 composed pipelines and 4 direct Riemann forms
