@@ -21,7 +21,7 @@ from .errors import (
     UsageError,
 )
 from .grids import Direction, GridFunction, integer_difference, make_grid_function, q_reflect
-from .kernels import KernelCoefficient, binomial_weight, falling, gamma_ratio, rising, sum_kernel
+from .kernels import binomial_weight, falling, gamma_ratio, rising
 from .operators import (
     Family,
     Formulation,
@@ -41,8 +41,7 @@ from .dualities import CheckReport, IdentityId, check_identity, run_identity_sui
 # The theorem engine, and numpy with it, loads on first use of one of its
 # names, so that ``check`` and ``apply`` start without it.
 _MONOTONE_NAMES = frozenset({
-    "TheoremCase", "TheoremVerdict", "THEOREMS", "Verdict", "evaluate_theorem",
-    "is_nu_monotone", "make_case", "search_counterexamples", "theorem_report",
+    "TheoremCase", "TheoremVerdict", "THEOREMS", "evaluate_theorem", "make_case",
 })
 
 
@@ -73,16 +72,13 @@ __all__ = [
     "BudgetExceeded",
     "Direction",
     "GridFunction",
-    "Verdict",
     "make_grid_function",
     "integer_difference",
     "q_reflect",
     "falling",
     "rising",
     "gamma_ratio",
-    "sum_kernel",
     "binomial_weight",
-    "KernelCoefficient",
     "Kind",
     "Side",
     "Family",
@@ -104,8 +100,5 @@ __all__ = [
     "TheoremVerdict",
     "make_case",
     "evaluate_theorem",
-    "is_nu_monotone",
-    "search_counterexamples",
-    "theorem_report",
     "__version__",
 ]

@@ -45,15 +45,28 @@ def strip_neutral_zeros(text: str) -> str:
     return re.sub(r"(\.\d+?)0+(?![\d_])", r"\1", text)
 
 
+def decimal_parts(numeral: str) -> tuple[str, int] | None:
+    """``(n, e)`` with ``numeral == n * 10**e``, n its sign and significant
+    digits (from the first nonzero one to the last) or "0", or None unless
+    numeral is a decimal without underscores."""
+    m = re.fullmatch(r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{1,9}))?\s*", numeral)
+    if m is None:
+        return None
+    fraction = m[3] or ""
+    digits = (m[2] + fraction).lstrip("0")
+    d = len(digits.rstrip("0"))
+    return m[1] + (digits[:d] or "0"), int(m[4] or 0) - len(fraction) + len(digits) - d
+
+
 def as_fraction(x) -> Fraction:
     """Exact Fraction from int, Fraction, str ("3/4", "0.75") or float.
 
     Floats convert to their exact binary value, never to a decimal guess.
     A decimal exponent past ``MAX_DECIMAL_EXPONENT`` raises ``DomainError``.
-    A string that ``Fraction`` refuses is read again less its value-neutral
-    zeros (``strip_neutral_zeros``), which may have taken it past Python's
-    limit on int conversion; every string it accepts has the value of its
-    stripped form, so the zeros are stripped only where they matter.
+    A string that ``Fraction`` refuses, maybe past Python's limit on int
+    conversion only through digits that do not change its value, is read
+    again as a decimal's significant digits with the point moved into the
+    exponent (``decimal_parts``), or less its zeros (``strip_neutral_zeros``).
     """
     # the builtin types first: an isinstance check against Fraction, an
     # abstract base class, is slow for anything but a Fraction
@@ -67,11 +80,12 @@ def as_fraction(x) -> Fraction:
                               f"{MAX_DECIMAL_EXPONENT} in magnitude")
         try:
             return Fraction(x)
-        except ValueError:  # parsed again only if zeros were stripped: same value
-            stripped = strip_neutral_zeros(x)
-            if stripped == x:
+        except ValueError:  # read again only in a shorter form of the same value
+            parts = decimal_parts(x)
+            shorter = "{}e{}".format(*parts) if parts else strip_neutral_zeros(x)
+            if shorter == x:
                 raise
-        return Fraction(stripped)
+        return Fraction(shorter)
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from collections import Counter
 from fractions import Fraction
 
-from .backends import DEFAULT_BIT_CAP, as_fraction, clipped, get_backend, strip_neutral_zeros
+from .backends import (DEFAULT_BIT_CAP, as_fraction, clipped, decimal_parts, get_backend,
+                       strip_neutral_zeros)
 from .dualities import (
     DEFAULT_TOLERANCE,
     IdentityId,
@@ -76,13 +76,8 @@ def _past_the_cap(numeral: str) -> bool:
     divide, and the larger of its reduced numerator and denominator has
     at least d bits, at least -E when E < 0 and more than 3 * (d - 1 + E)
     when E >= 0 (10**k > 2**(3*k))."""
-    m = re.fullmatch(r"[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{1,9}))?", numeral)
-    if m is None:
-        return False
-    whole, fraction = m[1], m[2] or ""
-    digits = (whole + fraction).lstrip("0")
-    d = len(digits.rstrip("0"))
-    e = int(m[3] or 0) - len(fraction) + len(digits) - d
+    n, e = decimal_parts(numeral) or ("0", 0)
+    d = len(n.lstrip("-+0"))
     return d > 0 and (d > DEFAULT_BIT_CAP or
                       (-e >= DEFAULT_BIT_CAP if e < 0 else 3 * (d - 1 + e) >= DEFAULT_BIT_CAP))
 

@@ -29,7 +29,6 @@ floats as they are over 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOATING, GammaValue, as_fraction
@@ -248,32 +247,3 @@ def kernel(beta: Fraction, count: int, backend) -> tuple:
         table[key] = entry
     return entry
 
-
-@dataclass(frozen=True)
-class KernelCoefficient:
-    """One coefficient of a fractional sum, indexed by the lag t - s."""
-
-    value: object
-    kind: str
-    side: str
-    order: Fraction
-    lag: int
-
-
-def sum_kernel(kind: str, side: str, order, lag: int, backend=FLOATING) -> KernelCoefficient:
-    """Coefficient multiplying f(s) in the (kind, side) fractional sum.
-
-    All four sums share the same lag profile: the delta kernels are
-    falling factorials of the shifted argument and the nabla kernels are
-    rising factorials, and both collapse to ``w(order, lag)`` once the
-    ``1/Gamma(order)`` normalization is fused in.
-    """
-    if kind not in ("delta", "nabla"):
-        raise DomainError(f"unknown kind {kind!r}")
-    if side not in ("left", "right"):
-        raise DomainError(f"unknown side {side!r}")
-    order_f = as_fraction(order)
-    if order_f <= 0:
-        raise DomainError("fractional sum order must be positive")
-    value = binomial_weight(order_f, lag, backend)
-    return KernelCoefficient(value=value, kind=kind, side=side, order=order_f, lag=lag)

@@ -245,15 +245,6 @@ class TheoremVerdict:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Outcome of a pointwise inequality check."""
-
-    holds: bool
-    worst_point: object
-    margin: object
-
-
-@dataclass(frozen=True)
 class TheoremStatement:
     theorem_id: str
     description: str
@@ -268,28 +259,6 @@ class TheoremStatement:
     @property
     def leading_inert(self) -> bool:  # first stored value is never read
         return self.origin_offset != 0
-
-
-def is_nu_monotone(f: GridFunction, nu, direction: str = "increasing") -> Verdict:
-    """Weakened monotonicity of order nu in (0, 1) on an integer forward grid.
-
-    increasing: f(first) >= 0 and f(t+1) >= nu*f(t) at every step;
-    decreasing mirrors with f(t+1) <= nu*f(t).
-    """
-    nu_f = as_fraction(nu)
-    if not (0 < nu_f < 1):
-        raise DomainError("nu must lie strictly between 0 and 1")
-    if f.direction is not Direction.FORWARD or f.origin.denominator != 1:
-        raise DomainError("nu-monotonicity is checked on integer forward grids")
-    scal = f.backend.scalar(nu_f)
-    rows = [(f.point(0), f.values[0])]
-    for j in range(f.length - 1):
-        if direction == "increasing":
-            rows.append((f.point(j + 1), f.values[j + 1] - scal * f.values[j]))
-        else:
-            rows.append((f.point(j + 1), scal * f.values[j] - f.values[j + 1]))
-    worst_point, margin = min(rows, key=lambda r: r[1])
-    return Verdict(holds=margin >= 0, worst_point=worst_point, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,17 +1011,6 @@ def min_live_length(theorem_id: str) -> int:
     return stmt.min_length - (1 if stmt.leading_inert else 0)
 
 
-def search_counterexamples(theorem_id: str, grid_length: int, value_set,
-                           nu_samples=None, mode: str = "exhaustive",
-                           budget: int = 500_000, seed: int = 0,
-                           k_cap: int = 64, anchor=0) -> list[TheoremCase]:
-    """Enumerate (or sample) live value vectors and return every case that
-    stays inconsistent under exact re-verification.  Expected empty."""
-    results = search_campaign(theorem_id, grid_length, value_set, nu_samples,
-                              mode, budget, seed, k_cap, anchor)
-    return [case for res in results for case in res.counterexamples]
-
-
 def search_campaign(theorem_id: str, grid_length: int, value_set,
                     nu_samples=None, mode: str = "exhaustive",
                     budget: int = 500_000, seed: int = 0, k_cap: int = 64,
@@ -1124,25 +1082,3 @@ def search_theorems(theorem_ids, grid_length: int, value_set, nu_samples=None,
     return [(tid, search_campaign(tid, max(grid_length, min_live_length(tid)), value_set,
                                   nu_samples, mode, budget, seed, k_cap, searches=searches))
             for tid in theorem_ids]
-
-
-def theorem_report(theorem_ids=None, grid_length: int = 6, value_set=None,
-                   mode: str = "exhaustive", budget: int = 500_000, seed: int = 0,
-                   k_cap: int = 64) -> list[dict]:
-    """Aggregate search campaigns over a set of theorems."""
-    ids = list(theorem_ids or THEOREMS)
-    values = value_set or [Fraction(k, 2) for k in range(-2, 3)]
-    report = []
-    for tid, per_order in search_theorems(ids, grid_length, values, None, mode, budget,
-                                          seed, k_cap):
-        entry = {
-            "id": tid,
-            "description": THEOREMS[tid].description,
-            "orders": [r.as_record() for r in per_order],
-            "counterexamples": sum(len(r.counterexamples) for r in per_order),
-            "nonvacuous": all(r.witness is not None for r in per_order),
-        }
-        if THEOREMS[tid].note:
-            entry["note"] = THEOREMS[tid].note
-        report.append(entry)
-    return report

@@ -317,8 +317,6 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     Caputo anchor; the contract is that the residual vanishes.
     """
     alpha = as_fraction(order)
-    if isinstance(side, str):
-        side = Side(side)
     spec = cached_spec(Kind.NABLA, side, Family.CAPUTO, alpha.numerator, alpha.denominator,
                        Formulation.COMPOSED)
     n = spec.n

@@ -14,8 +14,7 @@ import discfrac
 from discfrac import monotone
 
 SRC = str(Path(discfrac.__file__).resolve().parents[1])
-MONOTONE_NAMES = ("TheoremCase", "TheoremVerdict", "THEOREMS", "Verdict", "evaluate_theorem",
-                  "is_nu_monotone", "make_case", "search_counterexamples", "theorem_report")
+MONOTONE_NAMES = ("TheoremCase", "TheoremVerdict", "THEOREMS", "evaluate_theorem", "make_case")
 
 
 def run_fresh(code: str, tmp_path) -> dict:

@@ -15,7 +15,6 @@ from discfrac.kernels import (
     kernel,
     kernel_vector,
     rising,
-    sum_kernel,
 )
 
 import oracles
@@ -165,23 +164,20 @@ class TestGammaRatio:
 
 
 class TestSumKernel:
+    """Every fractional sum of order alpha weighs f(s) by ``w(alpha, lag)``,
+    whatever its kind and side."""
+
     def test_order_one_is_unit(self):
         for lag in range(6):
-            for kind in ("delta", "nabla"):
-                for side in ("left", "right"):
-                    assert sum_kernel(kind, side, 1, lag, RATIONAL).value == 1
+            assert binomial_weight(1, lag, RATIONAL) == 1
 
     def test_half_order_lag_zero(self):
         # delta-left at t = 1.5, s = 1 has lag 0
-        assert sum_kernel("delta", "left", "1/2", 0, RATIONAL).value == 1
+        assert binomial_weight("1/2", 0, RATIONAL) == 1
 
     def test_half_order_lag_one(self):
         # nabla-left at t = 2, s = 1 has lag 1
-        assert sum_kernel("nabla", "left", "1/2", 1, RATIONAL).value == Fraction(1, 2)
-
-    def test_nonpositive_order_rejected(self):
-        with pytest.raises(DomainError):
-            sum_kernel("delta", "left", 0, 1, RATIONAL)
+        assert binomial_weight("1/2", 1, RATIONAL) == Fraction(1, 2)
 
     def test_kernel_vector_matches_oracle(self):
         beta = Fraction(3, 4)

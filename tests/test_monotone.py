@@ -34,14 +34,11 @@ from discfrac.monotone import (
     default_orders,
     evaluate_theorem,
     expanded_hypothesis_rows,
-    is_nu_monotone,
     make_case,
     min_live_length,
     poly_nonneg_on_integer_ray,
     search_campaign,
-    search_counterexamples,
     search_theorems,
-    theorem_report,
     transport,
 )
 from discfrac.operators import (
@@ -56,28 +53,25 @@ small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
 
 class TestNuMonotone:
-    def test_zero_function_is_monotone_both_ways(self):
-        f = make_grid_function(0, Direction.FORWARD, [0, 0, 0], RATIONAL)
-        for direction in ("increasing", "decreasing"):
-            v = is_nu_monotone(f, Fraction(1, 3), direction)
-            assert v.holds and v.margin == 0
+    """T_U1's conclusion rows, ``_start`` and ``_nu_step``: f at the first
+    point and f(t+1) - nu f(t) at every step, each required >= 0."""
+
+    @staticmethod
+    def rows(values, nu) -> list:
+        case = make_case("T_U1", values, nu)
+        return [(monotone._label(label), margin)
+                for label, margin in monotone._start(case) + monotone._nu_step(case)]
+
+    def test_zero_function_margins_are_zero(self):
+        assert [m for _, m in self.rows([0, 0, 0], Fraction(1, 3))] == [0, 0, 0]
 
     def test_direct_inequality_holds(self):
-        f = make_grid_function(0, Direction.FORWARD, ["1", "0.6"], RATIONAL)
-        v = is_nu_monotone(f, Fraction(1, 2), "increasing")
-        assert v.holds and v.margin == Fraction(1, 10)
+        rows = self.rows(["1", "0.6"], Fraction(1, 2))
+        assert min(rows, key=lambda r: r[1]) == ("step t=1", Fraction(1, 10))
 
     def test_direct_inequality_fails_with_margin(self):
-        f = make_grid_function(0, Direction.FORWARD, ["1", "0.4"], RATIONAL)
-        v = is_nu_monotone(f, Fraction(1, 2), "increasing")
-        assert not v.holds
-        assert v.margin == Fraction(-1, 10)
-        assert v.worst_point == 1
-
-    def test_order_range_enforced(self):
-        f = make_grid_function(0, Direction.FORWARD, [1, 2], RATIONAL)
-        with pytest.raises(DomainError):
-            is_nu_monotone(f, Fraction(3, 2))
+        rows = self.rows(["1", "0.4"], Fraction(1, 2))
+        assert min(rows, key=lambda r: r[1]) == ("step t=1", Fraction(-1, 10))
 
 
 class TestRayDecision:
@@ -421,17 +415,14 @@ class TestTransports:
 
 class TestSearch:
     def test_exhaustive_examples_find_nothing(self):
-        assert search_counterexamples(
-            "T_JEP1", 5, [-1, 0, 1], [Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)]
-        ) == []
-        assert search_counterexamples("T_U1", 4, [-1, 0, 1], [Fraction(1, 2)]) == []
-        assert search_counterexamples("T_D5", 4, [0, 1, 2], [Fraction(1, 2)]) == []
+        for args in (("T_JEP1", 5, [-1, 0, 1], [Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)]),
+                     ("T_U1", 4, [-1, 0, 1], [Fraction(1, 2)]),
+                     ("T_D5", 4, [0, 1, 2], [Fraction(1, 2)])):
+            assert [case for res in search_campaign(*args) for case in res.counterexamples] == []
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
-            search_counterexamples(
-                "T_U1", 20, [-2, -1, 0, 1, 2], [Fraction(1, 2)], budget=500_000
-            )
+            search_campaign("T_U1", 20, [-2, -1, 0, 1, 2], [Fraction(1, 2)], budget=500_000)
 
     @pytest.mark.parametrize("length,values,budget,fits", [
         (2, [-1, 0, 1], 9, True), (2, [-1, 0, 1], 8, False),
@@ -472,12 +463,11 @@ class TestSearch:
         assert results[0].witness_margin > 0
 
     def test_report_aggregation(self):
-        report = theorem_report(["T_U1", "T_UU1"], grid_length=4,
-                                value_set=[-1, 0, 1])
-        assert [r["id"] for r in report] == ["T_U1", "T_UU1"]
-        for entry in report:
-            assert entry["counterexamples"] == 0
-            assert entry["nonvacuous"]
+        report = search_theorems(["T_U1", "T_UU1"], 4, [-1, 0, 1])
+        assert [tid for tid, _ in report] == ["T_U1", "T_UU1"]
+        for _, per_order in report:
+            assert sum(len(r.counterexamples) for r in per_order) == 0
+            assert all(r.witness is not None for r in per_order)
 
 
 _QUARTERS = [1, Fraction(7, 16), Fraction(5, 16), Fraction(1, 4)]
