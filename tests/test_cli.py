@@ -367,6 +367,35 @@ class TestInputContract:
         assert main(["theorems", "--id", "T_U1", "--length", "3", "--values", values]) == 0
         assert "bits" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, plain", [
+        pytest.param(["apply", "--input", "ORIGIN", "--order", "1/2"],
+                     ["apply", "--input", "ONE", "--order", "1/2"], id="origin"),
+        pytest.param(["apply", "--input", "ONE", "--order", f"0.{ZEROS}5e5000"],
+                     ["apply", "--input", "ONE", "--order", "1/2"], id="order"),
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--nu", f"0.{ZEROS}5e5000"],
+                     ["theorems", "--id", "T_U1", "--length", "3", "--nu", "1/2"], id="nu"),
+    ])
+    def test_zeros_an_exponent_cancels_are_read_wherever_a_number_is_parsed(
+            self, tmp_path, command, plain):
+        """An origin, an order or a nu written with 5,000 zeros that its
+        exponent cancels gives the report of the number it names."""
+        series = {"origin": "1", "direction": "forward", "values": ["1", "1/2", "-2"]}
+        files = {"ONE": write(tmp_path, "one.json", json.dumps(series)),
+                 "ORIGIN": write(tmp_path, "origin.json",
+                                 json.dumps({**series, "origin": f"0.{ZEROS}1e5001"}))}
+        reports = []
+        for i, args in enumerate((command, plain)):
+            out = tmp_path / f"out{i}"
+            args = [files.get(arg, arg) for arg in args]
+            if args[0] == "apply":
+                args += ["--kind", "delta", "--family", "sum", "--backend", "rational",
+                         "--output", str(out)]
+            else:
+                args += ["--report", str(out)]
+            assert main(args) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("values, numeral, message", [
         pytest.param(f"0,x{LONG}", f"x{LONG}", "input error: cannot parse number 'N'", id="junk"),
         pytest.param(f"0..{LONG}x", f"{LONG}x", "input error: cannot parse integer 'N'",

@@ -179,6 +179,11 @@ class TestSumKernel:
         # nabla-left at t = 2, s = 1 has lag 1
         assert binomial_weight("1/2", 1, RATIONAL) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("backend", [FLOATING, RATIONAL])
+    def test_negative_lag_rejected(self, backend):
+        with pytest.raises(DomainError, match="lag must be nonnegative"):
+            binomial_weight("1/2", -1, backend)
+
     def test_kernel_vector_matches_oracle(self):
         beta = Fraction(3, 4)
         vec = kernel_vector(beta, 10, RATIONAL)
