@@ -26,7 +26,9 @@ from .errors import BackendOverflow, DomainError, UnitMismatch
 DEFAULT_BIT_CAP = 4096
 # Fraction expands a decimal exponent to a power of ten: minutes for 1e99999999
 MAX_DECIMAL_EXPONENT = 10_000
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMERAL = re.compile(rf"\s*([-+]?)(?:({_DIGITS})\s*/\s*({_DIGITS})|(?=\.?\d)({_DIGITS})?"
+                      rf"(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)\s*")
 
 
 def clipped(text: str) -> str:
@@ -35,57 +37,53 @@ def clipped(text: str) -> str:
     return text if len(text) <= 40 else f"{text[:18]}...{text[-18:]}"
 
 
-def strip_neutral_zeros(text: str) -> str:
-    """``text`` less the zeros that do not change a numeral's value: the
-    leading zeros of each digit run but a decimal fraction's (one digit is
-    kept) and the trailing zeros of a decimal fraction (one is kept).  A
-    numeral past Python's limit on int conversion (4,300 digits) only
-    through those zeros then parses."""
-    text = re.sub(r"(?<![\d_.])0+(?=\d)", "", text)
-    return re.sub(r"(\.\d+?)0+(?![\d_])", r"\1", text)
-
-
-def decimal_parts(numeral: str) -> tuple[str, int] | None:
-    """``(n, e)`` with ``numeral == n * 10**e``, n its sign and significant
-    digits (from the first nonzero one to the last) or "0", or None unless
-    numeral is a decimal without underscores."""
-    m = re.fullmatch(r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{1,9}))?\s*", numeral)
+def numeral_parts(text: str) -> tuple[str, int, str] | None:
+    """``(n, e, q)`` with ``text == n * 10**e / q``, or None unless ``text`` is
+    a numeral in the grammar of Python 3.13's ``Fraction``, here on every
+    version: optional surrounding whitespace, a sign, then ``p/q``
+    (whitespace allowed around "/") or a decimal (``1``, ``1.``, ``.5``,
+    ``1.5``) with an optional ``e``/``E`` exponent, "_" only between digits.
+    n is the sign and significant digits (the first nonzero digit to the
+    last), or "0" with e = 0; q is the denominator's significant digits,
+    "1" for a decimal.  A decimal exponent past ``MAX_DECIMAL_EXPONENT``
+    raises ``DomainError``."""
+    m = _NUMERAL.fullmatch(text)
     if m is None:
         return None
-    fraction = m[3] or ""
-    digits = (m[2] + fraction).lstrip("0")
-    d = len(digits.rstrip("0"))
-    return m[1] + (digits[:d] or "0"), int(m[4] or 0) - len(fraction) + len(digits) - d
+    sign, digits, q, whole, fraction, exponent = m.groups()
+    e = 0
+    if digits is None:  # a decimal
+        fraction = (fraction or "").replace("_", "")
+        digits, q, e = (whole or "") + fraction, "1", -len(fraction)
+        if exponent:  # six digits tell one past the limit, before int() reads them all
+            power = int(exponent.lstrip("-+").replace("_", "").lstrip("0")[:6] or 0)
+            if power > MAX_DECIMAL_EXPONENT:
+                raise DomainError(f"value {clipped(text.strip())} has a decimal exponent past "
+                                  f"{MAX_DECIMAL_EXPONENT} in magnitude")
+            e += -power if exponent[0] == "-" else power
+    digits = digits.replace("_", "").lstrip("0")
+    q = q.replace("_", "").lstrip("0") or "0"
+    n, r = digits.rstrip("0"), len(q.rstrip("0")) or 1
+    e += len(digits) - len(n) - (len(q) - r)
+    return (sign + n, e, q[:r]) if n else ("0", 0, q[:r])
 
 
 def as_fraction(x) -> Fraction:
     """Exact Fraction from int, Fraction, str ("3/4", "0.75") or float.
 
-    Floats convert to their exact binary value, never to a decimal guess.
-    A decimal exponent past ``MAX_DECIMAL_EXPONENT`` raises ``DomainError``.
-    A string that ``Fraction`` refuses, maybe past Python's limit on int
-    conversion only through digits that do not change its value, is read
-    again as a decimal's significant digits with the point moved into the
-    exponent (``decimal_parts``), or less its zeros (``strip_neutral_zeros``).
+    Floats convert to their exact binary value, never to a decimal guess; a
+    string is read from its ``numeral_parts``.
     """
     # the builtin types first: an isinstance check against Fraction, an
     # abstract base class, is slow for anything but a Fraction
     if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, str):
-        exponent = ("e" in x or "E" in x) and _EXPONENT.search(x)
-        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > 5 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise DomainError(f"value {clipped(x.strip())} has a decimal exponent past "
-                              f"{MAX_DECIMAL_EXPONENT} in magnitude")
-        try:
-            return Fraction(x)
-        except ValueError:  # read again only in a shorter form of the same value
-            parts = decimal_parts(x)
-            shorter = "{}e{}".format(*parts) if parts else strip_neutral_zeros(x)
-            if shorter == x:
-                raise
-        return Fraction(shorter)
+        parts = numeral_parts(x)
+        if parts is None:
+            raise ValueError(f"invalid literal for Fraction: {x!r}")
+        n, e, q = parts  # past Python's 4,300-digit int conversion, int() raises ValueError
+        return Fraction(int(n) * 10**e, int(q)) if e >= 0 else Fraction(int(n), int(q) * 10**-e)
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

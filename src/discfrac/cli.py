@@ -9,8 +9,8 @@ Exit codes: 0 pass, 1 identity violation or counterexample, 2 usage or
 parse error, 3 domain error, 4 budget exceeded.
 
 Input format for ``apply``: a JSON object {"origin": str, "direction":
-"forward"|"backward", "values": [str, ...]} whose numbers are decimal or
-"p/q" strings, parsed exactly by the rational backend.  A CSV file with
+"forward"|"backward", "values": [str, ...]} whose numbers, decimal or "p/q"
+strings or JSON numbers, are read exactly from their text.  A CSV file with
 ``t,value`` rows (consecutive integer t, ascending) is accepted for
 forward integer-origin grids.
 """
@@ -23,8 +23,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .backends import (DEFAULT_BIT_CAP, as_fraction, clipped, decimal_parts, get_backend,
-                       strip_neutral_zeros)
+from .backends import DEFAULT_BIT_CAP, as_fraction, clipped, get_backend, numeral_parts
 from .dualities import (
     DEFAULT_TOLERANCE,
     IdentityId,
@@ -57,46 +56,32 @@ def _scalar_str(x) -> str:
 
 def _parse_number(text: str) -> Fraction:
     try:
-        return as_fraction(text.strip())
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse number {clipped(text)!r}") from exc
 
 
-def _parse_integer(text: str) -> int:
-    try:
-        return int(strip_neutral_zeros(text.strip()))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse integer {clipped(text)!r}") from exc
-
-
-def _past_the_cap(numeral: str) -> bool:
-    """Whether a decimal numeral is past ``DEFAULT_BIT_CAP`` bits, told from
-    its digits: with d significant digits (from the first nonzero digit to
-    the last) it is N * 10**E, N an integer of d digits that 10 does not
-    divide, and the larger of its reduced numerator and denominator has
-    at least d bits, at least -E when E < 0 and more than 3 * (d - 1 + E)
-    when E >= 0 (10**k > 2**(3*k))."""
-    n, e = decimal_parts(numeral) or ("0", 0)
-    d = len(n.lstrip("-+0"))
-    return d > 0 and (d > DEFAULT_BIT_CAP or
-                      (-e >= DEFAULT_BIT_CAP if e < 0 else 3 * (d - 1 + e) >= DEFAULT_BIT_CAP))
-
-
-def _parse_capped(text: str, what: str, parse=_parse_number):
+def _parse_capped(text: str, what: str, kind: str = "number"):
     """An exact number given as ``what`` (a grid origin, an order or a
-    searched value), refused past ``DEFAULT_BIT_CAP`` bits before any work.
-    A numeral too long for Python's int conversion is refused the same way
-    when its digits tell that it is past the cap (``_past_the_cap``)."""
-    shown = text.strip()
-    try:
-        x = parse(text)
-    except ValueError:
-        if not _past_the_cap(shown):
-            raise
-        x = None
+    searched value), refused past ``DEFAULT_BIT_CAP`` bits before any work,
+    and for an integer ``kind`` unless written as one.  Its parts tell a
+    numeral too long for Python's int conversion past the cap: with d
+    significant digits and q = 1 it is N * 10**E, N an integer of d digits
+    that 10 does not divide, and the larger of its reduced numerator and
+    denominator has at least d bits, at least -E when E < 0 and more than
+    3 * (d - 1 + E) when E >= 0 (10**k > 2**(3*k))."""
+    parts = numeral_parts(text)
+    if parts is None:
+        raise ValueError(f"cannot parse {kind} {clipped(text)!r}")
+    n, e, q = parts
+    d, x = len(n.lstrip("-+0")), None
+    if q != "1" or d <= DEFAULT_BIT_CAP and (-e if e < 0 else 3 * (d - 1 + e)) < DEFAULT_BIT_CAP:
+        if kind == "integer" and any(c in text for c in "./eE"):
+            raise ValueError(f"cannot parse integer {clipped(text)!r}")
+        x = _parse_number(text)
     if x is None or max(x.numerator.bit_length(), x.denominator.bit_length()) > DEFAULT_BIT_CAP:
-        raise DomainError(f"{what} {clipped(shown)} has more than {DEFAULT_BIT_CAP} bits")
-    return x
+        raise DomainError(f"{what} {clipped(text.strip())} has more than {DEFAULT_BIT_CAP} bits")
+    return x.numerator if kind == "integer" else x
 
 
 def _read_grid(path: str, backend) -> GridFunction:
@@ -115,7 +100,7 @@ def _read_grid(path: str, backend) -> GridFunction:
             if nxt - prev != 1:
                 raise DomainError("CSV input requires consecutive ascending points")
         return make_grid_function(points[0], Direction.FORWARD, values, backend)
-    record = json.loads(text)
+    record = json.loads(text, parse_float=str, parse_int=str)
     if not isinstance(record, dict) or not isinstance(record.get("values"), list):
         raise ValueError('JSON input must be an object whose "values" is a list')
     return make_grid_function(
@@ -246,7 +231,7 @@ def _parse_values(text: str, cap: int | None = None):
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = (_parse_capped(x, "--values", _parse_integer) for x in (lo_s, hi_s))
+        lo, hi = (_parse_capped(x, "--values", "integer") for x in (lo_s, hi_s))
         if cap is not None and hi - lo + 1 > cap:
             raise BudgetExceeded(f"--values {clipped(text)} names more values than the budget "
                                  f"of {cap} evaluations")
@@ -274,9 +259,11 @@ def cmd_theorems(args) -> int:
         ids = list(args.id)
     if args.budget <= 0:
         raise DomainError("budget must be positive")
+    if args.length < 1:
+        raise UsageError("--length must be at least 1")
     mode = "random" if args.random else "exhaustive"
     values = _parse_values(args.values, None if args.random else args.budget)
-    orders = [_parse_capped(x, "--nu") for x in args.nu.split(",")] if args.nu else None
+    orders = None if args.nu is None else [_parse_capped(x, "--nu") for x in args.nu.split(",")]
     _reject_repeats("--nu", orders or [])
     # one config for every record, where a --values range is its lo..hi text
     shown = (f"{values.start}..{values.stop - 1}" if isinstance(values, range)

@@ -201,10 +201,47 @@ class TestInputContract:
         assert code == 2
         assert "cannot parse number" in capsys.readouterr().err
 
-    def test_unparsable_nu_is_usage_error(self, capsys):
-        code = main(["theorems", "--id", "T_U1", "--length", "3", "--nu", "1/2,abc"])
+    @pytest.mark.parametrize("nu, numeral", [("1/2,abc", "abc"), ("", "")])
+    def test_unparsable_nu_is_usage_error(self, capsys, nu, numeral):
+        """An empty --nu names no order, as --nu , does: it is refused, not
+        read as the default orders."""
+        code = main(["theorems", "--id", "T_U1", "--length", "3", "--nu", nu])
         assert code == 2
-        assert "cannot parse number" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: cannot parse number {numeral!r}\n"
+
+    def test_one_number_grammar_on_every_python_version(self, tmp_path, capsys):
+        """Every --order form names 5/2 with one output, "_" between digits
+        and spaces around "/" included, which Python 3.10's Fraction refuses;
+        malformed ones exit 2 on every version."""
+        src = write(tmp_path, "f.json", json.dumps(
+            {"origin": "0", "direction": "forward", "values": ["1", "1/2", "-2", "3", "5/4"]}))
+        outputs = set()
+        for order in ("5/2", "1_0/4", "10 / 4", "2.5", "2_5e-1", "0.25e1"):
+            assert main(["apply", "--input", src, "--kind", "delta", "--family", "caputo",
+                         "--order", order, "--backend", "rational"]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        for order in ("1__0", "_1", "1/", "1.5/2", "1e"):
+            assert main(["apply", "--input", src, "--kind", "delta", "--family", "caputo",
+                         "--order", order, "--backend", "rational"]) == 2
+            assert capsys.readouterr().err == f"input error: cannot parse number {order!r}\n"
+
+    def test_json_numbers_are_read_from_their_text(self, tmp_path, capsys):
+        """An unquoted JSON number is read exactly as its quoted text is, never
+        through a double: 20 significant digits keep their value, and 1e400
+        gets the double-range message."""
+        record = '{"origin": 0, "direction": "forward", "values": [1, %s, 2]}'
+        outputs = []
+        for number in ("0.12345678901234567891", '"0.12345678901234567891"'):
+            src = write(tmp_path, "f.json", record % number)
+            assert main(apply_args(src, "--backend", "rational")) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert '"112345678901234567891/100000000000000000000"' in outputs[0]
+        for number in ("1e400", '"1e400"'):
+            assert main(apply_args(write(tmp_path, "f.json", record % number))) == 3
+            assert capsys.readouterr().err == (
+                "domain error: value 1e400 lies outside the double range\n")
 
     def test_nonpositive_tolerance_and_budget_are_domain_errors(self, capsys):
         assert main(["check", "--id", "Q_SUM_DELTA", "--tolerance", "0"]) == 3
@@ -357,6 +394,8 @@ class TestInputContract:
         pytest.param(f"-{ZEROS}2.5{ZEROS},{ZEROS}", [Fraction(-5, 2), 0], id="both"),
         pytest.param(f"0..{ZEROS}1", range(0, 2), id="range"),
         pytest.param(f"0,0.{ZEROS}1e5001", [0, 1], id="exponent-cancels-zeros"),
+        pytest.param(f"0,0.{ZEROS}_1e5001", [0, 1], id="underscore-digits"),
+        pytest.param(f"0,0.{ZEROS}1e50_01", [0, 1], id="underscore-exponent"),
     ])
     def test_value_neutral_zeros_do_not_count_toward_the_bit_cap(self, capsys, values,
                                                                  parsed):
@@ -762,6 +801,8 @@ APPLY = ["apply", "--input", "ONES", "--kind", "delta", "--order", "1/2"]
     (["theorems", "--id", "T_U1", "--id", "T_U1"], "--id repeats T_U1"),
     (["theorems", "--id", "T_U1", "--values", "0,1,0"], "--values repeats 0"),
     (["theorems", "--id", "T_U1", "--nu", "1/2,2/4"], "--nu repeats 1/2"),
+    (["theorems", "--id", "T_U1", "--length", "0"], "--length must be at least 1"),
+    (["theorems", "--id", "T_U1", "--length", "-3"], "--length must be at least 1"),
 ])
 def test_flag_conflicts_are_usage_errors(tmp_path, capsys, command, message):
     code = main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command])
