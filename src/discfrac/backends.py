@@ -46,8 +46,10 @@ def numeral_parts(text: str) -> tuple[str, int, str] | None:
     n is the sign and significant digits (the first nonzero digit to the
     last), or "0" with e = 0; q is the denominator's significant digits,
     "1" for a decimal.  A decimal exponent past ``MAX_DECIMAL_EXPONENT``
-    raises ``DomainError``."""
-    m = _NUMERAL.fullmatch(text)
+    raises ``DomainError``.  A decimal digit outside ASCII, which the digit
+    class matches too, reads as its ASCII digit."""
+    m = _NUMERAL.fullmatch(text if text.isascii() else "".join(
+        str(int(c)) if c.isdecimal() else c for c in text))
     if m is None:
         return None
     sign, digits, q, whole, fraction, exponent = m.groups()

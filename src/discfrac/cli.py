@@ -159,10 +159,10 @@ def cmd_apply(args) -> int:
         Side(args.side),
         Family(args.family),
         _parse_capped(args.order, "--order"),
-        Formulation(args.form),
+        Formulation.EXTENDED if args.extended else Formulation(args.form),
     )
     grid = _read_grid(args.input, backend)
-    out = apply_operator(spec, grid, extended=args.extended)
+    out = apply_operator(spec, grid)
     record = _grid_record(
         out,
         {

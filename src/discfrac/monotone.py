@@ -226,10 +226,13 @@ def _partial_sum_ray(values, nu, first: int, start: int) -> RayCondition:
 @dataclass(frozen=True)
 class TheoremCase:
     theorem_id: str
-    anchor: Fraction
     order: Fraction
     f: GridFunction
     k_cap: int = 64
+
+    @property
+    def anchor(self) -> Fraction:  # fixed by the grid's origin
+        return self.f.origin - THEOREMS[self.theorem_id].origin_offset
 
 
 @dataclass
@@ -273,7 +276,7 @@ class TheoremStatement:
 #   _pair(offset, at)           nondecreasing pairs from storage index offset on
 #   _nu_step                    f(t+1) - nu*f(t) at every step
 #   _delta_riemann              delta Riemann difference on its domain
-#   _NablaRiemann(prepend, drop)  direct nabla Riemann difference, extended
+#   _NablaRiemann(prepend, drop)  extended direct nabla Riemann difference
 #   _caputo_bound               delta Caputo difference plus its anchor correction
 #   _ray(terms, base)           k-family start from the kernel's partial sums
 
@@ -350,9 +353,8 @@ class _NablaRiemann:
             nums, den = f.parts
             f = f.with_parts((nums[0] * 0,) * spec.n + nums[1:], den, f.shift_origin(1 - spec.n))
         else:
-            spec = _spec(case, Kind.NABLA, Family.RIEMANN, Formulation.DIRECT)
-        return _op_rows(riemann_difference(spec, f, extended=not self.dual)
-                        .drop_leading(self.drop))
+            spec = _spec(case, Kind.NABLA, Family.RIEMANN, Formulation.EXTENDED)
+        return _op_rows(riemann_difference(spec, f).drop_leading(self.drop))
 
 
 def _caputo_bound(case: TheoremCase) -> list:
@@ -491,11 +493,10 @@ def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64) ->
     read by the operator or any predicate.
     """
     stmt = THEOREMS[theorem_id]
-    anchor_f = as_fraction(anchor)
     stored = ([0] + list(live_values)) if stmt.leading_inert else list(live_values)
-    origin = anchor_f + stmt.origin_offset
+    origin = as_fraction(anchor) + stmt.origin_offset
     f = make_grid_function(origin, stmt.direction, stored, RATIONAL)
-    return TheoremCase(theorem_id, anchor_f, as_fraction(order), f, k_cap)
+    return TheoremCase(theorem_id, as_fraction(order), f, k_cap)
 
 
 def _ray_rows(ray: RayCondition, k_cap: int) -> list:
@@ -532,10 +533,6 @@ def evaluate_theorem(case: TheoremCase, builder: Callable | None = None) -> Theo
         raise DomainError(f"{case.theorem_id} is evaluated on exact grids only")
     if case.f.direction is not stmt.direction:
         raise DomainError(f"{case.theorem_id} expects a {stmt.direction.value} grid")
-    if case.f.origin != case.anchor + stmt.origin_offset:
-        raise DomainError(
-            f"{case.theorem_id} expects the grid origin at anchor{stmt.origin_offset:+d}"
-        )
     if case.f.length < stmt.min_length:
         raise GridTooShort(
             f"{case.theorem_id} needs at least {stmt.min_length} stored values"
@@ -581,7 +578,7 @@ def transport(case: TheoremCase):
     if case.theorem_id in Q_TWINS:
         twin, extra, dropped = Q_TWINS[case.theorem_id]
         g = case.f.with_parts(*case.f.parts, case.f.far_point, Direction.FORWARD)
-        twin_case = TheoremCase(twin, g.origin, case.order, g, case.k_cap)
+        twin_case = TheoremCase(twin, case.order, g, case.k_cap)
         hyp, rays, concl = THEOREMS[twin].builder(twin_case)
         return [row for kind in extra for row in kind(case)] + hyp, rays, concl[dropped:]
     own = THEOREMS[case.theorem_id].builder

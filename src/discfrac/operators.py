@@ -16,6 +16,8 @@ outputs.  ``OperatorSpec`` derives the row when it is built.
     nabla Caputo     n - alpha  n    0     0     n             L - n
     delta direct     -alpha     0    0     n     n - alpha     L - n
     nabla direct     -alpha     0    0     n     n             L - n
+    delta extended   -alpha     0    0     1     1 - alpha     L - 1
+    nabla extended   -alpha     0    0     1     1             L - 1
 
 Left operators take a forward grid N_a and right ones a backward grid bN,
 and in storage space the row is the same for both: only the output
@@ -26,8 +28,8 @@ the value at the anchor out of the convolution, so the nabla sums carry a
 conventional zero there (empty sum).  A grid of at most pre + post + drop
 values raises ``GridTooShort``.
 
-The single-sum (direct) Riemann forms reproduce the composed values;
-``extended=True`` drops 1 output instead of n, which extends them by the
+The single-sum (direct) Riemann forms reproduce the composed values; the
+extended direct rows drop 1 output instead of n, which extends them by the
 n-1 points between anchor+1 and the composed domain.  The nabla Caputo
 differences anchor their inner sum one step before the first value of
 the n-th difference (anchor + n - 1 on the left, anchor - n + 1 on the
@@ -88,6 +90,7 @@ class Family(enum.Enum):
 class Formulation(enum.Enum):
     COMPOSED = "composed"
     DIRECT = "direct"
+    EXTENDED = "extended"  # the direct row on its whole domain: drop 1, not n
 
 
 def order_ceiling(order) -> int:
@@ -119,14 +122,14 @@ class OperatorSpec:
         if self.order.numerator <= 0:
             raise DomainError("operator order must be positive")
         n = order_ceiling(self.order)
-        if self.formulation is Formulation.DIRECT:
+        if self.formulation is not Formulation.COMPOSED:
             if self.family is not Family.RIEMANN:
                 raise DomainError("direct formulation applies to Riemann differences only")
             if self.order.denominator == 1:
                 raise DirectFormIntegerOrder(
                     "the single-sum difference form needs a non-integer order"
                 )
-            row = -self.order, 0, 0, n
+            row = -self.order, 0, 0, n if self.formulation is Formulation.DIRECT else 1
         elif self.family is Family.SUM:
             row = self.order, 0, 0, 0
         elif self.family is Family.RIEMANN:
@@ -146,7 +149,7 @@ def cached_spec(kind: Kind, side: Side, family: Family, num: int, den: int,
     return OperatorSpec(kind, side, family, Fraction(num, den), formulation)
 
 
-def _require_grid(spec: OperatorSpec, f: GridFunction, drop: int) -> None:
+def _require_grid(spec: OperatorSpec, f: GridFunction) -> None:
     """Refuse f unless it lies on the spec's side and holds more than the
     ``pre + post + drop`` values the row takes away."""
     want = Direction.FORWARD if spec.side is Side.LEFT else Direction.BACKWARD
@@ -154,7 +157,7 @@ def _require_grid(spec: OperatorSpec, f: GridFunction, drop: int) -> None:
         raise DomainError(
             f"{spec.side.value} operators require a {want.value} grid, got {f.direction.value}"
         )
-    if f.length <= spec.pre + spec.post + drop:
+    if f.length <= spec.pre + spec.post + spec.drop:
         raise GridTooShort(f"a grid of length {f.length} cannot support this "
                            f"order-{spec.order} {spec.family.value}")
 
@@ -200,14 +203,13 @@ def _pipeline(f: GridFunction, beta, shift=0, *, skip_first=False, pre=0, post=0
                         f.shift_origin(inward) if inward else None)
 
 
-def _apply(spec: OperatorSpec, f: GridFunction, extended: bool = False) -> GridFunction:
+def _apply(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """The spec's row run on f: see the module table."""
-    drop = 1 if extended and spec.drop else spec.drop
-    _require_grid(spec, f, drop)
+    _require_grid(spec, f)
     delta = spec.kind is Kind.DELTA
     return _pipeline(f, spec.beta, spec.beta if delta else spec.pre + spec.post,
                      skip_first=not (delta or spec.pre), pre=spec.pre, post=spec.post,
-                     drop=drop)
+                     drop=spec.drop)
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -217,17 +219,11 @@ def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     return _apply(spec, f)
 
 
-def riemann_difference(
-    spec: OperatorSpec, f: GridFunction, *, extended: bool = False
-) -> GridFunction:
-    """Riemann fractional difference (integer differences of a sum).
-
-    ``extended=True`` is honored by the direct formulation only and adds
-    the n-1 points between anchor+1 and the composed domain.
-    """
+def riemann_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
+    """Riemann fractional difference (integer differences of a sum)."""
     if spec.family is not Family.RIEMANN:
         raise DomainError("riemann_difference needs a spec with family=riemann")
-    return _apply(spec, f, extended)
+    return _apply(spec, f)
 
 
 def caputo_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -251,7 +247,7 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """
     if spec.family is not Family.CAPUTO:
         raise DomainError("caputo_from_riemann needs a spec with family=caputo")
-    _require_grid(spec, f, 0)
+    _require_grid(spec, f)
     n = spec.n
     alpha = spec.order
     if spec.kind is Kind.DELTA:
@@ -338,11 +334,11 @@ def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunctio
     return f.with_parts(*residual, f.shift_origin(n - 1))
 
 
-def apply_operator(spec: OperatorSpec, f: GridFunction, *, extended: bool = False) -> GridFunction:
+def apply_operator(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """Dispatch on the spec's family."""
     if spec.family is Family.SUM:
         return fractional_sum(spec, f)
     if spec.family is Family.RIEMANN:
-        return riemann_difference(spec, f, extended=extended)
+        return riemann_difference(spec, f)
     return caputo_difference(spec, f)
 

@@ -6,6 +6,8 @@ from discfrac.backends import as_fraction, numeral_parts
 
 # 5,000 zeros that do not change a numeral's value
 ZEROS = "0" * 5000
+# the same zeros in Arabic-Indic digits
+ARABIC_ZEROS = "\u0660" * 5000
 
 
 @pytest.mark.parametrize("numeral, parts", [
@@ -29,6 +31,7 @@ ZEROS = "0" * 5000
     (" 1 / 3 ", ("1", 0, "3")),
     ("1\t/\t3", ("1", 0, "3")),
     ("5/0", ("5", 0, "0")),
+    pytest.param("\u0660.\u0665", ("5", -1, "1"), id="arabic-indic-0.5"),
     (".", None),
     ("1e", None),
     ("inf", None),
@@ -62,6 +65,7 @@ def test_numeral_parts_are_the_significant_digits_exponent_and_denominator(numer
     (f"0.{ZEROS}1e50_01", 1),
     (f"{ZEROS}3/{ZEROS}4", Fraction(3, 4)),
     (f"1{ZEROS}/1{ZEROS}", 1),
+    pytest.param(f"\u0661{ARABIC_ZEROS}e-5000", 1, id="arabic-indic-zeros"),
 ])
 def test_as_fraction_reads_a_numeral_long_only_through_value_neutral_digits(numeral, value):
     assert as_fraction(numeral) == value

@@ -31,6 +31,8 @@ FLOATING_CHECK_DIGEST = "5522ec46dde3a7b8bb57166586d8ce06fd6849fcbfe00426ac9512a
 LONG = "1" + "0" * 5000
 # 5,000 zeros that do not change a numeral's value
 ZEROS = "0" * 5000
+# the same zeros in Arabic-Indic digits
+ARABIC_ZEROS = "\u0660" * 5000
 
 
 def write(tmp_path, name, text):
@@ -112,6 +114,8 @@ class TestApply:
         plain, extended = json.loads(plain.read_text()), json.loads(extended.read_text())
         assert len(extended["values"]) == len(plain["values"]) + 1
         assert extended["values"][1:] == plain["values"]
+        assert extended["operator"]["formulation"] == "extended"
+        assert plain["operator"]["formulation"] == "direct"
 
     def test_direction_mismatch_is_domain_error(self, tmp_path):
         src = write(tmp_path, "b.json", json.dumps(
@@ -413,11 +417,16 @@ class TestInputContract:
                      ["apply", "--input", "ONE", "--order", "1/2"], id="order"),
         pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--nu", f"0.{ZEROS}5e5000"],
                      ["theorems", "--id", "T_U1", "--length", "3", "--nu", "1/2"], id="nu"),
+        pytest.param(["theorems", "--id", "T_U1", "--length", "3", "--values",
+                      f"0,\u0661{ARABIC_ZEROS}e-5000"],
+                     ["theorems", "--id", "T_U1", "--length", "3", "--values", "0,1"],
+                     id="non-ascii-digits"),
     ])
     def test_zeros_an_exponent_cancels_are_read_wherever_a_number_is_parsed(
             self, tmp_path, command, plain):
-        """An origin, an order or a nu written with 5,000 zeros that its
-        exponent cancels gives the report of the number it names."""
+        """An origin, an order, a nu or a searched value written with 5,000
+        zeros that its exponent cancels, in ASCII or Arabic-Indic digits,
+        gives the report of the number it names."""
         series = {"origin": "1", "direction": "forward", "values": ["1", "1/2", "-2"]}
         files = {"ONE": write(tmp_path, "one.json", json.dumps(series)),
                  "ORIGIN": write(tmp_path, "origin.json",

@@ -293,10 +293,10 @@ class TestEvaluate:
                                                       RATIONAL))
         with pytest.raises(DomainError, match="^T_JEPP expects a forward grid$"):
             evaluate_theorem(backward)
+        # the anchor is read off the grid's origin, so no case disagrees with it
         moved = replace(case, f=make_grid_function(2, Direction.FORWARD, [0, 0, 1, 2],
                                                    RATIONAL))
-        with pytest.raises(DomainError, match="^T_JEPP expects the grid origin at anchor-1$"):
-            evaluate_theorem(moved)
+        assert (case.anchor, moved.anchor) == (2, 3)
         assert evaluate_theorem(case).hypothesis_holds
 
     def test_order_out_of_range_rejected(self):
@@ -309,6 +309,31 @@ class TestEvaluate:
         case = make_case("T_SLOV3", [0] * (stmt_min - 1), Fraction(3, 2))
         with pytest.raises(GridTooShort):
             evaluate_theorem(case)
+
+    @pytest.mark.parametrize("tid", list(THEOREMS))
+    def test_min_length_is_the_shortest_every_row_kind_needs(self, tid):
+        """At ``min_length`` stored values the builder runs and every
+        hypothesis and conclusion row kind yields a row, at each default
+        order; one value fewer and some kind yields none or raises
+        ``GridTooShort``."""
+        stmt = THEOREMS[tid]
+        kinds = stmt.builder.hyp + stmt.builder.concl
+
+        def case_and_counts(stored, order):
+            case = make_case(tid, range(1, stored - stmt.leading_inert + 1), order)
+            counts = []
+            for kind in kinds:
+                try:
+                    counts.append(len(kind(case)))
+                except GridTooShort:
+                    counts.append(0)
+            return case, counts
+
+        for order in default_orders(tid):
+            case, counts = case_and_counts(stmt.min_length, order)
+            stmt.builder(case)
+            assert all(counts), (order, counts)
+            assert not all(case_and_counts(stmt.min_length - 1, order)[1]), order
 
     def test_anchor_is_translation_invariant(self):
         vals = [Fraction(1, 2), 1, 1, 0, 1]

@@ -143,12 +143,12 @@ class TestAgainstOracles:
                 out = riemann_difference(d, g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_right_riemann_direct(fmap, b, alpha, p)
-                d = spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.DIRECT)
-                out = riemann_difference(d, f, extended=True)
+                d = spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.EXTENDED)
+                out = riemann_difference(d, f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_left_riemann(fmap, a, alpha, p)
-                d = spec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha, Formulation.DIRECT)
-                out = riemann_difference(d, g, extended=True)
+                d = spec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha, Formulation.EXTENDED)
+                out = riemann_difference(d, g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_right_riemann(fmap, b, alpha, p)
 
@@ -246,14 +246,16 @@ class TestDomains:
         alpha = Fraction(3, 2)
         d = spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha, Formulation.DIRECT)
         core = riemann_difference(d, f)
-        ext = riemann_difference(d, f, extended=True)
+        ext = riemann_difference(
+            spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha, Formulation.EXTENDED), f)
         assert core.origin == 2 - alpha
         assert ext.origin == 1 - alpha
         assert ext.length == core.length + 1
         assert ext.values[1:] == core.values
         nd = spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.DIRECT)
         ncore = riemann_difference(nd, f)
-        next_ = riemann_difference(nd, f, extended=True)
+        next_ = riemann_difference(
+            spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.EXTENDED), f)
         assert ncore.origin == 2 and next_.origin == 1
         assert next_.values[1:] == ncore.values
 
@@ -263,8 +265,12 @@ class TestDomains:
             fractional_sum(spec(Kind.DELTA, Side.RIGHT, Family.SUM, 1), f)
 
     def test_direct_integer_order_rejected(self):
-        with pytest.raises(DirectFormIntegerOrder):
-            spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, 2, Formulation.DIRECT)
+        for form in (Formulation.DIRECT, Formulation.EXTENDED):
+            with pytest.raises(DirectFormIntegerOrder):
+                spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, 2, form)
+            for family in (Family.SUM, Family.CAPUTO):
+                with pytest.raises(DomainError, match="Riemann differences only"):
+                    spec(Kind.NABLA, Side.LEFT, family, "1/2", form)
 
     def test_too_short(self):
         with pytest.raises(GridTooShort):
@@ -472,45 +478,45 @@ def test_floating_agrees_with_rational_at_length_256(kind, side, family, form):
         assert worst <= AGREEMENT_BOUND * scale, (order, worst / scale)
 
 
-# every (kind, side, family, form, extended) pipeline with its oracle; the
-# direct nabla forms and the nabla composed differences share the single-sum
-# oracle, which is valid from one step past the anchor on
+# every (kind, side, family, form) pipeline with its oracle; the direct
+# and extended nabla forms and the nabla composed differences share the
+# single-sum oracle, which is valid from one step past the anchor on
 PIPELINES = [
-    (Kind.DELTA, Side.LEFT, Family.SUM, Formulation.COMPOSED, False, oracles.delta_left_sum),
-    (Kind.DELTA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, False, oracles.delta_right_sum),
-    (Kind.NABLA, Side.LEFT, Family.SUM, Formulation.COMPOSED, False, oracles.nabla_left_sum),
-    (Kind.NABLA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, False, oracles.nabla_right_sum),
-    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED, False,
+    (Kind.DELTA, Side.LEFT, Family.SUM, Formulation.COMPOSED, oracles.delta_left_sum),
+    (Kind.DELTA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, oracles.delta_right_sum),
+    (Kind.NABLA, Side.LEFT, Family.SUM, Formulation.COMPOSED, oracles.nabla_left_sum),
+    (Kind.NABLA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, oracles.nabla_right_sum),
+    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED,
      oracles.delta_left_riemann),
-    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED, False,
+    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED,
      oracles.delta_right_riemann),
-    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED, False,
+    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED,
      oracles.nabla_left_riemann),
-    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED, False,
+    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED,
      oracles.nabla_right_riemann),
-    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, False,
+    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT,
      oracles.delta_left_riemann_direct),
-    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, True,
+    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.EXTENDED,
      oracles.delta_left_riemann_direct),
-    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, False,
+    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT,
      oracles.delta_right_riemann_direct),
-    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, True,
+    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.EXTENDED,
      oracles.delta_right_riemann_direct),
-    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, False,
+    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT,
      oracles.nabla_left_riemann),
-    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT, True,
+    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.EXTENDED,
      oracles.nabla_left_riemann),
-    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, False,
+    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT,
      oracles.nabla_right_riemann),
-    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT, True,
+    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.EXTENDED,
      oracles.nabla_right_riemann),
-    (Kind.DELTA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED, False,
+    (Kind.DELTA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED,
      oracles.delta_left_caputo),
-    (Kind.DELTA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED, False,
+    (Kind.DELTA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED,
      oracles.delta_right_caputo),
-    (Kind.NABLA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED, False,
+    (Kind.NABLA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED,
      oracles.nabla_left_caputo),
-    (Kind.NABLA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED, False,
+    (Kind.NABLA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED,
      oracles.nabla_right_caputo),
 ]
 
@@ -532,10 +538,10 @@ def both_grids(values, a, backend=RATIONAL):
     return f, g, b
 
 
-def expected_length(family, form, extended, length, n):
+def expected_length(family, form, length, n):
     if family is Family.SUM:
         return length
-    if form is Formulation.DIRECT and extended:
+    if form is Formulation.EXTENDED:
         return length - 1
     return length - n
 
@@ -546,20 +552,20 @@ def memo_oracles(monkeypatch):
     monkeypatch.setattr(oracles, "ratio_coeff", functools.lru_cache(oracles.ratio_coeff))
 
 
-def evaluate(op, grid, extended, relation=False):
+def evaluate(op, grid, relation=False):
     """Output of one pipeline, or None when the grid is too short for it:
     ``GridTooShort`` is raised exactly when ``expected_length`` is not
     positive, and otherwise the output has that many points."""
-    expected = expected_length(op.family, op.formulation, extended, grid.length, op.n)
+    expected = expected_length(op.family, op.formulation, grid.length, op.n)
     try:
         if relation:
             out = caputo_from_riemann(op, grid)
         else:
-            out = apply_operator(op, grid, extended=extended)
+            out = apply_operator(op, grid)
     except GridTooShort:
-        assert expected <= 0, (op, grid.length, extended, relation)
+        assert expected <= 0, (op, grid.length, relation)
         return None
-    assert out.length == expected > 0, (op, grid.length, extended, relation)
+    assert out.length == expected > 0, (op, grid.length, relation)
     return out
 
 
@@ -584,15 +590,15 @@ class TestIntegerPath:
         builds from its values."""
         f, g, b = both_grids(values, Fraction(a))
         fmap = f.mapping()
-        for kind, side, family, form, extended, oracle in PIPELINES:
-            if form is Formulation.DIRECT and alpha.denominator == 1:
+        for kind, side, family, form, oracle in PIPELINES:
+            if form is not Formulation.COMPOSED and alpha.denominator == 1:
                 continue
             left = side is Side.LEFT
             grid, anchor = (f, f.origin) if left else (g, b)
             op = spec(kind, side, family, alpha, form)
             runs = [False, True] if family is Family.CAPUTO else [False]
             for relation in runs:
-                out = evaluate(op, grid, extended, relation)
+                out = evaluate(op, grid, relation)
                 if out is None:
                     continue
                 assert out.values == tuple(oracle(fmap, anchor, alpha, p) for p in out.points())
@@ -600,7 +606,7 @@ class TestIntegerPath:
                 rebuilt = make_grid_function(out.origin, out.direction, out.values, RATIONAL)
                 assert out == rebuilt and hash(out) == hash(rebuilt)
         # chained: the delta-left difference's output feeds the nabla-left sum
-        first = evaluate(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f, False)
+        first = evaluate(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f)
         if first is not None:
             second = fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), first)
             inner = {p: oracles.delta_left_riemann(fmap, f.origin, alpha, p)
@@ -729,7 +735,7 @@ class TestIntegerPath:
         def kernels(family, form):
             if family is Family.SUM:
                 return [(alpha, length)]
-            if form is Formulation.DIRECT:
+            if form is not Formulation.COMPOSED:
                 return [(-alpha, length)]
             if family is Family.RIEMANN:
                 return [(n - alpha, length)]
@@ -746,16 +752,15 @@ class TestIntegerPath:
                        for beta, count in kernel_list for w in
                        (oracles.ratio_coeff(lag, beta) for lag in range(count)))
 
-        cases = [(kind, side, family, form, extended, kernels(family, form), False)
-                 for kind, side, family, form, extended, _ in PIPELINES]
-        cases += [(kind, side, Family.CAPUTO, Formulation.COMPOSED, False,
-                   relation_kernels(kind), True)
+        cases = [(kind, side, family, form, kernels(family, form), False)
+                 for kind, side, family, form, _ in PIPELINES]
+        cases += [(kind, side, Family.CAPUTO, Formulation.COMPOSED, relation_kernels(kind), True)
                   for kind in Kind for side in Side]
-        for kind, side, family, form, extended, kernel_list, relation in cases:
+        for kind, side, family, form, kernel_list, relation in cases:
             grid = f if side is Side.LEFT else g
             op = spec(kind, side, family, alpha, form)
             try:
-                out = evaluate(op, grid, extended, relation)
+                out = evaluate(op, grid, relation)
             except BackendOverflow:
                 assert exceeds(kernel_list), (kind, side, family, form)
                 continue
