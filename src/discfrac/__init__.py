@@ -27,7 +27,6 @@ from .operators import (
     Formulation,
     Kind,
     OperatorSpec,
-    Side,
     apply_operator,
     caputo_difference,
     caputo_from_riemann,
@@ -80,7 +79,6 @@ __all__ = [
     "gamma_ratio",
     "binomial_weight",
     "Kind",
-    "Side",
     "Family",
     "Formulation",
     "OperatorSpec",

@@ -39,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .grids import Direction, GridFunction, make_grid_function
-from .operators import Family, Formulation, Kind, OperatorSpec, Side, apply_operator
+from .operators import Family, Formulation, Kind, OperatorSpec, apply_operator
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -156,12 +156,17 @@ def cmd_apply(args) -> int:
     backend = get_backend(args.backend)
     spec = OperatorSpec(
         Kind(args.kind),
-        Side(args.side),
         Family(args.family),
         _parse_capped(args.order, "--order"),
         Formulation.EXTENDED if args.extended else Formulation(args.form),
     )
     grid = _read_grid(args.input, backend)
+    # an operator acts on the side its grid's direction gives: --side only
+    # names the one the input must be on
+    want = Direction.FORWARD if args.side == "left" else Direction.BACKWARD
+    if grid.direction is not want:
+        raise DomainError(f"{args.side} operators require a {want.value} grid, "
+                          f"got {grid.direction.value}")
     out = apply_operator(spec, grid)
     record = _grid_record(
         out,
@@ -169,7 +174,7 @@ def cmd_apply(args) -> int:
             "domain": _domain_note(spec, out),
             "operator": {
                 "kind": spec.kind.value,
-                "side": spec.side.value,
+                "side": args.side,
                 "family": spec.family.value,
                 "order": str(spec.order),
                 "formulation": spec.formulation.value,
@@ -261,6 +266,8 @@ def cmd_theorems(args) -> int:
         raise DomainError("budget must be positive")
     if args.length < 1:
         raise UsageError("--length must be at least 1")
+    if args.k_cap < 0:
+        raise UsageError("--k-cap must be at least 0")
     mode = "random" if args.random else "exhaustive"
     values = _parse_values(args.values, None if args.random else args.budget)
     orders = None if args.nu is None else [_parse_capped(x, "--nu") for x in args.nu.split(",")]
@@ -352,13 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_dashed_values(argv: list[str]) -> list[str]:
-    # let "--values -1,0,1" through argparse, which would otherwise read
-    # the negative list as an option string
+    # let "--values -1,0,1", "--order -1/2" and "--tolerance -1e-3" through
+    # argparse, which reads a negative value that is not a plain number as
+    # an option string; a "--" token is the next flag, not a value
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--values", "--nu") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok in ("--values", "--nu", "--order", "--tolerance") and value.startswith("-")
+                and not value.startswith("--")):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

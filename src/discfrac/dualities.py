@@ -42,7 +42,6 @@ from .operators import (
     Family,
     Formulation,
     Kind,
-    Side,
     apply_operator,
     cached_spec,
     caputo_from_riemann,
@@ -76,8 +75,10 @@ class IdentityId(enum.Enum):
 
 
 # The identity table.  Each row applies a left- and a right-hand operator,
-# given as (kind, side, family), to a transform of the data f and pairs
-# the outputs on the identity's stated index set.  Origins are offsets
+# given as (kind, family), to a transform of the data f and pairs the
+# outputs on the identity's stated index set.  Each operator acts on the
+# side of its operand's grid: a row whose data is backward, or a Q row's
+# reversed operand, runs the right operators.  Origins are offsets
 # inward from f's origin a, written (constant, multiple of n, multiple of
 # alpha); a Q identity measures its right-hand output from b, the origin
 # of the reversed data, before reflecting it back.  A relation's
@@ -87,7 +88,7 @@ class IdentityId(enum.Enum):
 @dataclass(frozen=True)
 class IdentitySpec:
     family: str  # "dual", "q" or "relation"
-    lhs: tuple | None = None  # (Kind, Side, Family)
+    lhs: tuple | None = None  # (Kind, Family)
     lhs_input: Callable | None = None  # f -> left-hand operand
     rhs: tuple | None = None
     rhs_input: Callable | None = None
@@ -117,7 +118,6 @@ def _reflected(f):
 
 
 _D, _N = Kind.DELTA, Kind.NABLA
-_L, _R = Side.LEFT, Side.RIGHT
 _SUM, _DIFF, _CAP = Family.SUM, Family.RIEMANN, Family.CAPUTO
 _BWD = Direction.BACKWARD
 _COMPOSED = Formulation.COMPOSED  # every row's form
@@ -126,43 +126,39 @@ _AT_A, _AT_ALPHA, _AT_BETA, _AT_N = (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0)
 
 IDENTITIES = {
     IdentityId.LEFT_DUAL_SUM: IdentitySpec(
-        "dual", (_D, _L, _SUM), _data, (_N, _L, _SUM), _anchored, (_AT_ALPHA, (-1, 0, 0)),
-        points=1),
+        "dual", (_D, _SUM), _data, (_N, _SUM), _anchored, (_AT_ALPHA, (-1, 0, 0)), points=1),
     IdentityId.LEFT_DUAL_DIFF: IdentitySpec(
-        "dual", (_D, _L, _DIFF), _data, (_N, _L, _DIFF), _anchored, (_AT_BETA, (-1, 1, 0)),
-        points=1),
+        "dual", (_D, _DIFF), _data, (_N, _DIFF), _anchored, (_AT_BETA, (-1, 1, 0)), points=1),
     IdentityId.RIGHT_DUAL_SUM: IdentitySpec(
-        "dual", (_D, _R, _SUM), _past_anchor, (_N, _R, _SUM), _data, ((1, 0, 1), _AT_A),
+        "dual", (_D, _SUM), _past_anchor, (_N, _SUM), _data, ((1, 0, 1), _AT_A),
         points=1, direction=_BWD),
     IdentityId.RIGHT_DUAL_DIFF: IdentitySpec(
-        "dual", (_D, _R, _DIFF), _past_anchor, (_N, _R, _DIFF), _data, ((1, 1, -1), _AT_N),
+        "dual", (_D, _DIFF), _past_anchor, (_N, _DIFF), _data, ((1, 1, -1), _AT_N),
         points=1, direction=_BWD),
     IdentityId.CAPUTO_DUAL_LEFT: IdentitySpec(
-        "dual", (_D, _L, _CAP), _data, (_N, _L, _CAP), _data, (_AT_BETA, _AT_N)),
+        "dual", (_D, _CAP), _data, (_N, _CAP), _data, (_AT_BETA, _AT_N)),
     IdentityId.CAPUTO_DUAL_RIGHT: IdentitySpec(
-        "dual", (_D, _R, _CAP), _data, (_N, _R, _CAP), _data, (_AT_BETA, _AT_N), direction=_BWD),
+        "dual", (_D, _CAP), _data, (_N, _CAP), _data, (_AT_BETA, _AT_N), direction=_BWD),
     IdentityId.Q_SUM_DELTA: IdentitySpec(
-        "q", (_D, _L, _SUM), _reflected, (_D, _R, _SUM), _reversed, (_AT_ALPHA, _AT_ALPHA)),
+        "q", (_D, _SUM), _reflected, (_D, _SUM), _reversed, (_AT_ALPHA, _AT_ALPHA)),
     IdentityId.Q_DIFF_DELTA: IdentitySpec(
-        "q", (_D, _L, _DIFF), _reflected, (_D, _R, _DIFF), _reversed, (_AT_BETA, _AT_BETA)),
+        "q", (_D, _DIFF), _reflected, (_D, _DIFF), _reversed, (_AT_BETA, _AT_BETA)),
     IdentityId.Q_CAPUTO_DELTA: IdentitySpec(
-        "q", (_D, _L, _CAP), _reflected, (_D, _R, _CAP), _reversed, (_AT_BETA, _AT_BETA)),
+        "q", (_D, _CAP), _reflected, (_D, _CAP), _reversed, (_AT_BETA, _AT_BETA)),
     IdentityId.Q_SUM_NABLA: IdentitySpec(
-        "q", (_N, _L, _SUM), _reflected, (_N, _R, _SUM), _reversed, (_AT_A, _AT_A),
-        points=1),
+        "q", (_N, _SUM), _reflected, (_N, _SUM), _reversed, (_AT_A, _AT_A), points=1),
     IdentityId.Q_DIFF_NABLA: IdentitySpec(
-        "q", (_N, _L, _DIFF), _reflected, (_N, _R, _DIFF), _reversed, (_AT_N, _AT_N)),
+        "q", (_N, _DIFF), _reflected, (_N, _DIFF), _reversed, (_AT_N, _AT_N)),
     IdentityId.Q_CAPUTO_NABLA: IdentitySpec(
-        "q", (_N, _L, _CAP), _reflected, (_N, _R, _CAP), _reversed, (_AT_N, _AT_N)),
+        "q", (_N, _CAP), _reflected, (_N, _CAP), _reversed, (_AT_N, _AT_N)),
     IdentityId.RELATE_DELTA_LEFT: IdentitySpec(
-        "relation", (_D, _L, _CAP), _data, (_D, _L, _CAP), _data, (_AT_BETA, _AT_BETA)),
+        "relation", (_D, _CAP), _data, (_D, _CAP), _data, (_AT_BETA, _AT_BETA)),
     IdentityId.RELATE_DELTA_RIGHT: IdentitySpec(
-        "relation", (_D, _R, _CAP), _data, (_D, _R, _CAP), _data, (_AT_BETA, _AT_BETA),
-        direction=_BWD),
+        "relation", (_D, _CAP), _data, (_D, _CAP), _data, (_AT_BETA, _AT_BETA), direction=_BWD),
     IdentityId.RELATE_NABLA_LEFT: IdentitySpec(
-        "relation", (_N, _L, _CAP), _data, (_N, _L, _CAP), _data, (_AT_N, _AT_N)),
+        "relation", (_N, _CAP), _data, (_N, _CAP), _data, (_AT_N, _AT_N)),
     IdentityId.RELATE_NABLA_RIGHT: IdentitySpec(
-        "relation", (_N, _R, _CAP), _data, (_N, _R, _CAP), _data, (_AT_N, _AT_N), direction=_BWD),
+        "relation", (_N, _CAP), _data, (_N, _CAP), _data, (_AT_N, _AT_N), direction=_BWD),
     IdentityId.CAPUTO_INVERSION: IdentitySpec("relation", direction=None),
 }
 
@@ -290,8 +286,10 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     row = IDENTITIES[which]
     alpha = as_fraction(order)
     reflect = row.family == "q"
-    if reflect and f.direction is not Direction.FORWARD:  # reflected about a + b
-        raise DomainError("Q identities take the data as a forward grid on {a..b}")
+    if f.direction is not row.direction:  # the side every operator of the row acts on
+        raise DomainError("Q identities take the data as a forward grid on {a..b}" if reflect
+                          else f"{which.value} takes the data as a {row.direction.value} grid, "
+                               f"got {f.direction.value}")
     num, den = alpha.numerator, alpha.denominator
     lhs_spec = cached_spec(*row.lhs, num, den, _COMPOSED)
     rhs_spec = cached_spec(*row.rhs, num, den, _COMPOSED)
@@ -325,8 +323,7 @@ def check_identity(f: GridFunction, order, which: IdentityId,
     if which is not IdentityId.CAPUTO_INVERSION:
         return _check_row(f, order, which, tolerance)
     alpha = as_fraction(order)
-    side = Side.LEFT if f.direction is Direction.FORWARD else Side.RIGHT
-    res = caputo_inversion_residual(f, alpha, side)
+    res = caputo_inversion_residual(f, alpha)
     return _build_report(which, alpha, f, res, 0, _part(res, _ALL), ((0,) * res.length, 1),
                          tolerance)
 

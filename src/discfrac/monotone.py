@@ -72,7 +72,6 @@ from .operators import (
     Formulation,
     Kind,
     OperatorSpec,
-    Side,
     _correction,
     _correction_terms,
     cached_spec,
@@ -291,10 +290,6 @@ def _op_rows(grid: GridFunction) -> list:
     return [(("frac t={}", grid, m), v) for m, v in enumerate(grid.values)]
 
 
-def _side(case: TheoremCase) -> Side:
-    return Side.LEFT if case.f.direction is Direction.FORWARD else Side.RIGHT
-
-
 def _start(case: TheoremCase) -> list:
     return [(("start f({})>=0", case.f, 0), case.f.values[0])]
 
@@ -323,10 +318,10 @@ def _nu_step(case: TheoremCase) -> list:
 
 def _spec(case: TheoremCase, kind: Kind, family: Family,
           formulation: Formulation = Formulation.COMPOSED) -> OperatorSpec:
-    """The case's (kind, family) operator at its order, on its side."""
+    """The case's (kind, family) operator at its order; its grid's direction
+    is the side it acts on."""
     order = case.order
-    return cached_spec(kind, _side(case), family, order.numerator, order.denominator,
-                       formulation)
+    return cached_spec(kind, family, order.numerator, order.denominator, formulation)
 
 
 def _delta_riemann(case: TheoremCase) -> list:

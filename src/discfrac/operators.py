@@ -19,8 +19,9 @@ outputs.  ``OperatorSpec`` derives the row when it is built.
     delta extended   -alpha     0    0     1     1 - alpha     L - 1
     nabla extended   -alpha     0    0     1     1             L - 1
 
-Left operators take a forward grid N_a and right ones a backward grid bN,
-and in storage space the row is the same for both: only the output
+An operator's side is the direction of its grid: it acts as the left
+operator on a forward grid N_a and as the right one on a backward grid
+bN.  In storage space the row is the same for both: only the output
 origin differs, the input's moved the shift inward (a + shift on the
 left, b - shift on the right).  A delta row shifts by beta + drop,
 a nabla row by pre + post + drop, and the nabla rows with pre = 0 leave
@@ -49,8 +50,8 @@ how a grid stores its values or builds a Fraction per output point.
 
 ``cached_spec`` is the one place a path that evaluates many operators
 takes its specs from (the identity rows, the two Caputo helpers and the
-theorem row kinds): each (kind, side, family, order, formulation) is
-built once, and ``OperatorSpec`` derives its row then.
+theorem row kinds): each (kind, family, order, formulation) is built
+once, and ``OperatorSpec`` derives its row then.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from fractions import Fraction
 
 from .backends import as_fraction
 from .errors import DirectFormIntegerOrder, DomainError, GridTooShort
-from .grids import Direction, GridFunction, storage_difference
+from .grids import GridFunction, storage_difference
 from .kernels import kernel
 
 
@@ -72,12 +73,6 @@ class Kind(enum.Enum):
     DELTA = "delta"
     NABLA = "nabla"
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    __hash__ = object.__hash__  # as Kind's
 
 
 class Family(enum.Enum):
@@ -101,10 +96,11 @@ def order_ceiling(order) -> int:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One fractional operator: kind x side x family at a positive order."""
+    """One fractional operator: kind x family at a positive order.  It has no
+    side of its own: it is the left operator on a forward grid and the right
+    one on a backward grid."""
 
     kind: Kind
-    side: Side
     family: Family
     order: Fraction
     formulation: Formulation = Formulation.COMPOSED
@@ -141,22 +137,19 @@ class OperatorSpec:
 
 
 @functools.lru_cache(maxsize=4096)
-def cached_spec(kind: Kind, side: Side, family: Family, num: int, den: int,
+def cached_spec(kind: Kind, family: Family, num: int, den: int,
                 formulation: Formulation, /) -> OperatorSpec:
-    """The one frozen ``OperatorSpec`` of (kind, side, family, formulation) at
-    order num/den, built on the first call and shared by later ones.  Every
-    argument is positional and required, so one spec has one key."""
-    return OperatorSpec(kind, side, family, Fraction(num, den), formulation)
+    """The one frozen ``OperatorSpec`` of (kind, family, formulation) at order
+    num/den, built on the first call and shared by later ones, on either
+    side: the grid it runs on gives that.  Every argument is positional and
+    required, so one spec has one key."""
+    return OperatorSpec(kind, family, Fraction(num, den), formulation)
 
 
 def _require_grid(spec: OperatorSpec, f: GridFunction) -> None:
-    """Refuse f unless it lies on the spec's side and holds more than the
-    ``pre + post + drop`` values the row takes away."""
-    want = Direction.FORWARD if spec.side is Side.LEFT else Direction.BACKWARD
-    if f.direction is not want:
-        raise DomainError(
-            f"{spec.side.value} operators require a {want.value} grid, got {f.direction.value}"
-        )
+    """Refuse f unless it holds more than the ``pre + post + drop`` values the
+    row takes away.  Either direction is accepted: f's direction is the
+    operator's side."""
     if f.length <= spec.pre + spec.post + spec.drop:
         raise GridTooShort(f"a grid of length {f.length} cannot support this "
                            f"order-{spec.order} {spec.family.value}")
@@ -252,8 +245,8 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     alpha = spec.order
     if spec.kind is Kind.DELTA:
         riem = riemann_difference(
-            cached_spec(spec.kind, spec.side, Family.RIEMANN, alpha.numerator,
-                        alpha.denominator, Formulation.COMPOSED), f)
+            cached_spec(spec.kind, Family.RIEMANN, alpha.numerator, alpha.denominator,
+                        Formulation.COMPOSED), f)
     else:
         # nabla: the extended direct row anchored n-1 steps inward.  It runs
         # at every order: at integer orders the stated correction terms are
@@ -305,15 +298,15 @@ def _correction(base: tuple, coefficients: list, e: int, rows: list) -> tuple:
     return [x * scale - t * unit for x, t in zip(nums, total)], common
 
 
-def caputo_inversion_residual(f: GridFunction, order, side: Side) -> GridFunction:
-    """Residual of the nabla sum-after-Caputo inversion identity.
+def caputo_inversion_residual(f: GridFunction, order) -> GridFunction:
+    """Residual of the nabla sum-after-Caputo inversion identity, on f's side.
 
     Computes ``sum_of_order_alpha(caputo_difference(f)) - (f - T)`` where
     ``T`` is the degree-(n-1) discrete Taylor polynomial of ``f`` at the
     Caputo anchor; the contract is that the residual vanishes.
     """
     alpha = as_fraction(order)
-    spec = cached_spec(Kind.NABLA, side, Family.CAPUTO, alpha.numerator, alpha.denominator,
+    spec = cached_spec(Kind.NABLA, Family.CAPUTO, alpha.numerator, alpha.denominator,
                        Formulation.COMPOSED)
     n = spec.n
     cap = caputo_difference(spec, f)

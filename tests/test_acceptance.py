@@ -25,7 +25,6 @@ from discfrac.operators import (
     Formulation,
     Kind,
     OperatorSpec,
-    Side,
     apply_operator,
     caputo_difference,
     caputo_from_riemann,
@@ -215,13 +214,10 @@ def test_criterion_3_direct_vs_composed():
             f = make_grid_function(rng.randint(-3, 3), Direction.FORWARD, scal, backend)
             g = make_grid_function(rng.randint(-3, 3), Direction.BACKWARD, scal, backend)
             for kind in (Kind.DELTA, Kind.NABLA):
-                for side, grid in ((Side.LEFT, f), (Side.RIGHT, g)):
-                    comp = riemann_difference(
-                        OperatorSpec(kind, side, Family.RIEMANN, alpha), grid
-                    )
+                for grid in (f, g):
+                    comp = riemann_difference(OperatorSpec(kind, Family.RIEMANN, alpha), grid)
                     direct = riemann_difference(
-                        OperatorSpec(kind, side, Family.RIEMANN, alpha, Formulation.DIRECT),
-                        grid,
+                        OperatorSpec(kind, Family.RIEMANN, alpha, Formulation.DIRECT), grid
                     )
                     assert comp.origin == direct.origin
                     for x, y in zip(comp.values, direct.values):
@@ -245,7 +241,7 @@ def test_criterion_4_riemann_caputo_relations():
         vals = rand_values(rng, rng.randint(3, 10))
         f = make_grid_function(rng.randint(-3, 3), Direction.FORWARD, vals, RATIONAL)
         alpha = Fraction(rng.randint(1, 11), 12)
-        cap = caputo_difference(OperatorSpec(Kind.NABLA, Side.LEFT, Family.CAPUTO, alpha), f)
+        cap = caputo_difference(OperatorSpec(Kind.NABLA, Family.CAPUTO, alpha), f)
         w = [oracles.ratio_coeff(k, alpha) for k in range(cap.length)]
         for m in range(cap.length):
             inverted = sum(w[m - j] * cap.values[j] for j in range(m + 1))
@@ -262,7 +258,7 @@ def test_criterion_5_inverse_operator_initial_values():
             vals = rand_values(rng, length)
             a = Fraction(rng.randint(-3, 3))
             f = make_grid_function(a, Direction.FORWARD, vals, RATIONAL)
-            u = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, n), f)
+            u = fractional_sum(OperatorSpec(Kind.DELTA, Family.SUM, n), f)
             u_ext = u
             for _ in range(n):
                 u_ext = u_ext.prepend_zero()
@@ -275,14 +271,14 @@ def test_criterion_5_inverse_operator_initial_values():
 
             b = a + length - 1
             g = make_grid_function(b, Direction.BACKWARD, vals, RATIONAL)
-            u = fractional_sum(OperatorSpec(Kind.DELTA, Side.RIGHT, Family.SUM, n), g)
+            u = fractional_sum(OperatorSpec(Kind.DELTA, Family.SUM, n), g)
             u_ext = u
             for _ in range(n):
                 u_ext = u_ext.prepend_zero()
             back = integer_difference(u_ext, "nabla", n, signed=True)
             ok &= back.values == g.values and back.origin == g.origin
 
-            y = fractional_sum(OperatorSpec(Kind.NABLA, Side.LEFT, Family.SUM, n), f)
+            y = fractional_sum(OperatorSpec(Kind.NABLA, Family.SUM, n), f)
             y_ext = y
             for _ in range(n):
                 y_ext = y_ext.prepend_zero()
@@ -292,7 +288,7 @@ def test_criterion_5_inverse_operator_initial_values():
                 integer_difference(y_ext, "nabla", i).value_at(a) == 0 for i in range(n)
             )
 
-            z = fractional_sum(OperatorSpec(Kind.NABLA, Side.RIGHT, Family.SUM, n), g)
+            z = fractional_sum(OperatorSpec(Kind.NABLA, Family.SUM, n), g)
             z_ext = z
             for _ in range(n):
                 z_ext = z_ext.prepend_zero()
@@ -383,16 +379,15 @@ def test_criterion_9_backend_agreement():
         alpha = rand_order(rng, max_den=12)
         family = rng.choice([Family.SUM, Family.RIEMANN, Family.CAPUTO])
         kind = rng.choice([Kind.DELTA, Kind.NABLA])
-        side = rng.choice([Side.LEFT, Side.RIGHT])
+        direction = rng.choice([Direction.FORWARD, Direction.BACKWARD])
         form = Formulation.COMPOSED
         if family is Family.RIEMANN and rng.random() < 0.3:
             form = Formulation.DIRECT
         vals = rand_values(rng, length)
-        direction = Direction.FORWARD if side is Side.LEFT else Direction.BACKWARD
         origin = Fraction(rng.randint(-3, 8))
         exact_grid = make_grid_function(origin, direction, vals, RATIONAL)
         float_grid = make_grid_function(origin, direction, [float(v) for v in vals], FLOATING)
-        spec = OperatorSpec(kind, side, family, alpha, form)
+        spec = OperatorSpec(kind, family, alpha, form)
         out_e = apply_operator(spec, exact_grid)
         out_f = apply_operator(spec, float_grid)
         assert out_e.origin == out_f.origin
@@ -406,19 +401,19 @@ def test_criterion_10_spot_values():
     fmap = ones.mapping()
     ok = True
 
-    s = fractional_sum(OperatorSpec(Kind.DELTA, Side.LEFT, Family.SUM, "1/2"), ones)
+    s = fractional_sum(OperatorSpec(Kind.DELTA, Family.SUM, "1/2"), ones)
     ok &= s.value_at("3/2") == Fraction(3, 2)
     ok &= oracles.delta_left_sum(fmap, Fraction(0), Fraction(1, 2), Fraction(3, 2)) == Fraction(3, 2)
 
-    ns = fractional_sum(OperatorSpec(Kind.NABLA, Side.LEFT, Family.SUM, "1/2"), ones)
+    ns = fractional_sum(OperatorSpec(Kind.NABLA, Family.SUM, "1/2"), ones)
     ok &= ns.value_at(2) == Fraction(3, 2)
     ok &= oracles.nabla_left_sum(fmap, Fraction(0), Fraction(1, 2), Fraction(2)) == Fraction(3, 2)
 
-    r = riemann_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, "1/2"), ones)
+    r = riemann_difference(OperatorSpec(Kind.DELTA, Family.RIEMANN, "1/2"), ones)
     ok &= r.value_at("1/2") == Fraction(1, 2)
     ok &= oracles.delta_left_riemann(fmap, Fraction(0), Fraction(1, 2), Fraction(1, 2)) == Fraction(1, 2)
 
-    c = caputo_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.CAPUTO, "1/2"), ones)
+    c = caputo_difference(OperatorSpec(Kind.DELTA, Family.CAPUTO, "1/2"), ones)
     ok &= all(v == 0 for v in c.values)
     ok &= all(
         oracles.delta_left_caputo(fmap, Fraction(0), Fraction(1, 2), p) == 0
@@ -426,7 +421,7 @@ def test_criterion_10_spot_values():
     )
 
     # low-order relation at the first output point: Riemann 1/2, correction 1/2
-    rel = caputo_from_riemann(OperatorSpec(Kind.DELTA, Side.LEFT, Family.CAPUTO, "1/2"), ones)
+    rel = caputo_from_riemann(OperatorSpec(Kind.DELTA, Family.CAPUTO, "1/2"), ones)
     ok &= rel.value_at("1/2") == 0
     ok &= r.value_at("1/2") - oracles.ratio_coeff(1, Fraction(1, 2)) * 1 == 0
 

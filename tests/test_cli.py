@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from discfrac import monotone
 from discfrac.cli import _parse_values, main
 from discfrac.errors import BudgetExceeded, DomainError
-from discfrac.operators import Family, Formulation, Kind, OperatorSpec, Side
+from discfrac.operators import Family, Formulation, Kind, OperatorSpec
 
 # sha256 of the acceptance campaign's report: every margin in it, the float
 # min_conclusion_margin too, is an exact value rounded once, so the whole report
@@ -101,7 +101,7 @@ class TestApply:
         assert not out.exists()
         # a library caller still gets the domain error from the spec
         with pytest.raises(DomainError, match="Riemann differences only"):
-            OperatorSpec(Kind.DELTA, Side.LEFT, Family(family), Fraction(1, 2),
+            OperatorSpec(Kind.DELTA, Family(family), Fraction(1, 2),
                          Formulation.DIRECT)
 
     def test_extended_direct_form_adds_points(self, tmp_path):
@@ -117,12 +117,20 @@ class TestApply:
         assert extended["operator"]["formulation"] == "extended"
         assert plain["operator"]["formulation"] == "direct"
 
-    def test_direction_mismatch_is_domain_error(self, tmp_path):
-        src = write(tmp_path, "b.json", json.dumps(
-            {"origin": "5", "direction": "backward", "values": ["1", "2", "3"]}))
-        code = main(["apply", "--input", src, "--kind", "delta", "--side", "left",
-                     "--family", "sum", "--order", "1"])
+    @pytest.mark.parametrize("side, direction, want", [("left", "backward", "forward"),
+                                                       ("right", "forward", "backward")])
+    def test_direction_mismatch_is_domain_error(self, tmp_path, capsys, side, direction, want):
+        # an operator acts on the side its grid's direction gives, so --side
+        # must name the input's
+        src = write(tmp_path, "f.json", json.dumps(
+            {"origin": "5", "direction": direction, "values": ["1", "2", "3"]}))
+        out = tmp_path / "out.json"
+        code = main(["apply", "--input", src, "--kind", "delta", "--side", side,
+                     "--family", "sum", "--order", "1", "--output", str(out)])
         assert code == 3
+        assert capsys.readouterr().err == (
+            f"domain error: {side} operators require a {want} grid, got {direction}\n")
+        assert not out.exists()
 
     def test_csv_input(self, tmp_path):
         src = write(tmp_path, "f.csv", "0,1\n1,2\n2,4\n")
@@ -255,6 +263,32 @@ class TestInputContract:
             assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert main(["theorems", "--id", "T_U1", "--budget", "0"]) == 3
         assert "budget must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        (["apply", "--input", "ONES", "--kind", "delta", "--family", "sum", "--order", "-1/2"],
+         "operator order must be positive"),
+        (["apply", "--input", "ONES", "--kind", "delta", "--family", "sum", "--order=-1/2"],
+         "operator order must be positive"),
+        (["check", "--id", "LEFT_DUAL_SUM", "--instances", "2", "--tolerance", "-1e-3"],
+         "tolerance must be positive and finite"),
+        (["check", "--id", "LEFT_DUAL_SUM", "--instances", "2", "--tolerance=-1e-3"],
+         "tolerance must be positive and finite"),
+    ])
+    def test_a_negative_order_or_tolerance_is_a_domain_error(self, tmp_path, capsys, command,
+                                                            message):
+        # "-1/2" and "-1e-3" are no plain numbers to argparse, which would
+        # read them as option strings: either spelling reaches the value check
+        code = main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command])
+        assert code == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--order", "--values"])
+    def test_a_number_flag_followed_by_a_flag_has_no_value(self, tmp_path, capsys, flag):
+        command = {"--order": ["apply", "--input", ones_json(tmp_path), "--kind", "delta",
+                               "--family", "sum"],
+                   "--values": ["theorems", "--id", "T_U1"]}[flag]
+        assert main(command + [flag, "--seed", "1"]) == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("command", [
@@ -812,6 +846,8 @@ APPLY = ["apply", "--input", "ONES", "--kind", "delta", "--order", "1/2"]
     (["theorems", "--id", "T_U1", "--nu", "1/2,2/4"], "--nu repeats 1/2"),
     (["theorems", "--id", "T_U1", "--length", "0"], "--length must be at least 1"),
     (["theorems", "--id", "T_U1", "--length", "-3"], "--length must be at least 1"),
+    (["theorems", "--id", "T_SLOV1", "--length", "4", "--k-cap", "-1"],
+     "--k-cap must be at least 0"),
 ])
 def test_flag_conflicts_are_usage_errors(tmp_path, capsys, command, message):
     code = main([ones_json(tmp_path) if arg == "ONES" else arg for arg in command])

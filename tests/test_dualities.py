@@ -25,7 +25,6 @@ from discfrac.operators import (
     Formulation,
     Kind,
     OperatorSpec,
-    Side,
     cached_spec,
     order_ceiling,
 )
@@ -158,6 +157,20 @@ def test_q_identity_needs_forward_grid():
             check_identity(g, Fraction(1, 2), which)
 
 
+@pytest.mark.parametrize("which", [which for which in DUAL_IDS + RELATION_IDS
+                                   if IDENTITIES[which].direction])
+def test_a_row_refuses_data_on_the_other_side(which):
+    # an operator acts on the side its grid's direction gives, so a left row
+    # on backward data would run the right operators: the check refuses it
+    want = IDENTITIES[which].direction
+    other = Direction.BACKWARD if want is Direction.FORWARD else Direction.FORWARD
+    f = make_grid_function(5, other, [1, 2, 3, 4, 5], RATIONAL)
+    with pytest.raises(DomainError) as refused:
+        check_identity(f, Fraction(1, 2), which)
+    assert str(refused.value) == (f"{which.value} takes the data as a {want.value} grid, "
+                                  f"got {other.value}")
+
+
 def test_domain_contract_rejects_off_by_one():
     from discfrac.dualities import _expect_origin, _paired
 
@@ -191,14 +204,18 @@ def _replace_operator(monkeypatch, name, replacement):
 
 
 # one row of each family, a side of it, the operator function that computes
-# that side, and which of that function's calls in the row is that side's
+# that side, and which of that function's calls (spec, grid) in the row is
+# that side's: a Q row's left operator runs on a forward grid, its right one
+# on a backward grid
 _SIDE_OPERATORS = [
-    (IdentityId.LEFT_DUAL_DIFF, "left", "riemann_difference", lambda s: s.kind is Kind.DELTA),
-    (IdentityId.LEFT_DUAL_DIFF, "right", "riemann_difference", lambda s: s.kind is Kind.NABLA),
-    (IdentityId.Q_CAPUTO_NABLA, "left", "caputo_difference", lambda s: s.side is Side.LEFT),
-    (IdentityId.Q_CAPUTO_NABLA, "right", "caputo_difference", lambda s: s.side is Side.RIGHT),
-    (IdentityId.RELATE_DELTA_RIGHT, "left", "caputo_difference", lambda s: True),
-    (IdentityId.RELATE_DELTA_RIGHT, "right", "caputo_from_riemann", lambda s: True),
+    (IdentityId.LEFT_DUAL_DIFF, "left", "riemann_difference", lambda s, g: s.kind is Kind.DELTA),
+    (IdentityId.LEFT_DUAL_DIFF, "right", "riemann_difference", lambda s, g: s.kind is Kind.NABLA),
+    (IdentityId.Q_CAPUTO_NABLA, "left", "caputo_difference",
+     lambda s, g: g.direction is Direction.FORWARD),
+    (IdentityId.Q_CAPUTO_NABLA, "right", "caputo_difference",
+     lambda s, g: g.direction is Direction.BACKWARD),
+    (IdentityId.RELATE_DELTA_RIGHT, "left", "caputo_difference", lambda s, g: True),
+    (IdentityId.RELATE_DELTA_RIGHT, "right", "caputo_from_riemann", lambda s, g: True),
 ]
 
 
@@ -214,7 +231,7 @@ def test_an_origin_off_by_a_fraction_of_a_step_is_refused(monkeypatch, backend, 
 
     def shifted(spec, g, **kwargs):
         out = real(spec, g, **kwargs)
-        if not picked(spec):
+        if not picked(spec, g):
             return out
         origins.append(out.origin)
         return out.with_parts(*out.parts, origin=out.origin + Fraction(1, spec.order.denominator))
@@ -238,10 +255,10 @@ def test_a_cached_spec_is_the_fresh_spec(which):
     nabla Caputo spec of ``caputo_inversion_residual``, and for a Riemann
     row the direct forms at non-integer orders."""
     row = IDENTITIES[which]
-    kind, side, family = row.lhs
+    kind, family = row.lhs
     ops = [(*row.lhs, COMPOSED), (*row.rhs, COMPOSED)]
     if family is Family.CAPUTO:
-        ops += [(kind, side, Family.RIEMANN, COMPOSED), (Kind.NABLA, side, family, COMPOSED)]
+        ops += [(kind, Family.RIEMANN, COMPOSED), (Kind.NABLA, family, COMPOSED)]
     if family is Family.RIEMANN:
         ops += [(*row.lhs, Formulation.DIRECT), (*row.rhs, Formulation.DIRECT)]
     for order in (Fraction(1, 12), Fraction(1, 2), Fraction(1), Fraction(13, 12), Fraction(2),
@@ -268,7 +285,7 @@ def test_a_suite_builds_each_spec_once(monkeypatch):
 
     def counted(spec):
         post_init(spec)
-        built.append((spec.kind, spec.side, spec.family, spec.order, spec.formulation))
+        built.append((spec.kind, spec.family, spec.order, spec.formulation))
 
     monkeypatch.setattr(OperatorSpec, "__post_init__", counted)
     cached_spec.cache_clear()
@@ -327,13 +344,16 @@ def test_seeded_suite_is_deterministic():
 
 
 # One operator of a Q row and one of a dual row, each made to move its
-# output origin one step: the evaluator must refuse or fail, never pass.
+# output origin one step: the evaluator must refuse or fail, never pass.  A
+# call is picked by its (spec, grid).
 _SHIFTED = [
-    (IdentityId.Q_SUM_DELTA, "fractional_sum", lambda spec: spec.side is Side.RIGHT),
-    (IdentityId.Q_DIFF_NABLA, "riemann_difference", lambda spec: spec.side is Side.RIGHT),
-    (IdentityId.Q_CAPUTO_DELTA, "caputo_difference", lambda spec: spec.side is Side.LEFT),
-    (IdentityId.LEFT_DUAL_SUM, "fractional_sum", lambda spec: spec.kind is Kind.NABLA),
-    (IdentityId.RIGHT_DUAL_DIFF, "riemann_difference", lambda spec: spec.kind is Kind.DELTA),
+    (IdentityId.Q_SUM_DELTA, "fractional_sum", lambda spec, g: g.direction is Direction.BACKWARD),
+    (IdentityId.Q_DIFF_NABLA, "riemann_difference",
+     lambda spec, g: g.direction is Direction.BACKWARD),
+    (IdentityId.Q_CAPUTO_DELTA, "caputo_difference",
+     lambda spec, g: g.direction is Direction.FORWARD),
+    (IdentityId.LEFT_DUAL_SUM, "fractional_sum", lambda spec, g: spec.kind is Kind.NABLA),
+    (IdentityId.RIGHT_DUAL_DIFF, "riemann_difference", lambda spec, g: spec.kind is Kind.DELTA),
 ]
 
 
@@ -345,7 +365,9 @@ def test_an_operator_off_by_one_never_passes(monkeypatch, backend, step, which, 
 
     def shifted(spec, g, *args, **kwargs):
         out = real(spec, g, *args, **kwargs)
-        return out.with_values(out.values, origin=out.shift_origin(step)) if picked(spec) else out
+        if not picked(spec, g):
+            return out
+        return out.with_values(out.values, origin=out.shift_origin(step))
 
     rng = random.Random(which.value)
     instances = [random_instance(which, rng, backend) for _ in range(12)]

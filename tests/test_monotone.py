@@ -45,7 +45,6 @@ from discfrac.operators import (
     Family,
     Kind,
     OperatorSpec,
-    Side,
     riemann_difference,
 )
 
@@ -208,7 +207,7 @@ def test_delta_difference_sums_by_parts(values, nu):
     S_{M-i} (f(i) - f(i-1)), M = m + 2, with S_r the partial sums of the
     order-nu kernel: the step every k-family start ray encodes."""
     f = make_grid_function(0, Direction.FORWARD, values, RATIONAL)
-    out = riemann_difference(OperatorSpec(Kind.DELTA, Side.LEFT, Family.RIEMANN, nu), f)
+    out = riemann_difference(OperatorSpec(Kind.DELTA, Family.RIEMANN, nu), f)
     weights = kernel_vector(-nu, len(values), RATIONAL)
     sums = [sum(weights[:r + 1]) for r in range(len(values))]
     v = f.values

@@ -20,7 +20,6 @@ from discfrac.operators import (
     Formulation,
     Kind,
     OperatorSpec,
-    Side,
     apply_operator,
     caputo_difference,
     caputo_from_riemann,
@@ -47,8 +46,8 @@ def backward(values, origin):
     return make_grid_function(origin, Direction.BACKWARD, values, RATIONAL)
 
 
-def spec(kind, side, family, order, form=Formulation.COMPOSED):
-    return OperatorSpec(kind, side, family, order, form)
+def spec(kind, family, order, form=Formulation.COMPOSED):
+    return OperatorSpec(kind, family, order, form)
 
 
 class TestOrderCeiling:
@@ -76,16 +75,16 @@ class TestAgainstOracles:
             g = backward(list(reversed(vals)), b)
             fmap = f.mapping()
             for alpha in ORDERS:
-                out = fractional_sum(spec(Kind.DELTA, Side.LEFT, Family.SUM, alpha), f)
+                out = fractional_sum(spec(Kind.DELTA, Family.SUM, alpha), f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_left_sum(fmap, a, alpha, p)
-                out = fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), f)
+                out = fractional_sum(spec(Kind.NABLA, Family.SUM, alpha), f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_left_sum(fmap, a, alpha, p)
-                out = fractional_sum(spec(Kind.DELTA, Side.RIGHT, Family.SUM, alpha), g)
+                out = fractional_sum(spec(Kind.DELTA, Family.SUM, alpha), g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_right_sum(fmap, b, alpha, p)
-                out = fractional_sum(spec(Kind.NABLA, Side.RIGHT, Family.SUM, alpha), g)
+                out = fractional_sum(spec(Kind.NABLA, Family.SUM, alpha), g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_right_sum(fmap, b, alpha, p)
 
@@ -96,16 +95,16 @@ class TestAgainstOracles:
             g = backward(list(reversed(vals)), b)
             fmap = f.mapping()
             for alpha in ORDERS:
-                out = riemann_difference(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f)
+                out = riemann_difference(spec(Kind.DELTA, Family.RIEMANN, alpha), f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_left_riemann(fmap, a, alpha, p)
-                out = riemann_difference(spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha), f)
+                out = riemann_difference(spec(Kind.NABLA, Family.RIEMANN, alpha), f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_left_riemann(fmap, a, alpha, p)
-                out = riemann_difference(spec(Kind.DELTA, Side.RIGHT, Family.RIEMANN, alpha), g)
+                out = riemann_difference(spec(Kind.DELTA, Family.RIEMANN, alpha), g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_right_riemann(fmap, b, alpha, p)
-                out = riemann_difference(spec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha), g)
+                out = riemann_difference(spec(Kind.NABLA, Family.RIEMANN, alpha), g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_right_riemann(fmap, b, alpha, p)
 
@@ -117,13 +116,10 @@ class TestAgainstOracles:
             f = forward(vals)
             g = backward(list(reversed(vals)), len(vals) - 1)
             for kind in (Kind.DELTA, Kind.NABLA):
-                for side, grid in ((Side.LEFT, f), (Side.RIGHT, g)):
-                    comp = riemann_difference(
-                        spec(kind, side, Family.RIEMANN, Fraction(alpha)), grid
-                    )
+                for grid in (f, g):
+                    comp = riemann_difference(spec(kind, Family.RIEMANN, Fraction(alpha)), grid)
                     direct = riemann_difference(
-                        spec(kind, side, Family.RIEMANN, Fraction(alpha), Formulation.DIRECT),
-                        grid,
+                        spec(kind, Family.RIEMANN, Fraction(alpha), Formulation.DIRECT), grid
                     )
                     assert comp.origin == direct.origin
                     assert comp.values == direct.values
@@ -135,19 +131,19 @@ class TestAgainstOracles:
             g = backward(list(reversed(vals)), b)
             fmap = f.mapping()
             for alpha in ORDERS:
-                d = spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha, Formulation.DIRECT)
+                d = spec(Kind.DELTA, Family.RIEMANN, alpha, Formulation.DIRECT)
                 out = riemann_difference(d, f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_left_riemann_direct(fmap, a, alpha, p)
-                d = spec(Kind.DELTA, Side.RIGHT, Family.RIEMANN, alpha, Formulation.DIRECT)
+                d = spec(Kind.DELTA, Family.RIEMANN, alpha, Formulation.DIRECT)
                 out = riemann_difference(d, g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_right_riemann_direct(fmap, b, alpha, p)
-                d = spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.EXTENDED)
+                d = spec(Kind.NABLA, Family.RIEMANN, alpha, Formulation.EXTENDED)
                 out = riemann_difference(d, f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_left_riemann(fmap, a, alpha, p)
-                d = spec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha, Formulation.EXTENDED)
+                d = spec(Kind.NABLA, Family.RIEMANN, alpha, Formulation.EXTENDED)
                 out = riemann_difference(d, g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_right_riemann(fmap, b, alpha, p)
@@ -159,16 +155,16 @@ class TestAgainstOracles:
             g = backward(list(reversed(vals)), b)
             fmap = f.mapping()
             for alpha in ORDERS:
-                out = caputo_difference(spec(Kind.DELTA, Side.LEFT, Family.CAPUTO, alpha), f)
+                out = caputo_difference(spec(Kind.DELTA, Family.CAPUTO, alpha), f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_left_caputo(fmap, a, alpha, p)
-                out = caputo_difference(spec(Kind.NABLA, Side.LEFT, Family.CAPUTO, alpha), f)
+                out = caputo_difference(spec(Kind.NABLA, Family.CAPUTO, alpha), f)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_left_caputo(fmap, a, alpha, p)
-                out = caputo_difference(spec(Kind.DELTA, Side.RIGHT, Family.CAPUTO, alpha), g)
+                out = caputo_difference(spec(Kind.DELTA, Family.CAPUTO, alpha), g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.delta_right_caputo(fmap, b, alpha, p)
-                out = caputo_difference(spec(Kind.NABLA, Side.RIGHT, Family.CAPUTO, alpha), g)
+                out = caputo_difference(spec(Kind.NABLA, Family.CAPUTO, alpha), g)
                 for p, v in zip(out.points(), out.values):
                     assert v == oracles.nabla_right_caputo(fmap, b, alpha, p)
 
@@ -176,49 +172,49 @@ class TestAgainstOracles:
 class TestSpotValues:
     def test_order_one_sum_is_running_sum(self):
         f = forward([1] * 5)
-        out = fractional_sum(spec(Kind.DELTA, Side.LEFT, Family.SUM, 1), f)
+        out = fractional_sum(spec(Kind.DELTA, Family.SUM, 1), f)
         assert out.origin == 1
         assert list(out.values) == [1, 2, 3, 4, 5]  # t -> t on N_1
 
     def test_half_order_values(self):
         f = forward([1] * 6)
-        s = fractional_sum(spec(Kind.DELTA, Side.LEFT, Family.SUM, "1/2"), f)
+        s = fractional_sum(spec(Kind.DELTA, Family.SUM, "1/2"), f)
         assert s.value_at("3/2") == Fraction(3, 2)
-        ns = fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, "1/2"), f)
+        ns = fractional_sum(spec(Kind.NABLA, Family.SUM, "1/2"), f)
         assert ns.value_at(2) == Fraction(3, 2)
-        r = riemann_difference(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, "1/2"), f)
+        r = riemann_difference(spec(Kind.DELTA, Family.RIEMANN, "1/2"), f)
         assert r.value_at("1/2") == Fraction(1, 2)
         rd = riemann_difference(
-            spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, "1/2", Formulation.DIRECT), f
+            spec(Kind.DELTA, Family.RIEMANN, "1/2", Formulation.DIRECT), f
         )
         assert rd.value_at("1/2") == Fraction(1, 2)
 
     def test_caputo_of_constant_vanishes(self):
         f = forward([7] * 6)
-        out = caputo_difference(spec(Kind.DELTA, Side.LEFT, Family.CAPUTO, "1/2"), f)
+        out = caputo_difference(spec(Kind.DELTA, Family.CAPUTO, "1/2"), f)
         assert all(v == 0 for v in out.values)
 
     def test_riemann_minus_caputo_correction(self):
         # constant data: the Riemann value at the first output point equals
         # the anchor correction, so the Caputo value is zero
         f = forward([1] * 6)
-        r = riemann_difference(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, "1/2"), f)
+        r = riemann_difference(spec(Kind.DELTA, Family.RIEMANN, "1/2"), f)
         assert r.value_at("1/2") == Fraction(1, 2)
-        c = caputo_from_riemann(spec(Kind.DELTA, Side.LEFT, Family.CAPUTO, "1/2"), f)
+        c = caputo_from_riemann(spec(Kind.DELTA, Family.CAPUTO, "1/2"), f)
         assert c.value_at("1/2") == 0
 
     def test_integer_order_reduces_to_plain_differences(self):
         f = forward([Fraction(t * t) for t in range(6)])
-        out = riemann_difference(spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, 2), f)
+        out = riemann_difference(spec(Kind.NABLA, Family.RIEMANN, 2), f)
         assert all(v == 2 for v in out.values)
         assert out.origin == 2
-        cap = caputo_difference(spec(Kind.DELTA, Side.LEFT, Family.CAPUTO, 2), f)
+        cap = caputo_difference(spec(Kind.DELTA, Family.CAPUTO, 2), f)
         assert all(v == 2 for v in cap.values)
         assert cap.origin == 0
 
     def test_higher_caputo_of_linear_vanishes(self):
         f = forward([Fraction(t) for t in range(7)])
-        out = caputo_difference(spec(Kind.NABLA, Side.LEFT, Family.CAPUTO, "3/2"), f)
+        out = caputo_difference(spec(Kind.NABLA, Family.CAPUTO, "3/2"), f)
         assert all(v == 0 for v in out.values)
 
 
@@ -229,56 +225,51 @@ class TestDomains:
         g = backward(vals, origin=9)
         alpha = Fraction(7, 4)
         n = 2
-        assert fractional_sum(spec(Kind.DELTA, Side.LEFT, Family.SUM, alpha), f).origin == 2 + alpha
-        assert fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), f).origin == 2
-        assert fractional_sum(spec(Kind.DELTA, Side.RIGHT, Family.SUM, alpha), g).origin == 9 - alpha
-        assert fractional_sum(spec(Kind.NABLA, Side.RIGHT, Family.SUM, alpha), g).origin == 9
-        assert riemann_difference(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f).origin == 2 + n - alpha
-        assert riemann_difference(spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha), f).origin == 2 + n
-        assert riemann_difference(spec(Kind.DELTA, Side.RIGHT, Family.RIEMANN, alpha), g).origin == 9 - (n - alpha)
-        assert riemann_difference(spec(Kind.NABLA, Side.RIGHT, Family.RIEMANN, alpha), g).origin == 9 - n
-        assert caputo_difference(spec(Kind.NABLA, Side.LEFT, Family.CAPUTO, alpha), f).origin == 2 + n
-        assert caputo_difference(spec(Kind.NABLA, Side.RIGHT, Family.CAPUTO, alpha), g).origin == 9 - n
+        assert fractional_sum(spec(Kind.DELTA, Family.SUM, alpha), f).origin == 2 + alpha
+        assert fractional_sum(spec(Kind.NABLA, Family.SUM, alpha), f).origin == 2
+        assert fractional_sum(spec(Kind.DELTA, Family.SUM, alpha), g).origin == 9 - alpha
+        assert fractional_sum(spec(Kind.NABLA, Family.SUM, alpha), g).origin == 9
+        assert riemann_difference(spec(Kind.DELTA, Family.RIEMANN, alpha), f).origin == 2 + n - alpha
+        assert riemann_difference(spec(Kind.NABLA, Family.RIEMANN, alpha), f).origin == 2 + n
+        assert riemann_difference(spec(Kind.DELTA, Family.RIEMANN, alpha), g).origin == 9 - (n - alpha)
+        assert riemann_difference(spec(Kind.NABLA, Family.RIEMANN, alpha), g).origin == 9 - n
+        assert caputo_difference(spec(Kind.NABLA, Family.CAPUTO, alpha), f).origin == 2 + n
+        assert caputo_difference(spec(Kind.NABLA, Family.CAPUTO, alpha), g).origin == 9 - n
 
     def test_direct_extension_adds_near_anchor_points(self):
         vals = [Fraction(k * k) for k in range(8)]
         f = forward(vals)
         alpha = Fraction(3, 2)
-        d = spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha, Formulation.DIRECT)
+        d = spec(Kind.DELTA, Family.RIEMANN, alpha, Formulation.DIRECT)
         core = riemann_difference(d, f)
         ext = riemann_difference(
-            spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha, Formulation.EXTENDED), f)
+            spec(Kind.DELTA, Family.RIEMANN, alpha, Formulation.EXTENDED), f)
         assert core.origin == 2 - alpha
         assert ext.origin == 1 - alpha
         assert ext.length == core.length + 1
         assert ext.values[1:] == core.values
-        nd = spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.DIRECT)
+        nd = spec(Kind.NABLA, Family.RIEMANN, alpha, Formulation.DIRECT)
         ncore = riemann_difference(nd, f)
         next_ = riemann_difference(
-            spec(Kind.NABLA, Side.LEFT, Family.RIEMANN, alpha, Formulation.EXTENDED), f)
+            spec(Kind.NABLA, Family.RIEMANN, alpha, Formulation.EXTENDED), f)
         assert ncore.origin == 2 and next_.origin == 1
         assert next_.values[1:] == ncore.values
-
-    def test_direction_mismatch(self):
-        f = forward([1, 2, 3])
-        with pytest.raises(DomainError):
-            fractional_sum(spec(Kind.DELTA, Side.RIGHT, Family.SUM, 1), f)
 
     def test_direct_integer_order_rejected(self):
         for form in (Formulation.DIRECT, Formulation.EXTENDED):
             with pytest.raises(DirectFormIntegerOrder):
-                spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, 2, form)
+                spec(Kind.DELTA, Family.RIEMANN, 2, form)
             for family in (Family.SUM, Family.CAPUTO):
                 with pytest.raises(DomainError, match="Riemann differences only"):
-                    spec(Kind.NABLA, Side.LEFT, family, "1/2", form)
+                    spec(Kind.NABLA, family, "1/2", form)
 
     def test_too_short(self):
         with pytest.raises(GridTooShort):
-            riemann_difference(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, "3/2"), forward([1, 2]))
+            riemann_difference(spec(Kind.DELTA, Family.RIEMANN, "3/2"), forward([1, 2]))
 
     def test_nonpositive_order_rejected(self):
         with pytest.raises(DomainError):
-            spec(Kind.DELTA, Side.LEFT, Family.SUM, 0)
+            spec(Kind.DELTA, Family.SUM, 0)
 
 
 class TestInitialValueProblems:
@@ -287,7 +278,7 @@ class TestInitialValueProblems:
         rng = random.Random(20 + n)
         vals = random_values(rng, 9)
         f = forward(vals, origin=1)
-        u = fractional_sum(spec(Kind.DELTA, Side.LEFT, Family.SUM, n), f)
+        u = fractional_sum(spec(Kind.DELTA, Family.SUM, n), f)
         u_ext = u
         for _ in range(n):
             u_ext = u_ext.prepend_zero()
@@ -303,7 +294,7 @@ class TestInitialValueProblems:
         rng = random.Random(30 + n)
         vals = random_values(rng, 9)
         g = backward(vals, origin=8)
-        u = fractional_sum(spec(Kind.DELTA, Side.RIGHT, Family.SUM, n), g)
+        u = fractional_sum(spec(Kind.DELTA, Family.SUM, n), g)
         u_ext = u
         for _ in range(n):
             u_ext = u_ext.prepend_zero()
@@ -316,7 +307,7 @@ class TestInitialValueProblems:
         rng = random.Random(40 + n)
         vals = random_values(rng, 9)
         f = forward(vals, origin=0)
-        y = fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, n), f)
+        y = fractional_sum(spec(Kind.NABLA, Family.SUM, n), f)
         y_ext = y
         for _ in range(n):
             y_ext = y_ext.prepend_zero()  # zero history below the anchor
@@ -333,7 +324,7 @@ class TestInitialValueProblems:
         rng = random.Random(50 + n)
         vals = random_values(rng, 9)
         g = backward(vals, origin=8)
-        y = fractional_sum(spec(Kind.NABLA, Side.RIGHT, Family.SUM, n), g)
+        y = fractional_sum(spec(Kind.NABLA, Family.SUM, n), g)
         y_ext = y
         for _ in range(n):
             y_ext = y_ext.prepend_zero()
@@ -350,22 +341,22 @@ class TestInversionResidual:
     def test_left_residual_vanishes(self, alpha):
         rng = random.Random(42)
         f = forward(random_values(rng, 8))
-        res = caputo_inversion_residual(f, Fraction(alpha), Side.LEFT)
+        res = caputo_inversion_residual(f, Fraction(alpha))
         assert all(v == 0 for v in res.values)
 
     @pytest.mark.parametrize("alpha", ["1/2", "3/2"])
     def test_right_residual_vanishes(self, alpha):
         rng = random.Random(43)
         g = backward(random_values(rng, 8), origin=5)
-        res = caputo_inversion_residual(g, Fraction(alpha), Side.RIGHT)
+        res = caputo_inversion_residual(g, Fraction(alpha))
         assert all(v == 0 for v in res.values)
 
     @pytest.mark.parametrize("alpha", [0, -1])
-    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
-    def test_nonpositive_order_is_a_domain_error(self, alpha, side):
-        f = forward([1, 2, 3]) if side is Side.LEFT else backward([1, 2, 3], origin=2)
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_nonpositive_order_is_a_domain_error(self, alpha, direction):
+        f = make_grid_function(2, direction, [1, 2, 3], RATIONAL)
         with pytest.raises(DomainError, match="order must be positive"):
-            caputo_inversion_residual(f, alpha, side)
+            caputo_inversion_residual(f, alpha)
 
     def test_low_order_matches_f_minus_start(self):
         # for order in (0, 1] the inverted pipeline returns f(t) - f(a)
@@ -373,7 +364,7 @@ class TestInversionResidual:
         vals = random_values(rng, 7)
         f = forward(vals)
         alpha = Fraction(2, 3)
-        cap = caputo_difference(spec(Kind.NABLA, Side.LEFT, Family.CAPUTO, alpha), f)
+        cap = caputo_difference(spec(Kind.NABLA, Family.CAPUTO, alpha), f)
         w = [oracles.ratio_coeff(k, alpha) for k in range(cap.length)]
         for m in range(cap.length):
             summed = sum(w[m - j] * cap.values[j] for j in range(m + 1))
@@ -396,10 +387,9 @@ class TestFloatAssociation:
     def test_float_inversion_residual_is_s_minus_f_minus_taylor(self, alpha, direction):
         alpha = Fraction(alpha)
         n = order_ceiling(alpha)
-        side = Side.LEFT if direction is Direction.FORWARD else Side.RIGHT
         rng = random.Random(45)
         f = make_grid_function(3, direction, [rng.uniform(-9, 9) for _ in range(9)], FLOATING)
-        cap = caputo_difference(spec(Kind.NABLA, side, Family.CAPUTO, alpha), f).values
+        cap = caputo_difference(spec(Kind.NABLA, Family.CAPUTO, alpha), f).values
         w = kernel_vector(alpha, len(cap), FLOATING)
         s = [0.0] + [functools.reduce(operator.add, [w[m - j] * cap[j] for j in range(m + 1)])
                      for m in range(len(cap))]
@@ -410,7 +400,7 @@ class TestFloatAssociation:
         t = [functools.reduce(operator.add, [row[m] * c for row, c in zip(taylor, coeffs)])
              for m in range(len(s))]
         expected = [sm - (fm - tm) for sm, fm, tm in zip(s, v[n - 1:], t)]
-        res = caputo_inversion_residual(f, alpha, side)
+        res = caputo_inversion_residual(f, alpha)
         assert res.origin == f.shift_origin(n - 1)
         assert list(map(repr, res.values)) == list(map(repr, expected))
 
@@ -427,7 +417,7 @@ class TestAlgebraicProperties:
         g = forward(list(reversed(values)))
         combo = forward([scale * x + y for x, y in zip(values, reversed(values))])
         for family in (Family.SUM, Family.RIEMANN, Family.CAPUTO):
-            op = spec(Kind.DELTA, Side.LEFT, family, Fraction(4, 3))
+            op = spec(Kind.DELTA, family, Fraction(4, 3))
             left = apply_operator(op, combo)
             fa = apply_operator(op, f)
             ga = apply_operator(op, g)
@@ -440,7 +430,7 @@ class TestAlgebraicProperties:
         fr = forward(vals)
         ff = make_grid_function(0, Direction.FORWARD, [float(v) for v in vals], FLOATING)
         for family in (Family.SUM, Family.RIEMANN, Family.CAPUTO):
-            op_exact = spec(Kind.DELTA, Side.LEFT, family, Fraction(5, 12))
+            op_exact = spec(Kind.DELTA, family, Fraction(5, 12))
             out_e = apply_operator(op_exact, fr)
             out_f = apply_operator(op_exact, ff)
             for e, x in zip(out_e.values, out_f.values):
@@ -448,10 +438,11 @@ class TestAlgebraicProperties:
 
 
 # the 16 operators of `apply`: 12 composed pipelines and 4 direct Riemann forms
-APPLY_OPERATORS = [(kind, side, family, Formulation.COMPOSED)
-                   for family in Family for kind in Kind for side in Side] + \
-                  [(kind, side, Family.RIEMANN, Formulation.DIRECT)
-                   for kind in Kind for side in Side]
+# (left on a forward grid, right on a backward one)
+APPLY_OPERATORS = [(kind, direction, family, Formulation.COMPOSED)
+                   for family in Family for kind in Kind for direction in Direction] + \
+                  [(kind, direction, Family.RIEMANN, Formulation.DIRECT)
+                   for kind in Kind for direction in Direction]
 # |floating - rational| <= AGREEMENT_BOUND * max(1, max |rational|) over each
 # output at L = 256.  The worst case today is 1.26e-12 (the delta sums at
 # order 3/2); the composed differences reach 4.3e-13 and the direct forms
@@ -460,17 +451,16 @@ APPLY_OPERATORS = [(kind, side, family, Formulation.COMPOSED)
 AGREEMENT_BOUND = 1e-11
 
 
-@pytest.mark.parametrize("kind, side, family, form", APPLY_OPERATORS)
-def test_floating_agrees_with_rational_at_length_256(kind, side, family, form):
+@pytest.mark.parametrize("kind, direction, family, form", APPLY_OPERATORS)
+def test_floating_agrees_with_rational_at_length_256(kind, direction, family, form):
     rng = random.Random(256)
     vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(256)]
-    direction = Direction.FORWARD if side is Side.LEFT else Direction.BACKWARD
     exact = make_grid_function(3, direction, vals, RATIONAL)
     floating = make_grid_function(3, direction, [float(v) for v in vals], FLOATING)
     for order in (Fraction(k, 4) for k in range(1, 8)):
         if form is Formulation.DIRECT and order == 1:
             continue  # the direct form needs a non-integer order
-        op = spec(kind, side, family, order, form)
+        op = spec(kind, family, order, form)
         want, got = apply_operator(op, exact), apply_operator(op, floating)
         assert got.origin == want.origin and len(got.values) == len(want.values)
         scale = max(1.0, max(abs(float(r)) for r in want.values))
@@ -478,46 +468,32 @@ def test_floating_agrees_with_rational_at_length_256(kind, side, family, form):
         assert worst <= AGREEMENT_BOUND * scale, (order, worst / scale)
 
 
-# every (kind, side, family, form) pipeline with its oracle; the direct
+# every (kind, direction, family, form) pipeline with its oracle, left on a
+# forward grid and right on a backward one; the direct
 # and extended nabla forms and the nabla composed differences share the
 # single-sum oracle, which is valid from one step past the anchor on
+_FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
 PIPELINES = [
-    (Kind.DELTA, Side.LEFT, Family.SUM, Formulation.COMPOSED, oracles.delta_left_sum),
-    (Kind.DELTA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, oracles.delta_right_sum),
-    (Kind.NABLA, Side.LEFT, Family.SUM, Formulation.COMPOSED, oracles.nabla_left_sum),
-    (Kind.NABLA, Side.RIGHT, Family.SUM, Formulation.COMPOSED, oracles.nabla_right_sum),
-    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED,
-     oracles.delta_left_riemann),
-    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED,
-     oracles.delta_right_riemann),
-    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.COMPOSED,
-     oracles.nabla_left_riemann),
-    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.COMPOSED,
-     oracles.nabla_right_riemann),
-    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT,
-     oracles.delta_left_riemann_direct),
-    (Kind.DELTA, Side.LEFT, Family.RIEMANN, Formulation.EXTENDED,
-     oracles.delta_left_riemann_direct),
-    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT,
-     oracles.delta_right_riemann_direct),
-    (Kind.DELTA, Side.RIGHT, Family.RIEMANN, Formulation.EXTENDED,
-     oracles.delta_right_riemann_direct),
-    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.DIRECT,
-     oracles.nabla_left_riemann),
-    (Kind.NABLA, Side.LEFT, Family.RIEMANN, Formulation.EXTENDED,
-     oracles.nabla_left_riemann),
-    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.DIRECT,
-     oracles.nabla_right_riemann),
-    (Kind.NABLA, Side.RIGHT, Family.RIEMANN, Formulation.EXTENDED,
-     oracles.nabla_right_riemann),
-    (Kind.DELTA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED,
-     oracles.delta_left_caputo),
-    (Kind.DELTA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED,
-     oracles.delta_right_caputo),
-    (Kind.NABLA, Side.LEFT, Family.CAPUTO, Formulation.COMPOSED,
-     oracles.nabla_left_caputo),
-    (Kind.NABLA, Side.RIGHT, Family.CAPUTO, Formulation.COMPOSED,
-     oracles.nabla_right_caputo),
+    (Kind.DELTA, _FWD, Family.SUM, Formulation.COMPOSED, oracles.delta_left_sum),
+    (Kind.DELTA, _BWD, Family.SUM, Formulation.COMPOSED, oracles.delta_right_sum),
+    (Kind.NABLA, _FWD, Family.SUM, Formulation.COMPOSED, oracles.nabla_left_sum),
+    (Kind.NABLA, _BWD, Family.SUM, Formulation.COMPOSED, oracles.nabla_right_sum),
+    (Kind.DELTA, _FWD, Family.RIEMANN, Formulation.COMPOSED, oracles.delta_left_riemann),
+    (Kind.DELTA, _BWD, Family.RIEMANN, Formulation.COMPOSED, oracles.delta_right_riemann),
+    (Kind.NABLA, _FWD, Family.RIEMANN, Formulation.COMPOSED, oracles.nabla_left_riemann),
+    (Kind.NABLA, _BWD, Family.RIEMANN, Formulation.COMPOSED, oracles.nabla_right_riemann),
+    (Kind.DELTA, _FWD, Family.RIEMANN, Formulation.DIRECT, oracles.delta_left_riemann_direct),
+    (Kind.DELTA, _FWD, Family.RIEMANN, Formulation.EXTENDED, oracles.delta_left_riemann_direct),
+    (Kind.DELTA, _BWD, Family.RIEMANN, Formulation.DIRECT, oracles.delta_right_riemann_direct),
+    (Kind.DELTA, _BWD, Family.RIEMANN, Formulation.EXTENDED, oracles.delta_right_riemann_direct),
+    (Kind.NABLA, _FWD, Family.RIEMANN, Formulation.DIRECT, oracles.nabla_left_riemann),
+    (Kind.NABLA, _FWD, Family.RIEMANN, Formulation.EXTENDED, oracles.nabla_left_riemann),
+    (Kind.NABLA, _BWD, Family.RIEMANN, Formulation.DIRECT, oracles.nabla_right_riemann),
+    (Kind.NABLA, _BWD, Family.RIEMANN, Formulation.EXTENDED, oracles.nabla_right_riemann),
+    (Kind.DELTA, _FWD, Family.CAPUTO, Formulation.COMPOSED, oracles.delta_left_caputo),
+    (Kind.DELTA, _BWD, Family.CAPUTO, Formulation.COMPOSED, oracles.delta_right_caputo),
+    (Kind.NABLA, _FWD, Family.CAPUTO, Formulation.COMPOSED, oracles.nabla_left_caputo),
+    (Kind.NABLA, _BWD, Family.CAPUTO, Formulation.COMPOSED, oracles.nabla_right_caputo),
 ]
 
 # orders p/q with q <= 12 in (0, 3], integers included
@@ -590,12 +566,11 @@ class TestIntegerPath:
         builds from its values."""
         f, g, b = both_grids(values, Fraction(a))
         fmap = f.mapping()
-        for kind, side, family, form, oracle in PIPELINES:
+        for kind, direction, family, form, oracle in PIPELINES:
             if form is not Formulation.COMPOSED and alpha.denominator == 1:
                 continue
-            left = side is Side.LEFT
-            grid, anchor = (f, f.origin) if left else (g, b)
-            op = spec(kind, side, family, alpha, form)
+            grid, anchor = (f, f.origin) if direction is _FWD else (g, b)
+            op = spec(kind, family, alpha, form)
             runs = [False, True] if family is Family.CAPUTO else [False]
             for relation in runs:
                 out = evaluate(op, grid, relation)
@@ -606,9 +581,9 @@ class TestIntegerPath:
                 rebuilt = make_grid_function(out.origin, out.direction, out.values, RATIONAL)
                 assert out == rebuilt and hash(out) == hash(rebuilt)
         # chained: the delta-left difference's output feeds the nabla-left sum
-        first = evaluate(spec(Kind.DELTA, Side.LEFT, Family.RIEMANN, alpha), f)
+        first = evaluate(spec(Kind.DELTA, Family.RIEMANN, alpha), f)
         if first is not None:
-            second = fractional_sum(spec(Kind.NABLA, Side.LEFT, Family.SUM, alpha), first)
+            second = fractional_sum(spec(Kind.NABLA, Family.SUM, alpha), first)
             inner = {p: oracles.delta_left_riemann(fmap, f.origin, alpha, p)
                      for p in first.points()}
             assert second.values == tuple(oracles.nabla_left_sum(inner, first.origin, alpha, p)
@@ -711,12 +686,12 @@ class TestIntegerPath:
     @settings(max_examples=25, deadline=None)
     def test_inversion_residual_vanishes(self, values, alpha, a):
         f, g, _ = both_grids(values, Fraction(a))
-        for grid, side in ((f, Side.LEFT), (g, Side.RIGHT)):
+        for grid in (f, g):
             if len(values) < order_ceiling(alpha) + 1:
                 with pytest.raises(GridTooShort):
-                    caputo_inversion_residual(grid, alpha, side)
+                    caputo_inversion_residual(grid, alpha)
                 continue
-            res = caputo_inversion_residual(grid, alpha, side)
+            res = caputo_inversion_residual(grid, alpha)
             assert res.values == (0,) * res.length
 
     @given(values=st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12)),
@@ -752,17 +727,17 @@ class TestIntegerPath:
                        for beta, count in kernel_list for w in
                        (oracles.ratio_coeff(lag, beta) for lag in range(count)))
 
-        cases = [(kind, side, family, form, kernels(family, form), False)
-                 for kind, side, family, form, _ in PIPELINES]
-        cases += [(kind, side, Family.CAPUTO, Formulation.COMPOSED, relation_kernels(kind), True)
-                  for kind in Kind for side in Side]
-        for kind, side, family, form, kernel_list, relation in cases:
-            grid = f if side is Side.LEFT else g
-            op = spec(kind, side, family, alpha, form)
+        cases = [(kind, direction, family, form, kernels(family, form), False)
+                 for kind, direction, family, form, _ in PIPELINES]
+        cases += [(kind, direction, Family.CAPUTO, Formulation.COMPOSED, relation_kernels(kind),
+                   True) for kind in Kind for direction in Direction]
+        for kind, direction, family, form, kernel_list, relation in cases:
+            grid = f if direction is _FWD else g
+            op = spec(kind, family, alpha, form)
             try:
                 out = evaluate(op, grid, relation)
             except BackendOverflow:
-                assert exceeds(kernel_list), (kind, side, family, form)
+                assert exceeds(kernel_list), (kind, direction, family, form)
                 continue
             if out is not None:
-                assert not exceeds(kernel_list), (kind, side, family, form)
+                assert not exceeds(kernel_list), (kind, direction, family, form)

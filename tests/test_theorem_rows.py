@@ -186,10 +186,8 @@ def test_caputo_bound_rows_are_the_riemann_rows(tid):
                 verdict = evaluate_theorem(case)
                 rows = (verdict.conclusion_margins if tid == "T_C6"
                         else frac_rows(verdict))
-                side = (operators.Side.LEFT if case.f.direction is Direction.FORWARD
-                        else operators.Side.RIGHT)
                 riem = operators.riemann_difference(operators.OperatorSpec(
-                    operators.Kind.DELTA, side, operators.Family.RIEMANN, order), case.f)
+                    operators.Kind.DELTA, operators.Family.RIEMANN, order), case.f)
                 assert rows == [(f"frac t={t}", v) for t, v in zip(riem.points(), riem.values)]
 
 
