@@ -9,7 +9,10 @@ counterexample candidate and is always re-verified with
 ``evaluate_theorem`` before being reported.  Theorem cases are always
 exact: ``make_case`` puts the grid on the rational backend, converting
 floats to their exact binary values, and ``evaluate_theorem`` refuses
-any other grid, so no margin or ray coefficient is ever rounded.
+any other grid, so no margin or ray coefficient is ever rounded.  A
+case's grid holds exactly the values searched, from the anchor on; a
+statement anchored one step before its data prepends that zero in its
+row kind, ``_NablaRiemann(prepend=True)``.
 
 "For all k" starting conditions (value bounded below by a rational
 function of k on an integer ray) are decided completely: after clearing
@@ -229,10 +232,6 @@ class TheoremCase:
     f: GridFunction
     k_cap: int = 64
 
-    @property
-    def anchor(self) -> Fraction:  # fixed by the grid's origin
-        return self.f.origin - THEOREMS[self.theorem_id].origin_offset
-
 
 @dataclass
 class TheoremVerdict:
@@ -252,15 +251,10 @@ class TheoremStatement:
     description: str
     order_range: tuple
     direction: Direction
-    origin_offset: int  # grid origin = anchor + offset
-    min_length: int  # minimum stored grid length
+    min_length: int  # minimum grid length
     builder: Callable  # case -> (hyp_rows, ray_conditions, concl_rows)
     note: str = ""  # statement quirks kept literal, surfaced in reports
     has_ray: bool = False  # a k-family start, expanded into a row per k up to k_cap
-
-    @property
-    def leading_inert(self) -> bool:  # first stored value is never read
-        return self.origin_offset != 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,7 @@ class TheoremStatement:
 #
 # A theorem is declared by the row kinds of its hypothesis and its
 # conclusion, plus at most one k-family start.  A row kind maps a case to
-# labelled rows, each linear in the stored values and required to be >= 0:
+# labelled rows, each linear in the grid's values and required to be >= 0:
 #
 #   _start                      f at the first point
 #   _start_pair                 _start, then f(second) - f(first)
@@ -277,7 +271,7 @@ class TheoremStatement:
 #   _delta_riemann              delta Riemann difference on its domain
 #   _NablaRiemann(prepend, drop)  extended direct nabla Riemann difference
 #   _caputo_bound               delta Caputo difference plus its anchor correction
-#   _ray(terms, base)           k-family start from the kernel's partial sums
+#   _ray(terms, first)          k-family start from the kernel's partial sums
 
 
 def _label(label) -> str:
@@ -362,15 +356,15 @@ def _caputo_bound(case: TheoremCase) -> list:
     return _op_rows(cap.with_parts(*_correction(cap.parts, [-c for c in anchors], e, rows)))
 
 
-def _ray(terms: int, base: int) -> Callable:
-    """k-family start bounding v[base + terms] by the ``terms`` values before
-    it (``_partial_sum_ray``).  Each family keeps its first M and its window
-    of k: the one-term family from M = base + 1, the others from M = terms + 1,
+def _ray(terms: int, first: int = 1) -> Callable:
+    """k-family start bounding v[terms] by the ``terms`` values before it
+    (``_partial_sum_ray``).  Each family keeps its first M and its window of
+    k: the one-term family from M = ``first``, the others from M = terms + 1,
     the three-term one counting k from 2."""
-    first, start = {1: (base + 1, 0), 2: (3, 0), 3: (4, 2)}[terms]
+    first, start = {1: (first, 0), 2: (3, 0), 3: (4, 2)}[terms]
 
     def ray(case):
-        return _partial_sum_ray(case.f.values[base:base + terms + 1],
+        return _partial_sum_ray(case.f.values[:terms + 1],
                                 case.f.backend.scalar(case.order), first, start)
 
     return ray
@@ -399,98 +393,90 @@ _FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
 THEOREMS: dict[str, TheoremStatement] = {}
 
 
-def _register(theorem_id, description, order_range, direction, origin_offset,
-              min_length, hyp, concl, start=None, note=""):
+def _register(theorem_id, description, order_range, direction, min_length, hyp, concl,
+              start=None, note=""):
     THEOREMS[theorem_id] = TheoremStatement(
-        theorem_id, description, order_range, direction, origin_offset,
-        min_length, Declared(hyp, concl, start), note, start is not None,
+        theorem_id, description, order_range, direction, min_length,
+        Declared(hyp, concl, start), note, start is not None,
     )
 
 
 _register("T_JEP1", "forward Riemann positivity with nonnegative nondecreasing start "
-          "forces nondecreasing", (1, 2), _FWD, 0, 3,
+          "forces nondecreasing", (1, 2), _FWD, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_JEP", "nabla Riemann positivity from the anchor forces nondecreasing "
-          "one step in", (1, 2), _FWD, 0, 3, [_NablaRiemann()], [_pair(1)])
+          "one step in", (1, 2), _FWD, 3, [_NablaRiemann()], [_pair(1)])
 _register("T_JEPP", "nabla Riemann positivity anchored one step before the data "
-          "forces nondecreasing", (1, 2), _FWD, -1, 3, [_NablaRiemann()], [_pair(1)])
+          "forces nondecreasing", (1, 2), _FWD, 2, [_NablaRiemann(prepend=True)], [_pair(0)])
 _register("T_SLOV1", "Riemann positivity with the one-term k-family start",
-          (1, 2), _FWD, 0, 3, [_delta_riemann], [_pair(1, at=0)], _ray(1, 0))
+          (1, 2), _FWD, 3, [_delta_riemann], [_pair(1, at=0)], _ray(1))
 _register("T_SLOV11", "nabla mirror of the one-term k-family start",
-          (1, 2), _FWD, -1, 4, [_NablaRiemann(drop=2)], [_pair(2)], _ray(1, 1),
+          (1, 2), _FWD, 3, [_NablaRiemann(prepend=True, drop=2)], [_pair(1)], _ray(1, 2),
           note="hypothesis index set starts two steps past the anchor, one "
                "later than the plain nabla statement; kept literal")
 _register("T_SLOV2", "Riemann positivity with the two-term k-family start",
-          (1, 2), _FWD, 0, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _FWD, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2))
 _register("T_SLOV22", "nabla mirror of the two-term k-family start",
-          (1, 2), _FWD, -1, 5, [_NablaRiemann(drop=3)], [_pair(3)], _ray(2, 1))
+          (1, 2), _FWD, 4, [_NablaRiemann(prepend=True, drop=3)], [_pair(2)], _ray(2))
 _register("T_SLOV3", "Riemann positivity with the three-term k-family start",
-          (1, 2), _FWD, 0, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _FWD, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3))
 _register("T_SLOV33", "nabla mirror of the three-term k-family start",
-          (1, 2), _FWD, -1, 6, [_NablaRiemann(drop=4)], [_pair(4)], _ray(3, 1))
+          (1, 2), _FWD, 5, [_NablaRiemann(prepend=True, drop=4)], [_pair(3)], _ray(3))
 _register("T_U1", "low-order Riemann positivity forces nu-increasing",
-          (0, 1), _FWD, 0, 2, [_start, _delta_riemann], [_start, _nu_step])
+          (0, 1), _FWD, 2, [_start, _delta_riemann], [_start, _nu_step])
 _register("T_UU1", "low-order nabla positivity anchored one step back forces "
-          "nu-increasing", (0, 1), _FWD, 0, 2,
+          "nu-increasing", (0, 1), _FWD, 2,
           [_NablaRiemann(prepend=True)], [_start, _nu_step],
           note="no separate nonnegative-start hypothesis; the first operator "
                "row already equals the starting value")
 _register("T_U3", "nondecreasing with nonnegative start forces Riemann positivity",
-          (0, 1), _FWD, 0, 2, [_start, _pair(0, at=0)], [_delta_riemann])
+          (0, 1), _FWD, 2, [_start, _pair(0, at=0)], [_delta_riemann])
 _register("T_UU2", "nondecreasing with nonnegative start forces anchored nabla "
-          "positivity", (0, 1), _FWD, 0, 2,
+          "positivity", (0, 1), _FWD, 2,
           [_start, _pair(0, at=0)], [_NablaRiemann(prepend=True)])
 _register("T_C1", "Caputo lower bound with nonnegative nondecreasing start",
-          (1, 2), _FWD, 0, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
+          (1, 2), _FWD, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
 _register("T_C2", "Caputo lower bound with the one-term k-family start",
-          (1, 2), _FWD, 0, 3, [_caputo_bound], [_pair(1, at=0)], _ray(1, 0))
+          (1, 2), _FWD, 3, [_caputo_bound], [_pair(1, at=0)], _ray(1))
 _register("T_C3", "Caputo lower bound with the two-term k-family start",
-          (1, 2), _FWD, 0, 4, [_caputo_bound], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _FWD, 4, [_caputo_bound], [_pair(2, at=0)], _ray(2))
 _register("T_C4", "Caputo lower bound with the three-term k-family start",
-          (1, 2), _FWD, 0, 5, [_caputo_bound], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _FWD, 5, [_caputo_bound], [_pair(3, at=0)], _ray(3))
 _register("T_C5", "low-order Caputo lower bound forces nu-increasing",
-          (0, 1), _FWD, 0, 2, [_start, _caputo_bound], [_start, _nu_step])
+          (0, 1), _FWD, 2, [_start, _caputo_bound], [_start, _nu_step])
 _register("T_C6", "nondecreasing with nonnegative start forces the Caputo lower "
-          "bound", (0, 1), _FWD, 0, 2, [_start, _pair(0, at=0)], [_caputo_bound])
+          "bound", (0, 1), _FWD, 2, [_start, _pair(0, at=0)], [_caputo_bound])
 _register("T_D1", "backward Riemann positivity with nonnegative start pair forces "
-          "nonincreasing", (1, 2), _BWD, 0, 3,
+          "nonincreasing", (1, 2), _BWD, 3,
           [_start_pair, _delta_riemann], [_pair(0, at=0)])
 _register("T_N1", "backward nabla positivity anchored one step out forces "
-          "nonincreasing", (1, 2), _BWD, 1, 3, [_NablaRiemann()], [_pair(1)])
+          "nonincreasing", (1, 2), _BWD, 2, [_NablaRiemann(prepend=True)], [_pair(0)])
 _register("T_D2", "backward mirror of the one-term k-family start",
-          (1, 2), _BWD, 0, 3, [_start, _delta_riemann], [_pair(1, at=0)], _ray(1, 0),
+          (1, 2), _BWD, 3, [_start, _delta_riemann], [_pair(1, at=0)], _ray(1),
           note="conclusion index set starts one step inward of the plain "
                "backward statement; kept literal")
 _register("T_D3", "backward mirror of the two-term k-family start",
-          (1, 2), _BWD, 0, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2, 0))
+          (1, 2), _BWD, 4, [_delta_riemann], [_pair(2, at=0)], _ray(2))
 _register("T_D4", "backward mirror of the three-term k-family start",
-          (1, 2), _BWD, 0, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3, 0))
+          (1, 2), _BWD, 5, [_delta_riemann], [_pair(3, at=0)], _ray(3))
 _register("T_D5", "low-order backward Riemann positivity forces alpha-decreasing",
-          (0, 1), _BWD, 0, 2, [_start, _delta_riemann], [_nu_step])
+          (0, 1), _BWD, 2, [_start, _delta_riemann], [_nu_step])
 _register("T_D6", "decreasing with nonnegative end forces backward Riemann "
-          "positivity", (0, 1), _BWD, 0, 2, [_start, _pair(0)], [_delta_riemann])
+          "positivity", (0, 1), _BWD, 2, [_start, _pair(0)], [_delta_riemann])
 _register("T_CD1", "backward Caputo lower bound with nonnegative start pair",
-          (1, 2), _BWD, 0, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
+          (1, 2), _BWD, 3, [_start_pair, _caputo_bound], [_pair(0, at=0)])
 _register("T_CD5", "low-order backward Caputo lower bound forces alpha-decreasing",
-          (0, 1), _BWD, 0, 2, [_start, _caputo_bound], [_nu_step])
+          (0, 1), _BWD, 2, [_start, _caputo_bound], [_nu_step])
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def make_case(theorem_id: str, live_values, order, anchor=0, k_cap: int = 64) -> TheoremCase:
-    """Build a case from the live (enumerated) values, on the exact backend;
-    floats convert to their exact binary values.
-
-    Statements whose stated data starts one step before the operator
-    anchor carry an inert leading slot; it is filled with zero and never
-    read by the operator or any predicate.
-    """
-    stmt = THEOREMS[theorem_id]
-    stored = ([0] + list(live_values)) if stmt.leading_inert else list(live_values)
-    origin = as_fraction(anchor) + stmt.origin_offset
-    f = make_grid_function(origin, stmt.direction, stored, RATIONAL)
+def make_case(theorem_id: str, values, order, anchor=0, k_cap: int = 64) -> TheoremCase:
+    """Build a case from the values at ``anchor`` on, on the exact backend;
+    floats convert to their exact binary values."""
+    f = make_grid_function(as_fraction(anchor), THEOREMS[theorem_id].direction, values, RATIONAL)
     return TheoremCase(theorem_id, as_fraction(order), f, k_cap)
 
 
@@ -529,9 +515,7 @@ def evaluate_theorem(case: TheoremCase, builder: Callable | None = None) -> Theo
     if case.f.direction is not stmt.direction:
         raise DomainError(f"{case.theorem_id} expects a {stmt.direction.value} grid")
     if case.f.length < stmt.min_length:
-        raise GridTooShort(
-            f"{case.theorem_id} needs at least {stmt.min_length} stored values"
-        )
+        raise GridTooShort(f"{case.theorem_id} needs at least {stmt.min_length} values")
     hyp_rows, rays, concl_rows = (builder or stmt.builder)(case)
     margins = [(_label(label), v) for label, v in expanded_hypothesis_rows(case, hyp_rows, rays)]
     hyp_ok = all(v >= 0 for _, v in margins)
@@ -658,16 +642,14 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     value any of those rows reads (``_last_read``).
 
     The builder runs once, on the identity basis plus a coordinate that no
-    stored value reads: stored value i is the ``CoefficientVector`` e_i, so
-    each row it returns is its own coefficient vector.  A scalar added
-    anywhere lands in the extra coordinate, so it must be zero in every
-    row, ray coefficient and ray bound; ``_exact_row`` leaves it out.
+    value reads: value i is the ``CoefficientVector`` e_i, so each row it
+    returns is its own coefficient vector.  A scalar added anywhere lands
+    in the extra coordinate, so it must be zero in every row, ray
+    coefficient and ray bound; ``_exact_row`` leaves it out.
     """
-    stmt = THEOREMS[theorem_id]
-    inert = int(stmt.leading_inert)  # an inert leading slot is the zero row 0
-    basis = np.eye(live_length + inert, live_length + 1, -inert, dtype=int).astype(object)
+    basis = np.eye(live_length, live_length + 1, dtype=int).astype(object)
     case = make_case(theorem_id, [0] * live_length, order, anchor, k_cap)
-    hyp, rays, concl = stmt.builder(replace(case, f=case.f.with_values(
+    hyp, rays, concl = THEOREMS[theorem_id].builder(replace(case, f=case.f.with_values(
         map(CoefficientVector, basis))))
     hyp_rows, concl_rows = [_exact_row(v) for _, v in hyp], [_exact_row(v) for _, v in concl]
     ray_rows = []
@@ -949,8 +931,9 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
                      samples: int | None, seed: int, k_cap: int,
                      anchor, searches: dict | None = None) -> Callable[[int], SearchResult]:
     """Build the rows at ``live_length`` once; return d -> the length-d
-    result, for every d from ``min_live_length`` on.  The search is exhaustive
-    when ``samples`` is None, else ``samples`` random draws per length.
+    result, for every d from the statement's ``min_length`` on.  The search
+    is exhaustive when ``samples`` is None, else ``samples`` random draws per
+    length.
 
     An exhaustive search (``_row_search``) is kept in ``searches`` under all
     it reads: the exact hypothesis, conclusion and ray rows with their
@@ -962,7 +945,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     theorem's own cases, and every result is a new ``SearchResult``
     (``search_campaign`` confirms the witness it reports)."""
     hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
-    shallowest = min_live_length(theorem_id)
+    shallowest = THEOREMS[theorem_id].min_length
     if any(level >= shallowest for *_, level in rays):
         raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
     values = value_set if isinstance(value_set, range) else tuple(map(as_fraction, value_set))
@@ -998,11 +981,6 @@ def default_orders(theorem_id: str) -> list[Fraction]:
     return [Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)]
 
 
-def min_live_length(theorem_id: str) -> int:
-    stmt = THEOREMS[theorem_id]
-    return stmt.min_length - (1 if stmt.leading_inert else 0)
-
-
 def search_campaign(theorem_id: str, grid_length: int, value_set,
                     nu_samples=None, mode: str = "exhaustive",
                     budget: int = 500_000, seed: int = 0, k_cap: int = 64,
@@ -1012,9 +990,9 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     (``search_theorems``); by default each order searches on its own."""
     if theorem_id not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
-    shortest = min_live_length(theorem_id)
+    shortest = THEOREMS[theorem_id].min_length
     if grid_length < shortest:
-        raise GridTooShort(f"{theorem_id} needs at least {shortest} live values")
+        raise GridTooShort(f"{theorem_id} needs at least {shortest} values")
     orders = [as_fraction(x) for x in (nu_samples or default_orders(theorem_id))]
     for order in orders:
         _check_order(theorem_id, order)
@@ -1071,6 +1049,6 @@ def search_theorems(theorem_ids, grid_length: int, value_set, nu_samples=None,
     whose rows are equal once built share one search (``_search_instance``);
     the searches are dropped when the call returns."""
     searches = {}
-    return [(tid, search_campaign(tid, max(grid_length, min_live_length(tid)), value_set,
+    return [(tid, search_campaign(tid, max(grid_length, THEOREMS[tid].min_length), value_set,
                                   nu_samples, mode, budget, seed, k_cap, searches=searches))
             for tid in theorem_ids]

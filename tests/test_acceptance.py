@@ -16,7 +16,6 @@ from discfrac.monotone import (
     THEOREMS,
     evaluate_theorem,
     make_case,
-    min_live_length,
     search_campaign,
     transport,
 )
@@ -327,7 +326,7 @@ def test_criterion_7_monotone_exhaustive_campaigns():
     total_counterexamples = 0
     missing_witness = []
     for tid in THEOREMS:
-        length = max(6, min_live_length(tid))
+        length = max(6, THEOREMS[tid].min_length)
         results = search_campaign(tid, length, values, None, "exhaustive",
                                   budget=500_000, seed=0, k_cap=64)
         total_counterexamples += sum(len(r.counterexamples) for r in results)

@@ -35,7 +35,6 @@ from discfrac.monotone import (
     evaluate_theorem,
     expanded_hypothesis_rows,
     make_case,
-    min_live_length,
     poly_nonneg_on_integer_ray,
     search_campaign,
     search_theorems,
@@ -268,7 +267,7 @@ class TestEvaluate:
     def test_zero_function_consistent_everywhere(self):
         for tid, stmt in THEOREMS.items():
             order = Fraction(1, 2) if stmt.order_range == (0, 1) else Fraction(3, 2)
-            case = make_case(tid, [0] * max(5, min_live_length(tid)), order)
+            case = make_case(tid, [0] * max(5, THEOREMS[tid].min_length), order)
             v = evaluate_theorem(case)
             assert v.hypothesis_holds and v.conclusion_holds and v.consistent
 
@@ -287,16 +286,17 @@ class TestEvaluate:
 
     def test_wrong_direction_and_origin_are_refused(self):
         case = make_case("T_JEPP", [0, 1, 2], Fraction(3, 2), anchor=2)
-        assert case.f.origin == 1
-        backward = replace(case, f=make_grid_function(1, Direction.BACKWARD, [0, 0, 1, 2],
+        assert case.f.origin == 2 and case.f.values == (0, 1, 2)
+        backward = replace(case, f=make_grid_function(2, Direction.BACKWARD, [0, 1, 2],
                                                       RATIONAL))
         with pytest.raises(DomainError, match="^T_JEPP expects a forward grid$"):
             evaluate_theorem(backward)
-        # the anchor is read off the grid's origin, so no case disagrees with it
-        moved = replace(case, f=make_grid_function(2, Direction.FORWARD, [0, 0, 1, 2],
-                                                   RATIONAL))
-        assert (case.anchor, moved.anchor) == (2, 3)
-        assert evaluate_theorem(case).hypothesis_holds
+        # the anchor is the grid's origin, so no case disagrees with it: a
+        # grid one step on moves every row one step on
+        moved = replace(case, f=make_grid_function(3, Direction.FORWARD, [0, 1, 2], RATIONAL))
+        verdict, shifted = evaluate_theorem(case), evaluate_theorem(moved)
+        assert verdict.hypothesis_holds
+        assert _operator_points(shifted) == [t + 1 for t in _operator_points(verdict)]
 
     def test_order_out_of_range_rejected(self):
         case = make_case("T_JEP1", [0] * 5, Fraction(1, 2))
@@ -304,22 +304,22 @@ class TestEvaluate:
             evaluate_theorem(case)
 
     def test_short_grid_rejected(self):
-        stmt_min = min_live_length("T_SLOV3")
+        stmt_min = THEOREMS["T_SLOV3"].min_length
         case = make_case("T_SLOV3", [0] * (stmt_min - 1), Fraction(3, 2))
         with pytest.raises(GridTooShort):
             evaluate_theorem(case)
 
     @pytest.mark.parametrize("tid", list(THEOREMS))
     def test_min_length_is_the_shortest_every_row_kind_needs(self, tid):
-        """At ``min_length`` stored values the builder runs and every
+        """At ``min_length`` values the builder runs and every
         hypothesis and conclusion row kind yields a row, at each default
         order; one value fewer and some kind yields none or raises
         ``GridTooShort``."""
         stmt = THEOREMS[tid]
         kinds = stmt.builder.hyp + stmt.builder.concl
 
-        def case_and_counts(stored, order):
-            case = make_case(tid, range(1, stored - stmt.leading_inert + 1), order)
+        def case_and_counts(length, order):
+            case = make_case(tid, range(1, length + 1), order)
             counts = []
             for kind in kinds:
                 try:
@@ -355,12 +355,11 @@ MIRRORS = ["T_D1", "T_D2", "T_D3", "T_D4", "T_D5", "T_D6", "T_CD1", "T_CD5",
            "T_JEP", "T_JEPP", "T_SLOV11", "T_SLOV22", "T_SLOV33", "T_UU1", "T_UU2", "T_N1"]
 
 
-def _basis_case(tid, live_length, order):
-    """A case whose stored value i is the coefficient vector e_i, with one
-    more coordinate for constants, as ``_row_matrices`` builds it."""
-    inert = int(THEOREMS[tid].leading_inert)
-    basis = np.eye(live_length + inert, live_length + 1, -inert, dtype=int).astype(object)
-    case = make_case(tid, [0] * live_length, order)
+def _basis_case(tid, length, order):
+    """A case whose value i is the coefficient vector e_i, with one more
+    coordinate for constants, as ``_row_matrices`` builds it."""
+    basis = np.eye(length, length + 1, dtype=int).astype(object)
+    case = make_case(tid, [0] * length, order)
     return replace(case, f=case.f.with_values(map(CoefficientVector, basis)))
 
 
@@ -385,15 +384,15 @@ def _operator_points(verdict):
 
 class TestTransports:
     def test_transport_gives_each_mirror_its_registered_rows(self):
-        # every mirror x default order x live length up to 8, as linear forms
+        # every mirror x default order x length up to 8, as linear forms
         cases = 0
         for tid in MIRRORS:
             for order in default_orders(tid):
-                for live_length in range(min_live_length(tid), 9):
-                    case = _basis_case(tid, live_length, order)
+                for length in range(THEOREMS[tid].min_length, 9):
+                    case = _basis_case(tid, length, order)
                     transported = _linear_forms(transport, case)
                     assert transported == _linear_forms(THEOREMS[tid].builder, case), (
-                        tid, order, live_length)
+                        tid, order, length)
                     cases += 1
         assert cases == 291
 
@@ -403,7 +402,7 @@ class TestTransports:
 
     @pytest.mark.parametrize("tid", [t for t in THEOREMS if t not in MIRRORS])
     def test_a_theorem_that_is_no_mirror_has_no_route(self, tid):
-        case = make_case(tid, [1] * min_live_length(tid), default_orders(tid)[0])
+        case = make_case(tid, [1] * THEOREMS[tid].min_length, default_orders(tid)[0])
         with pytest.raises(DomainError, match="not the mirror"):
             transport(case)
 
@@ -462,8 +461,8 @@ class TestSearch:
                 search_campaign(*args, budget=budget)
 
     def test_short_grid_and_unknown_mode_are_refused(self):
-        shortest = min_live_length("T_SLOV33")
-        with pytest.raises(GridTooShort, match=f"^T_SLOV33 needs at least {shortest} live"):
+        shortest = THEOREMS["T_SLOV33"].min_length
+        with pytest.raises(GridTooShort, match=f"^T_SLOV33 needs at least {shortest} values$"):
             search_campaign("T_SLOV33", shortest - 1, [0, 1])
         with pytest.raises(DomainError, match="^unknown search mode 'sampled'$"):
             search_campaign("T_U1", 3, [0, 1], mode="sampled")
@@ -545,7 +544,7 @@ class TestTwoTermStartBound:
 
 def _statement(theorem_id, builder, min_length=2):
     return TheoremStatement(theorem_id, "test statement", (0, 1), Direction.FORWARD,
-                            0, min_length, builder)
+                            min_length, builder)
 
 
 def _false_builder(case):
@@ -571,6 +570,12 @@ def _short_false_builder(case):
     if len(v) > 2:
         hyp += [("up", v[2]), ("down", -v[2]), ("pair", v[1] - v[0] - v[2])]
     return hyp, [], [("pair", v[1] - v[0])]
+
+
+def _nonincreasing(case):
+    # "anchored nabla positivity forces nonincreasing": false on 0, 0, 1
+    v = case.f.values
+    return [("drop", v[j] - v[j + 1]) for j in range(len(v) - 1)]
 
 
 class TestEnumeration:
@@ -649,6 +654,24 @@ class TestExactPrefilter:
             assert not evaluate_theorem(case).consistent
         assert main(["theorems", "--id", "T_SHORT", "--length", "4", "--values", "-1,0,1",
                      "--nu", "1/2", "--report", os.devnull]) == 1
+
+    def test_anchored_counterexamples_hold_only_their_values(self, monkeypatch):
+        """A false statement anchored one step before its data reports each
+        counterexample as the values searched: at most the record's length of
+        them, each from the value set, with no slot for the anchor."""
+        builder = Declared([monotone._NablaRiemann(prepend=True)], [_nonincreasing])
+        monkeypatch.setitem(THEOREMS, "T_ANCHORED", _statement("T_ANCHORED", builder))
+        values = [-1, 0, 1]
+        (result,) = search_campaign("T_ANCHORED", 3, values, [Fraction(1, 2)])
+        record = result.as_record()
+        assert record["length"] == 3 and record["counterexamples"]
+        for counterexample in record["counterexamples"]:
+            assert len(counterexample) <= record["length"]
+            assert set(counterexample) <= set(map(str, values))
+        # the fallback visits no shorter length: [1, 1, 1] has margin 3/8
+        assert record["counterexamples"] == [["0", "0", "1"], ["0", "1", "1"]] == [
+            list(map(str, v)) for v in itertools.product(values, repeat=3)
+            if not evaluate_theorem(make_case("T_ANCHORED", v, Fraction(1, 2))).consistent]
 
     def test_exact_zero_conclusion_is_not_flagged(self, monkeypatch):
         assert 0.3 - 0.1 - 0.2 < 0
@@ -829,7 +852,7 @@ def _reference_campaign(theorem_id, grid_length, value_set, orders=None, mode="e
     visits, each length reporting its own counterexamples."""
     orders = orders or default_orders(theorem_id)
     samples = max(1, budget // len(orders)) if mode == "random" else None
-    shortest, results = min_live_length(theorem_id), []
+    shortest, results = THEOREMS[theorem_id].min_length, []
     for order in orders:
         args = (value_set, order, mode, samples, seed, 64, 0)
         res = _reference_instance(theorem_id, grid_length, *args)
@@ -998,7 +1021,7 @@ class TestOnePassRows:
     @pytest.mark.parametrize("tid", list(THEOREMS))
     def test_rows_match_unit_vector_oracle(self, tid):
         for order in default_orders(tid):
-            for length in range(min_live_length(tid), 7):
+            for length in range(THEOREMS[tid].min_length, 7):
                 *blocks, _ = _row_matrices(tid, length, order, 64, 0)
                 for rows, exact in zip(blocks, _unit_vector_rows(tid, length, order)):
                     assert all(den > 0 for _, den in rows)
@@ -1012,7 +1035,7 @@ class TestOnePassRows:
     @pytest.mark.parametrize("tid", list(THEOREMS))
     def test_prefilter_signs_match_explicit_rows(self, tid):
         values = [-1, 0, Fraction(1, 2), 1]
-        length, order, k_cap = min_live_length(tid), default_orders(tid)[1], 12
+        length, order, k_cap = THEOREMS[tid].min_length, default_orders(tid)[1], 12
         hyp, concl, _ = _row_matrices(tid, length, order, k_cap, 0)
         (h_int, c_int), ints = _operands((hyp, concl), length, [int(2 * v) for v in values])
         for combo in itertools.product(range(len(values)), repeat=length):
@@ -1063,7 +1086,7 @@ class TestOnePassRows:
             return stmt.builder(case)
 
         monkeypatch.setitem(THEOREMS, tid, replace(stmt, builder=recording))
-        _row_matrices(tid, min_live_length(tid) + 1, default_orders(tid)[0], 64, 0)
+        _row_matrices(tid, THEOREMS[tid].min_length + 1, default_orders(tid)[0], 64, 0)
         assert len(cases) == 1
         assert all(isinstance(v, CoefficientVector) for v in cases[0].f.values)
 
@@ -1114,7 +1137,7 @@ def _tried_verdicts(monkeypatch, tid, values, order, anchor, k_cap, length):
     with monkeypatch.context() as patch:
         patch.setattr(monotone, "_row_verdict", recording)
         result = monotone._search_instance(tid, length, values, order, None, 0, k_cap, anchor)
-        for d in range(min_live_length(tid), length + 1):
+        for d in range(THEOREMS[tid].min_length, length + 1):
             result(d)
     return tried
 
@@ -1187,7 +1210,7 @@ def _records(pairs) -> dict:
 def _alone(ids, length, values, **kwargs) -> dict:
     """Each theorem's records from a ``search_campaign`` of its own."""
     return {tid: [r.as_record() for r in search_campaign(
-        tid, max(length, min_live_length(tid)), values, **kwargs)] for tid in ids}
+        tid, max(length, THEOREMS[tid].min_length), values, **kwargs)] for tid in ids}
 
 
 def _count_scans(monkeypatch) -> list:

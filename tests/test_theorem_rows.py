@@ -28,7 +28,6 @@ from discfrac.monotone import (
     default_orders,
     evaluate_theorem,
     make_case,
-    min_live_length,
 )
 
 import oracles
@@ -63,7 +62,7 @@ class TestForwardRows:
         case = build_case("T_JEP1", rng, HIGH)
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        a = case.anchor
+        a = case.f.origin
         expected_points = [a + 2 - HIGH + m for m in range(case.f.length - 2)]
         assert [point_of(l) for l, _ in rows] == expected_points
         for label, val in rows:
@@ -74,7 +73,7 @@ class TestForwardRows:
         case = build_case("T_JEP", rng, HIGH)
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        a = case.anchor
+        a = case.f.origin
         assert [point_of(l) for l, _ in rows] == [a + 1 + m for m in range(case.f.length - 1)]
         for label, val in rows:
             assert val == oracles.nabla_left_riemann(fmap, a, HIGH, point_of(label))
@@ -84,22 +83,20 @@ class TestForwardRows:
         case = build_case("T_JEPP", rng, HIGH)
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        a = case.anchor  # grid origin is a - 1
-        live = case.f.length - 1
-        assert [point_of(l) for l, _ in rows] == [a + m for m in range(live)]
+        a = case.f.origin  # the operator is anchored at a - 1
+        assert [point_of(l) for l, _ in rows] == [a + m for m in range(case.f.length)]
         for label, val in rows:
             assert val == oracles.nabla_left_riemann(fmap, a - 1, HIGH, point_of(label))
 
     @pytest.mark.parametrize("tid,start_offset", [("T_SLOV11", 2), ("T_SLOV22", 3), ("T_SLOV33", 4)])
     def test_slov_nabla_rows_start_at_stated_offset(self, seed, tid, start_offset):
         rng = random.Random(30 + seed)
-        case = build_case(tid, rng, HIGH, length=max(6, min_live_length(tid)))
+        case = build_case(tid, rng, HIGH, length=max(6, THEOREMS[tid].min_length))
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        a = case.anchor
-        live = case.f.length - 1
+        a = case.f.origin
         assert [point_of(l) for l, _ in rows] == [
-            a + start_offset + m for m in range(live - start_offset)
+            a + start_offset + m for m in range(case.f.length - start_offset)
         ]
         for label, val in rows:
             assert val == oracles.nabla_left_riemann(fmap, a - 1, HIGH, point_of(label))
@@ -107,11 +104,11 @@ class TestForwardRows:
     @pytest.mark.parametrize("tid", ["T_SLOV1", "T_SLOV2", "T_SLOV3"])
     def test_slov_delta_rows_match_riemann(self, seed, tid):
         rng = random.Random(40 + seed)
-        case = build_case(tid, rng, HIGH, length=max(6, min_live_length(tid)))
+        case = build_case(tid, rng, HIGH, length=max(6, THEOREMS[tid].min_length))
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
         for label, val in rows:
-            assert val == oracles.delta_left_riemann(fmap, case.anchor, HIGH, point_of(label))
+            assert val == oracles.delta_left_riemann(fmap, case.f.origin, HIGH, point_of(label))
 
     def test_u1_and_u3_rows(self, seed):
         rng = random.Random(50 + seed)
@@ -121,7 +118,7 @@ class TestForwardRows:
             verdict = evaluate_theorem(case)
             rows = (frac_rows(verdict) if where == "hyp"
                     else [(l, v) for l, v in verdict.conclusion_margins])
-            a = case.anchor
+            a = case.f.origin
             assert [point_of(l) for l, _ in rows] == [
                 a + 1 - LOW + m for m in range(case.f.length - 1)
             ]
@@ -133,11 +130,11 @@ class TestForwardRows:
         for tid, where in (("T_UU1", "hyp"), ("T_UU2", "concl")):
             case = build_case(tid, rng, LOW)
             fmap = dict(case_data(case))
-            fmap[case.anchor - 1] = Fraction(0)  # inert anchored history
+            fmap[case.f.origin - 1] = Fraction(0)  # zero history at the operator's anchor
             verdict = evaluate_theorem(case)
             rows = (frac_rows(verdict) if where == "hyp"
                     else [(l, v) for l, v in verdict.conclusion_margins])
-            a = case.anchor
+            a = case.f.origin
             assert [point_of(l) for l, _ in rows] == [a + m for m in range(case.f.length)]
             for label, val in rows:
                 assert val == oracles.nabla_left_riemann(fmap, a - 1, LOW, point_of(label))
@@ -151,7 +148,7 @@ class TestForwardRows:
         verdict = evaluate_theorem(case)
         rows = (frac_rows(verdict) if tid != "T_C6"
                 else [(l, v) for l, v in verdict.conclusion_margins])
-        a = case.anchor
+        a = case.f.origin
         for label, val in rows:
             t = point_of(label)
             cap = oracles.delta_left_caputo(fmap, a, order, t)
@@ -180,7 +177,7 @@ def test_caputo_bound_rows_are_the_riemann_rows(tid):
     drawn = [lo + Fraction(rng.randint(1, den - 1), den)
              for den in (rng.randint(2, 12) for _ in range(2))]
     for order in default_orders(tid) + drawn:
-        for length in range(min_live_length(tid), 9):
+        for length in range(THEOREMS[tid].min_length, 9):
             for anchor in (Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(2)):
                 case = build_case(tid, rng, order, length, anchor)
                 verdict = evaluate_theorem(case)
@@ -198,7 +195,7 @@ class TestBackwardRows:
         case = build_case("T_D1", rng, HIGH, anchor=9)
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        b = case.anchor
+        b = case.f.origin
         assert [point_of(l) for l, _ in rows] == [
             b - (2 - HIGH) - m for m in range(case.f.length - 2)
         ]
@@ -213,7 +210,7 @@ class TestBackwardRows:
             verdict = evaluate_theorem(case)
             rows = (frac_rows(verdict) if where == "hyp"
                     else [(l, v) for l, v in verdict.conclusion_margins])
-            b = case.anchor
+            b = case.f.origin
             assert [point_of(l) for l, _ in rows] == [
                 b - (1 - LOW) - m for m in range(case.f.length - 1)
             ]
@@ -225,9 +222,8 @@ class TestBackwardRows:
         case = build_case("T_N1", rng, HIGH, anchor=9)
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        b = case.anchor  # grid origin is b + 1
-        live = case.f.length - 1
-        assert [point_of(l) for l, _ in rows] == [b - m for m in range(live)]
+        b = case.f.origin  # the operator is anchored at b + 1
+        assert [point_of(l) for l, _ in rows] == [b - m for m in range(case.f.length)]
         for label, val in rows:
             assert val == oracles.nabla_right_riemann(fmap, b + 1, HIGH, point_of(label))
 
@@ -238,7 +234,7 @@ class TestBackwardRows:
         case = build_case(tid, rng, order, anchor=9)
         fmap = case_data(case)
         rows = frac_rows(evaluate_theorem(case))
-        b = case.anchor
+        b = case.f.origin
         for label, val in rows:
             u = point_of(label)
             cap = oracles.delta_right_caputo(fmap, b, order, u)
@@ -269,7 +265,7 @@ def nesting_mismatches(tid, order, anchor):
     past it) cut to their first d coefficients."""
     full = _row_matrices(tid, NEST_LENGTH, order, 64, anchor)
     bad = []
-    for d in range(min_live_length(tid), NEST_LENGTH):
+    for d in range(THEOREMS[tid].min_length, NEST_LENGTH):
         short = _row_matrices(tid, d, order, 64, anchor)
         for name, big, small in zip(("hypothesis", "conclusion"), full, short):
             cut = [(nums[:d], den) for nums, den in big if not any(nums[d:])]
@@ -297,7 +293,7 @@ class TestRowsNest:
 def test_has_ray_names_the_theorems_with_a_start_ray():
     # search_campaign bounds k_cap by the budget for exactly these theorems
     for tid, stmt in THEOREMS.items():
-        case = make_case(tid, [1] * min_live_length(tid), default_orders(tid)[0])
+        case = make_case(tid, [1] * THEOREMS[tid].min_length, default_orders(tid)[0])
         assert bool(stmt.builder(case)[1]) == stmt.has_ray, tid
     assert sum(stmt.has_ray for stmt in THEOREMS.values()) == 12
 
@@ -320,13 +316,13 @@ def test_row_pass_runs_in_integers(monkeypatch):
     monkeypatch.setattr(operators, "_convolve", integers_only)
     for tid in THEOREMS:
         for order in default_orders(tid):
-            for length in range(min_live_length(tid), 8):
+            for length in range(THEOREMS[tid].min_length, 8):
                 _row_matrices(tid, length, order, 64, 0)
     assert calls
 
 
 # sha256 of every row build: each theorem x default order x anchor
-# {0, 7/2, -3} x live length min..7, in that order, 1,251 builds
+# {0, 7/2, -3} x length min..7, in that order, 1,251 builds
 ROW_BLOCK_DIGEST = "919eee6ce54fb5869ae844c77695c1cf4178e3eb1ffa8dc5305f4f07f459655f"
 
 
@@ -356,7 +352,7 @@ def test_row_blocks_are_pinned():
     for tid in THEOREMS:
         for order in default_orders(tid):
             for anchor in (0, Fraction(7, 2), -3):
-                for length in range(min_live_length(tid), 8):
+                for length in range(THEOREMS[tid].min_length, 8):
                     hyp, concl, rays = _row_matrices(tid, length, order, 64, anchor)
                     blocks = [_pinned_fields(rows) for rows in (hyp, concl)]
                     digest.update(json.dumps(_canonical([blocks, rays])).encode())
@@ -364,7 +360,7 @@ def test_row_blocks_are_pinned():
 
 
 def _last_value(case):
-    # reads the last stored value, whatever the length
+    # reads the last value, whatever the length
     return [("last", case.f.values[-1])]
 
 
@@ -379,7 +375,7 @@ def _running_mean(case):
     ([monotone._start, _running_mean], [monotone._pair(0)]),
 ])
 def test_a_row_kind_that_does_not_nest_is_caught(monkeypatch, hyp, concl):
-    stmt = TheoremStatement("T_LOOSE", "test statement", (0, 1), Direction.FORWARD, 0,
-                            2, Declared(hyp, concl))
+    stmt = TheoremStatement("T_LOOSE", "test statement", (0, 1), Direction.FORWARD, 2,
+                            Declared(hyp, concl))
     monkeypatch.setitem(THEOREMS, "T_LOOSE", stmt)
     assert nesting_mismatches("T_LOOSE", Fraction(1, 2), 0)
