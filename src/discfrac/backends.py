@@ -76,8 +76,10 @@ def as_fraction(x) -> Fraction:
     Floats convert to their exact binary value, never to a decimal guess; a
     string is read from its ``numeral_parts``.
     """
-    # the builtin types first: an isinstance check against Fraction, an
-    # abstract base class, is slow for anything but a Fraction
+    # a Fraction by its class, then the builtin types: an isinstance check
+    # against Fraction, an abstract base class, is slow for anything else
+    if x.__class__ is Fraction:
+        return x
     if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, str):

@@ -9,16 +9,18 @@ row, CAPUTO_INVERSION, compares the inversion residual with zero.
 
 Each step of a check runs in integers.  ``random_instance`` holds the
 drawn values as integer numerators over 12 and reads the order and the
-anchor from tables of ``Fraction``s built once per run.  Each
-operator's spec comes from ``operators.cached_spec``, built once per
-(operator, order).  Every output origin is compared with
+anchor from tables of ``Fraction``s built once per run.  A row's two
+operator specs (from ``operators.cached_spec``) and its stated origin
+offsets are derived once per (row, order), by ``_row_plan``.  Every
+output origin is read as its integer ``origin_parts`` and compared with
 the table's integer offsets by cross-multiplication; then the stated
 index set is a range of storage indices, and a Q identity reads its
 right-hand side at a fixed integer index shift instead of reflecting it.
 Both sides are read as their ``(nums, den)`` parts (floats over 1) and
 compared by cross-multiplication, x * dy == y * dx; residual
-``Fraction``s, and expected origins for an error message, are formed
-only on a mismatch.  ``run_identity_suite`` puts its grids on a
+``Fraction``s, and origins for an error message, are formed only on a
+mismatch, so a passing check builds no ``Fraction`` here or in
+``grids``.  ``run_identity_suite`` puts its grids on a
 ``run_scoped()`` copy of the backend, whose table builds each kernel
 once per call; nothing of it outlives the call.
 
@@ -30,6 +32,7 @@ of magnitude up to one and a relative tolerance above that.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,14 +248,15 @@ def _build_report(identity, alpha, f, stated, start, lhs, rhs, tolerance) -> Che
 
 def _expect_origin(grid, base, inward: int, den: int, which: IdentityId, side: str) -> None:
     """Raise unless ``grid``'s origin o is ``base``'s origin a moved
-    ``inward / den`` steps inward, compared by cross-multiplication."""
-    a, o = base.origin, grid.origin
+    ``inward / den`` steps inward, compared by cross-multiplication of their
+    ``origin_parts``."""
+    (a, a_den), (o, o_den) = base.origin_parts, grid.origin_parts
     if base.direction is Direction.BACKWARD:
         inward = -inward
-    num = a.numerator * den + inward * a.denominator
-    if o.numerator * a.denominator * den != num * o.denominator:
-        raise DomainError(f"{which.value} {side}-hand side: produced origin {o}, stated "
-                          f"index set starts at {Fraction(num, a.denominator * den)}")
+    num = a * den + inward * a_den
+    if o * a_den * den != num * o_den:
+        raise DomainError(f"{which.value} {side}-hand side: produced origin {grid.origin}, "
+                          f"stated index set starts at {Fraction(num, a_den * den)}")
 
 
 def _paired(points, lhs_values, rhs_values) -> None:
@@ -281,6 +285,20 @@ def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: int, den: int, star
     return slice(start + shift, lhs.length + shift)
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_plan(which: IdentityId, num: int, den: int) -> tuple:
+    """``(lhs_spec, rhs_spec, at_lhs, at_rhs)``, what row ``which`` reads at
+    the order num/den, derived once per (row, order): the specs of its two
+    operators and its stated origin offsets, each (steps, n_times,
+    alpha_times) as (steps + n_times * n + alpha_times * alpha) * den."""
+    row = IDENTITIES[which]
+    lhs_spec = cached_spec(*row.lhs, num, den, _COMPOSED)
+    rhs_spec = cached_spec(*row.rhs, num, den, _COMPOSED)
+    at_lhs, at_rhs = [(steps + n_times * lhs_spec.n) * den + alpha_times * num
+                      for steps, n_times, alpha_times in row.origins]
+    return lhs_spec, rhs_spec, at_lhs, at_rhs
+
+
 def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckReport:
     """Evaluate one table row on its stated index set."""
     row = IDENTITIES[which]
@@ -290,17 +308,13 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
         raise DomainError("Q identities take the data as a forward grid on {a..b}" if reflect
                           else f"{which.value} takes the data as a {row.direction.value} grid, "
                                f"got {f.direction.value}")
-    num, den = alpha.numerator, alpha.denominator
-    lhs_spec = cached_spec(*row.lhs, num, den, _COMPOSED)
-    rhs_spec = cached_spec(*row.rhs, num, den, _COMPOSED)
+    den = alpha.denominator
+    lhs_spec, rhs_spec, at_lhs, at_rhs = _row_plan(which, alpha.numerator, den)
     lhs = apply_operator(lhs_spec, row.lhs_input(f))
     rhs_input = row.rhs_input(f)
     # a relation row's right-hand side is the Caputo difference in Riemann form
     rhs = (caputo_from_riemann if row.family == "relation" else apply_operator)(
         rhs_spec, rhs_input)
-    # each stated origin offset (steps, n_times, alpha_times), times alpha's denominator
-    at_lhs, at_rhs = [(steps + n_times * lhs_spec.n) * den + alpha_times * num
-                      for steps, n_times, alpha_times in row.origins]
     _expect_origin(rhs, rhs_input if reflect else f, at_rhs, den, which, "right")
     _expect_origin(lhs, f, at_lhs, den, which, "left")
     start = row.points

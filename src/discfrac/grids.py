@@ -34,7 +34,17 @@ them a ``TypeError``.  Floats are held as given, over 1.  The
 constructor, ``with_parts`` and ``from_parts`` (parts already in that
 form) end in one function that sets the slots.  ``drop_leading``,
 ``prepend_zero``, ``reflected`` and ``reversed_view`` keep the
-denominator, and ``shift_origin`` forms one ``Fraction`` from integers.
+denominator.
+
+Every grid, on either backend, holds its origin the same way: a numerator
+and a positive denominator in lowest terms, read as ``origin_parts``.
+``origin`` builds the ``Fraction`` when it is read, as ``point`` and
+``far_point`` do for the points.  A grid moves its origin in integers
+(``with_parts(..., inward=...)``): an integer step adds a multiple of
+the denominator, which keeps the lowest terms, and a fractional step is
+cross-multiplied and reduced by one ``math.gcd``.  So no transform here
+and no operator output builds a ``Fraction`` for its origin;
+``shift_origin`` is the same move for a caller that wants one.
 """
 
 from __future__ import annotations
@@ -93,24 +103,37 @@ class CoefficientVector:
 class GridFunction:
     """Finite function on a shifted integer grid.
 
-    ``parts`` is the ``(nums, den)`` view of the values (see the module
-    docstring).  Instances are immutable; ``==`` and ``hash`` are those of
-    ``(origin, direction, values, backend)``.
+    ``parts`` is the ``(nums, den)`` view of the values and ``origin_parts``
+    that of the origin (see the module docstring).  Instances are
+    immutable; ``==`` and ``hash`` are those of ``(origin, direction,
+    values, backend)``.
     """
 
+    # _origin_num and _origin_den: the origin in lowest terms, den > 0;
     # _nums and _den: the cleared numerators (ints or integer arrays) and
     # denominator, or the values as held and None
-    __slots__ = ("origin", "direction", "backend", "_nums", "_den", "_values")
+    __slots__ = ("_origin_num", "_origin_den", "direction", "backend", "_nums", "_den",
+                 "_values")
 
     def __init__(self, origin, direction, values, backend=FLOATING):
         values = tuple(values)
         nums, den = (_cleared(values) if backend.exact else None) or (values, None)
-        _fill(self, origin, direction, nums, den, backend, values)
+        _fill(self, *_fraction_parts(origin), direction, nums, den, backend, values)
 
     @classmethod
     def from_parts(cls, origin: Fraction, direction, nums: tuple, den, backend=FLOATING):
         """The grid of ``nums`` over an int ``den`` > 0, or held as given if ``den`` is None."""
-        return _fill(_blank(cls), origin, direction, nums, den, backend)
+        return _fill(_blank(cls), origin.numerator, origin.denominator, direction, nums, den,
+                     backend)
+
+    @property
+    def origin(self) -> Fraction:
+        return Fraction(self._origin_num, self._origin_den)
+
+    @property
+    def origin_parts(self) -> tuple:
+        """``(num, den)`` with ``origin == num / den`` in lowest terms, den > 0."""
+        return self._origin_num, self._origin_den
 
     @property
     def values(self) -> tuple:
@@ -153,9 +176,7 @@ class GridFunction:
         return len(self._nums)
 
     def point(self, index: int) -> Fraction:
-        if self.direction is Direction.FORWARD:
-            return self.origin + index
-        return self.origin - index
+        return Fraction(*self._moved(operator.index(index)))
 
     def points(self) -> list[Fraction]:
         return [self.point(i) for i in range(self.length)]
@@ -180,33 +201,49 @@ class GridFunction:
         return {self.point(i): v for i, v in enumerate(self.values)}
 
     def with_values(self, values, origin=None) -> "GridFunction":
-        return GridFunction(self.origin if origin is None else as_fraction(origin),
-                            self.direction, values, self.backend)
+        return GridFunction(self.origin if origin is None else origin, self.direction, values,
+                            self.backend)
 
-    def with_parts(self, nums, den: int, origin=None, direction=None) -> "GridFunction":
+    def with_parts(self, nums, den: int, origin=None, direction=None,
+                   inward=0) -> "GridFunction":
         """The grid of values ``nums[i] / den`` (``den > 0``, 1 on a grid held
-        as given) at ``origin`` and in ``direction`` (this grid's own by
-        default), in this grid's form."""
-        if origin is None:
-            origin = self.origin
-        elif origin.__class__ is not Fraction:
-            origin = as_fraction(origin)
-        return _fill(_blank(GridFunction), origin, direction or self.direction, tuple(nums),
-                     None if self._den is None else den, self.backend)
+        as given) in ``direction`` (this grid's own by default) and in this
+        grid's form, at ``origin``, or without one at this grid's origin
+        moved ``inward`` steps into its own direction: an int, or a
+        ``(num, den)`` pair of ints with den > 0."""
+        if origin is not None:
+            onum, oden = _fraction_parts(origin)
+        elif inward == 0:
+            onum, oden = self._origin_num, self._origin_den
+        else:
+            onum, oden = self._moved(inward)
+        return _fill(_blank(GridFunction), onum, oden, direction or self.direction,
+                     tuple(nums), None if self._den is None else den, self.backend)
 
     def shift_origin(self, inward) -> Fraction:
         """Origin moved ``inward`` steps into the grid's own direction."""
-        step = inward if isinstance(inward, (int, Fraction)) else as_fraction(inward)
-        num, den, a = step.numerator, step.denominator, self.origin
+        if inward.__class__ is not int:
+            inward = _fraction_parts(inward)
+        return Fraction(*self._moved(inward))
+
+    def _moved(self, inward) -> tuple:
+        """``origin_parts`` moved ``inward`` steps into the grid's direction,
+        ``inward`` an int or a ``(num, den)`` pair of ints with den > 0."""
+        num, den = self._origin_num, self._origin_den
+        step, step_den = (inward, 1) if inward.__class__ is int else inward
         if self.direction is Direction.BACKWARD:
-            num = -num
-        return Fraction(a.numerator * den + num * a.denominator, a.denominator * den)
+            step = -step
+        if step_den == 1:  # gcd(num + step * den, den) = gcd(num, den) = 1
+            return num + step * den, den
+        num, den = num * step_den + step * den, den * step_den
+        g = math.gcd(num, den)
+        return num // g, den // g
 
     def drop_leading(self, n: int) -> "GridFunction":
         if n >= self.length:
             raise GridTooShort("cannot drop every grid value")
         nums, den = self.parts
-        return self.with_parts(nums[n:], den, self.shift_origin(n))
+        return self.with_parts(nums[n:], den, inward=n)
 
     def prepend_zero(self) -> "GridFunction":
         """Extend one step toward the anchor side with a zero value."""
@@ -215,7 +252,7 @@ class GridFunction:
             zero = self.backend.zero
         else:  # the int 0, or a zero array beside coefficient vectors
             zero = nums[0] * 0 if nums else 0
-        return self.with_parts((zero,) + nums, den, self.shift_origin(-1))
+        return self.with_parts((zero,) + nums, den, inward=-1)
 
     def reflected(self, origin=None) -> "GridFunction":
         """The values in reverse storage order, same direction, at ``origin``
@@ -224,23 +261,31 @@ class GridFunction:
         return self.with_parts(nums[::-1], den, origin)
 
     def reversed_view(self) -> "GridFunction":
-        """Same function, opposite storage direction."""
+        """Same function, opposite storage direction: its origin is the far point."""
         other = (
             Direction.BACKWARD if self.direction is Direction.FORWARD else Direction.FORWARD
         )
         nums, den = self.parts
-        return self.with_parts(nums[::-1], den, self.far_point, other)
+        return self.with_parts(nums[::-1], den, direction=other, inward=len(nums) - 1)
 
 
 # the slots' own setters, which the frozen ``__setattr__`` does not block
-_set_origin, _set_direction, _set_backend, _set_nums, _set_den, _set_values = (
-    GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__)
+(_set_origin_num, _set_origin_den, _set_direction, _set_backend, _set_nums, _set_den,
+ _set_values) = (GridFunction.__dict__[name].__set__ for name in GridFunction.__slots__)
 _blank = object.__new__
 
 
-def _fill(grid, origin, direction, nums, den, backend, values=None) -> GridFunction:
+def _fraction_parts(x) -> tuple:
+    """``(num, den)`` of ``as_fraction(x)``, in lowest terms with den > 0."""
+    x = as_fraction(x)
+    return x.numerator, x.denominator
+
+
+def _fill(grid, origin_num, origin_den, direction, nums, den, backend,
+          values=None) -> GridFunction:
     """Set every slot of ``grid``, the one path by which a grid is built."""
-    _set_origin(grid, origin)
+    _set_origin_num(grid, origin_num)
+    _set_origin_den(grid, origin_den)
     _set_direction(grid, direction)
     _set_backend(grid, backend)
     _set_nums(grid, nums)
@@ -272,9 +317,7 @@ def make_grid_function(origin, direction, values, backend=FLOATING) -> GridFunct
         raise EmptyValues("a grid function needs at least one value")
     if isinstance(direction, str):
         direction = Direction(direction)
-    return GridFunction(
-        origin=as_fraction(origin), direction=direction, values=vals, backend=backend
-    )
+    return GridFunction(origin=origin, direction=direction, values=vals, backend=backend)
 
 
 def storage_difference(values, n: int = 1):
@@ -307,7 +350,7 @@ def integer_difference(f: GridFunction, kind: str, n: int, signed: bool = False)
         vals = tuple(-v for v in vals)
     forward = f.direction is Direction.FORWARD
     moves = (kind == "nabla") if forward else (kind == "delta")
-    return f.with_parts(vals, den, f.shift_origin(n) if moves else None)
+    return f.with_parts(vals, den, inward=n if moves else 0)
 
 
 def q_reflect(f: GridFunction, a, b) -> GridFunction:

@@ -213,7 +213,7 @@ def cleared(values):
     return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
-def _build(beta: Fraction, count: int, backend) -> tuple:
+def _build(beta, count: int, backend) -> tuple:
     """``kernel_vector`` in ``(nums, den)`` form, with the lag-1 weight scaled
     by the backend's fault, if it carries one (``with_fault``)."""
     weights = kernel_vector(backend.scalar(beta), count, backend)
@@ -222,11 +222,11 @@ def _build(beta: Fraction, count: int, backend) -> tuple:
     return cleared(weights) if backend.exact else (weights, 1)
 
 
-def kernel(beta: Fraction, count: int, backend) -> tuple:
+def kernel(beta, count: int, backend) -> tuple:
     """``kernel_vector(beta, count, backend)`` in its ``(nums, den)`` form:
-    exact weights ``cleared``, floats as they are over 1.  It may hold more
-    than ``count`` weights.  On a backend from ``with_fault`` the lag-1
-    weight carries the fault.
+    exact weights ``cleared``, floats as they are over 1, for ``beta`` a
+    Fraction or an int.  It may hold more than ``count`` weights.  On a
+    backend from ``with_fault`` the lag-1 weight carries the fault.
 
     A backend from ``run_scoped(length)`` keeps each kernel in its table,
     built at ``length`` weights (more if a call asks for more), and serves
@@ -237,7 +237,8 @@ def kernel(beta: Fraction, count: int, backend) -> tuple:
     table = backend.kernels
     if table is None:
         return _build(beta, count, backend)
-    key = (beta.numerator, beta.denominator)  # a Fraction hashes slowly
+    # a Fraction hashes slowly; an int k keys (k, 1), as Fraction(k) does
+    key = (beta.numerator, beta.denominator)
     entry = table.get(key)
     if entry is None or len(entry[0]) < count:
         try:

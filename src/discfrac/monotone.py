@@ -340,7 +340,7 @@ class _NablaRiemann:
         if self.dual:
             spec = _spec(case, Kind.DELTA, Family.RIEMANN)
             nums, den = f.parts
-            f = f.with_parts((nums[0] * 0,) * spec.n + nums[1:], den, f.shift_origin(1 - spec.n))
+            f = f.with_parts((nums[0] * 0,) * spec.n + nums[1:], den, inward=1 - spec.n)
         else:
             spec = _spec(case, Kind.NABLA, Family.RIEMANN, Formulation.EXTENDED)
         return _op_rows(riemann_difference(spec, f).drop_leading(self.drop))
@@ -648,9 +648,9 @@ def _row_matrices(theorem_id: str, live_length: int, order, k_cap: int, anchor):
     coefficient and ray bound; ``_exact_row`` leaves it out.
     """
     basis = np.eye(live_length, live_length + 1, dtype=int).astype(object)
-    case = make_case(theorem_id, [0] * live_length, order, anchor, k_cap)
-    hyp, rays, concl = THEOREMS[theorem_id].builder(replace(case, f=case.f.with_values(
-        map(CoefficientVector, basis))))
+    statement = THEOREMS[theorem_id]
+    f = GridFunction(anchor, statement.direction, map(CoefficientVector, basis), RATIONAL)
+    hyp, rays, concl = statement.builder(TheoremCase(theorem_id, as_fraction(order), f, k_cap))
     hyp_rows, concl_rows = [_exact_row(v) for _, v in hyp], [_exact_row(v) for _, v in concl]
     ray_rows = []
     for ray in rays:  # the rows of ``_ray_rows``, from coefficient-vector values

@@ -46,12 +46,16 @@ one loop of ``_convolve``, and the Riemann-to-Caputo correction
 (``_correction_terms``, which the theorem engine's Caputo bound adds back)
 and the Caputo inversion residual subtract their sums over one common
 denominator (``_correction``).  No operator clears its input again, knows
-how a grid stores its values or builds a Fraction per output point.
+how a grid stores its values or its origin, or builds a Fraction per output
+point or for the output origin, which it moves by the spec's integer
+``shift``.
 
 ``cached_spec`` is the one place a path that evaluates many operators
 takes its specs from (the identity rows, the two Caputo helpers and the
 theorem row kinds): each (kind, family, order, formulation) is built
-once, and ``OperatorSpec`` derives its row then.
+once, and ``OperatorSpec`` derives its row then, with the inward shift of
+its output origin and, on a Caputo spec, the orders of its correction
+kernels.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ class Formulation(enum.Enum):
     COMPOSED = "composed"
     DIRECT = "direct"
     EXTENDED = "extended"  # the direct row on its whole domain: drop 1, not n
+    __hash__ = object.__hash__  # as Kind's
 
 
 def order_ceiling(order) -> int:
@@ -106,12 +111,18 @@ class OperatorSpec:
     formulation: Formulation = Formulation.COMPOSED
     # the row, derived once (see the module table): n = order_ceiling(order),
     # the kernel order beta, the storage differences taken before (pre) and
-    # after (post) the convolution, and the outputs dropped after it
+    # after (post) the convolution, the outputs dropped after it, and the
+    # inward shift of the output origin as a (num, den) pair of ints
     n: int = field(init=False, repr=False, compare=False)
     beta: Fraction = field(init=False, repr=False, compare=False)
     pre: int = field(init=False, repr=False, compare=False)
     post: int = field(init=False, repr=False, compare=False)
     drop: int = field(init=False, repr=False, compare=False)
+    shift: tuple = field(init=False, repr=False, compare=False)
+    # on a Caputo spec, the orders k - alpha for k = 0..n: the kernel order of
+    # the nabla side's extended Riemann row (k = 0) and of each correction
+    # term k - 1 (see ``_correction_terms``); empty on the others
+    corrections: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order", as_fraction(self.order))
@@ -132,7 +143,12 @@ class OperatorSpec:
             row = n - self.order, 0, n, 0
         else:
             row = n - self.order, n, 0, 0
-        for name, value in zip(("n", "beta", "pre", "post", "drop"), (n, *row)):
+        beta, pre, post, drop = row
+        shift = as_fraction(beta + drop if self.kind is Kind.DELTA else pre + post + drop)
+        corrections = (tuple(k - self.order for k in range(n + 1))
+                       if self.family is Family.CAPUTO else ())
+        for name, value in zip(("n", "beta", "pre", "post", "drop", "shift", "corrections"),
+                               (n, *row, (shift.numerator, shift.denominator), corrections)):
             object.__setattr__(self, name, value)
 
 
@@ -172,12 +188,13 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
-def _pipeline(f: GridFunction, beta, shift=0, *, skip_first=False, pre=0, post=0,
+def _pipeline(f: GridFunction, beta, inward=0, *, skip_first=False, pre=0, post=0,
               drop=0) -> GridFunction:
     """f through its ``pre``-th storage difference, the convolution with
     w(beta, .) (none when beta is 0) and a ``post``-th storage difference,
     less its first ``drop`` outputs, as a grid whose origin is f's moved
-    ``shift + drop`` steps inward.
+    ``inward`` steps inward (an int or a ``(num, den)`` pair, as
+    ``GridFunction.with_parts`` takes it).
 
     Every step runs on ``f.parts``, numerators over E (floats over 1).  The
     kernel comes over its own denominator D (1 for floats), and the output
@@ -186,23 +203,20 @@ def _pipeline(f: GridFunction, beta, shift=0, *, skip_first=False, pre=0, post=0
     vals, den = f.parts
     if pre:
         vals = storage_difference(vals, pre)
-    if beta != 0:
+    if beta:
         w, d = kernel(beta, len(vals), f.backend)
         vals, den = _convolve(w, vals, skip_first), den * d
     if post:
         vals = storage_difference(vals, post)
-    inward = shift + drop if drop else shift
-    return f.with_parts(vals[drop:] if drop else vals, den,
-                        f.shift_origin(inward) if inward else None)
+    return f.with_parts(vals[drop:] if drop else vals, den, inward=inward)
 
 
 def _apply(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """The spec's row run on f: see the module table."""
     _require_grid(spec, f)
-    delta = spec.kind is Kind.DELTA
-    return _pipeline(f, spec.beta, spec.beta if delta else spec.pre + spec.post,
-                     skip_first=not (delta or spec.pre), pre=spec.pre, post=spec.post,
-                     drop=spec.drop)
+    return _pipeline(f, spec.beta, spec.shift,
+                     skip_first=not (spec.kind is Kind.DELTA or spec.pre), pre=spec.pre,
+                     post=spec.post, drop=spec.drop)
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -253,8 +267,8 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
         # pole-over-pole, and the kernel w(-alpha, .), which truncates to the
         # signed binomial row, together with the fused correction weights
         # realizes their limits.
-        riem = _pipeline(f.drop_leading(n - 1) if n > 1 else f, -alpha, skip_first=True,
-                         drop=1)
+        riem = _pipeline(f.drop_leading(n - 1) if n > 1 else f, spec.corrections[0], 1,
+                         skip_first=True, drop=1)
     return riem.with_parts(*_correction(riem.parts, *_correction_terms(spec, f, riem.length)))
 
 
@@ -265,15 +279,14 @@ def _correction_terms(spec: OperatorSpec, f: GridFunction, length: int) -> tuple
     f at the anchor: from the first point (delta, lag_k = n - k) or up to
     storage index n - 1, where the Caputo inner sum is anchored (nabla,
     lag_k = 0)."""
-    n, alpha = spec.n, spec.order
+    n = spec.n
     data, e = f.parts
     delta = spec.kind is Kind.DELTA
     anchors, rows = [], []
     for k in range(n):
         anchors.append(storage_difference(data[:k + 1] if delta else data[n - 1 - k:n], k)[0])
         lag = n - k if delta else 0
-        order = Fraction((k + 1) * alpha.denominator - alpha.numerator, alpha.denominator)
-        w, d = kernel(order, lag + length, f.backend)
+        w, d = kernel(spec.corrections[k + 1], lag + length, f.backend)
         rows.append((w[lag:], d))
     return anchors, e, rows
 
@@ -320,11 +333,11 @@ def caputo_inversion_residual(f: GridFunction, order) -> GridFunction:
     # of the anchor: w(k+1, m-1) for m >= 1, and at m = 0 it is 1 for k = 0
     # and 0 otherwise
     rows = [([0 if k else d, *w], d) for k, (w, d) in enumerate(
-        kernel(Fraction(k + 1), summed.length - 1, f.backend)
+        kernel(k + 1, summed.length - 1, f.backend)
         for k in range(n))]
     f_minus_taylor = _correction((data, e), taylor_coeffs, e, rows)
     residual = _correction(summed.parts, [1], 1, [f_minus_taylor])
-    return f.with_parts(*residual, f.shift_origin(n - 1))
+    return f.with_parts(*residual, inward=n - 1)
 
 
 def apply_operator(spec: OperatorSpec, f: GridFunction) -> GridFunction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from discfrac import dualities, kernels, operators
+from discfrac import dualities, grids, kernels, operators
 from discfrac.backends import FLOATING, RATIONAL, RationalBackend
 from discfrac.cli import main
 from discfrac.dualities import (
@@ -271,8 +271,8 @@ def test_a_cached_spec_is_the_fresh_spec(which):
             assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
             assert spec is cached_spec(*op, order.numerator, order.denominator, form)
             assert spec.n == fresh.n == order_ceiling(order)
-            assert (spec.beta, spec.pre, spec.post, spec.drop) == (
-                fresh.beta, fresh.pre, fresh.post, fresh.drop)
+            assert (spec.beta, spec.pre, spec.post, spec.drop, spec.shift, spec.corrections) == (
+                fresh.beta, fresh.pre, fresh.post, fresh.drop, fresh.shift, fresh.corrections)
     assert cached_spec.cache_info().maxsize is not None
 
 
@@ -521,6 +521,28 @@ def test_random_instance_matches_make_grid_function(backend):
                 assert [type(v) for v in f.values] == [type(v) for v in g.values]
                 assert type(f.origin) is Fraction and f.backend is backend
                 assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
+@pytest.mark.parametrize("which", [IdentityId.LEFT_DUAL_DIFF, IdentityId.Q_CAPUTO_NABLA,
+                                   IdentityId.RELATE_DELTA_RIGHT, IdentityId.CAPUTO_INVERSION])
+def test_a_passing_check_builds_no_origin_fraction(monkeypatch, backend, which):
+    """A passing check moves every origin and compares it with the stated one
+    in integers: neither ``grids`` nor ``dualities`` builds a ``Fraction``,
+    for a dual, a Q and a relation row and for the inversion residual."""
+    rng = random.Random(which.value)
+    instances = [random_instance(which, rng, backend) for _ in range(20)]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(grids, "Fraction", counted)
+    monkeypatch.setattr(dualities, "Fraction", counted)
+    for f, alpha in instances:
+        assert check_identity(f, alpha, which).passed
+    assert built == []
 
 
 @pytest.mark.parametrize("n", [*range(1, 71), 2**40 + 1])

@@ -19,6 +19,8 @@ from discfrac.grids import (
     storage_difference,
 )
 
+from discfrac.operators import Family, Kind, OperatorSpec, apply_operator, order_ceiling
+
 import oracles
 
 values_strategy = st.lists(
@@ -330,3 +332,65 @@ class TestParts:
         assert g.prepend_zero().values == (0,) + tuple(values)
         assert g.reflected(5).values == tuple(values[::-1])
         assert g.reversed_view().mapping() == g.mapping()
+
+
+# origins far from the drawn p/q: numerators of up to 40 digits over up to 20
+_LARGE_ORIGINS = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**20))
+_STEPS = st.one_of(st.integers(-10**6, 10**6), st.fractions(-50, 50, max_denominator=10**6))
+_MOVES = st.lists(st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 3)),
+    st.tuples(st.just("prepend"), st.none()),
+    st.tuples(st.just("reverse"), st.none()),
+    st.tuples(st.just("difference"), st.tuples(st.sampled_from(["delta", "nabla"]),
+                                               st.integers(0, 2))),
+    st.tuples(st.just("inward"), _STEPS),
+    st.tuples(st.just("operator"), st.tuples(
+        st.sampled_from(Kind), st.sampled_from(Family),
+        st.fractions(Fraction(1, 12), 3, max_denominator=12))),
+), max_size=8)
+
+
+class TestIntegerOrigins:
+    @given(origin=st.one_of(st.fractions(-12, 12, max_denominator=12), _LARGE_ORIGINS),
+           direction=st.sampled_from(Direction), moves=_MOVES)
+    @settings(max_examples=150, deadline=None)
+    def test_origin_moves_equal_fraction_arithmetic(self, origin, direction, moves):
+        """Every origin move held in integers, chained through the grid
+        transforms and operator outputs on either side, lands where the
+        ``Fraction`` arithmetic of the same move does, in lowest terms."""
+        g = make_grid_function(origin, direction, range(1, 13), RATIONAL)
+        expected = origin
+        for move, arg in moves:
+            sign = 1 if g.direction is Direction.FORWARD else -1
+            if move == "drop" and arg < g.length:
+                g, expected = g.drop_leading(arg), expected + sign * arg
+            elif move == "prepend":
+                g, expected = g.prepend_zero(), expected - sign
+            elif move == "reverse":
+                g, expected = g.reversed_view(), expected + sign * (g.length - 1)
+            elif move == "difference" and arg[1] < g.length:
+                kind, n = arg
+                moves_origin = (kind == "nabla") == (sign == 1)
+                g, expected = integer_difference(g, kind, n), expected + sign * n * moves_origin
+            elif move == "inward":
+                assert g.shift_origin(arg) == expected + sign * arg
+                step = arg if isinstance(arg, int) else (arg.numerator, arg.denominator)
+                g, expected = g.with_parts(*g.parts, inward=step), expected + sign * arg
+            elif move == "operator":
+                kind, family, alpha = arg
+                spec = OperatorSpec(kind, family, alpha)
+                if g.length <= spec.pre + spec.post + spec.drop:
+                    continue
+                n = order_ceiling(alpha)
+                # the module table's inward shift of each row
+                if kind is Kind.DELTA:
+                    shift = alpha if family is Family.SUM else n - alpha
+                else:
+                    shift = 0 if family is Family.SUM else n
+                g, expected = apply_operator(spec, g), expected + sign * shift
+            num, den = g.origin_parts
+            assert den > 0 and math.gcd(num, den) == 1
+            assert type(g.origin) is Fraction and g.origin == expected
+        step = 1 if g.direction is Direction.FORWARD else -1
+        assert g.points() == [expected + step * i for i in range(g.length)]
+        assert g.far_point == expected + step * (g.length - 1)
