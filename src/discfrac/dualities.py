@@ -14,8 +14,9 @@ operator specs (from ``operators.cached_spec``) and its stated origin
 offsets are derived once per (row, order), by ``_row_plan``.  Every
 output origin is read as its integer ``origin_parts`` and compared with
 the table's integer offsets by cross-multiplication; then the stated
-index set is a range of storage indices, and a Q identity reads its
-right-hand side at a fixed integer index shift instead of reflecting it.
+index set is a range of storage indices, and a Q identity, whose table
+row states one offset for both sides, pairs its right-hand output with
+the left-hand one index for index instead of reflecting it.
 Both sides are read as their ``(nums, den)`` parts (floats over 1) and
 compared by cross-multiplication, x * dy == y * dx; residual
 ``Fraction``s, and origins for an error message, are formed only on a
@@ -84,7 +85,8 @@ class IdentityId(enum.Enum):
 # reversed operand, runs the right operators.  Origins are offsets
 # inward from f's origin a, written (constant, multiple of n, multiple of
 # alpha); a Q identity measures its right-hand output from b, the origin
-# of the reversed data, before reflecting it back.  A relation's
+# of the reversed data, at its left-hand offset, so the two outputs pair
+# index for index (``_check_row``).  A relation's
 # right-hand side is the Riemann-minus-correction form of its Caputo spec.
 
 
@@ -267,24 +269,6 @@ def _paired(points, lhs_values, rhs_values) -> None:
         )
 
 
-def _reflected_part(lhs: GridFunction, rhs: GridFunction, k: int, den: int, start: int) -> slice:
-    """The storage of ``rhs`` that pairs with the lhs storage from ``start``
-    on, the stated index set of a Q identity, through the reflection
-    s -> a + b - s of the forward data grid {a..b}.
-
-    A left operator's output runs forward and a right one's backward, so
-    the lhs point ``o_L + i`` reflects to the rhs point ``o_R - (i + k)``
-    with ``k = o_L + o_R - (a + b)``: the pairs are read by slicing.  With
-    both origins checked, ``o_L = a + d_L`` and ``o_R = b - d_R`` for the
-    stated offsets, so ``k = d_L - d_R``, given here as ``k / den``.
-    """
-    shift, off = divmod(k, den)
-    if off or not (0 <= start + shift and lhs.length + shift <= rhs.length):
-        raise DomainError(f"the reflected right-hand side misses the stated index set "
-                          f"(index shift {Fraction(k, den)})")
-    return slice(start + shift, lhs.length + shift)
-
-
 @functools.lru_cache(maxsize=4096)
 def _row_plan(which: IdentityId, num: int, den: int) -> tuple:
     """``(lhs_spec, rhs_spec, at_lhs, at_rhs)``, what row ``which`` reads at
@@ -319,8 +303,9 @@ def _check_row(f: GridFunction, order, which: IdentityId, tolerance) -> CheckRep
     _expect_origin(lhs, f, at_lhs, den, which, "left")
     start = row.points
     if reflect:
-        rhs_part = _reflected_part(lhs, rhs, at_lhs - at_rhs, den, start)
-        stated, lhs_part = lhs, slice(start, None)
+        # a Q row states one offset d for both sides, so lhs index i, the
+        # point a + d + i, reflects to b - d - i, which is rhs index i
+        stated, lhs_part, rhs_part = lhs, slice(start, None), slice(start, lhs.length)
     else:
         stated, lhs_part, rhs_part = rhs, _ALL, slice(start, None)
     lhs_values, rhs_values = _part(lhs, lhs_part), _part(rhs, rhs_part)

@@ -75,11 +75,9 @@ from .operators import (
     Formulation,
     Kind,
     OperatorSpec,
-    _correction,
-    _correction_terms,
     cached_spec,
-    caputo_difference,
     riemann_difference,
+    riemann_from_caputo,
 )
 
 # ---------------------------------------------------------------------------
@@ -350,10 +348,7 @@ def _caputo_bound(case: TheoremCase) -> list:
     """Delta Caputo difference plus its anchor-correction sum, the bound the
     Caputo theorems state (by the Riemann-Caputo relation, the delta Riemann
     difference)."""
-    spec = _spec(case, Kind.DELTA, Family.CAPUTO)
-    cap = caputo_difference(spec, case.f)
-    anchors, e, rows = _correction_terms(spec, case.f, cap.length)
-    return _op_rows(cap.with_parts(*_correction(cap.parts, [-c for c in anchors], e, rows)))
+    return _op_rows(riemann_from_caputo(_spec(case, Kind.DELTA, Family.CAPUTO), case.f))
 
 
 def _ray(terms: int, first: int = 1) -> Callable:
@@ -929,11 +924,12 @@ def _row_search(hyp: list, concl: list, rays: list, values, live_length: int,
 
 def _search_instance(theorem_id: str, live_length: int, value_set, order,
                      samples: int | None, seed: int, k_cap: int,
-                     anchor, searches: dict | None = None) -> Callable[[int], SearchResult]:
+                     searches: dict | None = None) -> Callable[[int], SearchResult]:
     """Build the rows at ``live_length`` once; return d -> the length-d
     result, for every d from the statement's ``min_length`` on.  The search
     is exhaustive when ``samples`` is None, else ``samples`` random draws per
-    length.
+    length.  Its rows and cases are anchored at 0: no row depends on the
+    anchor, and a result holds values, never points.
 
     An exhaustive search (``_row_search``) is kept in ``searches`` under all
     it reads: the exact hypothesis, conclusion and ray rows with their
@@ -944,7 +940,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
     ``evaluate_theorem`` confirms the counterexample suspects on this
     theorem's own cases, and every result is a new ``SearchResult``
     (``search_campaign`` confirms the witness it reports)."""
-    hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, anchor)
+    hyp, concl, rays = _row_matrices(theorem_id, live_length, order, k_cap, 0)
     shallowest = THEOREMS[theorem_id].min_length
     if any(level >= shallowest for *_, level in rays):
         raise AssertionError(f"{theorem_id}: a start ray reads past length {shallowest}")
@@ -961,7 +957,7 @@ def _search_instance(theorem_id: str, live_length: int, value_set, order,
 
     def exact_case(idx_row):
         combo = tuple(as_fraction(values[i]) for i in idx_row)
-        return make_case(theorem_id, combo, order, anchor, k_cap)
+        return make_case(theorem_id, combo, order, k_cap=k_cap)
 
     def result(d: int) -> SearchResult:
         count, min_concl, suspects, witness, witness_margin = search(d)
@@ -984,7 +980,7 @@ def default_orders(theorem_id: str) -> list[Fraction]:
 def search_campaign(theorem_id: str, grid_length: int, value_set,
                     nu_samples=None, mode: str = "exhaustive",
                     budget: int = 500_000, seed: int = 0, k_cap: int = 64,
-                    anchor=0, searches: dict | None = None) -> list[SearchResult]:
+                    searches: dict | None = None) -> list[SearchResult]:
     """Per-order search results, including witness and statistics.
     ``searches`` holds the searches to share with other theorems of one run
     (``search_theorems``); by default each order searches on its own."""
@@ -1015,7 +1011,7 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
     results = []
     for order in orders:
         result = _search_instance(theorem_id, grid_length, value_set, order, samples, seed,
-                                  k_cap, anchor, searches)
+                                  k_cap, searches)
         res = result(grid_length)
         # nonvacuity fallback: shorter grids often admit a strictly positive
         # margin that the capped value set rules out at full length.  The
@@ -1032,7 +1028,7 @@ def search_campaign(theorem_id: str, grid_length: int, value_set,
                 res.witness, res.witness_margin = shorter.witness, shorter.witness_margin
         if res.witness is not None:
             # the witness was decided from the exact rows; confirm it on its case
-            verdict = evaluate_theorem(make_case(theorem_id, res.witness, order, anchor, k_cap))
+            verdict = evaluate_theorem(make_case(theorem_id, res.witness, order, k_cap=k_cap))
             if not (verdict.hypothesis_holds and res.witness_margin == min(
                     v for _, v in verdict.hypothesis_margins)):
                 raise AssertionError(f"{theorem_id}: the rows and evaluate_theorem disagree "

@@ -4,7 +4,9 @@ Every operator is one row of this table (f of length L, order alpha > 0,
 n = smallest integer >= alpha): f's ``pre``-th storage difference (see
 the grids module), its convolution with the binomial kernel w(beta, .),
 the ``post``-th storage difference of that, less its first ``drop``
-outputs.  ``OperatorSpec`` derives the row when it is built.
+outputs.  ``OperatorSpec`` derives the row when it is built, and
+``_apply`` is the one body that runs it, for every operator and every
+helper below.
 
     operator         beta       pre  post  drop  inward shift  length
     ---------------  ---------  ---  ----  ----  ------------  ------
@@ -31,10 +33,12 @@ values raises ``GridTooShort``.
 
 The single-sum (direct) Riemann forms reproduce the composed values; the
 extended direct rows drop 1 output instead of n, which extends them by the
-n-1 points between anchor+1 and the composed domain.  The nabla Caputo
-differences anchor their inner sum one step before the first value of
-the n-th difference (anchor + n - 1 on the left, anchor - n + 1 on the
-right).
+n-1 points between anchor+1 and the composed domain.  Both need a
+non-integer order, which ``riemann_difference`` checks; a spec builds at
+any order, since ``caputo_from_riemann`` runs the extended nabla row at
+integer orders too.  The nabla Caputo differences anchor their inner sum
+one step before the first value of the n-th difference (anchor + n - 1
+on the left, anchor - n + 1 on the right).
 
 Every operator reads its input as the grid's ``(nums, den)`` view
 (``GridFunction.parts``) and builds its output from one (``with_parts``):
@@ -42,20 +46,21 @@ integer numerators over one denominator on the exact backend (integer
 arrays for the coefficient vectors of the symbolic row pass), floats over
 1 on the floating one.  The code is the same for all of them: the kernel
 comes in the same form (``kernel``), every convolution runs through the
-one loop of ``_convolve``, and the Riemann-to-Caputo correction
-(``_correction_terms``, which the theorem engine's Caputo bound adds back)
-and the Caputo inversion residual subtract their sums over one common
-denominator (``_correction``).  No operator clears its input again, knows
-how a grid stores its values or its origin, or builds a Fraction per output
-point or for the output origin, which it moves by the spec's integer
-``shift``.
+one loop of ``_convolve``, and the Riemann-to-Caputo relation
+(``_relation``: ``caputo_from_riemann`` subtracts the correction sum,
+``riemann_from_caputo``, the theorem engine's Caputo bound, subtracts its
+negation) and the Caputo inversion residual subtract their sums over one
+common denominator (``_correction``).  No operator clears its input
+again, knows how a grid stores its values or its origin, or builds a
+Fraction per output point or for the output origin, which it moves by
+the spec's integer ``shift``.
 
 ``cached_spec`` is the one place a path that evaluates many operators
-takes its specs from (the identity rows, the two Caputo helpers and the
-theorem row kinds): each (kind, family, order, formulation) is built
-once, and ``OperatorSpec`` derives its row then, with the inward shift of
-its output origin and, on a Caputo spec, the orders of its correction
-kernels.
+takes its specs from (the identity rows, the rows the two Caputo helpers
+run and the theorem row kinds): each (kind, family, order, formulation) is
+built once, and ``OperatorSpec`` derives its row then, with the inward
+shift of its output origin and, on a Caputo spec, the orders of its
+correction kernels.
 """
 
 from __future__ import annotations
@@ -119,9 +124,8 @@ class OperatorSpec:
     post: int = field(init=False, repr=False, compare=False)
     drop: int = field(init=False, repr=False, compare=False)
     shift: tuple = field(init=False, repr=False, compare=False)
-    # on a Caputo spec, the orders k - alpha for k = 0..n: the kernel order of
-    # the nabla side's extended Riemann row (k = 0) and of each correction
-    # term k - 1 (see ``_correction_terms``); empty on the others
+    # on a Caputo spec, the kernel orders k - alpha (k = 1..n) of its
+    # Riemann-to-Caputo correction terms (see ``_relation``), else empty
     corrections: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,10 +136,6 @@ class OperatorSpec:
         if self.formulation is not Formulation.COMPOSED:
             if self.family is not Family.RIEMANN:
                 raise DomainError("direct formulation applies to Riemann differences only")
-            if self.order.denominator == 1:
-                raise DirectFormIntegerOrder(
-                    "the single-sum difference form needs a non-integer order"
-                )
             row = -self.order, 0, 0, n if self.formulation is Formulation.DIRECT else 1
         elif self.family is Family.SUM:
             row = self.order, 0, 0, 0
@@ -145,7 +145,7 @@ class OperatorSpec:
             row = n - self.order, n, 0, 0
         beta, pre, post, drop = row
         shift = as_fraction(beta + drop if self.kind is Kind.DELTA else pre + post + drop)
-        corrections = (tuple(k - self.order for k in range(n + 1))
+        corrections = (tuple(k - self.order for k in range(1, n + 1))
                        if self.family is Family.CAPUTO else ())
         for name, value in zip(("n", "beta", "pre", "post", "drop", "shift", "corrections"),
                                (n, *row, (shift.numerator, shift.denominator), corrections)):
@@ -188,35 +188,22 @@ def _convolve(weights, values, skip_first: bool) -> list:
     return out
 
 
-def _pipeline(f: GridFunction, beta, inward=0, *, skip_first=False, pre=0, post=0,
-              drop=0) -> GridFunction:
-    """f through its ``pre``-th storage difference, the convolution with
-    w(beta, .) (none when beta is 0) and a ``post``-th storage difference,
-    less its first ``drop`` outputs, as a grid whose origin is f's moved
-    ``inward`` steps inward (an int or a ``(num, den)`` pair, as
-    ``GridFunction.with_parts`` takes it).
-
-    Every step runs on ``f.parts``, numerators over E (floats over 1).  The
-    kernel comes over its own denominator D (1 for floats), and the output
-    is the grid of the resulting numerators over D*E.
-    """
-    vals, den = f.parts
-    if pre:
-        vals = storage_difference(vals, pre)
-    if beta:
-        w, d = kernel(beta, len(vals), f.backend)
-        vals, den = _convolve(w, vals, skip_first), den * d
-    if post:
-        vals = storage_difference(vals, post)
-    return f.with_parts(vals[drop:] if drop else vals, den, inward=inward)
-
-
 def _apply(spec: OperatorSpec, f: GridFunction) -> GridFunction:
-    """The spec's row run on f: see the module table."""
+    """The spec's row run on f (see the module table; no convolution when
+    beta is 0), as a grid whose origin is f's moved the spec's ``shift``
+    inward.  Every step runs on ``f.parts``, numerators over E (floats over
+    1); the kernel comes over its own denominator D (1 for floats), and the
+    output is the grid of the resulting numerators over D*E."""
     _require_grid(spec, f)
-    return _pipeline(f, spec.beta, spec.shift,
-                     skip_first=not (spec.kind is Kind.DELTA or spec.pre), pre=spec.pre,
-                     post=spec.post, drop=spec.drop)
+    vals, den = f.parts
+    if spec.pre:
+        vals = storage_difference(vals, spec.pre)
+    if spec.beta:
+        w, d = kernel(spec.beta, len(vals), f.backend)
+        vals, den = _convolve(w, vals, not (spec.kind is Kind.DELTA or spec.pre)), den * d
+    if spec.post:
+        vals = storage_difference(vals, spec.post)
+    return f.with_parts(vals[spec.drop:] if spec.drop else vals, den, inward=spec.shift)
 
 
 def fractional_sum(spec: OperatorSpec, f: GridFunction) -> GridFunction:
@@ -230,6 +217,8 @@ def riemann_difference(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     """Riemann fractional difference (integer differences of a sum)."""
     if spec.family is not Family.RIEMANN:
         raise DomainError("riemann_difference needs a spec with family=riemann")
+    if spec.formulation is not Formulation.COMPOSED and spec.order.denominator == 1:
+        raise DirectFormIntegerOrder("the single-sum difference form needs a non-integer order")
     return _apply(spec, f)
 
 
@@ -255,40 +244,47 @@ def caputo_from_riemann(spec: OperatorSpec, f: GridFunction) -> GridFunction:
     if spec.family is not Family.CAPUTO:
         raise DomainError("caputo_from_riemann needs a spec with family=caputo")
     _require_grid(spec, f)
-    n = spec.n
-    alpha = spec.order
+    num, den = spec.order.numerator, spec.order.denominator
     if spec.kind is Kind.DELTA:
-        riem = riemann_difference(
-            cached_spec(spec.kind, Family.RIEMANN, alpha.numerator, alpha.denominator,
-                        Formulation.COMPOSED), f)
+        riem = riemann_difference(cached_spec(Kind.DELTA, Family.RIEMANN, num, den,
+                                              Formulation.COMPOSED), f)
     else:
         # nabla: the extended direct row anchored n-1 steps inward.  It runs
         # at every order: at integer orders the stated correction terms are
         # pole-over-pole, and the kernel w(-alpha, .), which truncates to the
         # signed binomial row, together with the fused correction weights
         # realizes their limits.
-        riem = _pipeline(f.drop_leading(n - 1) if n > 1 else f, spec.corrections[0], 1,
-                         skip_first=True, drop=1)
-    return riem.with_parts(*_correction(riem.parts, *_correction_terms(spec, f, riem.length)))
+        riem = _apply(cached_spec(Kind.NABLA, Family.RIEMANN, num, den, Formulation.EXTENDED),
+                      f.drop_leading(spec.n - 1))
+    return _relation(spec, f, riem, add=False)
 
 
-def _correction_terms(spec: OperatorSpec, f: GridFunction, length: int) -> tuple:
-    """``(anchors, e, rows)``, the Riemann-to-Caputo correction sum of f for
-    ``spec`` at ``length`` outputs as ``_correction`` reads it.  Term k < n is
-    w(k+1-alpha, lag_k + m) at output m times the k-th storage difference of
-    f at the anchor: from the first point (delta, lag_k = n - k) or up to
-    storage index n - 1, where the Caputo inner sum is anchored (nabla,
+def riemann_from_caputo(spec: OperatorSpec, f: GridFunction) -> GridFunction:
+    """The Riemann-to-Caputo relation read the other way: the Caputo
+    difference plus the correction sum, which is the Riemann difference
+    that ``caputo_from_riemann`` starts from (the bound the theorem
+    engine's Caputo theorems state)."""
+    return _relation(spec, f, caputo_difference(spec, f), add=True)
+
+
+def _relation(spec: OperatorSpec, f: GridFunction, base: GridFunction, add: bool):
+    """``base`` plus (``add``) or minus the Riemann-to-Caputo correction sum
+    of f for the Caputo ``spec``, at each of base's outputs.  Term k < n is
+    w(k+1-alpha, lag_k + m) at output m times the k-th storage difference
+    of f at the anchor: from the first point (delta, lag_k = n - k) or up
+    to storage index n - 1, where the Caputo inner sum is anchored (nabla,
     lag_k = 0)."""
     n = spec.n
     data, e = f.parts
     delta = spec.kind is Kind.DELTA
     anchors, rows = [], []
     for k in range(n):
-        anchors.append(storage_difference(data[:k + 1] if delta else data[n - 1 - k:n], k)[0])
+        c = storage_difference(data[:k + 1] if delta else data[n - 1 - k:n], k)[0]
+        anchors.append(-c if add else c)
         lag = n - k if delta else 0
-        w, d = kernel(spec.corrections[k + 1], lag + length, f.backend)
+        w, d = kernel(spec.corrections[k], lag + base.length, f.backend)
         rows.append((w[lag:], d))
-    return anchors, e, rows
+    return base.with_parts(*_correction(base.parts, anchors, e, rows))
 
 
 def _correction(base: tuple, coefficients: list, e: int, rows: list) -> tuple:
@@ -319,13 +315,15 @@ def caputo_inversion_residual(f: GridFunction, order) -> GridFunction:
     Caputo anchor; the contract is that the residual vanishes.
     """
     alpha = as_fraction(order)
-    spec = cached_spec(Kind.NABLA, Family.CAPUTO, alpha.numerator, alpha.denominator,
-                       Formulation.COMPOSED)
+    num, den = alpha.numerator, alpha.denominator
+    spec = cached_spec(Kind.NABLA, Family.CAPUTO, num, den, Formulation.COMPOSED)
     n = spec.n
     cap = caputo_difference(spec, f)
-    # anchored sum of the Caputo output: full convolution, origin kept,
-    # plus the conventional zero at the anchor point itself
-    summed = _pipeline(cap, alpha).prepend_zero()
+    # the sum of the Caputo output anchored one step before it: the nabla sum
+    # row, which leaves the value at its anchor out, on the output with a
+    # zero prepended there
+    summed = _apply(cached_spec(Kind.NABLA, Family.SUM, num, den, Formulation.COMPOSED),
+                    cap.prepend_zero())
     stored, e = f.parts
     taylor_coeffs = [storage_difference(stored[n - 1 - k:n], k)[0] for k in range(n)]
     data = stored[n - 1:]  # f from the anchor on

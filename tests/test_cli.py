@@ -12,6 +12,8 @@ from discfrac.cli import _parse_values, main
 from discfrac.errors import BudgetExceeded, DomainError
 from discfrac.operators import Family, Formulation, Kind, OperatorSpec
 
+from conftest import examples
+
 # sha256 of the acceptance campaign's report: every margin in it, the float
 # min_conclusion_margin too, is an exact value rounded once, so the whole report
 # is machine-independent
@@ -27,6 +29,19 @@ RATIONAL_CHECK_DIGEST = "9d1de2198523040cec5474eb9664f33eab040297a4b26cee7e08922
 # of IEEE additions, products and quotients and it calls no libm function, so
 # its residuals depend on no platform's math library
 FLOATING_CHECK_DIGEST = "5522ec46dde3a7b8bb57166586d8ce06fd6849fcbfe00426ac9512a4a07ede14"
+# the pins the numpy-free CI job checks on every version, reproduced in process
+# by test_every_version_pin_holds_in_process: the seed-1 check reports
+SEED1_CHECK_DIGESTS = {
+    "rational": "0f6ffeb154c81c1eac31eee308d73b01795374b016d8964aec69ac2267bdc0cb",
+    "floating": "f3d52b1dd815b6ee2bbba89da858a9a621226de4b05ece7e3a3df1008f3589ae",
+}
+# one composed and one direct floating operator on 64 values
+LONG_APPLY_DIGESTS = {
+    "sum.json": "faec9c149c2afc5da52fb0ec4aa4f97b3a992ec3031e1d737ac750fb1d269e3c",
+    "direct.json": "b59189b9eb6ef5c9e1f95c342551fef652e56970cf0664ea91a3e5874ec739ca",
+}
+# the 40 operator rows (kind, side, family, form, backend) on short grids
+ROWS_DIGEST = "9b3b7ce7663955bea70a62ebb28d3d604b654193a1e99a9bfc3016ee643dd753"
 # 10**5000 written out: past the 4,300 digits of Python's int conversion
 LONG = "1" + "0" * 5000
 # 5,000 zeros that do not change a numeral's value
@@ -549,6 +564,46 @@ class TestCheck:
                      "--backend", "floating", "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == FLOATING_CHECK_DIGEST
 
+    def test_every_version_pin_holds_in_process(self, tmp_path, capsys):
+        """The seed-1 check reports, the two 64-value floating ``apply``
+        outputs and the 40 operator rows' stdout keep the digests the
+        numpy-free CI job checks on every version."""
+        for backend, digest in SEED1_CHECK_DIGESTS.items():
+            report = tmp_path / f"{backend}-1.jsonl"
+            assert main(["check", "--all", "--instances", "200", "--seed", "1",
+                         "--backend", backend, "--report", str(report)]) == 0
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+        long = write(tmp_path, "long.json", json.dumps({
+            "origin": "1/3", "direction": "forward",
+            "values": [f"{(7 * i) % 17 - 8}/{i % 4 + 1}" for i in range(64)]}))
+        for name, operator in [
+                ("sum.json", ["--kind", "nabla", "--family", "sum", "--order", "1/3"]),
+                ("direct.json", ["--kind", "delta", "--family", "riemann", "--order", "5/4",
+                                 "--form", "direct"])]:
+            out = tmp_path / name
+            assert main(["apply", "--input", long, "--side", "left", *operator,
+                         "--backend", "floating", "--output", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == LONG_APPLY_DIGESTS[name]
+        grids = {
+            "left": write(tmp_path, "fwd.json", '{"origin": "-1", "direction": "forward", '
+                          '"values": ["1", "-1/2", "2", "3/4", "-5", "7/3"]}'),
+            "right": write(tmp_path, "bwd.json", '{"origin": "5/2", "direction": "backward", '
+                           '"values": ["2/3", "4", "-1", "1/5", "3", "-3/2"]}'),
+        }
+        families = [["sum"], ["riemann"], ["caputo"], ["riemann", "--form", "direct"],
+                    ["riemann", "--form", "direct", "--extended"]]
+        capsys.readouterr()
+        for backend in ("floating", "rational"):
+            for side, grid in grids.items():
+                for kind in ("delta", "nabla"):
+                    for family in families:
+                        assert main(["apply", "--input", grid, "--kind", kind, "--side", side,
+                                     "--family", *family, "--order", "3/2",
+                                     "--backend", backend]) == 0
+        rows = capsys.readouterr().out
+        assert hashlib.sha256(rows.encode()).hexdigest() == ROWS_DIGEST
+        assert rows.count('"formulation": "extended"') == 8
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_is_usage_error(self, tmp_path, capsys, instances):
         report = tmp_path / "r.jsonl"
@@ -911,7 +966,7 @@ def cli_command(draw):
 
 
 @given(command=cli_command(), source=input_file())
-@settings(max_examples=80, deadline=None,
+@settings(max_examples=examples(80), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_input_never_escapes_the_exit_codes(tmp_path, capsys, command, source):
     name, text = source

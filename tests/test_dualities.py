@@ -182,17 +182,29 @@ def test_domain_contract_rejects_off_by_one():
         _paired([0, 1, 2], [1, 2, 3], [1, 2])
 
 
-def test_a_reflected_part_off_the_stated_index_set_is_refused():
-    from discfrac.dualities import _reflected_part
+@pytest.mark.parametrize("which", Q_IDS)
+def test_a_q_right_hand_side_one_point_short_is_refused(monkeypatch, which):
+    """A Q row states one offset for both sides and pairs its outputs index
+    for index from there on: a right-hand output one point short, at its
+    stated origin, is refused as a length mismatch."""
+    assert IDENTITIES[which].origins[0] == IDENTITIES[which].origins[1]
+    name = {Family.SUM: "fractional_sum", Family.RIEMANN: "riemann_difference",
+            Family.CAPUTO: "caputo_difference"}[IDENTITIES[which].rhs[1]]
+    real = getattr(operators, name)
 
-    lhs = make_grid_function(0, Direction.FORWARD, [1, 2, 3], RATIONAL)
-    rhs = make_grid_function(4, Direction.BACKWARD, [1, 2, 3, 4], RATIONAL)
-    assert _reflected_part(lhs, rhs, 2, 2, 1) == slice(2, 4)
-    # a shift of half a step, and shifts that run off either end of rhs
-    for k, den, start, shift in [(1, 2, 0, "1/2"), (4, 2, 0, "2"), (-2, 1, 1, "-2")]:
-        with pytest.raises(DomainError, match=r"^the reflected right-hand side misses the "
-                                              rf"stated index set \(index shift {shift}\)$"):
-            _reflected_part(lhs, rhs, k, den, start)
+    def short(spec, g):
+        out = real(spec, g)
+        if g.direction is Direction.FORWARD:  # the left-hand side
+            return out
+        nums, den = out.parts
+        return out.with_parts(nums[:-1], den)
+
+    _replace_operator(monkeypatch, name, short)
+    rng = random.Random(which.value)
+    for backend in (RATIONAL, FLOATING):
+        f, alpha = random_instance(which, rng, backend)
+        with pytest.raises(DomainError, match="^index sets differ: "):
+            check_identity(f, alpha, which)
 
 
 def _replace_operator(monkeypatch, name, replacement):
@@ -251,14 +263,17 @@ def test_an_origin_off_by_a_fraction_of_a_step_is_refused(monkeypatch, backend, 
 @pytest.mark.parametrize("which", [which for which in IdentityId if IDENTITIES[which].lhs])
 def test_a_cached_spec_is_the_fresh_spec(which):
     """Every spec a check of the row reads: its two operators, for a Caputo
-    row also the Riemann spec of ``caputo_from_riemann``'s delta side and the
-    nabla Caputo spec of ``caputo_inversion_residual``, and for a Riemann
-    row the direct forms at non-integer orders."""
+    row also the Riemann specs of ``caputo_from_riemann`` (the composed
+    delta one, and the extended nabla one at every order) and the nabla
+    Caputo and sum specs of ``caputo_inversion_residual``, and for a
+    Riemann row the direct forms at non-integer orders."""
     row = IDENTITIES[which]
     kind, family = row.lhs
     ops = [(*row.lhs, COMPOSED), (*row.rhs, COMPOSED)]
     if family is Family.CAPUTO:
-        ops += [(kind, Family.RIEMANN, COMPOSED), (Kind.NABLA, family, COMPOSED)]
+        ops += [(kind, Family.RIEMANN, COMPOSED), (Kind.NABLA, family, COMPOSED),
+                (Kind.NABLA, Family.RIEMANN, Formulation.EXTENDED),
+                (Kind.NABLA, Family.SUM, COMPOSED)]
     if family is Family.RIEMANN:
         ops += [(*row.lhs, Formulation.DIRECT), (*row.rhs, Formulation.DIRECT)]
     for order in (Fraction(1, 12), Fraction(1, 2), Fraction(1), Fraction(13, 12), Fraction(2),

@@ -21,6 +21,7 @@ from discfrac.grids import (
 
 from discfrac.operators import Family, Kind, OperatorSpec, apply_operator, order_ceiling
 
+from conftest import examples
 import oracles
 
 values_strategy = st.lists(
@@ -136,7 +137,7 @@ class TestIntegerDifference:
             integer_difference(fwd([1, 2]), "delta", 2)
 
     @given(values=values_strategy, n=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_iterated_equals_binomial_expansion(self, values, n):
         if len(values) <= n:
             return
@@ -175,14 +176,14 @@ class TestQReflect:
             q_reflect(fwd([1, 2, 3, 4]), 0, 2)
 
     @given(values=values_strategy)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_involution(self, values):
         g = fwd(values)
         b = len(values) - 1
         assert q_reflect(q_reflect(g, 0, b), 0, b) == g
 
     @given(values=values_strategy)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_reflection_swaps_difference_kinds(self, values):
         # -Q(nabla f) = delta(Q f) and -Q(delta f) = nabla(Q f)
         g = fwd(values)
@@ -294,7 +295,7 @@ class TestParts:
     @pytest.mark.parametrize("backend", [RATIONAL, FLOATING])
     @given(values=values_strategy, origin=st.fractions(-12, 12, max_denominator=3),
            direction=st.sampled_from(Direction), den=st.sampled_from([6, 12, 60]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_grids_from_parts_equal_constructed_grids(self, backend, values, origin,
                                                       direction, den):
         """A grid built from its parts, numerators over a multiple of the
@@ -317,7 +318,7 @@ class TestParts:
     @given(origin=st.fractions(-50, 50, max_denominator=12),
            inward=st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12)),
            direction=st.sampled_from(Direction))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_shift_origin_moves_into_the_grid_direction(self, origin, inward, direction):
         moved = make_grid_function(origin, direction, [1], RATIONAL).shift_origin(inward)
         expected = origin + inward if direction is Direction.FORWARD else origin - inward
@@ -353,7 +354,7 @@ _MOVES = st.lists(st.one_of(
 class TestIntegerOrigins:
     @given(origin=st.one_of(st.fractions(-12, 12, max_denominator=12), _LARGE_ORIGINS),
            direction=st.sampled_from(Direction), moves=_MOVES)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_origin_moves_equal_fraction_arithmetic(self, origin, direction, moves):
         """Every origin move held in integers, chained through the grid
         transforms and operator outputs on either side, lands where the

@@ -17,6 +17,7 @@ from discfrac.kernels import (
     rising,
 )
 
+from conftest import examples
 import oracles
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -203,7 +204,7 @@ class TestSumKernel:
 
     @given(beta=st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
            count=st.integers(0, 40))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_integer_recurrence_matches_oracle(self, beta, count):
         # negative, integer and above-one orders, poles included
         vec = kernel_vector(beta, count, RATIONAL)
@@ -256,7 +257,7 @@ class TestFactorialIdentities:
     # difference and product rules at sampled admissible points
 
     @given(t=small_fracs, alpha=small_fracs)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_forward_difference_rule_exact(self, t, alpha):
         try:
             lhs = falling(t + 1, alpha, RATIONAL) - falling(t, alpha, RATIONAL)
@@ -266,7 +267,7 @@ class TestFactorialIdentities:
         assert lhs - rhs == 0
 
     @given(t=small_fracs, mu=small_fracs)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_shift_rule_exact(self, t, mu):
         try:
             lhs = (t - mu) * falling(t, mu, RATIONAL)
@@ -276,7 +277,7 @@ class TestFactorialIdentities:
         assert lhs - rhs == 0
 
     @given(t=small_fracs, alpha=small_fracs, beta=small_fracs)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_split_rule_exact(self, t, alpha, beta):
         try:
             lhs = falling(t, alpha + beta, RATIONAL)

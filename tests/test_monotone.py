@@ -47,6 +47,8 @@ from discfrac.operators import (
     riemann_difference,
 )
 
+from conftest import examples
+
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
 
@@ -105,7 +107,7 @@ class TestRayDecision:
     # between them; a test at the integers beside R''s roots misses it
     @example(coeffs=[Fraction(1), Fraction(-3, 2), Fraction(27, 100), Fraction(1, 10)],
              start=0)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     def test_agrees_with_literal_scan(self, coeffs, start):
         ok, witness = poly_nonneg_on_integer_ray(list(coeffs), start)
         if witness is not None:
@@ -128,7 +130,7 @@ class TestRayDecision:
     @example(factors=[(3, 4)], shift=1, start=0)
     # R(4) = -1, at a dip the derivative's root brackets do not reach
     @example(factors=[(1, 3), (2, 3), (4, 2)], shift=-1, start=3)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_integer_critical_points_agree_with_brute_force(self, factors, shift, start):
         # prod (k - r)^m + shift, expanded: its forward differences change
         # sign next to the integer roots r, where the root brackets lie
@@ -200,7 +202,7 @@ class TestRayDecision:
 
 @given(values=st.lists(small_frac, min_size=3, max_size=10),
        nu=st.sampled_from([Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_delta_difference_sums_by_parts(values, nu):
     """Output m of the delta-left difference is S_M f(0) plus the sum of
     S_{M-i} (f(i) - f(i-1)), M = m + 2, with S_r the partial sums of the
@@ -1118,7 +1120,7 @@ class TestOnePassRows:
 CAMPAIGN_VALUES = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
 
 
-def _tried_verdicts(monkeypatch, tid, values, order, anchor, k_cap, length):
+def _tried_verdicts(monkeypatch, tid, values, order, k_cap, length):
     """(live values, row-derived margin or None) of every witness try that
     ``result(d)`` makes, for d from the minimum length to ``length``, in one
     exhaustive search at ``length``."""
@@ -1136,7 +1138,7 @@ def _tried_verdicts(monkeypatch, tid, values, order, anchor, k_cap, length):
 
     with monkeypatch.context() as patch:
         patch.setattr(monotone, "_row_verdict", recording)
-        result = monotone._search_instance(tid, length, values, order, None, 0, k_cap, anchor)
+        result = monotone._search_instance(tid, length, values, order, None, 0, k_cap)
         for d in range(THEOREMS[tid].min_length, length + 1):
             result(d)
     return tried
@@ -1153,18 +1155,19 @@ def _assert_verdicts_match(tid, order, anchor, k_cap, tried):
 class TestRowVerdict:
     @pytest.mark.parametrize("tid", list(THEOREMS))
     def test_row_verdicts_match_evaluate_theorem(self, monkeypatch, tid):
-        # every default order, lengths min..7 and anchors 0, 7/2 and -3
+        # every default order and lengths min..7; the rows hold no anchor, so
+        # their verdicts are evaluate_theorem's at anchors 0, 7/2 and -3
         for order in default_orders(tid):
+            tried = _tried_verdicts(monkeypatch, tid, CAMPAIGN_VALUES, order, 64, 7)
+            assert tried
             for anchor in (0, Fraction(7, 2), -3):
-                tried = _tried_verdicts(monkeypatch, tid, CAMPAIGN_VALUES, order, anchor, 64, 7)
-                assert tried
                 _assert_verdicts_match(tid, order, anchor, 64, tried)
 
     def test_a_ray_failing_past_k_cap_skips_the_try(self, monkeypatch):
         # with k_cap 1 the three-term start rays leave some pool candidates
         # whose explicit rows all pass and whose ray fails further out
         tid, order, values = "T_SLOV33", Fraction(7, 4), [-1, 0, Fraction(1, 2), 1]
-        tried = _tried_verdicts(monkeypatch, tid, values, order, 0, 1, 6)
+        tried = _tried_verdicts(monkeypatch, tid, values, order, 1, 6)
         assert any(margin is None for _, margin in tried)
         assert any(margin is not None for _, margin in tried)
         _assert_verdicts_match(tid, order, 0, 1, tried)
@@ -1180,7 +1183,7 @@ class TestRowVerdict:
         builder = Declared([monotone._start], [monotone._pair(0)], last_value_ray)
         monkeypatch.setitem(THEOREMS, "T_LAST_RAY", _statement("T_LAST_RAY", builder))
         values, order = [-1, 0, Fraction(1, 2), 1], Fraction(1, 2)
-        tried = _tried_verdicts(monkeypatch, "T_LAST_RAY", values, order, 0, 64, 2)
+        tried = _tried_verdicts(monkeypatch, "T_LAST_RAY", values, order, 64, 2)
         assert tried
         _assert_verdicts_match("T_LAST_RAY", order, 0, 64, tried)
         with pytest.raises(AssertionError, match="T_LAST_RAY: a start ray reads past length 2"):

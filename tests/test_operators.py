@@ -27,8 +27,10 @@ from discfrac.operators import (
     fractional_sum,
     order_ceiling,
     riemann_difference,
+    riemann_from_caputo,
 )
 
+from conftest import examples
 import oracles
 
 ORDERS = [Fraction(1, 2), Fraction(1, 3), Fraction(6, 5), Fraction(3, 2), Fraction(7, 4)]
@@ -203,6 +205,23 @@ class TestSpotValues:
         c = caputo_from_riemann(spec(Kind.DELTA, Family.CAPUTO, "1/2"), f)
         assert c.value_at("1/2") == 0
 
+    @pytest.mark.parametrize("alpha", ["1/3", "1", "3/2", "2", "9/4"])
+    def test_riemann_from_caputo_is_the_riemann_side(self, alpha):
+        # the Caputo difference plus the correction sum is the Riemann
+        # difference caputo_from_riemann subtracts it from: the composed delta
+        # one, and the extended nabla row n - 1 steps inward, at every order
+        rng = random.Random(alpha)
+        alpha = Fraction(alpha)
+        n = order_ceiling(alpha)
+        for _ in range(4):
+            vals = random_values(rng, rng.randint(n + 1, 9))
+            for grid in (forward(vals, 2), backward(vals, 9)):
+                delta = riemann_from_caputo(spec(Kind.DELTA, Family.CAPUTO, alpha), grid)
+                assert delta == riemann_difference(spec(Kind.DELTA, Family.RIEMANN, alpha), grid)
+                nabla = riemann_from_caputo(spec(Kind.NABLA, Family.CAPUTO, alpha), grid)
+                extended = spec(Kind.NABLA, Family.RIEMANN, alpha, Formulation.EXTENDED)
+                assert nabla == operators._apply(extended, grid.drop_leading(n - 1))
+
     def test_integer_order_reduces_to_plain_differences(self):
         f = forward([Fraction(t * t) for t in range(6)])
         out = riemann_difference(spec(Kind.NABLA, Family.RIEMANN, 2), f)
@@ -256,9 +275,13 @@ class TestDomains:
         assert next_.values[1:] == ncore.values
 
     def test_direct_integer_order_rejected(self):
+        # the spec builds, since caputo_from_riemann runs the extended nabla
+        # row at every order; riemann_difference refuses it
         for form in (Formulation.DIRECT, Formulation.EXTENDED):
-            with pytest.raises(DirectFormIntegerOrder):
-                spec(Kind.DELTA, Family.RIEMANN, 2, form)
+            for kind in Kind:
+                with pytest.raises(DirectFormIntegerOrder,
+                                   match="the single-sum difference form needs a non-integer"):
+                    riemann_difference(spec(kind, Family.RIEMANN, 2, form), forward(range(6)))
             for family in (Family.SUM, Family.CAPUTO):
                 with pytest.raises(DomainError, match="Riemann differences only"):
                     spec(Kind.NABLA, family, "1/2", form)
@@ -411,7 +434,7 @@ class TestAlgebraicProperties:
                         min_size=4, max_size=8),
         scale=st.fractions(min_value=-3, max_value=3, max_denominator=2),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_linearity(self, values, scale):
         f = forward(values)
         g = forward(list(reversed(values)))
@@ -558,7 +581,7 @@ class TestIntegerPath:
              alpha=Fraction(7, 5), a=-2)
     @example(values=[Fraction(3, LARGE_PRIME)] + [Fraction(k + 1, 12 - k) for k in range(12)],
              alpha=Fraction(9, 4), a=3)
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=examples(40), deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_pipeline_matches_oracles(self, memo_oracles, values, alpha, a):
         """Every pipeline, and one chained pair, against the oracles; each
@@ -609,27 +632,30 @@ class TestIntegerPath:
             results = run_identity_suite(instances=3, seed=4, backend=backend)
             assert all(r.passed for r in results) and seen == {kind}
 
-    @given(length=st.integers(1, 10),
-           beta=st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12)),
-           pre=st.integers(0, 2), post=st.integers(0, 2), skip_first=st.booleans(),
+    @given(kind=st.sampled_from(Kind), family=st.sampled_from(Family),
+           form=st.sampled_from(Formulation),
+           order=st.integers(1, 36).map(lambda k: Fraction(k, 12)), extra=st.integers(0, 7),
            zero_slot=st.booleans(), data=st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_coefficient_vectors_run_each_column(self, length, beta, pre, post,
-                                                 skip_first, zero_slot, data):
+    @settings(max_examples=examples(80), deadline=None)
+    def test_coefficient_vectors_run_each_column(self, kind, family, form, order, extra,
+                                                 zero_slot, data):
         """The symbolic row pass's values are coefficient vectors, here the
-        basis e_j scaled by c_j.  Column j of the pipeline on them is the
-        pipeline on the scalar data c_j e_j, and the exact zero stored by
-        ``prepend_zero`` acts as the zero vector."""
+        basis e_j scaled by c_j.  Column j of an operator row (``_apply``, at
+        integer orders too) on them is the row on the scalar data c_j e_j,
+        and the exact zero stored by ``prepend_zero`` acts as the zero
+        vector."""
+        op = spec(kind, family if form is Formulation.COMPOSED else Family.RIEMANN, order, form)
+        lead = [RATIONAL.zero] if zero_slot else []
+        # from the shortest grid the row accepts on
+        length = max(1, op.pre + op.post + op.drop + 1 - len(lead)) + extra
         scales = data.draw(st.lists(mixed_values, min_size=length, max_size=length))
         basis = [c * CoefficientVector(np.eye(length, dtype=int)[j].astype(object))
                  for j, c in enumerate(scales)]
         zero = CoefficientVector(np.zeros(length, dtype=object))
-        lead = [RATIONAL.zero] if zero_slot else []
         grid = forward([0] * (len(lead) + length))
 
         def run(values):
-            return list(operators._pipeline(grid.with_values(values), beta,
-                                            skip_first=skip_first, pre=pre, post=post).values)
+            return list(operators._apply(op, grid.with_values(values)).values)
 
         def coefficients(row):
             return [Fraction(x, row.den) for x in row.nums]
@@ -649,7 +675,7 @@ class TestIntegerPath:
 
     @given(a=st.lists(mixed_values, min_size=3, max_size=3),
            b=st.lists(mixed_values, min_size=3, max_size=3), c=mixed_values)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_coefficient_vector_arithmetic_is_coordinatewise(self, a, b, c):
         """Sums, differences and scalar multiples of coefficient vectors are
         those of their coordinates; a scalar lands in the last, constant
@@ -673,17 +699,30 @@ class TestIntegerPath:
         with pytest.raises(TypeError, match="not linear"):
             u * w
 
-    @pytest.mark.parametrize("skip_first", [False, True])
-    def test_nothing_left_to_convolve_gives_no_output(self, skip_first):
-        # a difference as long as the grid leaves no values, on every path
-        grids = [make_grid_function(0, Direction.FORWARD, [1], FLOATING), forward([1])]
-        grids.append(grids[1].with_values([CoefficientVector(np.ones(1, dtype=object))]))
-        for grid in grids:
-            assert operators._pipeline(grid, Fraction(1), skip_first=skip_first, pre=1).values == ()
+    @pytest.mark.parametrize("order", [Fraction(3, 2), Fraction(2)])
+    def test_a_row_needs_one_value_past_those_it_takes_away(self, order):
+        """Every operator row refuses a grid of its ``pre + post + drop``
+        values and gives one output on a grid of one more, on floats, ints
+        and coefficient vectors alike."""
+        rows = [spec(kind, family, order) for kind in Kind for family in Family]
+        rows += [spec(kind, Family.RIEMANN, order, form)
+                 for kind in Kind for form in (Formulation.DIRECT, Formulation.EXTENDED)]
+
+        def grids(size):
+            exact = forward([1] * size)
+            return [make_grid_function(0, Direction.FORWARD, [1] * size, FLOATING), exact,
+                    exact.with_values([CoefficientVector(np.ones(1, dtype=object))] * size)]
+
+        for op in rows:
+            taken = op.pre + op.post + op.drop
+            assert all(operators._apply(op, grid).length == 1 for grid in grids(taken + 1))
+            for grid in grids(taken) if taken else ():
+                with pytest.raises(GridTooShort):
+                    operators._apply(op, grid)
 
     @given(values=st.lists(mixed_values, min_size=1, max_size=40),
            alpha=exact_orders, a=st.integers(-3, 3))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_inversion_residual_vanishes(self, values, alpha, a):
         f, g, _ = both_grids(values, Fraction(a))
         for grid in (f, g):
@@ -697,7 +736,7 @@ class TestIntegerPath:
     @given(values=st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12)),
                            min_size=1, max_size=40),
            alpha=exact_orders.filter(lambda x: x.denominator > 1))
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=examples(40), deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_overflow_iff_an_oracle_weight_exceeds_the_cap(self, memo_oracles, values, alpha):
         """At a 64-bit cap an operator raises BackendOverflow exactly when a

@@ -30,6 +30,7 @@ from discfrac.monotone import (
     make_case,
 )
 
+from conftest import examples
 import oracles
 
 
@@ -282,7 +283,7 @@ class TestRowsNest:
             assert nesting_mismatches(tid, order, anchor) == []
 
     @given(data=st.data())
-    @settings(max_examples=2, deadline=None)
+    @settings(max_examples=examples(2), deadline=None)
     def test_rows_nest_at_drawn_orders(self, tid, data):
         lo, hi = THEOREMS[tid].order_range
         order = data.draw(st.fractions(min_value=lo, max_value=hi, max_denominator=12)
